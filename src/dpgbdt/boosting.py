@@ -294,11 +294,19 @@ def batched_update(
     return prev + eta * (sigmoid(W.mean(axis=0)) - base)
 
 
-def _clip_to_bounds(X: np.ndarray, bounds) -> np.ndarray:
-    if not bounds:
+def _checked_features(ensemble: Ensemble, X) -> np.ndarray:
+    """X as a finite n x m float matrix, clamped to the ensemble's bounds."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or (ensemble.bounds and X.shape[1] != len(ensemble.bounds)):
+        raise InvalidParameterError(
+            f"expected an n x {len(ensemble.bounds)} matrix, got shape {X.shape}"
+        )
+    if not np.isfinite(X).all():
+        raise InvalidParameterError("features must be finite (no NaN or infinity)")
+    if not ensemble.bounds:
         return X
-    lo = np.array([a for a, _ in bounds])
-    hi = np.array([b for _, b in bounds])
+    lo = np.array([a for a, _ in ensemble.bounds])
+    hi = np.array([b for _, b in ensemble.bounds])
     return np.clip(X, lo, hi)
 
 
@@ -306,13 +314,8 @@ def raw_scores(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     """Accumulated raw (pre-sigmoid) scores under the ensemble's batch semantics."""
     if ensemble.update_mode is UpdateMode.AVERAGING:
         raise InvalidParameterError("averaging ensembles have no raw-score accumulation")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or (ensemble.bounds and X.shape[1] != len(ensemble.bounds)):
-        raise InvalidParameterError(
-            f"expected an n x {len(ensemble.bounds)} matrix, got shape {X.shape}"
-        )
-    Xc = _clip_to_bounds(X, ensemble.bounds)
-    raw = np.zeros(X.shape[0])
+    Xc = _checked_features(ensemble, X)
+    raw = np.zeros(Xc.shape[0])
     for start, end in ensemble.batch_boundaries:
         batch = ensemble.trees[start:end]
         if ensemble.batch_size == 1:
@@ -327,7 +330,9 @@ def predict(ensemble: Ensemble, x: np.ndarray) -> np.ndarray | float:
 
     Boosted ensembles apply the sigmoid to the accumulated raw score (an
     empty ensemble predicts 0.5); averaging ensembles return the mean leaf
-    proportion directly. Out-of-bounds feature values are clamped.
+    proportion, clipped to [0, 1] because noise can push it outside.
+    Out-of-bounds feature values are clamped; NaN and infinite values are
+    rejected.
     """
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
@@ -336,9 +341,11 @@ def predict(ensemble: Ensemble, x: np.ndarray) -> np.ndarray | float:
     if ensemble.update_mode is UpdateMode.AVERAGING:
         if not ensemble.trees:
             raise InvalidParameterError("averaging ensemble has no trees to average")
-        Xc = _clip_to_bounds(X, ensemble.bounds)
-        probs = np.mean(
-            [tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees], axis=0
+        Xc = _checked_features(ensemble, X)
+        probs = np.clip(
+            np.mean([tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees], axis=0),
+            0.0,
+            1.0,
         )
     else:
         probs = sigmoid(raw_scores(ensemble, X))

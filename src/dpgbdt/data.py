@@ -78,6 +78,10 @@ class Dataset:
             raise ValueError("labels must be a vector aligned with features")
         if not np.all((y == 0) | (y == 1)):
             raise NonBinaryLabelError("labels must all be 0 or 1")
+        finite = np.isfinite(X)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(f"feature {col} value {X[row, col]!r} at row {row + 1} is not finite")
         bounds = tuple((float(a), float(b)) for a, b in self.bounds)
         if len(bounds) != X.shape[1]:
             raise ValueError("one (low, high) bound pair required per feature")

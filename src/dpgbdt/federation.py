@@ -37,8 +37,6 @@ __all__ = [
     "LedgerCounter",
     "partition",
     "secure_sum",
-    "histogram_query",
-    "leaf_query",
     "ldp_release",
     "comm_accounting",
     "FederatedAggregator",
@@ -131,6 +129,7 @@ class ClientPopulation:
         client_of_record = np.repeat(np.arange(sizes.size), sizes)
         object.__setattr__(self, "client_sizes", sizes)
         object.__setattr__(self, "_client_of_record", client_of_record)
+        object.__setattr__(self, "_client_starts", np.concatenate([[0], np.cumsum(sizes)]))
         object.__setattr__(self, "_all_singleton", bool(np.all(sizes == 1)))
 
     @property
@@ -150,12 +149,16 @@ class ClientPopulation:
         return self._client_of_record
 
     @property
+    def client_starts(self) -> np.ndarray:
+        """Record offset of each client's shard, plus n at the end."""
+        return self._client_starts
+
+    @property
     def all_singleton(self) -> bool:
         return self._all_singleton
 
     def client_view(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        start = int(self.client_sizes[:c].sum())
-        stop = start + int(self.client_sizes[c])
+        start, stop = self.client_starts[c], self.client_starts[c + 1]
         return self.features[start:stop], self.labels[start:stop]
 
     def client_datasets(self) -> list[Dataset]:
@@ -225,111 +228,40 @@ def secure_sum(
     return out
 
 
+# Upper bound on the dense (client, cell) grid the per-client grouping
+# allocates at once; clients are grouped in blocks that fit under it.
+GROUP_GRID_CELLS = 1 << 20
+
+
+def _client_blocks(pop: ClientPopulation, n_cells: int):
+    """(first client, end client) of each block whose dense grid fits the cap."""
+    step = max(1, GROUP_GRID_CELLS // n_cells)
+    return [(c, min(c + step, pop.n_clients)) for c in range(0, pop.n_clients, step)]
+
+
 def _per_client_cell_sums(
     pop: ClientPopulation, cell: np.ndarray, stats: np.ndarray, n_cells: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group per-record (g, h) rows into per-(client, cell) contribution rows.
+    """Group per-record (g, h) columns of ``stats`` (2, n) into
+    per-(client, cell) contribution rows.
 
-    Returns (cell index per contribution, contribution matrix). With
+    Returns (cell index per contribution, (contributions, 2) matrix), with
+    populated (client, cell) pairs in ascending client-then-cell order. With
     one-record clients each record is its own contribution.
     """
     if pop.all_singleton:
-        return cell, stats
-    key = pop.client_of_record.astype(np.int64) * n_cells + cell
-    uniq, inv = np.unique(key, return_inverse=True)
-    g = np.bincount(inv, weights=stats[:, 0], minlength=uniq.size)
-    h = np.bincount(inv, weights=stats[:, 1], minlength=uniq.size)
-    return (uniq % n_cells).astype(np.int64), np.stack([g, h], axis=1)
-
-
-def _release_cells(
-    pop: ClientPopulation,
-    cell: np.ndarray,
-    stats: np.ndarray,
-    n_cells: int,
-    codec: FixedPointCodec,
-    noise: NoiseScale | None,
-    rng: np.random.Generator | None,
-    local_noise: bool,
-) -> tuple[np.ndarray, int]:
-    """Securely aggregate per-record stats into (n_cells, 2) sums.
-
-    Central model: one Gaussian draw per released coordinate after decoding.
-    Local model: one draw per client-contribution coordinate before encoding.
-    Returns (sums, number of noise draws).
-    """
-    contrib_cell, contrib = _per_client_cell_sums(pop, cell, stats, n_cells)
-    draws = 0
-    if noise is not None and local_noise:
-        contrib = contrib + rng.normal(0.0, noise.std, size=contrib.shape)
-        draws = contrib.size
-    if contrib.shape[0]:
-        codec.check_capacity(pop.n_clients, float(np.abs(contrib).max()))
-    acc = np.zeros((n_cells, 2), dtype=np.uint64)
-    np.add.at(acc, contrib_cell, codec.encode(contrib))
-    if codec.ring_bits != 64:
-        acc &= np.uint64(codec.modulus - 1)
-    out = codec.decode(acc)
-    if noise is not None and not local_noise:
-        out = out + rng.normal(0.0, noise.std, size=out.shape)
-        draws = out.size
-    return out, draws
-
-
-def histogram_query(
-    pop: ClientPopulation,
-    node_of_record: np.ndarray,
-    nodes: Sequence[int],
-    feature: int,
-    thresholds: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    codec: FixedPointCodec,
-    noise: NoiseScale | None = None,
-    rng: np.random.Generator | None = None,
-    local_noise: bool = False,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per-node binned (sum g, sum h) over one feature's split candidates.
-
-    Every record must sit in one of ``nodes`` (a disjoint level of the tree),
-    so the whole release is a single privacy query by parallel composition.
-    Binning is closed-right: a value equal to threshold q lands in bin q, the
-    first bin is closed below at the feature's lower bound, and values above
-    the last threshold fall into the final bin.
-    """
-    nodes = np.asarray(sorted(nodes), dtype=np.int64)
-    Q = len(thresholds)
-    pos = np.searchsorted(nodes, node_of_record)
-    bins = bin_index(pop.features[:, feature], thresholds)
-    cell = pos * Q + bins
-    stats = np.stack([g, h], axis=1)
-    sums, _ = _release_cells(pop, cell, stats, len(nodes) * Q, codec, noise, rng, local_noise)
-    return {
-        int(nid): (sums[i * Q : (i + 1) * Q, 0], sums[i * Q : (i + 1) * Q, 1])
-        for i, nid in enumerate(nodes)
-    }
-
-
-def leaf_query(
-    pop: ClientPopulation,
-    leaf_of_record: np.ndarray,
-    n_leaves: int,
-    g: np.ndarray,
-    h: np.ndarray,
-    codec: FixedPointCodec,
-    noise: NoiseScale | None = None,
-    rng: np.random.Generator | None = None,
-    local_noise: bool = False,
-) -> np.ndarray:
-    """(n_leaves, 2) noisy (sum g, sum h) over a tree's disjoint leaf partition.
-
-    One privacy query per tree; empty leaves release pure noise.
-    """
-    stats = np.stack([g, h], axis=1)
-    sums, _ = _release_cells(
-        pop, np.asarray(leaf_of_record, dtype=np.int64), stats, n_leaves, codec, noise, rng, local_noise
-    )
-    return sums
+        return cell, stats.T
+    cells, sums = [], []
+    for first, end in _client_blocks(pop, n_cells):
+        lo, hi = pop.client_starts[first], pop.client_starts[end]
+        key = (pop.client_of_record[lo:hi] - first) * n_cells + cell[lo:hi]
+        size = (end - first) * n_cells
+        hit = np.flatnonzero(np.bincount(key, minlength=size))
+        g = np.bincount(key, weights=stats[0, lo:hi], minlength=size)
+        h = np.bincount(key, weights=stats[1, lo:hi], minlength=size)
+        cells.append(hit % n_cells)
+        sums.append(np.stack([g[hit], h[hit]], axis=1))
+    return np.concatenate(cells), np.concatenate(sums)
 
 
 def ldp_release(
@@ -435,6 +367,10 @@ class FederatedAggregator:
     trainer sees them only through the query methods below, each of which
     meters its privacy cost and communication. Structure broadcast
     (``apply_splits``, ``route_tree``) and local score updates are free.
+
+    Clients keep their records binned against the current candidate set: the
+    bin matrix is rebuilt only when a query names a different
+    ``SplitCandidateSet`` object.
     """
 
     def __init__(
@@ -452,9 +388,10 @@ class FederatedAggregator:
         self._rng = philox(noise_seed if noise_seed is not None else 0)
         n = population.n
         self.raw_scores = np.zeros(n)
-        self.g = np.zeros(n)
-        self.h = np.ones(n)
+        self.gh = np.stack([np.zeros(n), np.ones(n)])
         self.node = np.zeros(n, dtype=np.int64)
+        self._bins = None
+        self._bins_for: SplitCandidateSet | None = None
         self.ledger = LedgerCounter()
         self.comm_rounds = 0
         self.comm_uplink = 0
@@ -465,21 +402,43 @@ class FederatedAggregator:
     # ------------------------------------------------------------------
     # client-local computation (no queries, no communication)
 
+    @property
+    def g(self) -> np.ndarray:
+        return self.gh[0]
+
+    @g.setter
+    def g(self, values) -> None:
+        self.gh[0] = values
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.gh[1]
+
+    @h.setter
+    def h(self, values) -> None:
+        self.gh[1] = values
+
     def recompute_gradients(self, mode: UpdateMode) -> None:
+        """Recompute every record's (g, h), stacked as ``gh`` (2, n) until the
+        next gradient barrier."""
         pair = mode_gradients(self.pop.labels, self.raw_scores, mode)
-        self.g = np.asarray(pair.g, dtype=float)
-        self.h = np.asarray(pair.h, dtype=float)
+        self.gh = np.stack([pair.g, pair.h]).astype(float, copy=False)
 
     def begin_tree(self) -> None:
         self.node[:] = 0
 
     def apply_splits(self, splits: dict[int, tuple[int, float]]) -> None:
-        """Clients route their records one level down the announced splits."""
+        """Clients route their records one level down the announced splits.
+
+        Every record must sit in a node that ``splits`` names.
+        """
+        size = max(splits) + 1
+        feature = np.zeros(size, dtype=np.int64)
+        threshold = np.zeros(size)
         for nid, (j, thr) in splits.items():
-            mask = self.node == nid
-            left = self.pop.features[mask, j] <= thr
-            child = np.where(left, 2 * nid + 1, 2 * nid + 2)
-            self.node[mask] = child
+            feature[nid], threshold[nid] = j, thr
+        x = self.pop.features[np.arange(self.pop.n), feature[self.node]]
+        self.node = 2 * self.node + 2 - (x <= threshold[self.node])
 
     def route_tree(self, tree) -> np.ndarray:
         return tree.route(self.pop.features)
@@ -501,44 +460,73 @@ class FederatedAggregator:
         self.nonprivate_candidate_access = True
         return np.sort(self.pop.features[:, j])
 
+    def _binned(self, cand_set: SplitCandidateSet) -> np.ndarray:
+        """(m, n) bin of every record under ``cand_set``, cached per set."""
+        if cand_set is not self._bins_for:
+            dtype = np.min_scalar_type(cand_set.q - 1)
+            self._bins = np.stack(
+                [bin_index(self.pop.features[:, j], thr) for j, thr in enumerate(cand_set.per_feature)]
+            ).astype(dtype)
+            self._bins_for = cand_set
+        return self._bins
+
+    def _positions(self, nodes: np.ndarray) -> np.ndarray:
+        """Index of each record's node within the sorted ``nodes``."""
+        lookup = np.zeros(int(nodes[-1]) + 1, dtype=np.int64)
+        lookup[nodes] = np.arange(nodes.size)
+        return lookup[self.node]
+
     # ------------------------------------------------------------------
     # metered queries
 
-    def _noise_meta(self, n_coords: int) -> None:
-        # One central Gaussian draw per released coordinate; local-model draws
-        # happen per client contribution and are validated statistically.
-        self.coords_released += n_coords
+    def _release(self, cell: np.ndarray, n_cells: int) -> np.ndarray:
+        """Securely aggregate the records' (g, h) into (n_cells, 2) noisy sums.
+
+        Central model: one Gaussian draw per released coordinate after
+        decoding. Local model: one draw per client-contribution coordinate
+        before encoding.
+        """
+        contrib_cell, contrib = _per_client_cell_sums(self.pop, cell, self.gh, n_cells)
+        if self.noise is not None and self.local_noise:
+            contrib = contrib + self._rng.normal(0.0, self.noise.std, size=contrib.shape)
+            self.noise_draws += contrib.size
+        if contrib.shape[0]:
+            self.codec.check_capacity(self.pop.n_clients, float(np.abs(contrib).max()))
+        acc = np.zeros((n_cells, 2), dtype=np.uint64)
+        np.add.at(acc, contrib_cell, self.codec.encode(contrib))
+        if self.codec.ring_bits != 64:
+            acc &= np.uint64(self.codec.modulus - 1)
+        out = self.codec.decode(acc)
         if self.noise is not None and not self.local_noise:
-            self.noise_draws += n_coords
+            out = out + self._rng.normal(0.0, self.noise.std, size=out.shape)
+            self.noise_draws += out.size
+        self.coords_released += out.size
+        return out
 
     def histogram_round(
         self, nodes: Sequence[int], features: Sequence[int], cand_set: SplitCandidateSet, category: str
     ) -> dict[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
         """One aggregation round releasing a per-node histogram per feature.
 
-        Each feature's histogram is one privacy query (nodes partition the
-        records); the round's client message carries 2 Q scalars per feature.
+        Every record must sit in one of ``nodes`` (a disjoint level of the
+        tree), so each feature's histogram is one privacy query by parallel
+        composition; the round's client message carries 2 Q scalars per
+        feature. Binning is closed-right (see ``bin_index``).
         """
+        Q = cand_set.q
         self.comm_rounds += 1
-        self.comm_uplink += 2 * cand_set.q * len(features)
+        self.comm_uplink += 2 * Q * len(features)
+        nodes = np.asarray(sorted(nodes), dtype=np.int64)
+        pos = self._positions(nodes) * Q
+        bins = self._binned(cand_set)
         out = {}
         for j in features:
             self.ledger.add(category, 1)
-            res = histogram_query(
-                self.pop,
-                self.node,
-                nodes,
-                j,
-                cand_set.per_feature[j],
-                self.g,
-                self.h,
-                self.codec,
-                self.noise,
-                self._rng,
-                self.local_noise,
-            )
-            self._noise_meta(len(nodes) * cand_set.q * 2)
-            out[j] = res
+            sums = self._release(pos + bins[j], nodes.size * Q)
+            out[j] = {
+                int(nid): (sums[i * Q : (i + 1) * Q, 0], sums[i * Q : (i + 1) * Q, 1])
+                for i, nid in enumerate(nodes)
+            }
         return out
 
     def split_pair_round(
@@ -550,18 +538,15 @@ class FederatedAggregator:
         self.comm_rounds += 1
         self.comm_uplink += 4 * len(proposals)
         out = {}
+        positions = {}  # features usually share one node set
         for j, per_node in proposals.items():
             self.ledger.add(category, 1)
-            nodes = np.asarray(sorted(per_node), dtype=np.int64)
-            pos = np.searchsorted(nodes, self.node)
-            thr = np.asarray([per_node[int(nid)] for nid in nodes])[pos]
-            side = (self.pop.features[:, j] > thr).astype(np.int64)
-            cell = pos * 2 + side
-            stats = np.stack([self.g, self.h], axis=1)
-            sums, _ = _release_cells(
-                self.pop, cell, stats, len(nodes) * 2, self.codec, self.noise, self._rng, self.local_noise
-            )
-            self._noise_meta(sums.size)
+            nodes = tuple(sorted(per_node))
+            if nodes not in positions:
+                positions[nodes] = self._positions(np.asarray(nodes, dtype=np.int64))
+            pos = positions[nodes]
+            thr = np.asarray([per_node[nid] for nid in nodes])[pos]
+            sums = self._release(pos * 2 + (self.pop.features[:, j] > thr), len(nodes) * 2)
             out[j] = {
                 int(nid): (
                     float(sums[2 * i, 0]),
@@ -585,25 +570,13 @@ class FederatedAggregator:
     def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> list[np.ndarray]:
         """One round carrying the leaf vectors of a whole batch of trees.
 
-        Each tree's leaf partition is one privacy query; the client message
-        grows linearly with the batch.
+        Each tree's leaf partition is one privacy query; empty leaves release
+        pure noise, and the client message grows linearly with the batch.
         """
         self.comm_rounds += 1
         self.comm_uplink += len(assignments) * 2 * n_leaves
         out = []
         for assign in assignments:
             self.ledger.add("w", 1)
-            sums = leaf_query(
-                self.pop,
-                assign,
-                n_leaves,
-                self.g,
-                self.h,
-                self.codec,
-                self.noise,
-                self._rng,
-                self.local_noise,
-            )
-            self._noise_meta(sums.size)
-            out.append(sums)
+            out.append(self._release(np.asarray(assign, dtype=np.int64), n_leaves))
         return out

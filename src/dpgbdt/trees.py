@@ -185,13 +185,14 @@ def split_score(
 def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float):
     """Scores for splitting at every candidate via cumulative bin sums.
 
-    Candidate c sends bins 0..c left. Returns the score vector plus the
-    (G_L, H_L, G_R, H_R) vectors so the chosen child sums can be reused.
+    Bins run along the last axis; candidate c sends bins 0..c left. Returns
+    the score array plus the (G_L, H_L, G_R, H_R) arrays so the chosen child
+    sums can be reused.
     """
-    GL = np.cumsum(G)
-    HL = np.cumsum(H)
-    GR = GL[-1] - GL
-    HR = HL[-1] - HL
+    GL = np.cumsum(G, axis=-1)
+    HL = np.cumsum(H, axis=-1)
+    GR = GL[..., -1:] - GL
+    HR = HL[..., -1:] - HL
     hl = np.maximum(HL, 0.0)
     hr = np.maximum(HR, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -346,23 +347,22 @@ def grow_tree_histogram(
         res = agg.histogram_round(nodes, feats, cand_set, category="s")
         if level == 0:
             root_hessians = {j: res[j][0][1].copy() for j in feats}
+        # (node, feature, candidate) scores of the whole level; the first
+        # maximum of a node's flattened row is its lowest feature, then
+        # lowest candidate, among the best.
+        G, H = (np.array([[res[j][node][s] for j in feats] for node in nodes]) for s in (0, 1))
+        scores, sides = _prefix_split_scores(G, H, lam, gamma)
+        best = scores.reshape(len(nodes), -1).argmax(axis=1)
         splits = {}
-        for node in nodes:
-            best = None
-            for j in feats:
-                G, H = res[j][node]
-                scores, (GL, HL, GR, HR) = _prefix_split_scores(G, H, lam, gamma)
-                c = int(np.argmax(scores))
-                sc = float(scores[c])
-                if best is None or sc > best[0]:
-                    best = (sc, j, c, (float(GL[c]), float(HL[c]), float(GR[c]), float(HR[c])))
-            _, j, c, stats = best
+        for i, node in enumerate(nodes):
+            f, c = divmod(int(best[i]), cand_set.q)
+            j = feats[f]
             thr = _routing_threshold(cand_set, j, c)
             feat_of[node] = j
             thr_of[node] = thr
             splits[node] = (j, thr)
             if level == depth - 1:
-                GL, HL, GR, HR = stats
+                GL, HL, GR, HR = (float(side[i, f, c]) for side in sides)
                 leaf_stats[2 * node + 1] = (GL, HL)
                 leaf_stats[2 * node + 2] = (GR, HR)
         agg.apply_splits(splits)

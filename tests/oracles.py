@@ -70,6 +70,28 @@ def exact_hessian_histogram(x: np.ndarray, h: np.ndarray, thresholds: np.ndarray
     return out
 
 
+def closed_right_bin(x: float, thresholds) -> int:
+    """Bin of one value: the first threshold at or above it, else the last bin."""
+    b = 0
+    while b < len(thresholds) - 1 and x > thresholds[b]:
+        b += 1
+    return b
+
+
+def client_cell_vectors(client_sizes, cells, g, h, n_cells: int) -> np.ndarray:
+    """Dense per-client contributions, one row per client: the client's sum
+    of g and of h in every cell, laid out (g_0, h_0, g_1, h_1, ...), summed
+    record by record in record order. Records are client-contiguous."""
+    out = np.zeros((len(client_sizes), 2 * n_cells))
+    record = 0
+    for client, size in enumerate(client_sizes):
+        for _ in range(size):
+            out[client, 2 * cells[record]] += g[record]
+            out[client, 2 * cells[record] + 1] += h[record]
+            record += 1
+    return out
+
+
 def split_gain(gl, hl, gr, hr, lam, gamma):
     hl = max(hl, 0.0)
     hr = max(hr, 0.0)
@@ -167,12 +189,13 @@ def route_tree_dict(tree_dict: dict, x: np.ndarray) -> float:
 
 
 def rf_average_prediction(tree_dicts, X) -> np.ndarray:
-    """Independent averaging-forest prediction from exported tree dicts."""
+    """Independent averaging-forest prediction from exported tree dicts: the
+    mean leaf proportion over trees, clipped to [0, 1]."""
     X = np.asarray(X, dtype=float)
     out = np.zeros(X.shape[0])
     for row in range(X.shape[0]):
         vals = [route_tree_dict(td, X[row]) for td in tree_dicts]
-        out[row] = sum(vals) / len(vals)
+        out[row] = min(max(sum(vals) / len(vals), 0.0), 1.0)
     return out
 
 

@@ -216,6 +216,7 @@ def benchmark_data():
 SEEDS = (0, 1, 2, 3, 4)
 
 
+@pytest.mark.slow
 def test_criterion_7_tr_beats_hist(benchmark_data):
     with criterion(7, "totally random beats histogram splitting at eps=1", 600.0):
         tr = median_test_auc(d.TrainConfig(T=300, d=4, Q=32), benchmark_data, SEEDS, 1.0)
@@ -228,6 +229,7 @@ def test_criterion_7_tr_beats_hist(benchmark_data):
         assert tr - hist >= 0.02, (tr, hist)
 
 
+@pytest.mark.slow
 def test_criterion_8_newton_updates_hold_up(benchmark_data):
     with criterion(8, "newton vs averaging/gradient updates at eps=0.5", 600.0):
         tr_newton = median_test_auc(
@@ -292,6 +294,7 @@ def test_criterion_9_hessian_refinement_helps_skewed_features():
             cs = d.iterative_hessian_refine(d.HessianHistogram((hist,)), cs, 32)
 
 
+@pytest.mark.slow
 def test_criterion_10_batched_updates(benchmark_data):
     with criterion(10, "batching matches boosting at eps=0.1, exact rounds", 600.0):
         aucs = {
@@ -313,6 +316,7 @@ def test_criterion_10_batched_updates(benchmark_data):
             assert with_ih.rounds == math.ceil(200 / B) + 5
 
 
+@pytest.mark.slow
 def test_criterion_11_local_noise_gap(benchmark_data):
     with criterion(11, "local-noise baseline trails secure aggregation", 600.0):
         central = median_test_auc(d.TrainConfig(T=300, d=4, Q=32), benchmark_data, SEEDS, 1.0)

@@ -9,6 +9,7 @@ from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.boosting import batched_update, raw_scores
 from dpgbdt.data import philox
 from dpgbdt.federation import ONE_RECORD_PER_CLIENT, FederatedAggregator, partition
+from dpgbdt.harness import baseline_preset
 from dpgbdt.trees import grow_tree_totally_random
 
 from oracles import logistic, rf_average_prediction
@@ -305,6 +306,31 @@ class TestPredict:
         res = d.train(d.TrainConfig(T=2, d=1, Q=4, seed=1), pop)
         with pytest.raises(InvalidParameterError):
             d.predict(res.ensemble, np.zeros((4, 9)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", [d.UpdateMode.NEWTON, d.UpdateMode.AVERAGING])
+    def test_non_finite_features_rejected(self, small_data, value, mode):
+        ds, pop = small_data
+        res = d.train(d.TrainConfig(T=2, d=1, Q=4, B=2, update_mode=mode, seed=1), pop)
+        X = ds.features.copy()
+        X[3, 1] = value
+        with pytest.raises(InvalidParameterError, match="finite"):
+            d.predict(res.ensemble, X)
+        if mode is d.UpdateMode.NEWTON:
+            with pytest.raises(InvalidParameterError, match="finite"):
+                raw_scores(res.ensemble, X)
+
+    def test_private_averaging_predictions_are_probabilities(self):
+        # noisy leaf proportions leave [0, 1] on this data; the average must not
+        data = d.synthesize(20_000, 10, 0.3, 0.3, seed=0)
+        pair = d.train_test_split(data, 0.7, seed=0)
+        pop = partition(pair.train, None, ONE_RECORD_PER_CLIENT)
+        cfg = baseline_preset("DP-RF", seed=0).replace(budget=d.budget_for(1.0, pop.n))
+        res = d.train(cfg, pop)
+        leaves = np.concatenate([t.leaf_weights for t in res.ensemble.trees])
+        assert leaves.min() < 0.0 and leaves.max() > 1.0
+        probs = d.predict(res.ensemble, pair.test.features)
+        assert probs.min() >= 0.0 and probs.max() <= 1.0
 
     def test_averaging_prediction_matches_oracle(self, small_data):
         ds, pop = small_data

@@ -130,6 +130,14 @@ class TestCsv:
         with pytest.raises(OutOfBoundsError, match="row 3"):
             d.load_csv(path, "y", bounds=[(0.0, 1.0)])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bounds", [None, [(0.0, 1.0)]])
+    def test_non_finite_cell_rejected(self, tmp_path, cell, bounds):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,y\n0.5,0\n{cell},1\n")
+        with pytest.raises(ValueError, match="row 2 is not finite|row 3.*outside declared bounds"):
+            d.load_csv(path, "y", bounds=bounds)
+
     def test_unknown_label_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,y\n0.5,0\n")
@@ -148,6 +156,12 @@ class TestDataset:
     def test_bounds_enforced_on_construction(self):
         with pytest.raises(OutOfBoundsError):
             d.Dataset(np.array([[2.0]]), np.array([1]), bounds=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        X = np.array([[0.5, 0.5], [0.5, value]])
+        with pytest.raises(ValueError, match="feature 1 .* row 2 is not finite"):
+            d.Dataset(X, np.array([0, 1]), bounds=((0.0, 1.0), (0.0, 1.0)))
 
     def test_label_validation(self):
         with pytest.raises(NonBinaryLabelError):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,25 +8,42 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import dpgbdt as d
+import dpgbdt.federation as federation
+from dpgbdt.boosting import train
 from dpgbdt.data import philox
 from dpgbdt.federation import (
     EQUAL_SHARDS,
     ONE_RECORD_PER_CLIENT,
+    ClientPopulation,
     CodecOverflowError,
     FederatedAggregator,
     FixedPointCodec,
     comm_accounting,
-    histogram_query,
     ldp_release,
-    leaf_query,
     partition,
     secure_sum,
 )
+from dpgbdt.harness import baseline_preset
+
+from oracles import client_cell_vectors, closed_right_bin
 
 
 def make_pop(n=32, m=2, seed=0, policy=ONE_RECORD_PER_CLIENT, n_clients=None):
     ds = d.synthesize(n, m, 0.0, 0.5, seed=seed)
     return partition(ds, n_clients, policy, seed=seed)
+
+
+def aggregator(pop, g, h, codec=None, **kwargs):
+    agg = FederatedAggregator(pop, codec=codec, **kwargs)
+    agg.g, agg.h = g, h
+    return agg
+
+
+def root_histogram(pop, thresholds, g, h, codec=None):
+    """{0: (G, H)}: the root node's histogram of feature 0."""
+    thr = np.asarray(thresholds, dtype=float)
+    cs = d.SplitCandidateSet((thr,) * pop.m, pop.bounds)
+    return aggregator(pop, g, h, codec).histogram_round([0], [0], cs, "s")[0]
 
 
 class TestCodec:
@@ -150,16 +168,7 @@ class TestHistogramQuery:
         X = np.full((4, 1), 0.4)
         ds = d.Dataset(X, np.ones(4, dtype=int), ((0.0, 1.0),))
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        out = histogram_query(
-            pop,
-            np.zeros(4, dtype=np.int64),
-            [0],
-            0,
-            np.array([0.25, 0.5, 0.75]),
-            g=np.ones(4),
-            h=np.ones(4),
-            codec=FixedPointCodec(),
-        )
+        out = root_histogram(pop, [0.25, 0.5, 0.75], g=np.ones(4), h=np.ones(4))
         G, H = out[0]
         assert np.allclose(G, [0, 4, 0])
         assert np.allclose(H, [0, 4, 0])
@@ -168,16 +177,7 @@ class TestHistogramQuery:
         X = np.array([[0.5]])
         ds = d.Dataset(X, np.array([1]), ((0.0, 1.0),))
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        out = histogram_query(
-            pop,
-            np.zeros(1, dtype=np.int64),
-            [0],
-            0,
-            np.array([0.25, 0.5, 0.75]),
-            g=np.ones(1),
-            h=np.ones(1),
-            codec=FixedPointCodec(),
-        )
+        out = root_histogram(pop, [0.25, 0.5, 0.75], g=np.ones(1), h=np.ones(1))
         assert np.allclose(out[0][0], [0, 1, 0])
 
     def test_bin_sums_equal_global_sums(self):
@@ -190,9 +190,7 @@ class TestHistogramQuery:
             g = rng.normal(0, 1, n)
             h = rng.random(n)
             thr = np.sort(rng.random(5))
-            out = histogram_query(
-                pop, np.zeros(n, dtype=np.int64), [0], 0, thr, g=g, h=h, codec=codec
-            )
+            out = root_histogram(pop, thr, g=g, h=h, codec=codec)
             G, H = out[0]
             assert G.sum() == pytest.approx(g.sum(), abs=n / codec.scale)
             assert H.sum() == pytest.approx(h.sum(), abs=n / codec.scale)
@@ -203,16 +201,7 @@ class TestHistogramQuery:
         ds = d.synthesize(n, 1, 0.0, 0.5, seed=3)
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
         thr = np.linspace(0.1, 0.9, 6)
-        out = histogram_query(
-            pop,
-            np.zeros(n, dtype=np.int64),
-            [0],
-            0,
-            thr,
-            g=np.ones(n),
-            h=np.ones(n),
-            codec=FixedPointCodec(),
-        )
+        out = root_histogram(pop, thr, g=np.ones(n), h=np.ones(n))
         assert out[0][0].sum() == pytest.approx(n, abs=1e-6)
 
 
@@ -223,7 +212,8 @@ class TestLeafQuery:
         leaf = np.array([0, 0, 0, 0, 1, 1])
         g = np.arange(6.0)
         h = np.ones(6)
-        out = leaf_query(pop, leaf, 2, g, h, FixedPointCodec(precision_bits=24))
+        agg = aggregator(pop, g, h, FixedPointCodec(precision_bits=24))
+        out = agg.leaf_round([leaf], 2)[0]
         assert out[0, 0] == pytest.approx(0 + 1 + 2 + 3, abs=1e-4)
         assert out[1, 0] == pytest.approx(4 + 5, abs=1e-4)
         assert out[0, 1] == pytest.approx(4, abs=1e-4)
@@ -231,16 +221,10 @@ class TestLeafQuery:
     def test_empty_leaf_is_pure_noise(self):
         ds = d.synthesize(4, 1, 0.0, 0.5, seed=1)
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        out = leaf_query(
-            pop,
-            np.zeros(4, dtype=np.int64),
-            2,
-            np.ones(4),
-            np.ones(4),
-            FixedPointCodec(),
-            noise=d.NoiseScale(1.0, 1.0),
-            rng=philox(5),
+        agg = aggregator(
+            pop, np.ones(4), np.ones(4), noise=d.NoiseScale(1.0, 1.0), noise_seed=5
         )
+        out = agg.leaf_round([np.zeros(4, dtype=np.int64)], 2)[0]
         assert out[1, 0] != 0.0 and abs(out[1, 0]) < 10.0
 
 
@@ -277,6 +261,130 @@ class TestLdp:
         g, h = ldp_release(0.5, 0.25, d.NoiseScale(1.0, 1.0), philox(3))
         assert g != 0.5 or h != 0.25
         assert ldp_release(0.5, 0.25, None, philox(3)) == (0.5, 0.25)
+
+
+def grid_population(sizes, m, rng):
+    """Clients of the given shard sizes over features on a 1/20 grid, so
+    that records land exactly on thresholds drawn from the same grid."""
+    n = int(sum(sizes))
+    X = rng.integers(0, 21, size=(n, m)) / 20
+    ds = d.Dataset(X, rng.integers(0, 2, n), ((0.0, 1.0),) * m)
+    return ClientPopulation(ds.features, ds.labels, np.asarray(sizes), ds.bounds, "grid")
+
+
+class TestClientDataPlane:
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+        Q=st.integers(2, 9),
+        ring_bits=st.sampled_from([64, 20]),
+        grid_cap=st.sampled_from([1, 7, federation.GROUP_GRID_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rounds_equal_dense_secure_sum(self, sizes, Q, ring_bits, grid_cap, seed):
+        rng = philox(seed)
+        m = 2
+        pop = grid_population(sizes, m, rng)
+        codec = FixedPointCodec(precision_bits=8, ring_bits=ring_bits)
+        g, h = rng.normal(0, 1, pop.n), rng.random(pop.n)
+        nodes = sorted(int(v) for v in rng.choice(15, size=int(rng.integers(1, 5)), replace=False))
+        node_of_record = rng.choice(nodes, size=pop.n)
+        pos = [nodes.index(nid) for nid in node_of_record]
+        grid = np.arange(1, 20) / 20
+        cs = d.SplitCandidateSet(
+            tuple(np.sort(rng.choice(grid, Q, replace=False)) for _ in range(m)), pop.bounds
+        )
+        proposals = {j: {nid: float(rng.choice(grid)) for nid in nodes} for j in range(m)}
+
+        agg = aggregator(pop, g, h, codec)
+        agg.node = node_of_record
+        with mock.patch.object(federation, "GROUP_GRID_CELLS", grid_cap):
+            hist = agg.histogram_round(nodes, range(m), cs, "s")
+            pairs = agg.split_pair_round(proposals)
+
+        for j in range(m):
+            X = pop.features[:, j]
+            cells = [p * Q + closed_right_bin(x, cs.per_feature[j]) for p, x in zip(pos, X)]
+            want = secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * Q), codec)
+            got = np.concatenate([np.stack(hist[j][nid], axis=1) for nid in nodes])
+            assert np.array_equal(got, want.reshape(-1, 2))
+
+            cells = [2 * p + int(x > proposals[j][nid]) for p, x, nid in zip(pos, X, node_of_record)]
+            want = secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * 2), codec)
+            got = np.array([pairs[j][nid] for nid in nodes])
+            assert np.array_equal(got.reshape(-1, 2), want.reshape(-1, 2))
+
+    def test_local_noise_draws_once_per_populated_pair(self):
+        rng = philox(4)
+        pop = grid_population([5, 1, 3, 7, 2], 2, rng)
+        agg = aggregator(
+            pop,
+            rng.normal(0, 1, pop.n),
+            rng.random(pop.n),
+            noise=d.NoiseScale(1.0, 1.0),
+            noise_seed=2,
+            local_noise=True,
+        )
+        cs = d.uniform_candidates(pop.bounds, 6)
+        agg.histogram_round([0], [0], cs, "s")
+        bins = [closed_right_bin(x, cs.per_feature[0]) for x in pop.features[:, 0]]
+        populated = set(zip(pop.client_of_record.tolist(), bins))
+        assert pop.n_clients < len(populated) < pop.n_clients * cs.q
+        assert agg.noise_draws == 2 * len(populated)
+
+    def test_refined_candidates_rebin(self):
+        ds = d.synthesize(300, 3, 0.3, 0.5, seed=6)
+        pop = partition(ds, 10, EQUAL_SHARDS, seed=1)
+        agg = FederatedAggregator(pop)
+        agg.recompute_gradients(d.UpdateMode.NEWTON)
+        cs = d.uniform_candidates(pop.bounds, 8)
+        hess = agg.hessian_round(range(3), cs)
+        refined = d.iterative_hessian_refine(
+            d.HessianHistogram(tuple(hess[j] for j in range(3))), cs, 8
+        )
+        got = agg.histogram_round([0], range(3), refined, "s")
+        fresh = FederatedAggregator(pop)
+        fresh.recompute_gradients(d.UpdateMode.NEWTON)
+        want = fresh.histogram_round([0], range(3), refined, "s")
+        stale = fresh.histogram_round([0], range(3), cs, "s")
+        for j in range(3):
+            assert np.array_equal(np.stack(got[j][0]), np.stack(want[j][0]))
+        assert any(not np.array_equal(np.stack(got[j][0]), np.stack(stale[j][0])) for j in range(3))
+
+    def test_binning_once_per_candidate_set(self, monkeypatch):
+        calls = []
+        original = federation.bin_index
+
+        def counting(values, thresholds):
+            calls.append(len(values))
+            return original(values, thresholds)
+
+        monkeypatch.setattr(federation, "bin_index", counting)
+        pop = make_pop(200, 3, policy=EQUAL_SHARDS, n_clients=10)
+        cfg = baseline_preset("FEVERLESS", T=6, d=3, Q=8, ih_rounds=3, m=3, seed=0)
+        train(cfg, pop)
+        assert len(calls) == 3  # one candidate set, three features
+        calls.clear()
+        train(cfg.replace(candidate_method=d.CandidateMethod.ITERATIVE_HESSIAN), pop)
+        assert len(calls) == 3 * (1 + 3)  # the initial set plus three refinements
+
+    def test_grouping_grid_stays_under_cap(self, monkeypatch):
+        n = 5000
+        ds = d.synthesize(n, 3, 0.0, 0.5, seed=3)
+        pop = partition(ds, n - 1, EQUAL_SHARDS, seed=0)
+        grids = []
+        original = federation._client_blocks
+
+        def recording(pop, n_cells):
+            blocks = original(pop, n_cells)
+            largest = max((end - first) * n_cells for first, end in blocks)
+            grids.append((pop.n_clients * n_cells, largest))
+            return blocks
+
+        monkeypatch.setattr(federation, "_client_blocks", recording)
+        train(baseline_preset("FEVERLESS", T=1, d=4, Q=32, m=3, seed=0), pop)
+        assert max(full for full, _ in grids) > federation.GROUP_GRID_CELLS
+        assert max(block for _, block in grids) <= federation.GROUP_GRID_CELLS
 
 
 class TestAggregatorMeters:
