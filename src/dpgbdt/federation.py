@@ -402,22 +402,6 @@ class FederatedAggregator:
     # ------------------------------------------------------------------
     # client-local computation (no queries, no communication)
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.gh[0]
-
-    @g.setter
-    def g(self, values) -> None:
-        self.gh[0] = values
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.gh[1]
-
-    @h.setter
-    def h(self, values) -> None:
-        self.gh[1] = values
-
     def recompute_gradients(self, mode: UpdateMode) -> None:
         """Recompute every record's (g, h), stacked as ``gh`` (2, n) until the
         next gradient barrier."""

@@ -35,7 +35,7 @@ def make_pop(n=32, m=2, seed=0, policy=ONE_RECORD_PER_CLIENT, n_clients=None):
 
 def aggregator(pop, g, h, codec=None, **kwargs):
     agg = FederatedAggregator(pop, codec=codec, **kwargs)
-    agg.g, agg.h = g, h
+    agg.gh = np.stack([g, h])
     return agg
 
 
@@ -235,8 +235,7 @@ class TestLdp:
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
         noise = d.NoiseScale(1.0, 2.0)
         agg = FederatedAggregator(pop, noise=noise, noise_seed=9, local_noise=True)
-        agg.g = np.zeros(n)
-        agg.h = np.zeros(n)
+        agg.gh = np.zeros((2, n))
         sums = np.concatenate(
             [agg.leaf_round([np.zeros(n, dtype=np.int64)], 1)[0].ravel() for _ in range(2000)]
         )
@@ -251,8 +250,7 @@ class TestLdp:
         h = np.ones(n)
         local = FederatedAggregator(pop, local_noise=True)
         central = FederatedAggregator(pop)
-        local.g = central.g = g
-        local.h = central.h = h
+        local.gh = central.gh = np.stack([g, h])
         a = local.leaf_round([np.zeros(n, dtype=np.int64)], 1)[0]
         b = central.leaf_round([np.zeros(n, dtype=np.int64)], 1)[0]
         assert np.allclose(a, b)
