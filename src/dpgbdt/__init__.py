@@ -17,7 +17,7 @@ from .accounting import (
     gaussian_rdp,
     rdp_to_dp,
 )
-from .boosting import Ensemble, TrainResult, batched_update, predict, raw_scores, train
+from .boosting import Ensemble, TrainResult, predict, raw_scores, train
 from .candidates import (
     HessianHistogram,
     SplitCandidateSet,
@@ -51,7 +51,6 @@ from .harness import (
 from .trees import (
     SplitMethod,
     Tree,
-    TreeNode,
     leaf_weight,
     postprocess_weight,
     select_features,

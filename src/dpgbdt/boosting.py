@@ -38,7 +38,7 @@ from .candidates import (
 from .config import CandidateMethod, FeatureMode, NoisePlacement, TrainConfig
 from .data import philox
 from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
-from .gradients import UpdateMode, query_sensitivity, sigmoid
+from .gradients import UpdateMode, query_sensitivity, sigmoid, update_scores
 from .trees import (
     SplitMethod,
     Tree,
@@ -51,7 +51,7 @@ from .trees import (
     select_features,
 )
 
-__all__ = ["Ensemble", "TrainResult", "train", "predict", "raw_scores", "batched_update"]
+__all__ = ["Ensemble", "TrainResult", "train", "predict", "raw_scores"]
 
 
 @dataclass
@@ -79,7 +79,14 @@ class Ensemble:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Ensemble":
-        return cls(
+        """Ensemble from its JSON form.
+
+        Raises InvalidParameterError for a tree not complete to its
+        max_depth, a non-finite threshold or leaf weight, a split feature
+        outside [0, len(bounds)), or batch boundaries that do not cover the
+        trees contiguously from 0 to T.
+        """
+        ensemble = cls(
             trees=[Tree.from_dict(t) for t in payload["trees"]],
             update_mode=UpdateMode(payload["update_mode"]),
             eta=float(payload["eta"]),
@@ -88,6 +95,22 @@ class Ensemble:
             batch_boundaries=tuple((int(s), int(e)) for s, e in payload["batch_boundaries"]),
             bounds=tuple((float(a), float(b)) for a, b in payload["bounds"]),
         )
+        m = len(ensemble.bounds)
+        for i, tree in enumerate(ensemble.trees):
+            if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.leaf_weights).all()):
+                raise InvalidParameterError(f"tree {i} has a non-finite threshold or leaf weight")
+            if tree.feature.size and not (0 <= tree.feature.min() and tree.feature.max() < m):
+                raise InvalidParameterError(f"tree {i} splits on a feature outside [0, {m})")
+        ends = [0] + [end for _, end in ensemble.batch_boundaries]
+        starts = [start for start, _ in ensemble.batch_boundaries]
+        if starts != ends[:-1] or ends[-1] != len(ensemble.trees) or any(
+            end <= start for start, end in ensemble.batch_boundaries
+        ):
+            raise InvalidParameterError(
+                f"batch_boundaries {list(ensemble.batch_boundaries)} do not cover "
+                f"the {len(ensemble.trees)} trees contiguously"
+            )
+        return ensemble
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -131,15 +154,14 @@ def _refine(cands: SplitCandidateSet, hessians: dict[int, np.ndarray], Q: int) -
     return iterative_hessian_refine(HessianHistogram(per), cands, Q)
 
 
-def _assign_weights(tree: Tree, stats: dict[int, tuple[float, float]], config: TrainConfig) -> None:
-    weights = np.zeros(tree.n_leaves)
-    for leaf, (g_sum, h_sum) in stats.items():
+def _assign_weights(tree: Tree, sums: np.ndarray, config: TrainConfig) -> None:
+    """Fill the tree's leaf weights from its (2^d, 2) leaf (G, H) sums."""
+    for leaf, (g_sum, h_sum) in enumerate(sums.tolist()):
         raw = leaf_weight(g_sum, h_sum, config.lam, config.update_mode)
         if config.update_mode is UpdateMode.AVERAGING:
-            weights[leaf] = raw
+            tree.leaf_weights[leaf] = raw
         else:
-            weights[leaf] = postprocess_weight(raw, config.eta, config.beta)
-    tree.set_leaf_weights(weights)
+            tree.leaf_weights[leaf] = postprocess_weight(raw, config.eta, config.beta)
 
 
 def train(
@@ -220,29 +242,28 @@ def train(
             batch.append((tree, agg.route_tree(tree)))
         else:
             if k == 1:
-                tree, stats, root_hess = grow_tree_single_feature(
+                tree, sums, root_hess = grow_tree_single_feature(
                     agg, rng, config.split_method, F[0], cands, config.d, config.lam, config.gamma
                 )
             elif config.split_method is SplitMethod.HIST:
-                tree, stats, root_hess = grow_tree_histogram(
+                tree, sums, root_hess = grow_tree_histogram(
                     agg, F, cands, config.d, config.lam, config.gamma
                 )
             else:
-                tree, stats = grow_tree_partially_random(
+                tree, sums = grow_tree_partially_random(
                     agg, rng, F, cands, config.d, config.lam, config.gamma
                 )
                 root_hess = None
             if config.split_method is SplitMethod.HIST:
                 prev_root_hessians = root_hess
-            _assign_weights(tree, stats, config)
+            _assign_weights(tree, sums, config)
             batch.append((tree, agg.route_tree(tree)))
 
         if len(batch) == B or t == config.T - 1:
             if is_tr:
                 sums = agg.leaf_round([assign for _, assign in batch], n_leaves)
                 for (tree, _), leaf_sums in zip(batch, sums):
-                    stats = {i: (float(leaf_sums[i, 0]), float(leaf_sums[i, 1])) for i in range(n_leaves)}
-                    _assign_weights(tree, stats, config)
+                    _assign_weights(tree, leaf_sums, config)
             if config.update_mode is not UpdateMode.AVERAGING:
                 agg.apply_score_update(
                     batch, config.eta, plain=(config.B == 1), centered=config.centered_batch
@@ -272,28 +293,6 @@ def train(
     )
 
 
-def batched_update(
-    prev_scores: np.ndarray,
-    batch_trees: list[Tree],
-    X: np.ndarray,
-    eta: float,
-    centered: bool = True,
-) -> np.ndarray:
-    """One batched prediction update: squash the mean leaf weight per record.
-
-    new = prev + eta * (sigmoid(mean_k w_k) - sigmoid(0)) in the centered
-    form, so an all-zero batch is a no-op; the uncentered variant keeps the
-    raw sigmoid and its +eta/2 bias.
-    """
-    if not batch_trees:
-        raise InvalidParameterError("batched update needs a non-empty batch")
-    prev = np.asarray(prev_scores, dtype=float)
-    X = np.asarray(X, dtype=float)
-    W = np.stack([tree.leaf_weights[tree.route(X)] for tree in batch_trees])
-    base = 0.5 if centered else 0.0
-    return prev + eta * (sigmoid(W.mean(axis=0)) - base)
-
-
 def _checked_features(ensemble: Ensemble, X) -> np.ndarray:
     """X as a finite n x m float matrix, clamped to the ensemble's bounds."""
     X = np.asarray(X, dtype=float)
@@ -317,11 +316,10 @@ def raw_scores(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     Xc = _checked_features(ensemble, X)
     raw = np.zeros(Xc.shape[0])
     for start, end in ensemble.batch_boundaries:
-        batch = ensemble.trees[start:end]
-        if ensemble.batch_size == 1:
-            raw = raw + batch[0].leaf_weights[batch[0].route(Xc)]
-        else:
-            raw = batched_update(raw, batch, Xc, ensemble.eta, ensemble.centered_batch)
+        W = np.stack([tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees[start:end]])
+        raw = update_scores(
+            raw, W, ensemble.eta, plain=(ensemble.batch_size == 1), centered=ensemble.centered_batch
+        )
     return raw
 
 

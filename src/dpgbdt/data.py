@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 CONTINUOUS = "continuous"
-CATEGORICAL_ENCODED = "categorical-encoded"
 
 # Shape parameters of the heavy-tailed synthetic features; the clip point is
 # far enough out (4 log-sigma) that clipping leaves skewness intact.

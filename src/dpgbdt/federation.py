@@ -24,7 +24,8 @@ import numpy as np
 from .accounting import InvalidParameterError, NoiseScale, QueryCounter
 from .candidates import SplitCandidateSet, bin_index
 from .data import Dataset, philox
-from .gradients import UpdateMode, mode_gradients
+from .gradients import UpdateMode, mode_gradients, update_scores
+from .trees import descend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import TrainConfig
@@ -37,7 +38,6 @@ __all__ = [
     "LedgerCounter",
     "partition",
     "secure_sum",
-    "ldp_release",
     "comm_accounting",
     "FederatedAggregator",
 ]
@@ -161,12 +161,6 @@ class ClientPopulation:
         start, stop = self.client_starts[c], self.client_starts[c + 1]
         return self.features[start:stop], self.labels[start:stop]
 
-    def client_datasets(self) -> list[Dataset]:
-        return [
-            Dataset(*self.client_view(c), self.bounds, bounds_derived=self.bounds_derived)
-            for c in range(self.n_clients)
-        ]
-
 
 def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 0) -> ClientPopulation:
     """Split a dataset into a client population under the given policy."""
@@ -262,16 +256,6 @@ def _per_client_cell_sums(
         cells.append(hit % n_cells)
         sums.append(np.stack([g[hit], h[hit]], axis=1))
     return np.concatenate(cells), np.concatenate(sums)
-
-
-def ldp_release(
-    g: float, h: float, noise: NoiseScale | None, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One client's locally noised (g, h) release for the current tree."""
-    if noise is None:
-        return float(g), float(h)
-    eps = rng.normal(0.0, noise.std, size=2)
-    return float(g + eps[0]), float(h + eps[1])
 
 
 class LedgerCounter:
@@ -411,32 +395,21 @@ class FederatedAggregator:
     def begin_tree(self) -> None:
         self.node[:] = 0
 
-    def apply_splits(self, splits: dict[int, tuple[int, float]]) -> None:
+    def apply_splits(self, feature: np.ndarray, threshold: np.ndarray) -> None:
         """Clients route their records one level down the announced splits.
 
-        Every record must sit in a node that ``splits`` names.
+        ``feature`` and ``threshold`` are a tree's heap arrays (see ``Tree``);
+        every record's current node must be set in them.
         """
-        size = max(splits) + 1
-        feature = np.zeros(size, dtype=np.int64)
-        threshold = np.zeros(size)
-        for nid, (j, thr) in splits.items():
-            feature[nid], threshold[nid] = j, thr
-        x = self.pop.features[np.arange(self.pop.n), feature[self.node]]
-        self.node = 2 * self.node + 2 - (x <= threshold[self.node])
+        self.node = descend(self.pop.features, self.node, feature, threshold)
 
     def route_tree(self, tree) -> np.ndarray:
         return tree.route(self.pop.features)
 
     def apply_score_update(self, batch, eta: float, plain: bool, centered: bool) -> None:
         """Clients fold a finished batch of public trees into their raw scores."""
-        from .gradients import sigmoid  # local to avoid import noise at module top
-
         W = np.stack([tree.leaf_weights[assign] for tree, assign in batch])
-        if plain:
-            self.raw_scores = self.raw_scores + W.sum(axis=0)
-        else:
-            base = 0.5 if centered else 0.0
-            self.raw_scores = self.raw_scores + eta * (sigmoid(W.mean(axis=0)) - base)
+        self.raw_scores = update_scores(self.raw_scores, W, eta, plain, centered)
 
     def nonprivate_feature_column(self, j: int) -> np.ndarray:
         """Pooled raw values of one feature, sorted. Explicitly NOT private;

@@ -9,6 +9,10 @@ share the same aggregation query:
 
 Binary cross-entropy keeps these analytically bounded, which fixes the L2
 sensitivity of the (sum g, sum h) query without clipping.
+
+``update_scores`` is the one rule by which a finished batch of trees moves
+raw scores, both on the clients during training and when a saved ensemble
+is replayed for prediction.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .accounting import InvalidParameterError
+
 __all__ = [
     "UpdateMode",
     "GradientPair",
@@ -26,7 +32,7 @@ __all__ = [
     "bce_gradients",
     "mode_gradients",
     "query_sensitivity",
-    "clip_gradient_pair",
+    "update_scores",
 ]
 
 
@@ -101,17 +107,22 @@ def query_sensitivity(mode: UpdateMode) -> float:
     raise ValueError(f"unknown update mode: {mode!r}")
 
 
-def clip_gradient_pair(pair: GradientPair, max_norm: float) -> GradientPair:
-    """Rescale a (g, h) pair into an L2 ball of radius ``max_norm``.
+def update_scores(
+    raw: np.ndarray, W: np.ndarray, eta: float, plain: bool, centered: bool
+) -> np.ndarray:
+    """Raw scores after one finished batch, from its (trees, n) leaf-weight matrix.
 
-    Hook for losses with unbounded derivatives (e.g. squared error in
-    regression). Classification losses here are bounded analytically, so the
-    trainer never calls this; it is exposed for custom-loss extensions.
+    plain (batch size 1): raw + the summed leaf weights. Otherwise squash the
+    mean leaf weight per record: raw + eta * (sigmoid(mean) - sigmoid(0)) in
+    the centered form, so an all-zero batch is a no-op; the uncentered
+    variant keeps the raw sigmoid and its +eta/2 bias.
     """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    norm = math.hypot(float(pair.g), float(pair.h))
-    if norm <= max_norm or norm == 0.0:
-        return pair
-    scale = max_norm / norm
-    return GradientPair(pair.g * scale, pair.h * scale)
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] == 0:
+        raise InvalidParameterError(
+            f"a batch update needs a non-empty (trees, n) matrix, got shape {W.shape}"
+        )
+    if plain:
+        return raw + W.sum(axis=0)
+    base = 0.5 if centered else 0.0
+    return raw + eta * (sigmoid(W.mean(axis=0)) - base)

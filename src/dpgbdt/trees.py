@@ -3,7 +3,8 @@
 Trees are always grown to full depth d (2^d leaves), even through empty
 regions: under noise an empty node is indistinguishable from a sparse one,
 and a fixed shape keeps the query count of a run a pure function of its
-configuration.
+configuration. A complete tree is stored as heap-ordered arrays (see
+``Tree``), which the builders fill level by level or in pre-order.
 
 Three split methods:
 
@@ -20,7 +21,8 @@ an interval of the root histogram's bins, so one histogram per tree provides
 all split scores and leaf sums.
 
 Builders talk to the federation layer only through an aggregator handle; raw
-records never appear here.
+records never appear here. The data-dependent builders return the tree plus
+its leaf sums as a (2^d, 2) array of (G, H) rows, leaf k in row k.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .gradients import UpdateMode
 
 __all__ = [
     "SplitMethod",
-    "TreeNode",
     "Tree",
+    "descend",
     "split_score",
     "leaf_weight",
     "postprocess_weight",
@@ -56,28 +58,46 @@ class SplitMethod(Enum):
     TOTALLY_RANDOM = "tr"
 
 
-@dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float | None = None
-    leaf_index: int | None = None
+def descend(
+    X: np.ndarray, node: np.ndarray, feature: np.ndarray, threshold: np.ndarray
+) -> np.ndarray:
+    """Move every row of X from its heap node to the child its split picks.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    Node i sends a row to 2i + 1 when x[feature[i]] <= threshold[i], else to
+    2i + 2. This is the only routing step: ``Tree.route`` applies it d times,
+    and clients apply it once per announced level.
+    """
+    x = X[np.arange(X.shape[0]), feature[node]]
+    return 2 * node + 2 - (x <= threshold[node])
 
 
 @dataclass
 class Tree:
-    """Full binary split tree; leaf k (left-to-right) holds leaf_weights[k]."""
+    """Complete binary split tree of depth ``max_depth`` in heap order.
 
-    root: TreeNode
+    Internal node i (0 <= i < 2^d - 1) splits on ``feature[i]`` at
+    ``threshold[i]``; its children are 2i + 1 (left) and 2i + 2 (right).
+    Heap id i >= 2^d - 1 is leaf k = i - (2^d - 1), left to right, and holds
+    ``leaf_weights[k]``.
+    """
+
+    feature: np.ndarray  # int64, (2^d - 1,)
+    threshold: np.ndarray  # float, (2^d - 1,)
+    leaf_weights: np.ndarray  # float, (2^d,)
     max_depth: int
     feature_subset: tuple[int, ...]
-    leaf_weights: np.ndarray | None = None
+
+    @classmethod
+    def zeros(cls, depth: int, feature_subset) -> "Tree":
+        """A depth-``depth`` tree with every split and weight zero, to be filled."""
+        n_internal = 2 ** depth - 1
+        return cls(
+            np.zeros(n_internal, dtype=np.int64),
+            np.zeros(n_internal),
+            np.zeros(n_internal + 1),
+            depth,
+            tuple(feature_subset),
+        )
 
     @property
     def n_leaves(self) -> int:
@@ -88,77 +108,94 @@ class Tree:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("route expects an n x m matrix")
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                out[idx] = node.leaf_index
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
-
-    def set_leaf_weights(self, weights: np.ndarray) -> None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.n_leaves,):
-            raise ValueError(f"expected {self.n_leaves} leaf weights")
-        self.leaf_weights = weights
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                node.weight = float(weights[node.leaf_index])
-            else:
-                stack.extend((node.left, node.right))
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(self.max_depth):
+            node = descend(X, node, self.feature, self.threshold)
+        return node - self.feature.size
 
     def to_dict(self) -> dict:
-        def encode(node: TreeNode) -> dict:
-            if node.is_leaf:
-                return {"kind": "leaf", "weight": node.weight}
+        n_internal = self.feature.size
+
+        def encode(heap: int) -> dict:
+            if heap >= n_internal:
+                return {"kind": "leaf", "weight": float(self.leaf_weights[heap - n_internal])}
             return {
                 "kind": "internal",
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": encode(node.left),
-                "right": encode(node.right),
+                "feature": int(self.feature[heap]),
+                "threshold": float(self.threshold[heap]),
+                "left": encode(2 * heap + 1),
+                "right": encode(2 * heap + 2),
             }
 
         return {
             "max_depth": self.max_depth,
             "feature_subset": list(self.feature_subset),
-            "root": encode(self.root),
+            "root": encode(0),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Tree":
-        counter = [0]
+        """Tree from its nested JSON form.
 
-        def decode(spec: dict) -> TreeNode:
-            if spec["kind"] == "leaf":
-                node = TreeNode(weight=spec["weight"], leaf_index=counter[0])
-                counter[0] += 1
-                return node
-            return TreeNode(
-                feature=int(spec["feature"]),
-                threshold=float(spec["threshold"]),
-                left=decode(spec["left"]),
-                right=decode(spec["right"]),
-            )
-
-        root = decode(payload["root"])
-        tree = cls(root, int(payload["max_depth"]), tuple(payload["feature_subset"]))
-        weights = np.zeros(tree.n_leaves)
-        stack = [root]
+        Raises InvalidParameterError unless the tree is complete to
+        ``max_depth``: internal nodes above it, leaves exactly at it. The
+        walk checks this before anything is allocated, so its work is
+        bounded by the size of the payload.
+        """
+        depth = int(payload["max_depth"])
+        if depth < 0:
+            raise InvalidParameterError(f"max_depth must be non-negative, got {depth}")
+        n_internal = 2 ** depth - 1
+        visited = []
+        stack = [(payload["root"], 0)]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                weights[node.leaf_index] = node.weight if node.weight is not None else 0.0
+            spec, heap = stack.pop()
+            expected = "leaf" if heap >= n_internal else "internal"
+            if spec.get("kind") != expected:
+                raise InvalidParameterError(
+                    f"tree is not complete to max_depth {depth}: heap node {heap} "
+                    f"is {spec.get('kind')!r}, expected {expected!r}"
+                )
+            visited.append((heap, spec))
+            if expected == "internal":
+                stack += [(spec["right"], 2 * heap + 2), (spec["left"], 2 * heap + 1)]
+        tree = cls.zeros(depth, payload["feature_subset"])
+        for heap, spec in visited:
+            if heap >= n_internal:
+                tree.leaf_weights[heap - n_internal] = float(spec["weight"])
             else:
-                stack.extend((node.left, node.right))
-        tree.leaf_weights = weights
+                tree.feature[heap] = int(spec["feature"])
+                tree.threshold[heap] = float(spec["threshold"])
         return tree
+
+
+def _preorder(depth: int):
+    """Internal heap ids of a depth-``depth`` tree in pre-order (node, left
+    subtree, right subtree): the order the random builders draw in."""
+    n_internal = 2 ** depth - 1
+    stack = [0]
+    while stack:
+        heap = stack.pop()
+        if heap < n_internal:
+            yield heap
+            stack += [2 * heap + 2, 2 * heap + 1]
+
+
+def _gain(GL, HL, GR, HR, lam: float, gamma: float):
+    """Second-order gain of splitting into (GL, HL) and (GR, HR), elementwise.
+
+    Hessian sums are floored at zero so scores stay finite under noise. A
+    side whose floored Hessian plus lam is zero scores 0 if its gradient sum
+    is 0 and inf otherwise.
+    """
+    hl = np.maximum(HL, 0.0)
+    hr = np.maximum(HR, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = np.where(hl + lam > 0, GL * GL / (hl + lam), np.where(GL == 0, 0.0, np.inf))
+        right = np.where(hr + lam > 0, GR * GR / (hr + lam), np.where(GR == 0, 0.0, np.inf))
+        denom = hl + hr + lam
+        parent = np.where(denom > 0, (GL + GR) ** 2 / denom, 0.0)
+    return 0.5 * (left + right - parent) - gamma
 
 
 def split_score(
@@ -172,14 +209,9 @@ def split_score(
     """
     if lam < 0 or gamma < 0:
         raise InvalidParameterError("lam and gamma must be non-negative")
-    hl = max(H_L, 0.0)
-    hr = max(H_R, 0.0)
-    if lam == 0.0 and (hl == 0.0 or hr == 0.0):
+    if lam == 0.0 and (max(H_L, 0.0) == 0.0 or max(H_R, 0.0) == 0.0):
         raise InvalidParameterError("zero denominator: need lam > 0 when a side has no Hessian mass")
-    gt = G_L + G_R
-    return 0.5 * (
-        G_L * G_L / (hl + lam) + G_R * G_R / (hr + lam) - gt * gt / (hl + hr + lam)
-    ) - gamma
+    return float(_gain(G_L, H_L, G_R, H_R, lam, gamma))
 
 
 def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float):
@@ -193,25 +225,7 @@ def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float)
     HL = np.cumsum(H, axis=-1)
     GR = GL[..., -1:] - GL
     HR = HL[..., -1:] - HL
-    hl = np.maximum(HL, 0.0)
-    hr = np.maximum(HR, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(hl + lam > 0, GL * GL / (hl + lam), np.where(GL == 0, 0.0, np.inf))
-        right = np.where(hr + lam > 0, GR * GR / (hr + lam), np.where(GR == 0, 0.0, np.inf))
-        denom = hl + hr + lam
-        parent = np.where(denom > 0, (GL + GR) ** 2 / denom, 0.0)
-    scores = 0.5 * (left + right - parent) - gamma
-    return scores, (GL, HL, GR, HR)
-
-
-def _pair_score(G_L, H_L, G_R, H_R, lam, gamma) -> float:
-    hl = max(H_L, 0.0)
-    hr = max(H_R, 0.0)
-    gt = G_L + G_R
-    left = G_L * G_L / (hl + lam) if hl + lam > 0 else 0.0
-    right = G_R * G_R / (hr + lam) if hr + lam > 0 else 0.0
-    parent = gt * gt / (hl + hr + lam) if hl + hr + lam > 0 else 0.0
-    return 0.5 * (left + right - parent) - gamma
+    return _gain(GL, HL, GR, HR, lam, gamma), (GL, HL, GR, HR)
 
 
 def leaf_weight(G: float, H_or_count: float, lam: float, mode: UpdateMode) -> float:
@@ -277,20 +291,8 @@ def _routing_threshold(cand_set: SplitCandidateSet, j: int, c: int) -> float:
     return float(cand_set.per_feature[j][c])
 
 
-def _tree_from_heap(feat_of: dict, thr_of: dict, depth: int) -> TreeNode:
-    offset = 2 ** depth - 1
-
-    def build(heap_id: int, dep: int) -> TreeNode:
-        if dep == depth:
-            return TreeNode(leaf_index=heap_id - offset)
-        return TreeNode(
-            feature=feat_of[heap_id],
-            threshold=thr_of[heap_id],
-            left=build(2 * heap_id + 1, dep + 1),
-            right=build(2 * heap_id + 2, dep + 1),
-        )
-
-    return build(0, 0)
+def _level_nodes(level: int) -> list[int]:
+    return list(range(2 ** level - 1, 2 ** (level + 1) - 1))
 
 
 def grow_tree_totally_random(
@@ -299,23 +301,21 @@ def grow_tree_totally_random(
     cand_set: SplitCandidateSet,
     depth: int,
 ) -> Tree:
-    """Draw the whole structure from the RNG; no data access at all."""
+    """Draw the whole structure from the RNG; no data access at all.
+
+    Each internal node draws its feature, then its candidate, in pre-order.
+    Leaf weights stay zero until the batch's leaf round.
+    """
     feats = sorted(feature_subset)
     if not feats:
         raise InvalidParameterError("feature subset must be non-empty")
-    counter = [0]
-
-    def build(dep: int) -> TreeNode:
-        if dep == depth:
-            node = TreeNode(leaf_index=counter[0])
-            counter[0] += 1
-            return node
+    tree = Tree.zeros(depth, feats)
+    for heap in _preorder(depth):
         j = feats[int(rng.integers(len(feats)))]
         c = int(rng.integers(cand_set.q))
-        thr = float(cand_set.per_feature[j][c])
-        return TreeNode(feature=j, threshold=thr, left=build(dep + 1), right=build(dep + 1))
-
-    return Tree(build(0), depth, tuple(feats))
+        tree.feature[heap] = j
+        tree.threshold[heap] = cand_set.per_feature[j][c]
+    return tree
 
 
 def grow_tree_histogram(
@@ -332,18 +332,18 @@ def grow_tree_histogram(
     lowest candidate index. Leaf sums are the prefix/suffix of the parent's
     chosen-feature histogram, so the weight phase needs no extra query.
 
-    Returns (tree, {leaf_index: (G, H)}, {feature: root Hessian bins}).
+    Returns (tree, (2^d, 2) leaf sums, {feature: root Hessian bins}).
     """
     feats = sorted(feature_subset)
     if not feats:
         raise InvalidParameterError("feature subset must be non-empty")
+    if depth < 1:
+        raise InvalidParameterError(f"depth must be at least 1, got {depth}")
     agg.begin_tree()
-    feat_of: dict[int, int] = {}
-    thr_of: dict[int, float] = {}
-    leaf_stats: dict[int, tuple[float, float]] = {}
+    tree = Tree.zeros(depth, feats)
     root_hessians: dict[int, np.ndarray] = {}
     for level in range(depth):
-        nodes = list(range(2 ** level - 1, 2 ** (level + 1) - 1))
+        nodes = _level_nodes(level)
         res = agg.histogram_round(nodes, feats, cand_set, category="s")
         if level == 0:
             root_hessians = {j: res[j][0][1].copy() for j in feats}
@@ -352,24 +352,15 @@ def grow_tree_histogram(
         # lowest candidate, among the best.
         G, H = (np.array([[res[j][node][s] for j in feats] for node in nodes]) for s in (0, 1))
         scores, sides = _prefix_split_scores(G, H, lam, gamma)
-        best = scores.reshape(len(nodes), -1).argmax(axis=1)
-        splits = {}
+        f, c = np.divmod(scores.reshape(len(nodes), -1).argmax(axis=1), cand_set.q)
         for i, node in enumerate(nodes):
-            f, c = divmod(int(best[i]), cand_set.q)
-            j = feats[f]
-            thr = _routing_threshold(cand_set, j, c)
-            feat_of[node] = j
-            thr_of[node] = thr
-            splits[node] = (j, thr)
-            if level == depth - 1:
-                GL, HL, GR, HR = (float(side[i, f, c]) for side in sides)
-                leaf_stats[2 * node + 1] = (GL, HL)
-                leaf_stats[2 * node + 2] = (GR, HR)
-        agg.apply_splits(splits)
-    root = _tree_from_heap(feat_of, thr_of, depth)
-    offset = 2 ** depth - 1
-    leaves = {heap - offset: v for heap, v in leaf_stats.items()}
-    return Tree(root, depth, tuple(feats)), leaves, root_hessians
+            j = feats[f[i]]
+            tree.feature[node] = j
+            tree.threshold[node] = _routing_threshold(cand_set, j, int(c[i]))
+        agg.apply_splits(tree.feature, tree.threshold)
+    # last level: node i's chosen (GL, HL, GR, HR) are the sums of leaves 2i, 2i + 1
+    chosen = np.stack([side[np.arange(len(nodes)), f, c] for side in sides], axis=1)
+    return tree, chosen.reshape(-1, 2), root_hessians
 
 
 def grow_tree_partially_random(
@@ -384,17 +375,18 @@ def grow_tree_partially_random(
     """One random threshold per feature per node; keep the best-scoring feature.
 
     Needs only a two-sided aggregate per proposal, not a full histogram.
-    Returns (tree, {leaf_index: (G, H)}).
+    Ties resolve to the lowest feature index.
+    Returns (tree, (2^d, 2) leaf sums).
     """
     feats = sorted(feature_subset)
     if not feats:
         raise InvalidParameterError("feature subset must be non-empty")
+    if depth < 1:
+        raise InvalidParameterError(f"depth must be at least 1, got {depth}")
     agg.begin_tree()
-    feat_of: dict[int, int] = {}
-    thr_of: dict[int, float] = {}
-    leaf_stats: dict[int, tuple[float, float]] = {}
+    tree = Tree.zeros(depth, feats)
     for level in range(depth):
-        nodes = list(range(2 ** level - 1, 2 ** (level + 1) - 1))
+        nodes = _level_nodes(level)
         proposals = {}
         for j in feats:
             per_node = {}
@@ -403,27 +395,16 @@ def grow_tree_partially_random(
                 per_node[node] = float(cand_set.per_feature[j][c])
             proposals[j] = per_node
         res = agg.split_pair_round(proposals, category="s")
-        splits = {}
-        for node in nodes:
-            best = None
-            for j in feats:
-                GL, HL, GR, HR = res[j][node]
-                sc = _pair_score(GL, HL, GR, HR, lam, gamma)
-                if best is None or sc > best[0]:
-                    best = (sc, j, proposals[j][node], (GL, HL, GR, HR))
-            _, j, thr, stats = best
-            feat_of[node] = j
-            thr_of[node] = thr
-            splits[node] = (j, thr)
-            if level == depth - 1:
-                GL, HL, GR, HR = stats
-                leaf_stats[2 * node + 1] = (GL, HL)
-                leaf_stats[2 * node + 2] = (GR, HR)
-        agg.apply_splits(splits)
-    root = _tree_from_heap(feat_of, thr_of, depth)
-    offset = 2 ** depth - 1
-    leaves = {heap - offset: v for heap, v in leaf_stats.items()}
-    return Tree(root, depth, tuple(feats)), leaves
+        # (node, feature, (GL, HL, GR, HR)) of the whole level
+        sums = np.array([[res[j][node] for j in feats] for node in nodes])
+        best = _gain(*np.moveaxis(sums, -1, 0), lam, gamma).argmax(axis=1)
+        for i, node in enumerate(nodes):
+            j = feats[best[i]]
+            tree.feature[node] = j
+            tree.threshold[node] = proposals[j][node]
+        agg.apply_splits(tree.feature, tree.threshold)
+    # last level: node i's chosen (GL, HL, GR, HR) are the sums of leaves 2i, 2i + 1
+    return tree, sums[np.arange(len(nodes)), best].reshape(-1, 2)
 
 
 def grow_tree_single_feature(
@@ -440,55 +421,38 @@ def grow_tree_single_feature(
 
     Every node of a single-feature tree is a contiguous bin interval, so the
     root histogram supplies split scores at every level and the leaf sums,
-    at the cost of a single query per tree.
+    at the cost of a single query per tree. PR draws its candidates in
+    pre-order.
 
-    Returns (tree, {leaf_index: (G, H)}, {feature: root Hessian bins}).
+    Returns (tree, (2^d, 2) leaf sums, {feature: root Hessian bins}).
     """
+    if method not in (SplitMethod.HIST, SplitMethod.PARTIALLY_RANDOM):
+        raise InvalidParameterError("single-feature growth applies to hist/pr only")
     res = agg.histogram_round([0], [feature_j], cand_set, category="s")
     G, H = res[feature_j][0]
     Q = G.size
     cum_g = np.concatenate([[0.0], np.cumsum(G)])
     cum_h = np.concatenate([[0.0], np.cumsum(H)])
-    counter = [0]
-    leaf_stats: dict[int, tuple[float, float]] = {}
-
-    def seg(lo: int, hi: int) -> tuple[float, float]:
-        return float(cum_g[hi] - cum_g[lo]), float(cum_h[hi] - cum_h[lo])
-
-    def build(lo: int, hi: int, dep: int) -> TreeNode:
-        if dep == depth:
-            node = TreeNode(leaf_index=counter[0])
-            leaf_stats[counter[0]] = seg(lo, hi)
-            counter[0] += 1
-            return node
+    tree = Tree.zeros(depth, (feature_j,))
+    # bin interval [lo, hi) of every heap node, parents set before children
+    lo = np.zeros(2 * tree.n_leaves - 1, dtype=np.int64)
+    hi = np.full(2 * tree.n_leaves - 1, Q, dtype=np.int64)
+    for heap in _preorder(depth):
+        a, b = int(lo[heap]), int(hi[heap])
         if method is SplitMethod.HIST:
-            cuts = np.clip(np.arange(1, Q + 1), lo, hi)
-            GL = cum_g[cuts] - cum_g[lo]
-            HL = cum_h[cuts] - cum_h[lo]
-            g_tot, h_tot = seg(lo, hi)
-            GR = g_tot - GL
-            HR = h_tot - HL
-            hl = np.maximum(HL, 0.0)
-            hr = np.maximum(HR, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                left = np.where(hl + lam > 0, GL * GL / (hl + lam), np.where(GL == 0, 0.0, np.inf))
-                right = np.where(hr + lam > 0, GR * GR / (hr + lam), np.where(GR == 0, 0.0, np.inf))
-                denom = hl + hr + lam
-                parent = np.where(denom > 0, (GL + GR) ** 2 / denom, 0.0)
-            scores = 0.5 * (left + right - parent) - gamma
-            c = int(np.argmax(scores))
-        elif method is SplitMethod.PARTIALLY_RANDOM:
-            c = int(rng.integers(Q))
+            cuts = np.clip(np.arange(1, Q + 1), a, b)
+            GL = cum_g[cuts] - cum_g[a]
+            HL = cum_h[cuts] - cum_h[a]
+            GR = (cum_g[b] - cum_g[a]) - GL
+            HR = (cum_h[b] - cum_h[a]) - HL
+            c = int(np.argmax(_gain(GL, HL, GR, HR, lam, gamma)))
         else:
-            raise InvalidParameterError("single-feature growth applies to hist/pr only")
-        cut = min(max(c + 1, lo), hi)
-        return TreeNode(
-            feature=feature_j,
-            threshold=_routing_threshold(cand_set, feature_j, c),
-            left=build(lo, cut, dep + 1),
-            right=build(cut, hi, dep + 1),
-        )
-
-    root = build(0, Q, 0)
-    tree = Tree(root, depth, (feature_j,))
-    return tree, leaf_stats, {feature_j: np.asarray(H).copy()}
+            c = int(rng.integers(Q))
+        cut = min(max(c + 1, a), b)
+        tree.feature[heap] = feature_j
+        tree.threshold[heap] = _routing_threshold(cand_set, feature_j, c)
+        lo[2 * heap + 1], hi[2 * heap + 1] = a, cut
+        lo[2 * heap + 2], hi[2 * heap + 2] = cut, b
+    leaf_lo, leaf_hi = lo[-tree.n_leaves :], hi[-tree.n_leaves :]
+    leaves = np.stack([cum_g[leaf_hi] - cum_g[leaf_lo], cum_h[leaf_hi] - cum_h[leaf_lo]], axis=1)
+    return tree, leaves, {feature_j: np.asarray(H).copy()}

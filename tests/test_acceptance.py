@@ -150,17 +150,17 @@ def test_criterion_4_noise_off_matches_bruteforce_reference():
             ours = []
 
             def walk(node):
-                if node.is_leaf:
+                if node["kind"] == "leaf":
                     return
-                cands = per[node.feature]
-                hits = np.where(np.isclose(cands, node.threshold))[0]
+                cands = per[node["feature"]]
+                hits = np.where(np.isclose(cands, node["threshold"]))[0]
                 ours.append(
-                    (node.feature, int(hits[-1]) if hits.size else cands.size - 1)
+                    (node["feature"], int(hits[-1]) if hits.size else cands.size - 1)
                 )
-                walk(node.left)
-                walk(node.right)
+                walk(node["left"])
+                walk(node["right"])
 
-            walk(tree.root)
+            walk(tree.to_dict()["root"])
             assert ours == ref_splits, f"trial {trial}: structure diverged"
             assert np.allclose(tree.leaf_weights, ref_weights, atol=1e-9), f"trial {trial}"
 

@@ -6,9 +6,10 @@ import pytest
 
 import dpgbdt as d
 from dpgbdt.accounting import InvalidParameterError
-from dpgbdt.boosting import batched_update, raw_scores
+from dpgbdt.boosting import raw_scores
 from dpgbdt.data import philox
 from dpgbdt.federation import ONE_RECORD_PER_CLIENT, FederatedAggregator, partition
+from dpgbdt.gradients import update_scores
 from dpgbdt.harness import baseline_preset
 from dpgbdt.trees import grow_tree_totally_random
 
@@ -187,12 +188,8 @@ class TestRefinementSchedule:
         assert res.queries.kappa_c == s * 2
         per_feature: dict[int, set] = {0: set(), 1: set()}
         for tree in res.ensemble.trees[s:]:
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
-                if not node.is_leaf:
-                    per_feature[node.feature].add(node.threshold)
-                    stack.extend((node.left, node.right))
+            for j, threshold in zip(tree.feature.tolist(), tree.threshold.tolist()):
+                per_feature[j].add(threshold)
         for j, thresholds in per_feature.items():
             # the routing value for the last candidate is the upper bound
             assert len(thresholds) <= Q + 1, j
@@ -211,13 +208,14 @@ class TestRefinementSchedule:
         uniform = set(np.linspace(*ds.bounds[0], 8))
         later_thresholds = set()
         for tree in res.ensemble.trees[1:]:
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
-                if not node.is_leaf:
-                    later_thresholds.add(node.threshold)
-                    stack.extend((node.left, node.right))
+            later_thresholds.update(tree.threshold.tolist())
         assert later_thresholds - uniform - {ds.bounds[0][1]}
+
+
+def batch_update(prev, trees, X, eta, centered=True):
+    """``update_scores`` for a batch of B > 1 trees routed on X."""
+    W = np.asarray([t.leaf_weights[t.route(X)] for t in trees]).reshape(len(trees), len(X))
+    return update_scores(prev, W, eta, plain=False, centered=centered)
 
 
 class TestBatchedUpdate:
@@ -226,11 +224,11 @@ class TestBatchedUpdate:
         trees = []
         for seed in (0, 1):
             t = grow_tree_totally_random(philox(seed), [0], cs, 2)
-            t.set_leaf_weights(np.zeros(t.n_leaves))
+            t.leaf_weights = np.zeros(t.n_leaves)
             trees.append(t)
         X = philox(2).random((10, 1))
         prev = philox(3).normal(0, 1, 10)
-        out = batched_update(prev, trees, X, eta=0.5)
+        out = batch_update(prev, trees, X, eta=0.5)
         assert np.allclose(out, prev)
 
     def test_antisymmetric_pair_noop(self):
@@ -238,30 +236,30 @@ class TestBatchedUpdate:
         t1 = grow_tree_totally_random(philox(0), [0], cs, 2)
         t2 = d.Tree.from_dict(t1.to_dict())
         w = philox(1).normal(0, 1, t1.n_leaves)
-        t1.set_leaf_weights(w)
-        t2.set_leaf_weights(-w)
+        t1.leaf_weights = w
+        t2.leaf_weights = -w
         X = philox(2).random((20, 1))
         prev = np.zeros(20)
-        assert np.allclose(batched_update(prev, [t1, t2], X, eta=1.0), prev)
+        assert np.allclose(batch_update(prev, [t1, t2], X, eta=1.0), prev)
 
     def test_scalar_example(self):
         cs = d.uniform_candidates([(0.0, 1.0)], 2)
         tree = grow_tree_totally_random(philox(0), [0], cs, 1)
-        tree.set_leaf_weights(np.array([2.0, 2.0]))
-        out = batched_update(np.zeros(1), [tree], np.array([[0.5]]), eta=1.0)
+        tree.leaf_weights = np.array([2.0, 2.0])
+        out = batch_update(np.zeros(1), [tree], np.array([[0.5]]), eta=1.0)
         assert out[0] == pytest.approx(logistic(2.0) - 0.5)
         assert out[0] == pytest.approx(0.3807970779778824)
 
     def test_uncentered_variant_keeps_bias(self):
         cs = d.uniform_candidates([(0.0, 1.0)], 2)
         tree = grow_tree_totally_random(philox(0), [0], cs, 1)
-        tree.set_leaf_weights(np.zeros(2))
-        out = batched_update(np.zeros(4), [tree], philox(1).random((4, 1)), eta=1.0, centered=False)
+        tree.leaf_weights = np.zeros(2)
+        out = batch_update(np.zeros(4), [tree], philox(1).random((4, 1)), eta=1.0, centered=False)
         assert np.allclose(out, 0.5)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidParameterError):
-            batched_update(np.zeros(3), [], np.zeros((3, 1)), eta=0.3)
+            batch_update(np.zeros(3), [], np.zeros((3, 1)), eta=0.3)
 
 
 class TestPredict:
@@ -274,7 +272,7 @@ class TestPredict:
         trees = []
         for seed in range(3):
             t = grow_tree_totally_random(philox(seed), [0], cs, 2)
-            t.set_leaf_weights(np.ones(t.n_leaves))
+            t.leaf_weights = np.ones(t.n_leaves)
             trees.append(t)
         ens = d.Ensemble(
             trees, d.UpdateMode.AVERAGING, 0.3, 3, True, ((0, 3),), ((0.0, 1.0),)
@@ -284,7 +282,7 @@ class TestPredict:
     def test_single_tree_sigmoid_of_weight(self):
         cs = d.uniform_candidates([(0.0, 1.0)], 2)
         tree = grow_tree_totally_random(philox(0), [0], cs, 1)
-        tree.set_leaf_weights(np.array([0.12, 0.12]))
+        tree.leaf_weights = np.array([0.12, 0.12])
         ens = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, ((0, 1),), ((0.0, 1.0),))
         assert d.predict(ens, np.array([0.7])) == pytest.approx(logistic(0.12))
 
@@ -350,6 +348,37 @@ class TestEnsembleSerialization:
         back = d.Ensemble.load(path)
         assert np.allclose(d.predict(back, ds.features), d.predict(res.ensemble, ds.features))
         assert back.batch_boundaries == res.ensemble.batch_boundaries
+
+    @pytest.fixture
+    def payload(self, small_data):
+        _, pop = small_data
+        return d.train(d.TrainConfig(T=1, d=1, Q=4, seed=5), pop).ensemble.to_json_dict()
+
+    def test_incomplete_tree_rejected(self, payload):
+        payload["trees"][0]["max_depth"] = 2  # the structure stops at depth 1
+        with pytest.raises(InvalidParameterError, match="complete"):
+            d.Tree.from_dict(payload["trees"][0])
+        with pytest.raises(InvalidParameterError, match="complete"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize("feature", [-1, 3])
+    def test_feature_outside_bounds_rejected(self, payload, feature):
+        payload["trees"][0]["root"]["feature"] = feature
+        with pytest.raises(InvalidParameterError, match="feature"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize("field", ["threshold", "weight"])
+    def test_non_finite_value_rejected(self, payload, field):
+        root = payload["trees"][0]["root"]
+        (root if field == "threshold" else root["left"])[field] = float("nan")
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize("boundaries", [[[0, 5]], [], [[1, 1]], [[0, 0], [0, 1]]])
+    def test_batch_boundaries_must_cover_trees(self, payload, boundaries):
+        payload["batch_boundaries"] = boundaries
+        with pytest.raises(InvalidParameterError, match="batch_boundaries"):
+            d.Ensemble.from_json_dict(payload)
 
 
 class TestLearning:

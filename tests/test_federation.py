@@ -19,7 +19,6 @@ from dpgbdt.federation import (
     FederatedAggregator,
     FixedPointCodec,
     comm_accounting,
-    ldp_release,
     partition,
     secure_sum,
 )
@@ -254,11 +253,6 @@ class TestLdp:
         a = local.leaf_round([np.zeros(n, dtype=np.int64)], 1)[0]
         b = central.leaf_round([np.zeros(n, dtype=np.int64)], 1)[0]
         assert np.allclose(a, b)
-
-    def test_ldp_release_scalar(self):
-        g, h = ldp_release(0.5, 0.25, d.NoiseScale(1.0, 1.0), philox(3))
-        assert g != 0.5 or h != 0.25
-        assert ldp_release(0.5, 0.25, None, philox(3)) == (0.5, 0.25)
 
 
 def grid_population(sizes, m, rng):

@@ -9,7 +9,6 @@ import dpgbdt as d
 from dpgbdt.gradients import (
     SENSITIVITY_COUNTING,
     SENSITIVITY_NEWTON,
-    clip_gradient_pair,
     sigmoid,
 )
 
@@ -97,11 +96,3 @@ class TestHelpers:
         p = sigmoid(x)
         assert 0.0 <= p <= 1.0
         assert p == pytest.approx(1.0 - sigmoid(-x), abs=1e-12)
-
-    def test_clip_hook_is_identity_inside_ball(self):
-        pair = d.GradientPair(0.3, 0.1)
-        assert clip_gradient_pair(pair, 1.0) == pair
-
-    def test_clip_hook_rescales(self):
-        clipped = clip_gradient_pair(d.GradientPair(3.0, 4.0), 1.0)
-        assert math.hypot(clipped.g, clipped.h) == pytest.approx(1.0)

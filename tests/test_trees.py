@@ -20,7 +20,7 @@ from dpgbdt.trees import (
     grow_tree_totally_random,
 )
 
-from oracles import collect_structure, reference_greedy_tree
+from oracles import collect_structure, reference_greedy_tree, route_tree_dict
 
 
 def exact_aggregator(ds, mode=d.UpdateMode.NEWTON):
@@ -43,16 +43,16 @@ def structure_of(tree, cand_set):
     out = []
 
     def walk(node):
-        if node.is_leaf:
+        if node["kind"] == "leaf":
             return
-        cands = cand_set.per_feature[node.feature]
-        hits = np.where(np.isclose(cands, node.threshold))[0]
+        cands = cand_set.per_feature[node["feature"]]
+        hits = np.where(np.isclose(cands, node["threshold"]))[0]
         c = int(hits[-1]) if hits.size else cands.size - 1
-        out.append((node.feature, c))
-        walk(node.left)
-        walk(node.right)
+        out.append((node["feature"], c))
+        walk(node["left"])
+        walk(node["right"])
 
-    walk(tree.root)
+    walk(tree.to_dict()["root"])
     return out
 
 
@@ -169,8 +169,9 @@ class TestTotallyRandom:
     def test_depth_one_shape(self):
         cs = d.uniform_candidates([(0.0, 1.0)], 4)
         tree = grow_tree_totally_random(philox(0), [0], cs, 1)
-        assert not tree.root.is_leaf
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        root = tree.to_dict()["root"]
+        assert root["kind"] == "internal"
+        assert root["left"]["kind"] == "leaf" and root["right"]["kind"] == "leaf"
         assert tree.n_leaves == 2
 
     def test_respects_feature_subset(self):
@@ -226,15 +227,34 @@ class TestHistogramTree:
         res = agg.histogram_round([0], [0], cs, "s")
         G, H = res[0][0]
         scores, _ = _prefix_split_scores(G, H, 1.0, 0.0)
-        g = 0.5 - ds.labels
-        h = np.full(ds.n, 0.25)
+        def direct_score(data, left):
+            g = 0.5 - data.labels
+            h = np.full(data.n, 0.25)
+            return d.split_score(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), 1.0, 0.0)
+
         x = ds.features[:, 0]
+        direct = []
         for c in range(5):
             left = np.ones(ds.n, bool) if c == 4 else x <= cs.per_feature[0][c]
-            direct = d.split_score(
-                g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), 1.0, 0.0
+            direct.append(direct_score(ds, left))
+            assert scores[c] == pytest.approx(direct[c], abs=1e-9)
+        # the single-feature builder scores its root with the same gain
+        tree, _, _ = grow_tree_single_feature(
+            exact_aggregator(ds), philox(0), d.SplitMethod.HIST, 0, cs, 1, 1.0, 0.0
+        )
+        assert structure_of(tree, cs) == [(0, int(np.argmax(direct)))]
+        # so does the pr builder, over its root's one proposal per feature
+        ds3 = d.synthesize(60, 3, 0.0, 0.5, seed=9)
+        cs3 = quantile_set(ds3, 5)
+        for seed in range(5):
+            tree, _ = grow_tree_partially_random(
+                exact_aggregator(ds3), philox(seed), range(3), cs3, 1, 1.0, 0.0
             )
-            assert scores[c] == pytest.approx(direct, abs=1e-9)
+            draws = philox(seed)
+            proposed = [cs3.per_feature[j][int(draws.integers(5))] for j in range(3)]
+            direct = [direct_score(ds3, ds3.features[:, j] <= thr) for j, thr in enumerate(proposed)]
+            best = int(np.argmax(direct))
+            assert (tree.feature[0], tree.threshold[0]) == (best, proposed[best]), seed
 
     def test_gamma_does_not_change_argmax(self):
         ds = d.synthesize(40, 3, 0.0, 0.5, seed=12)
@@ -254,7 +274,7 @@ class TestHistogramTree:
         cs = d.uniform_candidates(ds.bounds, 5)
         agg = exact_aggregator(ds)
         tree, _, _ = grow_tree_histogram(agg, [0, 1], cs, 1, 1.0, 0.0)
-        assert tree.root.feature == 0
+        assert tree.feature[0] == 0
 
     def test_single_feature_path_equals_general_path_noise_off(self):
         ds = d.synthesize(70, 1, 0.3, 0.5, seed=21)
@@ -282,6 +302,17 @@ class TestHistogramTree:
             mask = leaves == leaf
             assert leaf_stats[leaf][0] == pytest.approx(g[mask].sum(), abs=1e-9)
             assert leaf_stats[leaf][1] == pytest.approx(0.25 * mask.sum(), abs=1e-9)
+
+
+@pytest.mark.parametrize("grow", ["hist", "pr"])
+def test_data_dependent_builders_reject_depth_zero(grow):
+    ds = d.synthesize(20, 2, 0.0, 0.5, seed=3)
+    cs = quantile_set(ds, 3)
+    with pytest.raises(InvalidParameterError, match="depth"):
+        if grow == "hist":
+            grow_tree_histogram(exact_aggregator(ds), [0, 1], cs, 0, 1.0, 0.0)
+        else:
+            grow_tree_partially_random(exact_aggregator(ds), philox(0), [0, 1], cs, 0, 1.0, 0.0)
 
 
 class TestPartiallyRandom:
@@ -313,20 +344,33 @@ class TestTreeSerialization:
         ds = d.synthesize(30, 2, 0.0, 0.5, seed=1)
         cs = quantile_set(ds, 4)
         tree = grow_tree_totally_random(philox(7), [0, 1], cs, 3)
-        tree.set_leaf_weights(np.linspace(-1, 1, tree.n_leaves))
+        tree.leaf_weights = np.linspace(-1, 1, tree.n_leaves)
         back = d.Tree.from_dict(tree.to_dict())
         assert back.to_dict() == tree.to_dict()
         X = ds.features
         assert np.array_equal(tree.route(X), back.route(X))
         assert np.allclose(back.leaf_weights, tree.leaf_weights)
 
-    def test_routing_splits_on_threshold(self):
-        root = d.TreeNode(
-            feature=0,
-            threshold=0.5,
-            left=d.TreeNode(leaf_index=0),
-            right=d.TreeNode(leaf_index=1),
+    @given(depth=st.integers(1, 5), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_complete_trees_round_trip_and_route_like_oracle(self, depth, m, seed):
+        rng = philox(seed)
+        # thresholds and rows share one grid, so many rows sit exactly on a threshold
+        grid = np.arange(11) / 10
+        n_internal = 2 ** depth - 1
+        tree = d.Tree(
+            rng.integers(0, m, n_internal),
+            rng.choice(grid, n_internal),
+            rng.normal(0, 1, n_internal + 1),
+            depth,
+            tuple(range(m)),
         )
-        tree = d.Tree(root, 1, (0,))
+        payload = tree.to_dict()
+        assert d.Tree.from_dict(payload).to_dict() == payload
+        X = rng.choice(grid, size=(40, m))
+        assert tree.leaf_weights[tree.route(X)].tolist() == [route_tree_dict(payload, x) for x in X]
+
+    def test_routing_splits_on_threshold(self):
+        tree = d.Tree(np.array([0]), np.array([0.5]), np.zeros(2), 1, (0,))
         out = tree.route(np.array([[0.5], [0.51]]))
         assert list(out) == [0, 1]
