@@ -127,3 +127,45 @@ class TestGridCommand:
         assert out.exists()
         assert (tmp_path / "results.summary.csv").exists()
         assert "4 new rows" in capsys.readouterr().out
+
+
+# `dpgbdt account --preset <name> --m 10 --T 100 --epsilon 1 --delta 1e-5`:
+# (kappa_c, kappa_s, kappa_w), sigma, noise_std and (rounds,
+# per_round_payload, uplink_values) of the full JSON output.
+SIGMA_100, SIGMA_150, SIGMA_4000 = 49.01559964592086, 60.03443408961688, 310.00403032981666
+ACCOUNT_JSON = {
+    "DP-EBM": ((0, 0, 100), SIGMA_100, 69.31852578711116, (100, 32, 3200)),
+    "DP-EBM-Newton": ((0, 0, 100), SIGMA_100, 50.52412366077983, (100, 32, 3200)),
+    "DP-GBM": ((0, 4000, 0), SIGMA_4000, 438.41190408274707, (400, 640, 256000)),
+    "DP-RF": ((0, 0, 100), SIGMA_100, 69.31852578711116, (1, 3200, 3200)),
+    "FEVERLESS": ((0, 4000, 0), SIGMA_4000, 319.5448403542537, (400, 640, 256000)),
+    "LDP": ((0, 0, 100), SIGMA_100, 50.52412366077983, (100, 32, 3200)),
+    "DP-TR-Newton": ((0, 0, 100), SIGMA_100, 50.52412366077983, (100, 32, 3200)),
+    "DP-TR-Newton-IH": ((50, 0, 100), SIGMA_150, 61.88207823141801, (105, 32, 6400)),
+    "DP-TR-Newton-IH-EBM": ((50, 0, 100), SIGMA_150, 61.88207823141801, (105, 32, 6400)),
+    "DP-TR-Batch-Newton-IH-EBM(p=0.25)": (
+        (50, 0, 100), SIGMA_150, 61.88207823141801, (9, 800, 6400)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCOUNT_JSON))
+def test_account_json_pinned_for_every_preset(name, capsys):
+    argv = ["account", "--preset", name, "--m", "10", "--T", "100", "--epsilon", "1", "--delta", "1e-5"]
+    assert main(argv) == 0
+    (c, s, w), sigma, noise_std, (rounds, payload, uplink) = ACCOUNT_JSON[name]
+    assert json.loads(capsys.readouterr().out) == {
+        "kappa_c": c,
+        "kappa_s": s,
+        "kappa_w": w,
+        "total_queries": c + s + w,
+        "sigma": sigma,
+        "noise_std": noise_std,
+        "comm": {
+            "rounds": rounds,
+            "per_round_payload": payload,
+            "uplink_values": uplink,
+            "uplink_bytes": 8 * uplink,
+            "secure_agg_round_factor": 3,
+        },
+    }
