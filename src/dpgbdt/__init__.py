@@ -11,10 +11,12 @@ from .accounting import (
     PrivacyBudget,
     QueryCounter,
     RdpCurve,
+    Round,
     calibrate_sigma,
     compose_sequential,
     count_queries,
     gaussian_rdp,
+    plan,
     rdp_to_dp,
 )
 from .boosting import Ensemble, TrainResult, predict, raw_scores, train

@@ -10,14 +10,16 @@ mechanism, so the whole privacy analysis reduces to three steps:
      over a grid of Renyi orders.
 
 ``calibrate_sigma`` inverts step 3: given a target budget and a query count,
-it finds the smallest noise multiplier that stays within budget.
+it finds the smallest noise multiplier that stays within budget. The query
+count comes from ``plan``, the one list of aggregation rounds a configuration
+executes; the ledger and the communication costs are folds over it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,11 +34,13 @@ __all__ = [
     "RdpCurve",
     "PrivacyBudget",
     "QueryCounter",
+    "Round",
     "NoiseScale",
     "gaussian_rdp",
     "compose_sequential",
     "rdp_to_dp",
     "calibrate_sigma",
+    "plan",
     "count_queries",
 ]
 
@@ -139,6 +143,26 @@ class QueryCounter:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.kappa_c, self.kappa_s, self.kappa_w)
+
+    @classmethod
+    def from_rounds(cls, rounds: Sequence["Round"]) -> "QueryCounter":
+        """Queries of ``rounds`` summed by kind."""
+        kappa = {"c": 0, "s": 0, "w": 0}
+        for r in rounds:
+            if r.kind not in kappa:
+                raise InvalidParameterError(f"unknown query category: {r.kind!r}")
+            kappa[r.kind] += r.queries
+        return cls(kappa["c"], kappa["s"], kappa["w"])
+
+
+class Round(NamedTuple):
+    """One aggregation round: the kind of its queries (c = split candidates,
+    s = inner splits, w = leaf weights), how many privacy queries it releases
+    and how many scalars each client uplinks."""
+
+    kind: str
+    queries: int
+    uplink: int
 
 
 @dataclass(frozen=True)
@@ -250,39 +274,61 @@ def calibrate_sigma(budget: PrivacyBudget, counter: QueryCounter, alphas=None) -
     return hi
 
 
-def count_queries(config: "TrainConfig") -> QueryCounter:
-    """Exact number of noisy queries a training run with ``config`` will issue.
+def refined_features(config: "TrainConfig", features) -> tuple[int, ...]:
+    """Features one candidate-refinement round covers: all m under cyclical
+    scheduling or k = m, otherwise the current tree's ``features``."""
+    from .config import FeatureMode  # local import avoids a cycle
 
-    Split queries: histogram and partially random splitting pay one query per
-    (tree, level, feature); a single-feature tree needs only its root
-    histogram, so k = 1 costs one query per tree. Totally random splitting is
-    data independent and pays nothing for structure but one leaf query per
-    tree. Candidate refinement pays only when the split method does not
-    already materialise histograms: min(s, T) rounds covering every feature
-    under cyclical scheduling (or k = m), otherwise the k features of the
-    current tree.
+    if config.feature_mode is FeatureMode.CYCLICAL or config.resolved_k() == config.m:
+        return tuple(range(config.m))
+    return tuple(features)
+
+
+def plan(config: "TrainConfig") -> list[Round]:
+    """Every aggregation round a training run with ``config`` executes, in order.
+
+    Per tree: under iterative-Hessian candidates, trees t < ih_rounds first
+    pay a refinement round (c), unless the split method is hist, which
+    refines for free from its own root histograms. Then the tree's split
+    rounds (s): a single-feature tree (k = 1) needs one root histogram; hist
+    pays one histogram round per level (2 Q scalars per feature) and pr one
+    two-sided pair round per level (4 per feature). Totally random trees pay
+    no split round; their leaf vectors go out in one round (w) per batch,
+    one query and 2 * 2^d scalars per tree.
     """
-    from .config import CandidateMethod, FeatureMode  # local import avoids a cycle
+    from .config import CandidateMethod
     from .trees import SplitMethod
 
     if config.m is None:
-        raise InvalidParameterError("count_queries requires config.m (number of features)")
-    m = config.m
-    k = config.resolved_k()
-    T, d = config.T, config.d
-
-    if config.split_method is SplitMethod.TOTALLY_RANDOM:
-        kappa_s, kappa_w = 0, T
-    else:
-        kappa_s = T if k == 1 else T * k * d
-        kappa_w = 0
-
-    kappa_c = 0
-    if (
+        raise InvalidParameterError("plan requires config.m (number of features)")
+    k, T, d, Q = config.resolved_k(), config.T, config.d, config.Q
+    B = config.effective_batch_size
+    method = config.split_method
+    refines = (
         config.candidate_method is CandidateMethod.ITERATIVE_HESSIAN
-        and config.split_method is not SplitMethod.HIST
-    ):
-        refined = m if (config.feature_mode is FeatureMode.CYCLICAL or k == m) else k
-        kappa_c = min(config.ih_rounds, T) * refined
+        and method is not SplitMethod.HIST
+    )
+    refined = len(refined_features(config, range(k)))
+    if method is SplitMethod.TOTALLY_RANDOM:
+        tree_rounds = []
+    elif k == 1:
+        tree_rounds = [Round("s", 1, 2 * Q)]
+    else:
+        per_feature = 2 * Q if method is SplitMethod.HIST else 4
+        tree_rounds = [Round("s", k, per_feature * k)] * d
 
-    return QueryCounter(kappa_c, kappa_s, kappa_w)
+    rounds = []
+    for t in range(T):
+        if refines and t < config.ih_rounds:
+            rounds.append(Round("c", refined, 2 * Q * refined))
+        rounds.extend(tree_rounds)
+        if method is SplitMethod.TOTALLY_RANDOM and (t % B == B - 1 or t == T - 1):
+            batch = t % B + 1
+            rounds.append(Round("w", batch, 2 * batch * 2**d))
+    return rounds
+
+
+def count_queries(config: "TrainConfig") -> QueryCounter:
+    """Exact number of noisy queries a training run with ``config`` will issue:
+    the queries of its ``plan``, summed by kind."""
+    return QueryCounter.from_rounds(plan(config))

@@ -16,6 +16,7 @@ only query results and public model state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,10 @@ from .accounting import (
     InvalidParameterError,
     NoiseScale,
     QueryCounter,
+    Round,
     calibrate_sigma,
     count_queries,
+    refined_features,
 )
 from .candidates import (
     HessianHistogram,
@@ -35,9 +38,9 @@ from .candidates import (
     quantile_candidates,
     uniform_candidates,
 )
-from .config import CandidateMethod, FeatureMode, NoisePlacement, TrainConfig
+from .config import CandidateMethod, NoisePlacement, TrainConfig
 from .data import philox
-from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
+from .federation import ClientPopulation, CommLedger, FederatedAggregator, FixedPointCodec
 from .gradients import UpdateMode, query_sensitivity, sigmoid, update_scores
 from .trees import (
     SplitMethod,
@@ -83,8 +86,10 @@ class Ensemble:
 
         Raises InvalidParameterError for a tree not complete to its
         max_depth, a non-finite threshold or leaf weight, a split feature
-        outside [0, len(bounds)), or batch boundaries that do not cover the
-        trees contiguously from 0 to T.
+        outside [0, len(bounds)), a non-finite or non-positive eta, batch
+        boundaries that do not cover the trees contiguously from 0 to T, or,
+        for boosted ensembles, batches that disagree with batch_size (every
+        batch but the last holds exactly batch_size trees, the last at most).
         """
         ensemble = cls(
             trees=[Tree.from_dict(t) for t in payload["trees"]],
@@ -95,6 +100,8 @@ class Ensemble:
             batch_boundaries=tuple((int(s), int(e)) for s, e in payload["batch_boundaries"]),
             bounds=tuple((float(a), float(b)) for a, b in payload["bounds"]),
         )
+        if not (math.isfinite(ensemble.eta) and ensemble.eta > 0):
+            raise InvalidParameterError(f"eta must be positive and finite, got {ensemble.eta}")
         m = len(ensemble.bounds)
         for i, tree in enumerate(ensemble.trees):
             if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.leaf_weights).all()):
@@ -110,6 +117,12 @@ class Ensemble:
                 f"batch_boundaries {list(ensemble.batch_boundaries)} do not cover "
                 f"the {len(ensemble.trees)} trees contiguously"
             )
+        sizes = [end - start for start, end in ensemble.batch_boundaries]
+        B = ensemble.batch_size
+        if ensemble.update_mode is not UpdateMode.AVERAGING and (
+            any(size != B for size in sizes[:-1]) or (sizes and sizes[-1] > B)
+        ):
+            raise InvalidParameterError(f"batch sizes {sizes} disagree with batch_size {B}")
         return ensemble
 
     def save(self, path) -> None:
@@ -124,15 +137,30 @@ class Ensemble:
 
 @dataclass
 class TrainResult:
-    """Trained ensemble plus the run's observed accounting."""
+    """Trained ensemble plus the aggregation rounds the run executed; its
+    query ledger and comm counters are folds over those rounds."""
 
     ensemble: Ensemble
-    queries: QueryCounter
+    rounds: list[Round]
     sigma: float
-    comm_rounds: int
-    comm_uplink_values: int
     nonprivate_candidates: bool
     config: TrainConfig
+
+    @property
+    def queries(self) -> QueryCounter:
+        return QueryCounter.from_rounds(self.rounds)
+
+    @property
+    def comm(self) -> CommLedger:
+        return CommLedger.from_rounds(self.rounds)
+
+    @property
+    def comm_rounds(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def comm_uplink_values(self) -> int:
+        return sum(r.uplink for r in self.rounds)
 
 
 def _initial_candidates(config: TrainConfig, agg: FederatedAggregator) -> SplitCandidateSet:
@@ -230,11 +258,7 @@ def train(
                     cands = _refine(cands, prev_root_hessians, config.Q)
                     hist_refines_done += 1
             elif t < config.ih_rounds:
-                if config.feature_mode is FeatureMode.CYCLICAL or k == m:
-                    refine_feats: tuple[int, ...] = tuple(range(m))
-                else:
-                    refine_feats = F
-                hessians = agg.hessian_round(refine_feats, cands)
+                hessians = agg.hessian_round(refined_features(config, F), cands)
                 cands = _refine(cands, hessians, config.Q)
 
         if is_tr:
@@ -284,10 +308,8 @@ def train(
     )
     return TrainResult(
         ensemble=ensemble,
-        queries=agg.ledger.snapshot(),
+        rounds=agg.rounds,
         sigma=sigma,
-        comm_rounds=agg.comm_rounds,
-        comm_uplink_values=agg.comm_uplink,
         nonprivate_candidates=agg.nonprivate_candidate_access,
         config=config,
     )

@@ -69,11 +69,6 @@ class SplitCandidateSet:
     def q(self) -> int:
         return self.per_feature[0].size
 
-    def replace_feature(self, j: int, values: np.ndarray) -> "SplitCandidateSet":
-        per = list(self.per_feature)
-        per[j] = values
-        return SplitCandidateSet(tuple(per), self.bounds)
-
 
 @dataclass(frozen=True, eq=False)
 class HessianHistogram:

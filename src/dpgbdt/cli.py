@@ -20,35 +20,25 @@ import sys
 
 from .accounting import PrivacyBudget, calibrate_sigma, count_queries
 from .boosting import predict, train
-from .config import TrainConfig
+from .config import FLAT_FIELDS, TrainConfig
 from .data import load_csv, train_test_split
 from .federation import ONE_RECORD_PER_CLIENT, comm_accounting, partition
 from .gradients import query_sensitivity
 from .harness import auc_roc, baseline_preset, budget_for, list_presets, run_grid
 
+
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# Parser of each settable key: every TrainConfig field but the budget, whose
+# epsilon and delta are keys of their own. Enum fields stay strings here;
+# TrainConfig.from_flat_dict converts them.
 _CONFIG_FIELDS = {
-    "T": int,
-    "d": int,
-    "Q": int,
-    "split_method": str,
-    "update_mode": str,
-    "candidate_method": str,
-    "ih_rounds": int,
-    "feature_mode": str,
-    "k": int,
-    "B": int,
-    "eta": float,
-    "beta": float,
-    "lam": float,
-    "gamma": float,
-    "seed": int,
-    "m": int,
-    "centered_batch": lambda s: s.lower() in ("1", "true", "yes"),
-    "noise_placement": str,
-    "epsilon": float,
-    "delta": float,
-    "name": str,
+    key: {bool: _parse_bool, int: int, float: float}.get(kind, str)
+    for key, kind in FLAT_FIELDS.items()
 }
+_CONFIG_FIELDS.update(epsilon=float, delta=float)
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -179,7 +169,7 @@ def _cmd_grid(args) -> int:
     preset_kwargs = {
         key: _coerce(key, value)
         for key, value in spec.items()
-        if key in ("T", "d", "Q", "ih_rounds", "eta", "beta", "lam", "gamma", "seed")
+        if key in _PRESET_KWARGS
     }
     configs = {name: baseline_preset(name, **preset_kwargs) for name in preset_names}
     results = run_grid(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,6 +16,7 @@ __all__ = [
     "FeatureMode",
     "NoisePlacement",
     "TrainConfig",
+    "FLAT_FIELDS",
 ]
 
 
@@ -110,30 +112,15 @@ class TrainConfig:
         return dataclasses.replace(self, **kwargs)
 
     def to_flat_dict(self) -> dict:
-        """Plain key/value form used by the CLI, config files, and sidecars."""
-        out = {
-            "T": self.T,
-            "d": self.d,
-            "Q": self.Q,
-            "split_method": self.split_method.value,
-            "update_mode": self.update_mode.value,
-            "candidate_method": self.candidate_method.value,
-            "ih_rounds": self.ih_rounds,
-            "feature_mode": self.feature_mode.value,
-            "k": self.k,
-            "B": self.B,
-            "eta": self.eta,
-            "beta": self.beta,
-            "lam": self.lam,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "m": self.m,
-            "centered_batch": self.centered_batch,
-            "noise_placement": self.noise_placement.value,
-            "name": self.name,
-            "epsilon": self.budget.epsilon if self.budget else None,
-            "delta": self.budget.delta if self.budget else None,
-        }
+        """Plain key/value form used by the CLI, config files, and sidecars:
+        every field but ``budget`` (enums as their values), then the budget's
+        ``epsilon`` and ``delta``."""
+        out = {}
+        for key, kind in FLAT_FIELDS.items():
+            value = getattr(self, key)
+            out[key] = value.value if issubclass(kind, Enum) else value
+        out["epsilon"] = self.budget.epsilon if self.budget else None
+        out["delta"] = self.budget.delta if self.budget else None
         return out
 
     @classmethod
@@ -147,20 +134,28 @@ class TrainConfig:
                 raise InvalidParameterError("epsilon given without delta")
             budget = PrivacyBudget(float(epsilon), float(delta))
         kwargs = {}
-        enum_fields = {
-            "split_method": SplitMethod,
-            "update_mode": UpdateMode,
-            "candidate_method": CandidateMethod,
-            "feature_mode": FeatureMode,
-            "noise_placement": NoisePlacement,
-        }
-        valid = {f.name for f in dataclasses.fields(cls)}
         for key, value in flat.items():
-            if key not in valid:
+            if key not in FLAT_FIELDS:
                 raise InvalidParameterError(f"unknown config field: {key!r}")
             if value is None:
                 continue
-            if key in enum_fields:
-                value = enum_fields[key](value)
+            if issubclass(FLAT_FIELDS[key], Enum):
+                value = FLAT_FIELDS[key](value)
             kwargs[key] = value
         return cls(budget=budget, **kwargs)
+
+
+def _flat_fields() -> dict[str, type]:
+    hints = typing.get_type_hints(TrainConfig)
+    out = {}
+    for field in dataclasses.fields(TrainConfig):
+        if field.name != "budget":
+            # ``int | None`` and the like: the non-None member
+            kinds = [t for t in typing.get_args(hints[field.name]) if t is not type(None)]
+            out[field.name] = kinds[0] if kinds else hints[field.name]
+    return out
+
+
+# Every TrainConfig field but ``budget``, in declaration order, with its value
+# type (None stripped from optional fields).
+FLAT_FIELDS: dict[str, type] = _flat_fields()

@@ -8,9 +8,10 @@ coordinate. Under local noising each client perturbs its own contribution
 before encoding instead, and no central noise is added.
 
 The aggregator keeps the per-record client state (raw scores, gradient pairs,
-current tree node) and two running meters: a privacy ledger counting noisy
-vector queries by kind, and a communication meter counting aggregation rounds
-and the scalars one client uplinks per round.
+current tree node) and one running meter: the list of executed aggregation
+rounds (see ``accounting.Round``). The privacy ledger and the communication
+costs are folds over it, the same folds that turn ``accounting.plan`` into
+their predicted values.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .accounting import InvalidParameterError, NoiseScale, QueryCounter
+from .accounting import InvalidParameterError, NoiseScale, Round, plan
 from .candidates import SplitCandidateSet, bin_index
 from .data import Dataset, philox
 from .gradients import UpdateMode, mode_gradients, update_scores
@@ -35,7 +36,6 @@ __all__ = [
     "FixedPointCodec",
     "ClientPopulation",
     "CommLedger",
-    "LedgerCounter",
     "partition",
     "secure_sum",
     "comm_accounting",
@@ -104,6 +104,23 @@ class FixedPointCodec:
                 f"risk wraparound in a 2^{self.ring_bits} ring at {self.precision_bits} "
                 "fractional bits"
             )
+
+    def ring_sum(
+        self, contrib: np.ndarray, cell: np.ndarray, n_cells: int, n_clients: int
+    ) -> np.ndarray:
+        """Decoded modular sum of the contribution rows that land in each cell.
+
+        Row r of ``contrib`` adds into cell ``cell[r]``; ``n_clients`` is the
+        most rows any one cell can receive, which the capacity check bounds.
+        Returns an (n_cells, *contrib.shape[1:]) float array.
+        """
+        if contrib.shape[0]:
+            self.check_capacity(n_clients, float(np.abs(contrib).max()))
+        acc = np.zeros((n_cells,) + contrib.shape[1:], dtype=np.uint64)
+        np.add.at(acc, cell, self.encode(contrib))
+        if self.ring_bits != 64:
+            acc &= np.uint64(self.modulus - 1)
+        return self.decode(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +224,7 @@ def secure_sum(
     if contribs.ndim != 2:
         raise InvalidParameterError("contributions must be a (n_clients, dim) array")
     n_clients, dim = contribs.shape
-    if n_clients:
-        codec.check_capacity(n_clients, float(np.abs(contribs).max()))
-        total = codec.encode(contribs).sum(axis=0, dtype=np.uint64)
-        if codec.ring_bits != 64:
-            total &= np.uint64(codec.modulus - 1)
-        out = codec.decode(total)
-    else:
-        out = np.zeros(dim)
+    out = codec.ring_sum(contribs, np.zeros(n_clients, dtype=np.int64), 1, n_clients)[0]
     if noise is not None:
         if rng is None:
             raise InvalidParameterError("noisy aggregation requires an rng")
@@ -258,28 +268,6 @@ def _per_client_cell_sums(
     return np.concatenate(cells), np.concatenate(sums)
 
 
-class LedgerCounter:
-    """Mutable (kappa_c, kappa_s, kappa_w) tally of noisy vector queries."""
-
-    def __init__(self):
-        self.kappa_c = 0
-        self.kappa_s = 0
-        self.kappa_w = 0
-
-    def add(self, category: str, count: int = 1) -> None:
-        if category == "c":
-            self.kappa_c += count
-        elif category == "s":
-            self.kappa_s += count
-        elif category == "w":
-            self.kappa_w += count
-        else:
-            raise InvalidParameterError(f"unknown query category: {category!r}")
-
-    def snapshot(self) -> QueryCounter:
-        return QueryCounter(self.kappa_c, self.kappa_s, self.kappa_w)
-
-
 @dataclass(frozen=True)
 class CommLedger:
     """Aggregation rounds and per-client uplink for one training run.
@@ -299,49 +287,24 @@ class CommLedger:
     def uplink_bytes(self) -> int:
         return self.uplink_values * 8
 
+    @classmethod
+    def from_rounds(cls, rounds: Sequence[Round]) -> "CommLedger":
+        """Round count, the largest split or leaf payload, and the uplink total
+        of ``rounds``."""
+        return cls(
+            rounds=len(rounds),
+            per_round_payload=max((r.uplink for r in rounds if r.kind != "c"), default=0),
+            uplink_values=sum(r.uplink for r in rounds),
+        )
+
 
 def comm_accounting(config: "TrainConfig") -> CommLedger:
-    """Rounds and payload sizes implied by a configuration.
+    """Rounds and payload sizes of the configuration's ``plan``.
 
-    hist/pr: one round per tree level carrying the level's per-feature
-    payloads, except single-feature trees which need one root histogram per
-    tree. tr: one leaf round per batch of 2^d-leaf vectors; candidate
-    refinement adds one histogram round per refinement.
+    ``per_round_payload`` is the largest split or leaf round; candidate
+    refinement rounds count towards the rounds and the uplink only.
     """
-    from .config import CandidateMethod, FeatureMode
-    from .trees import SplitMethod
-
-    if config.m is None:
-        raise InvalidParameterError("comm_accounting requires config.m")
-    m = config.m
-    k = config.resolved_k()
-    T, d, Q = config.T, config.d, config.Q
-    leaves = 2 ** d
-    B = config.effective_batch_size
-    ih = config.candidate_method is CandidateMethod.ITERATIVE_HESSIAN
-    s = min(config.ih_rounds, T) if ih else 0
-    refined = m if (config.feature_mode is FeatureMode.CYCLICAL or k == m) else k
-
-    if config.split_method is SplitMethod.TOTALLY_RANDOM:
-        n_batches = math.ceil(T / B)
-        payload = 2 * min(B, T) * leaves
-        rounds = n_batches + s
-        uplink = 2 * T * leaves + s * 2 * Q * refined
-    elif k == 1:
-        rounds = T
-        payload = 2 * Q
-        uplink = T * 2 * Q
-        if ih and config.split_method is SplitMethod.PARTIALLY_RANDOM:
-            rounds += s
-            uplink += s * 2 * Q * refined
-    else:
-        payload = 2 * Q * k if config.split_method is SplitMethod.HIST else 4 * k
-        rounds = T * d
-        uplink = T * d * payload
-        if ih and config.split_method is SplitMethod.PARTIALLY_RANDOM:
-            rounds += s
-            uplink += s * 2 * Q * refined
-    return CommLedger(rounds=rounds, per_round_payload=payload, uplink_values=uplink)
+    return CommLedger.from_rounds(plan(config))
 
 
 class FederatedAggregator:
@@ -376,9 +339,7 @@ class FederatedAggregator:
         self.node = np.zeros(n, dtype=np.int64)
         self._bins = None
         self._bins_for: SplitCandidateSet | None = None
-        self.ledger = LedgerCounter()
-        self.comm_rounds = 0
-        self.comm_uplink = 0
+        self.rounds: list[Round] = []
         self.coords_released = 0
         self.noise_draws = 0
         self.nonprivate_candidate_access = False
@@ -447,13 +408,7 @@ class FederatedAggregator:
         if self.noise is not None and self.local_noise:
             contrib = contrib + self._rng.normal(0.0, self.noise.std, size=contrib.shape)
             self.noise_draws += contrib.size
-        if contrib.shape[0]:
-            self.codec.check_capacity(self.pop.n_clients, float(np.abs(contrib).max()))
-        acc = np.zeros((n_cells, 2), dtype=np.uint64)
-        np.add.at(acc, contrib_cell, self.codec.encode(contrib))
-        if self.codec.ring_bits != 64:
-            acc &= np.uint64(self.codec.modulus - 1)
-        out = self.codec.decode(acc)
+        out = self.codec.ring_sum(contrib, contrib_cell, n_cells, self.pop.n_clients)
         if self.noise is not None and not self.local_noise:
             out = out + self._rng.normal(0.0, self.noise.std, size=out.shape)
             self.noise_draws += out.size
@@ -471,14 +426,12 @@ class FederatedAggregator:
         feature. Binning is closed-right (see ``bin_index``).
         """
         Q = cand_set.q
-        self.comm_rounds += 1
-        self.comm_uplink += 2 * Q * len(features)
+        self.rounds.append(Round(category, len(features), 2 * Q * len(features)))
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
         pos = self._positions(nodes) * Q
         bins = self._binned(cand_set)
         out = {}
         for j in features:
-            self.ledger.add(category, 1)
             sums = self._release(pos + bins[j], nodes.size * Q)
             out[j] = {
                 int(nid): (sums[i * Q : (i + 1) * Q, 0], sums[i * Q : (i + 1) * Q, 1])
@@ -492,12 +445,10 @@ class FederatedAggregator:
         """One round of two-sided aggregates, one proposed threshold per node
         per feature. One privacy query per feature; 4 scalars per feature in
         the client message."""
-        self.comm_rounds += 1
-        self.comm_uplink += 4 * len(proposals)
+        self.rounds.append(Round(category, len(proposals), 4 * len(proposals)))
         out = {}
         positions = {}  # features usually share one node set
         for j, per_node in proposals.items():
-            self.ledger.add(category, 1)
             nodes = tuple(sorted(per_node))
             if nodes not in positions:
                 positions[nodes] = self._positions(np.asarray(nodes, dtype=np.int64))
@@ -530,10 +481,5 @@ class FederatedAggregator:
         Each tree's leaf partition is one privacy query; empty leaves release
         pure noise, and the client message grows linearly with the batch.
         """
-        self.comm_rounds += 1
-        self.comm_uplink += len(assignments) * 2 * n_leaves
-        out = []
-        for assign in assignments:
-            self.ledger.add("w", 1)
-            out.append(self._release(np.asarray(assign, dtype=np.int64), n_leaves))
-        return out
+        self.rounds.append(Round("w", len(assignments), len(assignments) * 2 * n_leaves))
+        return [self._release(np.asarray(assign, dtype=np.int64), n_leaves) for assign in assignments]

@@ -34,7 +34,7 @@ from .accounting import InvalidParameterError, PrivacyBudget, QueryCounter, coun
 from .boosting import predict, train
 from .config import CandidateMethod, FeatureMode, NoisePlacement, TrainConfig
 from .data import Dataset, load_csv, synthesize, train_test_split
-from .federation import ONE_RECORD_PER_CLIENT, CommLedger, comm_accounting, partition
+from .federation import ONE_RECORD_PER_CLIENT, CommLedger, partition
 from .gradients import UpdateMode
 from .trees import SplitMethod
 
@@ -409,7 +409,7 @@ def _run_cell(cid, cfg, dataset_name, dataset, eps, split_seed, rep, test_fracti
             train_auc=train_auc,
             sigma=outcome.sigma,
             queries=outcome.queries,
-            comm=comm_accounting(run_cfg),
+            comm=outcome.comm,
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # isolate the cell; the grid continues

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from dpgbdt.boosting import raw_scores
 from dpgbdt.data import philox
 from dpgbdt.federation import ONE_RECORD_PER_CLIENT, FederatedAggregator, partition
 from dpgbdt.gradients import update_scores
-from dpgbdt.harness import baseline_preset
+from dpgbdt.harness import PRESET_NAMES, baseline_preset
 from dpgbdt.trees import grow_tree_totally_random
 
 from oracles import logistic, rf_average_prediction
@@ -379,6 +380,35 @@ class TestEnsembleSerialization:
         payload["batch_boundaries"] = boundaries
         with pytest.raises(InvalidParameterError, match="batch_boundaries"):
             d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_eta_must_be_positive_and_finite(self, payload, eta):
+        payload["eta"] = eta
+        with pytest.raises(InvalidParameterError, match="eta"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "batch_size, boundaries", [(1, None), (3, None), (2, [[0, 2], [2, 5]])]
+    )
+    def test_batch_size_must_match_boundaries(self, small_data, batch_size, boundaries):
+        _, pop = small_data
+        res = d.train(d.TrainConfig(T=5, d=1, Q=4, B=2, seed=5), pop)
+        payload = res.ensemble.to_json_dict()  # batches of 2, 2 and 1 trees
+        payload["batch_size"] = batch_size
+        payload["batch_boundaries"] = boundaries or payload["batch_boundaries"]
+        with pytest.raises(InvalidParameterError, match="batch_size"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("B", [None, 3])
+    def test_every_preset_model_loads(self, small_data, name, B):
+        ds, pop = small_data
+        # T = 7: the batched preset (B = 2) and B = 3 leave a short last batch
+        cfg = baseline_preset(name, T=7, d=2, Q=4, ih_rounds=2, m=3, seed=5)
+        cfg = cfg.replace(budget=d.PrivacyBudget(1.0, 1e-3), B=B or cfg.B)
+        ensemble = d.train(cfg, pop).ensemble
+        back = d.Ensemble.from_json_dict(json.loads(json.dumps(ensemble.to_json_dict())))
+        assert np.array_equal(d.predict(back, ds.features), d.predict(ensemble, ds.features))
 
 
 class TestLearning:

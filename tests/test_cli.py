@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 import dpgbdt as d
-from dpgbdt.cli import main
+from dpgbdt.cli import _config_from, build_parser, main
 
 
 @pytest.fixture()
@@ -169,3 +170,37 @@ def test_account_json_pinned_for_every_preset(name, capsys):
             "secure_agg_round_factor": 3,
         },
     }
+
+
+def test_every_config_field_round_trips_and_has_a_flag():
+    cfg = d.TrainConfig(
+        T=7,
+        d=2,
+        Q=5,
+        split_method=d.SplitMethod.HIST,
+        update_mode=d.UpdateMode.GRADIENT,
+        candidate_method=d.CandidateMethod.LOG,
+        ih_rounds=2,
+        feature_mode=d.FeatureMode.RANDOM,
+        k=2,
+        B=3,
+        eta=0.5,
+        beta=1.5,
+        lam=2.0,
+        gamma=0.25,
+        budget=d.PrivacyBudget(1.0, 1e-5),
+        seed=9,
+        m=4,
+        centered_batch=False,
+        noise_placement=d.NoisePlacement.LOCAL,
+        name="x",
+    )
+    fields = [f.name for f in dataclasses.fields(d.TrainConfig)]
+    default = d.TrainConfig()
+    assert all(getattr(cfg, f) != getattr(default, f) for f in fields)
+    flat = cfg.to_flat_dict()
+    assert set(flat) == set(fields) - {"budget"} | {"epsilon", "delta"}
+    assert d.TrainConfig.from_flat_dict(flat) == cfg
+    for field in set(fields) - {"budget"}:
+        args = build_parser().parse_args(["account", f"--{field}", str(flat[field])])
+        assert getattr(_config_from(args, {})[0], field) == getattr(cfg, field), field

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -22,7 +23,7 @@ from dpgbdt.federation import (
     partition,
     secure_sum,
 )
-from dpgbdt.harness import baseline_preset
+from dpgbdt.harness import PRESET_NAMES, baseline_preset
 
 from oracles import client_cell_vectors, closed_right_bin
 
@@ -398,7 +399,9 @@ class TestAggregatorMeters:
         agg.hessian_round([0, 1], cs)
         agg.histogram_round([0], [0], cs, "s")
         agg.leaf_round([np.zeros(20, dtype=np.int64)], 2)
-        assert agg.ledger.snapshot().as_tuple() == (2, 1, 1)
+        assert d.QueryCounter.from_rounds(agg.rounds).as_tuple() == (2, 1, 1)
+        # (kind, queries, uplink): Q = 4 bins of (g, h) per feature, 2 leaves
+        assert agg.rounds == [d.Round("c", 2, 2 * 2 * 4), d.Round("s", 1, 2 * 4), d.Round("w", 1, 2 * 2)]
 
     def test_sharded_population_matches_singleton_sums(self):
         ds = d.synthesize(60, 2, 0.0, 0.5, seed=8)
@@ -438,18 +441,65 @@ class TestCommAccounting:
         assert ledger.uplink_bytes == ledger.uplink_values * 8
 
     def test_live_meters_match_formula_for_every_preset(self):
-        from dpgbdt.boosting import train
-        from dpgbdt.harness import PRESET_NAMES, baseline_preset
-
         ds = d.synthesize(60, 5, 0.2, 0.5, seed=9)
-        pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        for name in PRESET_NAMES:
-            for B_override in (None, 4):
-                cfg = baseline_preset(name, T=12, d=3, Q=8, ih_rounds=3, m=5, seed=1)
-                if B_override is not None and cfg.B == 1:
-                    cfg = cfg.replace(B=B_override)
-                cfg = cfg.with_budget(d.PrivacyBudget(2.0, 1e-3))
-                res = train(cfg, pop)
-                formula = comm_accounting(cfg)
-                assert res.comm_rounds == formula.rounds, (name, B_override)
-                assert res.comm_uplink_values == formula.uplink_values, (name, B_override)
+        pops = (partition(ds, None, ONE_RECORD_PER_CLIENT), partition(ds, 7, EQUAL_SHARDS, seed=1))
+        variants = (
+            {},
+            {"B": 4},
+            {"split_method": d.SplitMethod.PARTIALLY_RANDOM},
+            {"candidate_method": d.CandidateMethod.ITERATIVE_HESSIAN},
+            {"feature_mode": d.FeatureMode.RANDOM, "k": 2},
+        )
+        for pop, name, overrides in itertools.product(pops, PRESET_NAMES, variants):
+            cfg = baseline_preset(name, T=12, d=3, Q=8, ih_rounds=3, m=5, seed=1)
+            cfg = cfg.replace(budget=d.PrivacyBudget(2.0, 1e-3), **overrides)
+            res = train(cfg, pop)
+            where = (pop.descriptor, name, overrides)
+            assert res.rounds == d.plan(cfg), where
+            assert res.queries == d.count_queries(cfg), where
+            assert res.comm == comm_accounting(cfg), where
+
+
+TINY = d.synthesize(24, 3, 0.2, 0.5, seed=4)
+
+
+class TestQueryPlan:
+    @given(
+        split=st.sampled_from(list(d.SplitMethod)),
+        update=st.sampled_from(list(d.UpdateMode)),
+        cand=st.sampled_from(list(d.CandidateMethod)),
+        feature_mode=st.sampled_from(list(d.FeatureMode)),
+        k=st.one_of(st.none(), st.integers(1, 3)),
+        T=st.integers(1, 6),
+        depth=st.integers(1, 3),
+        Q=st.integers(2, 5),
+        ih_rounds=st.integers(1, 4),
+        batch=st.integers(1, 6),
+        shards=st.sampled_from([None, 1, 5]),
+        private=st.booleans(),
+        local=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_executed_rounds_equal_plan(
+        self, split, update, cand, feature_mode, k, T, depth, Q, ih_rounds, batch, shards,
+        private, local, seed,
+    ):
+        cfg = d.TrainConfig(
+            T=T,
+            d=depth,
+            Q=Q,
+            split_method=split,
+            update_mode=update,
+            candidate_method=cand,
+            ih_rounds=ih_rounds,
+            feature_mode=feature_mode,
+            k=k,
+            B=min(batch, T),
+            budget=d.PrivacyBudget(1.0, 1e-3) if private else None,
+            seed=seed,
+            noise_placement=d.NoisePlacement.LOCAL if local else d.NoisePlacement.CENTRAL,
+        )
+        policy = ONE_RECORD_PER_CLIENT if shards is None else EQUAL_SHARDS
+        res = train(cfg, partition(TINY, shards, policy, seed=seed))
+        assert res.rounds == d.plan(res.config)

@@ -286,8 +286,8 @@ class TestHistogramTree:
             agg_b, philox(0), d.SplitMethod.HIST, 0, cs, 3, 1.0, 0.0
         )
         assert structure_of(general, cs) == structure_of(single, cs)
-        assert agg_a.ledger.snapshot().kappa_s == 3
-        assert agg_b.ledger.snapshot().kappa_s == 1
+        assert d.QueryCounter.from_rounds(agg_a.rounds).kappa_s == 3
+        assert d.QueryCounter.from_rounds(agg_b.rounds).kappa_s == 1
 
     def test_single_feature_leaf_stats_match_direct_sums(self):
         ds = d.synthesize(50, 1, 0.0, 0.5, seed=31)
@@ -336,7 +336,7 @@ class TestPartiallyRandom:
         cs = quantile_set(ds, 3)
         agg = exact_aggregator(ds)
         grow_tree_partially_random(agg, philox(0), range(4), cs, 3, 1.0, 0.0)
-        assert agg.ledger.snapshot().kappa_s == 4 * 3
+        assert d.QueryCounter.from_rounds(agg.rounds).kappa_s == 4 * 3
 
 
 class TestTreeSerialization:
