@@ -90,16 +90,22 @@ class Ensemble:
         boundaries that do not cover the trees contiguously from 0 to T, or,
         for boosted ensembles, batches that disagree with batch_size (every
         batch but the last holds exactly batch_size trees, the last at most).
+        A missing key or a value of the wrong type raises it too.
         """
-        ensemble = cls(
-            trees=[Tree.from_dict(t) for t in payload["trees"]],
-            update_mode=UpdateMode(payload["update_mode"]),
-            eta=float(payload["eta"]),
-            batch_size=int(payload["batch_size"]),
-            centered_batch=bool(payload["centered_batch"]),
-            batch_boundaries=tuple((int(s), int(e)) for s, e in payload["batch_boundaries"]),
-            bounds=tuple((float(a), float(b)) for a, b in payload["bounds"]),
-        )
+        try:
+            ensemble = cls(
+                trees=[Tree.from_dict(t) for t in payload["trees"]],
+                update_mode=UpdateMode(payload["update_mode"]),
+                eta=float(payload["eta"]),
+                batch_size=int(payload["batch_size"]),
+                centered_batch=bool(payload["centered_batch"]),
+                batch_boundaries=tuple((int(s), int(e)) for s, e in payload["batch_boundaries"]),
+                bounds=tuple((float(a), float(b)) for a, b in payload["bounds"]),
+            )
+        except InvalidParameterError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise InvalidParameterError(f"malformed model JSON: {exc!r}") from exc
         if not (math.isfinite(ensemble.eta) and ensemble.eta > 0):
             raise InvalidParameterError(f"eta must be positive and finite, got {ensemble.eta}")
         m = len(ensemble.bounds)
@@ -184,12 +190,11 @@ def _refine(cands: SplitCandidateSet, hessians: dict[int, np.ndarray], Q: int) -
 
 def _assign_weights(tree: Tree, sums: np.ndarray, config: TrainConfig) -> None:
     """Fill the tree's leaf weights from its (2^d, 2) leaf (G, H) sums."""
-    for leaf, (g_sum, h_sum) in enumerate(sums.tolist()):
-        raw = leaf_weight(g_sum, h_sum, config.lam, config.update_mode)
-        if config.update_mode is UpdateMode.AVERAGING:
-            tree.leaf_weights[leaf] = raw
-        else:
-            tree.leaf_weights[leaf] = postprocess_weight(raw, config.eta, config.beta)
+    raw = leaf_weight(sums[:, 0], sums[:, 1], config.lam, config.update_mode)
+    if config.update_mode is UpdateMode.AVERAGING:
+        tree.leaf_weights[:] = raw
+    else:
+        tree.leaf_weights[:] = postprocess_weight(raw, config.eta, config.beta)
 
 
 def train(
@@ -316,7 +321,8 @@ def train(
 
 
 def _checked_features(ensemble: Ensemble, X) -> np.ndarray:
-    """X as a finite n x m float matrix, clamped to the ensemble's bounds."""
+    """X as a finite n x m float matrix, clamped to the ensemble's bounds and
+    held feature-major, so that every tree's routing reads contiguous columns."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or (ensemble.bounds and X.shape[1] != len(ensemble.bounds)):
         raise InvalidParameterError(
@@ -325,10 +331,10 @@ def _checked_features(ensemble: Ensemble, X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise InvalidParameterError("features must be finite (no NaN or infinity)")
     if not ensemble.bounds:
-        return X
+        return np.asfortranarray(X)
     lo = np.array([a for a, _ in ensemble.bounds])
     hi = np.array([b for _, b in ensemble.bounds])
-    return np.clip(X, lo, hi)
+    return np.clip(X, lo, hi, out=np.empty(X.shape, order="F"))
 
 
 def raw_scores(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:

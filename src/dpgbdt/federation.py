@@ -116,11 +116,15 @@ class FixedPointCodec:
         """
         if contrib.shape[0]:
             self.check_capacity(n_clients, float(np.abs(contrib).max()))
-        acc = np.zeros((n_cells,) + contrib.shape[1:], dtype=np.uint64)
-        np.add.at(acc, cell, self.encode(contrib))
+        # numpy's fast ``add.at`` path takes 1-D operands only, so each
+        # contribution column is scattered into its own 1-D accumulator.
+        cols = self.encode(contrib).reshape(contrib.shape[0], math.prod(contrib.shape[1:]))
+        acc = np.zeros((cols.shape[1], n_cells), dtype=np.uint64)
+        for k in range(cols.shape[1]):
+            np.add.at(acc[k], cell, cols[:, k])
         if self.ring_bits != 64:
             acc &= np.uint64(self.modulus - 1)
-        return self.decode(acc)
+        return self.decode(acc.T.reshape((n_cells,) + contrib.shape[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +132,10 @@ class ClientPopulation:
     """Disjoint partition of a training set across simulated clients.
 
     Records are stored client-contiguous; ``client_sizes`` gives the shard
-    sizes in order. Raw features and labels are client-side state: the
-    trainer must reach them only through FederatedAggregator queries.
+    sizes in order. ``features`` is held feature-major (Fortran order), so
+    every client-side read of one feature column (binning, pair queries,
+    routing) is contiguous. Raw features and labels are client-side state:
+    the trainer must reach them only through FederatedAggregator queries.
     """
 
     features: np.ndarray
@@ -144,6 +150,7 @@ class ClientPopulation:
         if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != len(self.labels):
             raise InvalidParameterError("client sizes must be positive and cover every record")
         client_of_record = np.repeat(np.arange(sizes.size), sizes)
+        object.__setattr__(self, "features", np.asfortranarray(self.features, dtype=float))
         object.__setattr__(self, "client_sizes", sizes)
         object.__setattr__(self, "_client_of_record", client_of_record)
         object.__setattr__(self, "_client_starts", np.concatenate([[0], np.cumsum(sizes)]))
@@ -199,8 +206,13 @@ def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 
         order = philox(seed).permutation(dataset.n)
     else:
         raise InvalidParameterError(f"unknown partition policy: {policy!r}")
+    # gather each column straight into the feature-major layout the
+    # population holds, with no row-major copy on the way
+    features = np.empty(dataset.features.shape, order="F")
+    for j, column in enumerate(dataset.features.T):
+        np.take(column, order, out=features[:, j])
     return ClientPopulation(
-        features=dataset.features[order],
+        features=features,
         labels=dataset.labels[order],
         client_sizes=sizes,
         bounds=dataset.bounds,
@@ -337,6 +349,7 @@ class FederatedAggregator:
         self.raw_scores = np.zeros(n)
         self.gh = np.stack([np.zeros(n), np.ones(n)])
         self.node = np.zeros(n, dtype=np.int64)
+        self.level = 0  # depth of every record's current node
         self._bins = None
         self._bins_for: SplitCandidateSet | None = None
         self.rounds: list[Round] = []
@@ -355,14 +368,16 @@ class FederatedAggregator:
 
     def begin_tree(self) -> None:
         self.node[:] = 0
+        self.level = 0
 
     def apply_splits(self, feature: np.ndarray, threshold: np.ndarray) -> None:
         """Clients route their records one level down the announced splits.
 
         ``feature`` and ``threshold`` are a tree's heap arrays (see ``Tree``);
-        every record's current node must be set in them.
+        every node of the records' current level must be set in them.
         """
-        self.node = descend(self.pop.features, self.node, feature, threshold)
+        self.node = descend(self.pop.features, self.node, self.level, feature, threshold)
+        self.level += 1
 
     def route_tree(self, tree) -> np.ndarray:
         return tree.route(self.pop.features)

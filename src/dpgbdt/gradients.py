@@ -55,13 +55,14 @@ SENSITIVITY_COUNTING = math.sqrt(2.0)
 
 
 def sigmoid(x):
-    """Numerically stable logistic function; preserves scalar/array shape."""
+    """Numerically stable logistic function; preserves scalar/array shape.
+
+    With e = exp(-|x|), which never overflows: 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, selected elementwise without boolean masks.
+    """
     arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         return float(out)
     return out

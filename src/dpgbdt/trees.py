@@ -27,7 +27,6 @@ its leaf sums as a (2^d, 2) array of (G, H) rows, leaf k in row k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,16 +58,23 @@ class SplitMethod(Enum):
 
 
 def descend(
-    X: np.ndarray, node: np.ndarray, feature: np.ndarray, threshold: np.ndarray
+    X: np.ndarray, node: np.ndarray, level: int, feature: np.ndarray, threshold: np.ndarray
 ) -> np.ndarray:
-    """Move every row of X from its heap node to the child its split picks.
+    """Move every row of X from its heap node at depth ``level`` to the child
+    its split picks.
 
     Node i sends a row to 2i + 1 when x[feature[i]] <= threshold[i], else to
-    2i + 2. This is the only routing step: ``Tree.route`` applies it d times,
-    and clients apply it once per announced level.
+    2i + 2. Each of the level's 2^level nodes compares its feature column
+    once (contiguous when X is feature-major); every row then picks its
+    node's outcome with one flat gather. This is the only routing step:
+    ``Tree.route`` applies it d times, and clients apply it once per
+    announced level.
     """
-    x = X[np.arange(X.shape[0]), feature[node]]
-    return 2 * node + 2 - (x <= threshold[node])
+    first, n = 2**level - 1, X.shape[0]
+    left = np.empty((first + 1, n), dtype=bool)
+    for i in range(first + 1):
+        np.less_equal(X[:, feature[first + i]], threshold[first + i], out=left[i])
+    return 2 * node + 2 - left.ravel()[(node - first) * n + np.arange(n)]
 
 
 @dataclass
@@ -109,8 +115,8 @@ class Tree:
         if X.ndim != 2:
             raise ValueError("route expects an n x m matrix")
         node = np.zeros(X.shape[0], dtype=np.int64)
-        for _ in range(self.max_depth):
-            node = descend(X, node, self.feature, self.threshold)
+        for level in range(self.max_depth):
+            node = descend(X, node, level, self.feature, self.threshold)
         return node - self.feature.size
 
     def to_dict(self) -> dict:
@@ -140,8 +146,18 @@ class Tree:
         Raises InvalidParameterError unless the tree is complete to
         ``max_depth``: internal nodes above it, leaves exactly at it. The
         walk checks this before anything is allocated, so its work is
-        bounded by the size of the payload.
+        bounded by the size of the payload. A missing key or a value of the
+        wrong type raises InvalidParameterError too.
         """
+        try:
+            return cls._from_dict(payload)
+        except InvalidParameterError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise InvalidParameterError(f"malformed tree: {exc!r}") from exc
+
+    @classmethod
+    def _from_dict(cls, payload: dict) -> "Tree":
         depth = int(payload["max_depth"])
         if depth < 0:
             raise InvalidParameterError(f"max_depth must be non-negative, got {depth}")
@@ -228,36 +244,43 @@ def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float)
     return _gain(GL, HL, GR, HR, lam, gamma), (GL, HL, GR, HR)
 
 
-def leaf_weight(G: float, H_or_count: float, lam: float, mode: UpdateMode) -> float:
+def leaf_weight(G, H_or_count, lam: float, mode: UpdateMode):
     """Raw (pre-learning-rate) weight of a leaf from its aggregate sums.
 
     gradient/newton: -G / (max(H, 0) + lam), the regularised optimum of the
     first/second-order objective. averaging: +G / (max(count, 0) + lam), the
-    smoothed positive-class proportion.
+    smoothed positive-class proportion. Elementwise over aligned arrays of
+    leaves; scalars give a scalar.
     """
-    denom = max(H_or_count, 0.0) + lam
-    if denom <= 0.0:
+    G = np.asarray(G, dtype=float)
+    denom = np.maximum(np.asarray(H_or_count, dtype=float), 0.0) + lam
+    if np.any(denom <= 0.0):
         raise InvalidParameterError(
-            f"non-positive leaf denominator {denom}; need lam > 0 for empty or noisy leaves"
+            f"non-positive leaf denominator {denom.min()}; "
+            "need lam > 0 for empty or noisy leaves"
         )
     if mode is UpdateMode.AVERAGING:
-        return G / denom
+        return (G / denom)[()]
     if mode in (UpdateMode.GRADIENT, UpdateMode.NEWTON):
-        return -G / denom
+        return (-G / denom)[()]
     raise InvalidParameterError(f"unknown update mode: {mode!r}")
 
 
-def postprocess_weight(w: float, eta: float, beta: float) -> float:
+def postprocess_weight(w, eta: float, beta: float):
     """Magnitude-clip a raw leaf weight at beta, then scale by the learning rate.
 
     Applies to gradient/newton updates only; averaging leaves store plain
-    proportions. beta = 0 zeroes the leaf.
+    proportions. beta = 0 zeroes the leaf. Elementwise over an array of
+    weights; a scalar gives a scalar.
     """
     if eta <= 0.0:
         raise InvalidParameterError(f"learning rate must be positive, got {eta}")
     if beta < 0.0:
         raise InvalidParameterError(f"clip factor must be non-negative, got {beta}")
-    return eta * math.copysign(min(abs(w), beta), w) if w != 0.0 else 0.0
+    w = np.asarray(w, dtype=float)
+    magnitude = np.abs(w)
+    clipped = np.where(beta < magnitude, beta, magnitude)  # min(|w|, beta), keeping |w| on ties
+    return np.where(w != 0.0, eta * np.copysign(clipped, w), 0.0)[()]
 
 
 def select_features(

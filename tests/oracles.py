@@ -51,6 +51,47 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
+def masked_sigmoid(x) -> np.ndarray:
+    """Two-branch stable logistic over boolean masks: 1 / (1 + exp(-x)) where
+    x >= 0 and exp(x) / (1 + exp(x)) elsewhere."""
+    arr = np.asarray(x, dtype=float)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def scalar_leaf_weight(G: float, H: float, lam: float, averaging: bool) -> float:
+    """One leaf's raw weight in Python floats: +-G / (max(H, 0) + lam)."""
+    denom = max(H, 0.0) + lam
+    return G / denom if averaging else -G / denom
+
+
+def scalar_postprocess(w: float, eta: float, beta: float) -> float:
+    """One raw weight clipped to magnitude beta, then scaled by eta."""
+    return eta * math.copysign(min(abs(w), beta), w) if w != 0.0 else 0.0
+
+
+def ring_cell_sums(
+    rows, cells, n_cells: int, width: int, precision_bits: int, ring_bits: int
+) -> list:
+    """Per-cell sums of fixed-point encoded rows of ``width`` values, in
+    Python integers.
+
+    Each value is encoded as round-half-even(value * 2^precision_bits) mod
+    2^ring_bits; cell sums are reduced mod 2^ring_bits, read as signed
+    (upper half negative) and scaled back. Returns n_cells lists of floats.
+    """
+    modulus, scale = 1 << ring_bits, 1 << precision_bits
+    sums = [[0] * width for _ in range(n_cells)]
+    for row, cell in zip(rows, cells):
+        for k, value in enumerate(row):
+            sums[cell][k] = (sums[cell][k] + round(value * scale)) % modulus
+    return [[(s - modulus if s >= modulus // 2 else s) / scale for s in cell] for cell in sums]
+
+
 def bce_loss(label: float, raw: float) -> float:
     p = logistic(raw)
     p = min(max(p, 1e-300), 1.0 - 1e-16)

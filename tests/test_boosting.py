@@ -388,6 +388,34 @@ class TestEnsembleSerialization:
             d.Ensemble.from_json_dict(payload)
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.pop("eta"),
+            lambda p: p["trees"][0].pop("root"),
+            lambda p: p.update(eta="abc"),
+            lambda p: p.update(update_mode="foo"),
+            lambda p: p["trees"][0]["root"].update(feature="x"),
+            lambda p: p.update(trees=5),
+        ],
+        ids=["no-eta", "no-root", "eta-abc", "update-mode-foo", "feature-x", "trees-int"],
+    )
+    def test_malformed_json_rejected(self, payload, edit):
+        edit(payload)
+        with pytest.raises(InvalidParameterError, match="malformed"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda t: t.pop("root"), lambda t: t["root"].update(feature="x")],
+        ids=["no-root", "feature-x"],
+    )
+    def test_malformed_tree_rejected(self, payload, edit):
+        tree = payload["trees"][0]
+        edit(tree)
+        with pytest.raises(InvalidParameterError, match="malformed"):
+            d.Tree.from_dict(tree)
+
+    @pytest.mark.parametrize(
         "batch_size, boundaries", [(1, None), (3, None), (2, [[0, 2], [2, 5]])]
     )
     def test_batch_size_must_match_boundaries(self, small_data, batch_size, boundaries):

@@ -25,7 +25,7 @@ from dpgbdt.federation import (
 )
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
 
-from oracles import client_cell_vectors, closed_right_bin
+from oracles import client_cell_vectors, closed_right_bin, ring_cell_sums
 
 
 def make_pop(n=32, m=2, seed=0, policy=ONE_RECORD_PER_CLIENT, n_clients=None):
@@ -68,6 +68,41 @@ class TestCodec:
         codec = FixedPointCodec(precision_bits=8, ring_bits=16)
         with pytest.raises(CodecOverflowError):
             codec.check_capacity(1000, 10.0)
+
+    @given(
+        data=st.data(),
+        ring_bits=st.sampled_from([64, 20]),
+        tail=st.sampled_from([(), (1,), (2,), (3,)]),
+        rows=st.integers(0, 40),
+        n_cells=st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ring_sum_matches_integer_oracle(self, data, ring_bits, tail, rows, n_cells):
+        # few cells for many rows: cells repeat, and some stay unused
+        precision, bound = (16, 1e6) if ring_bits == 64 else (4, 100.0)
+        width = math.prod(tail)
+        cells = data.draw(st.lists(st.integers(0, n_cells - 1), min_size=rows, max_size=rows))
+        value = st.floats(-bound, bound, allow_nan=False)
+        values = data.draw(st.lists(value, min_size=rows * width, max_size=rows * width))
+        contrib = np.array(values, dtype=float).reshape((rows,) + tail)
+        codec = FixedPointCodec(precision_bits=precision, ring_bits=ring_bits)
+        out = codec.ring_sum(contrib, np.array(cells, dtype=np.int64), n_cells, max(rows, 1))
+        assert out.shape == (n_cells,) + tail
+        expected = ring_cell_sums(
+            contrib.reshape(rows, width).tolist(), cells, n_cells, width, precision, ring_bits
+        )
+        assert out.reshape(n_cells, width).tolist() == expected
+
+    @pytest.mark.parametrize("ring_bits, precision", [(64, 16), (20, 4)])
+    def test_ring_sum_wraps_before_mask(self, ring_bits, precision):
+        # each -1.0 encodes near the top of the ring, so the raw accumulator
+        # passes 2^ring_bits (2^64: wraps in uint64) before it is reduced
+        codec = FixedPointCodec(precision_bits=precision, ring_bits=ring_bits)
+        contrib = np.array([[-1.0, 2.0], [-1.0, -3.0], [-1.0, 0.5], [0.25, -0.5]])
+        cells = np.array([0, 0, 0, 2])
+        out = codec.ring_sum(contrib, cells, 3, 4)
+        expected = ring_cell_sums(contrib.tolist(), cells.tolist(), 3, 2, precision, ring_bits)
+        assert out.tolist() == expected == [[-3.0, -0.5], [0.0, 0.0], [0.25, -0.5]]
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

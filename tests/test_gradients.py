@@ -12,7 +12,7 @@ from dpgbdt.gradients import (
     sigmoid,
 )
 
-from oracles import bce_loss
+from oracles import bce_loss, masked_sigmoid
 
 
 class TestBceGradients:
@@ -96,3 +96,17 @@ class TestHelpers:
         p = sigmoid(x)
         assert 0.0 <= p <= 1.0
         assert p == pytest.approx(1.0 - sigmoid(-x), abs=1e-12)
+
+    # each edge enters with both signs: ±0.0, ±5e-324, ±36, ±709.78, ±745.2, ±1e308
+    EDGES = [0.0, 5e-324, 36.0, 709.78, 745.2, 1e308]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+    @settings(max_examples=200)
+    def test_sigmoid_bit_identical_to_masked_formula(self, values):
+        x = np.array(values + self.EDGES + [-v for v in self.EDGES])
+        got, want = sigmoid(x), masked_sigmoid(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for xi, wi in zip(x.tolist(), want.tolist()):  # the scalar path
+            got_i = sigmoid(xi)
+            assert got_i == wi and math.copysign(1.0, got_i) == math.copysign(1.0, wi)

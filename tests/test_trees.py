@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.data import philox
 from dpgbdt.federation import (
     ONE_RECORD_PER_CLIENT,
+    ClientPopulation,
     FederatedAggregator,
     FixedPointCodec,
     partition,
@@ -20,7 +23,13 @@ from dpgbdt.trees import (
     grow_tree_totally_random,
 )
 
-from oracles import collect_structure, reference_greedy_tree, route_tree_dict
+from oracles import (
+    collect_structure,
+    reference_greedy_tree,
+    route_tree_dict,
+    scalar_leaf_weight,
+    scalar_postprocess,
+)
 
 
 def exact_aggregator(ds, mode=d.UpdateMode.NEWTON):
@@ -104,6 +113,21 @@ class TestLeafWeight:
     def test_denominator_error(self):
         with pytest.raises(InvalidParameterError):
             d.leaf_weight(1, -3, 0, d.UpdateMode.NEWTON)
+        with pytest.raises(InvalidParameterError):  # one bad leaf among good ones
+            d.leaf_weight(np.ones(3), np.array([2.0, -3.0, 1.0]), 0, d.UpdateMode.NEWTON)
+
+    @given(
+        leaves=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), max_size=16),
+        lam=st.floats(0.01, 10),
+        mode=st.sampled_from(list(d.UpdateMode)),
+    )
+    @settings(max_examples=100)
+    def test_array_of_leaves_matches_scalar_formula(self, leaves, lam, mode):
+        G, H = np.array(leaves, dtype=float).reshape(-1, 2).T
+        want = [scalar_leaf_weight(g, h, lam, mode is d.UpdateMode.AVERAGING) for g, h in leaves]
+        out = d.leaf_weight(G, H, lam, mode)
+        assert out.tolist() == want
+        assert np.signbit(out).tolist() == [math.copysign(1.0, x) < 0 for x in want]
 
 
 class TestPostprocess:
@@ -122,6 +146,16 @@ class TestPostprocess:
     def test_eta_validation(self):
         with pytest.raises(InvalidParameterError):
             d.postprocess_weight(1.0, eta=0.0, beta=1)
+
+    @given(
+        w=st.lists(st.floats(-50, 50), max_size=16), eta=st.floats(0.01, 2), beta=st.floats(0, 5)
+    )
+    @settings(max_examples=100)
+    def test_array_matches_scalar_formula(self, w, eta, beta):
+        out = d.postprocess_weight(np.array(w, dtype=float), eta, beta)
+        want = [scalar_postprocess(x, eta, beta) for x in w]
+        assert out.tolist() == want
+        assert np.signbit(out).tolist() == [math.copysign(1.0, x) < 0 for x in want]
 
     @given(w=st.floats(-50, 50), eta=st.floats(0.01, 2), beta=st.floats(0, 5))
     @settings(max_examples=100)
@@ -351,24 +385,53 @@ class TestTreeSerialization:
         assert np.array_equal(tree.route(X), back.route(X))
         assert np.allclose(back.leaf_weights, tree.leaf_weights)
 
-    @given(depth=st.integers(1, 5), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_random_complete_trees_round_trip_and_route_like_oracle(self, depth, m, seed):
+    # thresholds and rows share one grid, so many rows sit exactly on a threshold
+    GRID = np.arange(11) / 10
+
+    def random_tree_and_rows(self, depth, m, seed):
+        """A random complete tree and 40 rows as (C-ordered X, its feature-major
+        copy, column-sliced view of a wider matrix), all equal in value."""
         rng = philox(seed)
-        # thresholds and rows share one grid, so many rows sit exactly on a threshold
-        grid = np.arange(11) / 10
         n_internal = 2 ** depth - 1
         tree = d.Tree(
             rng.integers(0, m, n_internal),
-            rng.choice(grid, n_internal),
+            rng.choice(self.GRID, n_internal),
             rng.normal(0, 1, n_internal + 1),
             depth,
             tuple(range(m)),
         )
+        wide = rng.choice(self.GRID, size=(40, 2 * m))
+        X = np.ascontiguousarray(wide[:, ::2])
+        return tree, (X, np.asfortranarray(X), wide[:, ::2])
+
+    @given(depth=st.integers(1, 5), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_complete_trees_round_trip_and_route_like_oracle(self, depth, m, seed):
+        tree, layouts = self.random_tree_and_rows(depth, m, seed)
         payload = tree.to_dict()
         assert d.Tree.from_dict(payload).to_dict() == payload
-        X = rng.choice(grid, size=(40, m))
-        assert tree.leaf_weights[tree.route(X)].tolist() == [route_tree_dict(payload, x) for x in X]
+        oracle = [route_tree_dict(payload, x) for x in layouts[0]]
+        for X in layouts:
+            assert tree.leaf_weights[tree.route(X)].tolist() == oracle
+
+    @given(depth=st.integers(1, 5), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_client_routing_and_prediction_agree_across_layouts(self, depth, m, seed):
+        tree, layouts = self.random_tree_and_rows(depth, m, seed)
+        X = layouts[0]
+        bounds = ((0.0, 1.0),) * m
+        # a population built from C-ordered rows; clients descend level by level
+        pop = ClientPopulation(X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64), bounds, "grid")
+        assert pop.features.flags.f_contiguous
+        agg = FederatedAggregator(pop)
+        agg.begin_tree()
+        for _ in range(depth):
+            agg.apply_splits(tree.feature, tree.threshold)
+        assert np.array_equal(agg.node - tree.feature.size, tree.route(X))
+        ensemble = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, ((0, 1),), bounds)
+        want = d.predict(ensemble, X)
+        for other in layouts[1:]:
+            assert np.array_equal(d.predict(ensemble, other), want)
 
     def test_routing_splits_on_threshold(self):
         tree = d.Tree(np.array([0]), np.array([0.5]), np.zeros(2), 1, (0,))
