@@ -25,12 +25,17 @@ from dpgbdt.harness import PRESET_NAMES, baseline_preset, budget_for
 N, M, T, DEPTH, Q, IH_ROUNDS, SEED, EPSILON = 600, 5, 12, 3, 8, 3, 1, 1.0
 
 # (label, baseline preset, overrides): every named preset plus the variants
-# that reach the pair rounds, the single-feature builder and the candidate
-# refinement of hist trees, none of which a named preset covers.
+# that reach the pair rounds, the single-feature builder (hist and pr) and the
+# candidate refinement of hist trees, none of which a named preset covers.
 VARIANTS = tuple((name, name, {}) for name in PRESET_NAMES) + (
     ("pr", "FEVERLESS", {"split_method": d.SplitMethod.PARTIALLY_RANDOM}),
     ("hist-k1", "FEVERLESS", {"k": 1, "feature_mode": FeatureMode.CYCLICAL}),
     ("hist-IH", "FEVERLESS", {"candidate_method": CandidateMethod.ITERATIVE_HESSIAN}),
+    ("pr-k1", "FEVERLESS", {
+        "split_method": d.SplitMethod.PARTIALLY_RANDOM,
+        "k": 1,
+        "feature_mode": FeatureMode.CYCLICAL,
+    }),
 )
 POPULATIONS = ("one-record", "7-shards")
 
@@ -48,6 +53,7 @@ GOLDEN = {
     ("one-record", "pr"): "7324ff274b627208",
     ("one-record", "hist-k1"): "062e044aaf357d50",
     ("one-record", "hist-IH"): "f3b72a012b21c2af",
+    ("one-record", "pr-k1"): "e905f8cc88977f5f",
     ("7-shards", "DP-EBM"): "373b8ea5a65b0a9a",
     ("7-shards", "DP-EBM-Newton"): "8729dd331bd6b032",
     ("7-shards", "DP-GBM"): "660d3a2cdb3680a5",
@@ -61,6 +67,7 @@ GOLDEN = {
     ("7-shards", "pr"): "bbcbf84b78799a37",
     ("7-shards", "hist-k1"): "5adf720a251d968d",
     ("7-shards", "hist-IH"): "2e2813caab08fded",
+    ("7-shards", "pr-k1"): "f4e418fb7b380c48",
 }
 
 
