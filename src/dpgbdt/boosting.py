@@ -263,8 +263,11 @@ def train(
                     cands = _refine(cands, prev_root_hessians, config.Q)
                     hist_refines_done += 1
             elif t < config.ih_rounds:
-                hessians = agg.hessian_round(refined_features(config, F), cands)
-                cands = _refine(cands, hessians, config.Q)
+                # a root histogram round whose Hessian half refines the candidates
+                feats = refined_features(config, F)
+                agg.begin_tree()
+                res = agg.histogram_round([0], feats, cands, category="c")
+                cands = _refine(cands, dict(zip(feats, res[:, 0, :, 1])), config.Q)
 
         if is_tr:
             tree = grow_tree_totally_random(rng, F, cands, config.d)
@@ -286,7 +289,10 @@ def train(
             if config.split_method is SplitMethod.HIST:
                 prev_root_hessians = root_hess
             _assign_weights(tree, sums, config)
-            batch.append((tree, agg.route_tree(tree)))
+            # multi-feature builders leave every record at its leaf; a
+            # single-feature tree is scored from one histogram and is routed
+            assign = agg.route_tree(tree) if k == 1 else agg.node - tree.feature.size
+            batch.append((tree, assign))
 
         if len(batch) == B or t == config.T - 1:
             if is_tr:

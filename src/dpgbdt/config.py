@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -76,6 +77,9 @@ class TrainConfig:
             raise InvalidParameterError("need at least Q = 2 split candidates")
         if not (1 <= self.B <= self.T):
             raise InvalidParameterError(f"need 1 <= B <= T, got B={self.B}, T={self.T}")
+        for name in ("eta", "beta", "lam", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0:
             raise InvalidParameterError("learning rate eta must be positive")
         if self.beta < 0 or self.lam < 0 or self.gamma < 0:

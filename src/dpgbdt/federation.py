@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class FixedPointCodec:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         fixed = np.rint(np.asarray(values, dtype=float) * self.scale).astype(np.int64)
-        ring = fixed.astype(np.uint64)
+        ring = fixed.view(np.uint64)  # two's complement: the same bits as a cast
         if self.ring_bits != 64:
             ring &= np.uint64(self.modulus - 1)
         return ring
@@ -122,9 +122,33 @@ class FixedPointCodec:
         acc = np.zeros((cols.shape[1], n_cells), dtype=np.uint64)
         for k in range(cols.shape[1]):
             np.add.at(acc[k], cell, cols[:, k])
+        return self._decode_sum(acc.T.reshape((n_cells,) + contrib.shape[1:]))
+
+    def ring_reduce(self, blocks: Iterable[np.ndarray], n_clients: int) -> np.ndarray:
+        """Decoded modular sum of dense per-client contribution blocks.
+
+        Each block is a (clients, *shape) float array, one row per client, all
+        blocks of one shape; every row is encoded, the rows are summed in the
+        ring over the client axis and the block partials are added. An
+        encoded zero adds nothing, so a dense grid gives the same sums as
+        scattering its nonzero entries with ``ring_sum``. ``n_clients`` is the
+        most rows any one coordinate receives. The capacity check bounds it
+        against each block's largest magnitude before the block is encoded,
+        which fails exactly when a check on the largest magnitude of all
+        blocks would. Returns a ``shape`` float array.
+        """
+        acc = np.uint64(0)
+        for block in blocks:
+            max_abs = max(float(block.max(initial=0.0)), -float(block.min(initial=0.0)))
+            self.check_capacity(n_clients, max_abs)
+            acc = acc + self.encode(block).sum(axis=0, dtype=np.uint64)
+        return self._decode_sum(acc)
+
+    def _decode_sum(self, acc: np.ndarray) -> np.ndarray:
+        """Reduce a uint64 accumulator (summed mod 2^64) into the ring, then decode."""
         if self.ring_bits != 64:
             acc &= np.uint64(self.modulus - 1)
-        return self.decode(acc.T.reshape((n_cells,) + contrib.shape[1:]))
+        return self.decode(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +204,6 @@ class ClientPopulation:
     @property
     def all_singleton(self) -> bool:
         return self._all_singleton
-
-    def client_view(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        start, stop = self.client_starts[c], self.client_starts[c + 1]
-        return self.features[start:stop], self.labels[start:stop]
 
 
 def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 0) -> ClientPopulation:
@@ -244,8 +264,8 @@ def secure_sum(
     return out
 
 
-# Upper bound on the dense (client, cell) grid the per-client grouping
-# allocates at once; clients are grouped in blocks that fit under it.
+# Upper bound on the dense (client, cell) grid a release of a sharded
+# population allocates at once; clients are reduced in blocks that fit under it.
 GROUP_GRID_CELLS = 1 << 20
 
 
@@ -253,31 +273,6 @@ def _client_blocks(pop: ClientPopulation, n_cells: int):
     """(first client, end client) of each block whose dense grid fits the cap."""
     step = max(1, GROUP_GRID_CELLS // n_cells)
     return [(c, min(c + step, pop.n_clients)) for c in range(0, pop.n_clients, step)]
-
-
-def _per_client_cell_sums(
-    pop: ClientPopulation, cell: np.ndarray, stats: np.ndarray, n_cells: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group per-record (g, h) columns of ``stats`` (2, n) into
-    per-(client, cell) contribution rows.
-
-    Returns (cell index per contribution, (contributions, 2) matrix), with
-    populated (client, cell) pairs in ascending client-then-cell order. With
-    one-record clients each record is its own contribution.
-    """
-    if pop.all_singleton:
-        return cell, stats.T
-    cells, sums = [], []
-    for first, end in _client_blocks(pop, n_cells):
-        lo, hi = pop.client_starts[first], pop.client_starts[end]
-        key = (pop.client_of_record[lo:hi] - first) * n_cells + cell[lo:hi]
-        size = (end - first) * n_cells
-        hit = np.flatnonzero(np.bincount(key, minlength=size))
-        g = np.bincount(key, weights=stats[0, lo:hi], minlength=size)
-        h = np.bincount(key, weights=stats[1, lo:hi], minlength=size)
-        cells.append(hit % n_cells)
-        sums.append(np.stack([g[hit], h[hit]], axis=1))
-    return np.concatenate(cells), np.concatenate(sums)
 
 
 @dataclass(frozen=True)
@@ -417,78 +412,92 @@ class FederatedAggregator:
 
         Central model: one Gaussian draw per released coordinate after
         decoding. Local model: one draw per client-contribution coordinate
-        before encoding.
+        before encoding. One-record clients send their record's (g, h) into
+        its cell, scattered by ``ring_sum``; sharded clients send their dense
+        per-cell sums, reduced by ``ring_reduce`` (see ``_client_grids``).
         """
-        contrib_cell, contrib = _per_client_cell_sums(self.pop, cell, self.gh, n_cells)
-        if self.noise is not None and self.local_noise:
-            contrib = contrib + self._rng.normal(0.0, self.noise.std, size=contrib.shape)
-            self.noise_draws += contrib.size
-        out = self.codec.ring_sum(contrib, contrib_cell, n_cells, self.pop.n_clients)
+        local = self.noise is not None and self.local_noise
+        if self.pop.all_singleton:
+            contrib = self.gh.T
+            if local:
+                contrib = contrib + self._rng.normal(0.0, self.noise.std, size=contrib.shape)
+                self.noise_draws += contrib.size
+            out = self.codec.ring_sum(contrib, cell, n_cells, self.pop.n_clients)
+        else:
+            grids = self._client_grids(cell, n_cells, local)
+            out = self.codec.ring_reduce(grids, self.pop.n_clients)
         if self.noise is not None and not self.local_noise:
             out = out + self._rng.normal(0.0, self.noise.std, size=out.shape)
             self.noise_draws += out.size
         self.coords_released += out.size
         return out
 
+    def _client_grids(self, cell: np.ndarray, n_cells: int, local: bool):
+        """Per-client (g, h) sums of every cell, one client block at a time.
+
+        Yields (clients, n_cells, 2) grids whose blocks stay under
+        ``GROUP_GRID_CELLS`` entries. Under local noise every populated
+        (client, cell) pair is noised, in ascending client-then-cell order.
+        """
+        pop, gh = self.pop, self.gh
+        for first, end in _client_blocks(pop, n_cells):
+            lo, hi = pop.client_starts[first], pop.client_starts[end]
+            key = (pop.client_of_record[lo:hi] - first) * n_cells + cell[lo:hi]
+            size = (end - first) * n_cells
+            sums = [np.bincount(key, weights=w, minlength=size) for w in gh[:, lo:hi]]
+            grid = np.stack(sums, axis=1)
+            if local:
+                hit = np.flatnonzero(np.bincount(key, minlength=size))
+                grid[hit] += self._rng.normal(0.0, self.noise.std, size=(hit.size, 2))
+                self.noise_draws += 2 * hit.size
+            yield grid.reshape(end - first, n_cells, 2)
+
     def histogram_round(
         self, nodes: Sequence[int], features: Sequence[int], cand_set: SplitCandidateSet, category: str
-    ) -> dict[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    ) -> np.ndarray:
         """One aggregation round releasing a per-node histogram per feature.
 
         Every record must sit in one of ``nodes`` (a disjoint level of the
         tree), so each feature's histogram is one privacy query by parallel
         composition; the round's client message carries 2 Q scalars per
         feature. Binning is closed-right (see ``bin_index``).
+
+        Returns an (F, nodes, Q, 2) array: features in the order given, nodes
+        in ascending order, the (G, H) sums of each bin.
         """
         Q = cand_set.q
         self.rounds.append(Round(category, len(features), 2 * Q * len(features)))
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
         pos = self._positions(nodes) * Q
         bins = self._binned(cand_set)
-        out = {}
-        for j in features:
-            sums = self._release(pos + bins[j], nodes.size * Q)
-            out[j] = {
-                int(nid): (sums[i * Q : (i + 1) * Q, 0], sums[i * Q : (i + 1) * Q, 1])
-                for i, nid in enumerate(nodes)
-            }
+        out = np.empty((len(features), nodes.size, Q, 2))
+        for i, j in enumerate(features):
+            out[i] = self._release(pos + bins[j], nodes.size * Q).reshape(nodes.size, Q, 2)
         return out
 
     def split_pair_round(
-        self, proposals: dict[int, dict[int, float]], category: str = "s"
-    ) -> dict[int, dict[int, tuple[float, float, float, float]]]:
+        self, proposals: Mapping[int, Mapping[int, float]], category: str = "s"
+    ) -> np.ndarray:
         """One round of two-sided aggregates, one proposed threshold per node
         per feature. One privacy query per feature; 4 scalars per feature in
-        the client message."""
+        the client message.
+
+        ``proposals`` maps each feature to {node: threshold}; every feature
+        proposes for the same nodes. Returns an (F, nodes, 4) array: features
+        in the order of ``proposals``, nodes in ascending order, and
+        (G_L, H_L, G_R, H_R) of each split, left being x <= threshold.
+        """
         self.rounds.append(Round(category, len(proposals), 4 * len(proposals)))
-        out = {}
-        positions = {}  # features usually share one node set
-        for j, per_node in proposals.items():
-            nodes = tuple(sorted(per_node))
-            if nodes not in positions:
-                positions[nodes] = self._positions(np.asarray(nodes, dtype=np.int64))
-            pos = positions[nodes]
+        nodes = sorted(next(iter(proposals.values())))
+        pos = self._positions(np.asarray(nodes, dtype=np.int64))
+        out = np.empty((len(proposals), len(nodes), 4))
+        for i, (j, per_node) in enumerate(proposals.items()):
+            if sorted(per_node) != nodes:
+                raise InvalidParameterError("every feature must propose for the same nodes")
             thr = np.asarray([per_node[nid] for nid in nodes])[pos]
             sums = self._release(pos * 2 + (self.pop.features[:, j] > thr), len(nodes) * 2)
-            out[j] = {
-                int(nid): (
-                    float(sums[2 * i, 0]),
-                    float(sums[2 * i, 1]),
-                    float(sums[2 * i + 1, 0]),
-                    float(sums[2 * i + 1, 1]),
-                )
-                for i, nid in enumerate(nodes)
-            }
+            out[i] = sums.reshape(len(nodes), 4)
         return out
-
-    def hessian_round(
-        self, features: Sequence[int], cand_set: SplitCandidateSet
-    ) -> dict[int, np.ndarray]:
-        """Root-level histogram round for candidate refinement; the Hessian
-        half is consumed, the release is the standard (g, h) histogram."""
-        self.begin_tree()
-        res = self.histogram_round([0], features, cand_set, category="c")
-        return {j: res[j][0][1] for j in features}
 
     def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> list[np.ndarray]:
         """One round carrying the leaf vectors of a whole batch of trees.

@@ -364,17 +364,16 @@ def grow_tree_histogram(
         raise InvalidParameterError(f"depth must be at least 1, got {depth}")
     agg.begin_tree()
     tree = Tree.zeros(depth, feats)
-    root_hessians: dict[int, np.ndarray] = {}
     for level in range(depth):
         nodes = _level_nodes(level)
-        res = agg.histogram_round(nodes, feats, cand_set, category="s")
+        res = agg.histogram_round(nodes, feats, cand_set, category="s")  # (F, nodes, Q, 2)
         if level == 0:
-            root_hessians = {j: res[j][0][1].copy() for j in feats}
+            root_hessians = dict(zip(feats, res[:, 0, :, 1]))
         # (node, feature, candidate) scores of the whole level; the first
         # maximum of a node's flattened row is its lowest feature, then
         # lowest candidate, among the best.
-        G, H = (np.array([[res[j][node][s] for j in feats] for node in nodes]) for s in (0, 1))
-        scores, sides = _prefix_split_scores(G, H, lam, gamma)
+        by_node = res.transpose(1, 0, 2, 3)
+        scores, sides = _prefix_split_scores(by_node[..., 0], by_node[..., 1], lam, gamma)
         f, c = np.divmod(scores.reshape(len(nodes), -1).argmax(axis=1), cand_set.q)
         for i, node in enumerate(nodes):
             j = feats[f[i]]
@@ -410,24 +409,19 @@ def grow_tree_partially_random(
     tree = Tree.zeros(depth, feats)
     for level in range(depth):
         nodes = _level_nodes(level)
-        proposals = {}
-        for j in feats:
-            per_node = {}
-            for node in nodes:
-                c = int(rng.integers(cand_set.q))
-                per_node[node] = float(cand_set.per_feature[j][c])
-            proposals[j] = per_node
-        res = agg.split_pair_round(proposals, category="s")
-        # (node, feature, (GL, HL, GR, HR)) of the whole level
-        sums = np.array([[res[j][node] for j in feats] for node in nodes])
-        best = _gain(*np.moveaxis(sums, -1, 0), lam, gamma).argmax(axis=1)
-        for i, node in enumerate(nodes):
-            j = feats[best[i]]
-            tree.feature[node] = j
-            tree.threshold[node] = proposals[j][node]
+        # one candidate per (feature, node), drawn feature by feature
+        thr = np.array(
+            [[cand_set.per_feature[j][rng.integers(cand_set.q)] for _ in nodes] for j in feats]
+        )
+        proposals = {j: dict(zip(nodes, thr[i])) for i, j in enumerate(feats)}
+        sums = agg.split_pair_round(proposals, category="s")  # (F, nodes, 4)
+        # first maximum over features: ties go to the lowest feature
+        best = _gain(*np.moveaxis(sums, -1, 0), lam, gamma).argmax(axis=0)
+        tree.feature[nodes] = np.asarray(feats)[best]
+        tree.threshold[nodes] = thr[best, np.arange(len(nodes))]
         agg.apply_splits(tree.feature, tree.threshold)
     # last level: node i's chosen (GL, HL, GR, HR) are the sums of leaves 2i, 2i + 1
-    return tree, sums[np.arange(len(nodes)), best].reshape(-1, 2)
+    return tree, sums[best, np.arange(len(nodes))].reshape(-1, 2)
 
 
 def grow_tree_single_feature(
@@ -444,38 +438,45 @@ def grow_tree_single_feature(
 
     Every node of a single-feature tree is a contiguous bin interval, so the
     root histogram supplies split scores at every level and the leaf sums,
-    at the cost of a single query per tree. PR draws its candidates in
-    pre-order.
+    at the cost of a single query per tree. HIST scores a whole level at
+    once (ties go to the lowest candidate); PR draws every node's candidate
+    in pre-order before the first level is split.
 
     Returns (tree, (2^d, 2) leaf sums, {feature: root Hessian bins}).
     """
     if method not in (SplitMethod.HIST, SplitMethod.PARTIALLY_RANDOM):
         raise InvalidParameterError("single-feature growth applies to hist/pr only")
-    res = agg.histogram_round([0], [feature_j], cand_set, category="s")
-    G, H = res[feature_j][0]
+    G, H = agg.histogram_round([0], [feature_j], cand_set, category="s")[0, 0].T
     Q = G.size
     cum_g = np.concatenate([[0.0], np.cumsum(G)])
     cum_h = np.concatenate([[0.0], np.cumsum(H)])
     tree = Tree.zeros(depth, (feature_j,))
+    if method is SplitMethod.PARTIALLY_RANDOM:
+        drawn = np.zeros(tree.feature.size, dtype=np.int64)
+        for heap in _preorder(depth):
+            drawn[heap] = rng.integers(Q)
     # bin interval [lo, hi) of every heap node, parents set before children
     lo = np.zeros(2 * tree.n_leaves - 1, dtype=np.int64)
     hi = np.full(2 * tree.n_leaves - 1, Q, dtype=np.int64)
-    for heap in _preorder(depth):
-        a, b = int(lo[heap]), int(hi[heap])
+    for level in range(depth):
+        nodes = np.asarray(_level_nodes(level))
+        a, b = lo[nodes], hi[nodes]
         if method is SplitMethod.HIST:
-            cuts = np.clip(np.arange(1, Q + 1), a, b)
-            GL = cum_g[cuts] - cum_g[a]
-            HL = cum_h[cuts] - cum_h[a]
-            GR = (cum_g[b] - cum_g[a]) - GL
-            HR = (cum_h[b] - cum_h[a]) - HL
-            c = int(np.argmax(_gain(GL, HL, GR, HR, lam, gamma)))
+            # (node, candidate) scores of the level; first maximum per node
+            a2, b2 = a[:, None], b[:, None]
+            cuts = np.clip(np.arange(1, Q + 1), a2, b2)
+            GL = cum_g[cuts] - cum_g[a2]
+            HL = cum_h[cuts] - cum_h[a2]
+            GR = (cum_g[b2] - cum_g[a2]) - GL
+            HR = (cum_h[b2] - cum_h[a2]) - HL
+            c = _gain(GL, HL, GR, HR, lam, gamma).argmax(axis=1)
         else:
-            c = int(rng.integers(Q))
-        cut = min(max(c + 1, a), b)
-        tree.feature[heap] = feature_j
-        tree.threshold[heap] = _routing_threshold(cand_set, feature_j, c)
-        lo[2 * heap + 1], hi[2 * heap + 1] = a, cut
-        lo[2 * heap + 2], hi[2 * heap + 2] = cut, b
+            c = drawn[nodes]
+        cut = np.clip(c + 1, a, b)
+        tree.feature[nodes] = feature_j
+        tree.threshold[nodes] = [_routing_threshold(cand_set, feature_j, int(k)) for k in c]
+        lo[2 * nodes + 1], hi[2 * nodes + 1] = a, cut
+        lo[2 * nodes + 2], hi[2 * nodes + 2] = cut, b
     leaf_lo, leaf_hi = lo[-tree.n_leaves :], hi[-tree.n_leaves :]
     leaves = np.stack([cum_g[leaf_hi] - cum_g[leaf_lo], cum_h[leaf_hi] - cum_h[leaf_lo]], axis=1)
-    return tree, leaves, {feature_j: np.asarray(H).copy()}
+    return tree, leaves, {feature_j: H.copy()}

@@ -9,7 +9,7 @@ import dpgbdt as d
 from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.boosting import raw_scores
 from dpgbdt.data import philox
-from dpgbdt.federation import ONE_RECORD_PER_CLIENT, FederatedAggregator, partition
+from dpgbdt.federation import EQUAL_SHARDS, ONE_RECORD_PER_CLIENT, FederatedAggregator, partition
 from dpgbdt.gradients import update_scores
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
 from dpgbdt.trees import grow_tree_totally_random
@@ -130,6 +130,35 @@ class TestTrain:
         assert res.queries.as_tuple() == d.count_queries(cfg.with_m(3)).as_tuple()
         probs = d.predict(res.ensemble, ds.features)
         assert probs.shape == (90,)
+
+    @pytest.mark.parametrize("split", [d.SplitMethod.HIST, d.SplitMethod.PARTIALLY_RANDOM])
+    @pytest.mark.parametrize("shards", [None, 7])
+    def test_builder_leaf_assignment_equals_route(self, monkeypatch, split, shards):
+        ds = d.synthesize(150, 4, 0.3, 0.5, seed=3)
+        policy = ONE_RECORD_PER_CLIENT if shards is None else EQUAL_SHARDS
+        pop = partition(ds, shards, policy, seed=1)
+        batches, routes = [], []
+        original_update = FederatedAggregator.apply_score_update
+        original_route = d.Tree.route
+
+        def recording_update(self, batch, *args, **kwargs):
+            batches.append([(tree, assign.copy()) for tree, assign in batch])
+            return original_update(self, batch, *args, **kwargs)
+
+        def counting_route(self, X):
+            routes.append(len(X))
+            return original_route(self, X)
+
+        monkeypatch.setattr(FederatedAggregator, "apply_score_update", recording_update)
+        monkeypatch.setattr(d.Tree, "route", counting_route)
+        cfg = baseline_preset("FEVERLESS", T=6, d=3, Q=8, m=4, seed=2)
+        d.train(cfg.replace(split_method=split, B=2, budget=d.PrivacyBudget(1.0, 1e-3)), pop)
+        # the builders leave every record at its leaf: training routes nothing
+        assert routes == []
+        monkeypatch.setattr(d.Tree, "route", original_route)
+        assert sum(len(batch) for batch in batches) == 6
+        for tree, assign in itertools.chain.from_iterable(batches):
+            assert np.array_equal(assign, tree.route(pop.features))
 
     def test_quantile_candidates_flag_nonprivate(self, small_data):
         _, pop = small_data

@@ -27,6 +27,12 @@ class TestValidation:
             d.TrainConfig(lam=0.0, budget=d.PrivacyBudget(1.0, 1e-5))
         d.TrainConfig(lam=0.0)  # non-private zero lambda is allowed
 
+    @pytest.mark.parametrize("field", ["eta", "beta", "lam", "gamma"])
+    def test_non_finite_rejected(self, field):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameterError, match=field):
+                d.TrainConfig(**{field: value})
+
     def test_resolved_k(self):
         assert d.TrainConfig(m=7).resolved_k() == 7
         assert d.TrainConfig(m=7, k=2).resolved_k() == 2

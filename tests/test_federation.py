@@ -40,10 +40,10 @@ def aggregator(pop, g, h, codec=None, **kwargs):
 
 
 def root_histogram(pop, thresholds, g, h, codec=None):
-    """{0: (G, H)}: the root node's histogram of feature 0."""
+    """(G, H): the root node's histogram of feature 0."""
     thr = np.asarray(thresholds, dtype=float)
     cs = d.SplitCandidateSet((thr,) * pop.m, pop.bounds)
-    return aggregator(pop, g, h, codec).histogram_round([0], [0], cs, "s")[0]
+    return aggregator(pop, g, h, codec).histogram_round([0], [0], cs, "s")[0, 0].T
 
 
 class TestCodec:
@@ -103,6 +103,34 @@ class TestCodec:
         out = codec.ring_sum(contrib, cells, 3, 4)
         expected = ring_cell_sums(contrib.tolist(), cells.tolist(), 3, 2, precision, ring_bits)
         assert out.tolist() == expected == [[-3.0, -0.5], [0.0, 0.0], [0.25, -0.5]]
+
+    @given(
+        data=st.data(),
+        ring_bits=st.sampled_from([64, 20]),
+        block_rows=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+        width=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ring_reduce_matches_integer_oracle(self, data, ring_bits, block_rows, width):
+        precision, bound = (16, 1e6) if ring_bits == 64 else (4, 100.0)
+        value = st.floats(-bound, bound, allow_nan=False)
+        blocks = [
+            np.array(data.draw(st.lists(value, min_size=r * width, max_size=r * width)))
+            .reshape(r, 1, width)
+            for r in block_rows
+        ]
+        codec = FixedPointCodec(precision_bits=precision, ring_bits=ring_bits)
+        rows = np.concatenate(blocks).reshape(-1, width)
+        out = codec.ring_reduce(iter(blocks), max(len(rows), 1))
+        assert out.shape == (1, width)
+        expected = ring_cell_sums(rows.tolist(), [0] * len(rows), 1, width, precision, ring_bits)
+        assert out.tolist() == expected
+
+    def test_ring_reduce_checks_capacity(self):
+        codec = FixedPointCodec(precision_bits=8, ring_bits=16)
+        blocks = [np.full((100, 3), 1.0), np.full((100, 3), -100.0)]
+        with pytest.raises(CodecOverflowError):
+            codec.ring_reduce(iter(blocks), 200)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -178,7 +206,8 @@ class TestPartition:
     def test_disjoint_cover(self):
         ds = d.synthesize(30, 3, seed=5)
         pop = partition(ds, 7, EQUAL_SHARDS, seed=2)
-        stacked = np.vstack([pop.client_view(c)[0] for c in range(pop.n_clients)])
+        starts = pop.client_starts
+        stacked = np.vstack([pop.features[starts[c] : starts[c + 1]] for c in range(pop.n_clients)])
         assert np.array_equal(
             stacked[np.lexsort(stacked.T)], ds.features[np.lexsort(ds.features.T)]
         )
@@ -203,8 +232,7 @@ class TestHistogramQuery:
         X = np.full((4, 1), 0.4)
         ds = d.Dataset(X, np.ones(4, dtype=int), ((0.0, 1.0),))
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        out = root_histogram(pop, [0.25, 0.5, 0.75], g=np.ones(4), h=np.ones(4))
-        G, H = out[0]
+        G, H = root_histogram(pop, [0.25, 0.5, 0.75], g=np.ones(4), h=np.ones(4))
         assert np.allclose(G, [0, 4, 0])
         assert np.allclose(H, [0, 4, 0])
 
@@ -212,8 +240,8 @@ class TestHistogramQuery:
         X = np.array([[0.5]])
         ds = d.Dataset(X, np.array([1]), ((0.0, 1.0),))
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        out = root_histogram(pop, [0.25, 0.5, 0.75], g=np.ones(1), h=np.ones(1))
-        assert np.allclose(out[0][0], [0, 1, 0])
+        G, _ = root_histogram(pop, [0.25, 0.5, 0.75], g=np.ones(1), h=np.ones(1))
+        assert np.allclose(G, [0, 1, 0])
 
     def test_bin_sums_equal_global_sums(self):
         rng = philox(17)
@@ -225,8 +253,7 @@ class TestHistogramQuery:
             g = rng.normal(0, 1, n)
             h = rng.random(n)
             thr = np.sort(rng.random(5))
-            out = root_histogram(pop, thr, g=g, h=h, codec=codec)
-            G, H = out[0]
+            G, H = root_histogram(pop, thr, g=g, h=h, codec=codec)
             assert G.sum() == pytest.approx(g.sum(), abs=n / codec.scale)
             assert H.sum() == pytest.approx(h.sum(), abs=n / codec.scale)
 
@@ -236,8 +263,8 @@ class TestHistogramQuery:
         ds = d.synthesize(n, 1, 0.0, 0.5, seed=3)
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
         thr = np.linspace(0.1, 0.9, 6)
-        out = root_histogram(pop, thr, g=np.ones(n), h=np.ones(n))
-        assert out[0][0].sum() == pytest.approx(n, abs=1e-6)
+        G, _ = root_histogram(pop, thr, g=np.ones(n), h=np.ones(n))
+        assert G.sum() == pytest.approx(n, abs=1e-6)
 
 
 class TestLeafQuery:
@@ -334,12 +361,12 @@ class TestClientDataPlane:
             X = pop.features[:, j]
             cells = [p * Q + closed_right_bin(x, cs.per_feature[j]) for p, x in zip(pos, X)]
             want = secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * Q), codec)
-            got = np.concatenate([np.stack(hist[j][nid], axis=1) for nid in nodes])
+            got = hist[j].reshape(-1, 2)
             assert np.array_equal(got, want.reshape(-1, 2))
 
             cells = [2 * p + int(x > proposals[j][nid]) for p, x, nid in zip(pos, X, node_of_record)]
             want = secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * 2), codec)
-            got = np.array([pairs[j][nid] for nid in nodes])
+            got = pairs[j]
             assert np.array_equal(got.reshape(-1, 2), want.reshape(-1, 2))
 
     def test_local_noise_draws_once_per_populated_pair(self):
@@ -360,24 +387,59 @@ class TestClientDataPlane:
         assert pop.n_clients < len(populated) < pop.n_clients * cs.q
         assert agg.noise_draws == 2 * len(populated)
 
+    def test_local_noise_release_independent_of_block_size(self):
+        rng = philox(5)
+        pop = grid_population([5, 1, 3, 7, 2, 4], 2, rng)
+        g, h = rng.normal(0, 1, pop.n), rng.random(pop.n)
+        cs = d.uniform_candidates(pop.bounds, 6)
+        outs, draws = [], []
+        for cap in (1, 7, federation.GROUP_GRID_CELLS):
+            agg = aggregator(
+                pop, g, h, noise=d.NoiseScale(1.0, 1.0), noise_seed=3, local_noise=True
+            )
+            with mock.patch.object(federation, "GROUP_GRID_CELLS", cap):
+                outs.append(agg.histogram_round([0], [0, 1], cs, "s"))
+            draws.append(agg.noise_draws)
+        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+        assert draws[0] == draws[1] == draws[2] > 0
+
+    def test_sharded_release_detects_wraparound(self):
+        ds = d.synthesize(400, 2, 0.0, 0.5, seed=3)
+        pop = partition(ds, 10, EQUAL_SHARDS, seed=0)
+        cs = d.uniform_candidates(pop.bounds, 4)
+        small = FixedPointCodec(precision_bits=8, ring_bits=16)
+        # 10 clients of 40 records with g = 1: a per-client cell sum reaches
+        # about 10 * 2^8 in a ring whose signed half is 2^15
+        agg = aggregator(pop, np.ones(pop.n), np.ones(pop.n), small)
+        with pytest.raises(CodecOverflowError):
+            agg.histogram_round([0], [0, 1], cs, "s")
+        # the same round fits once the per-client sums are small enough
+        tiny = aggregator(pop, np.full(pop.n, 0.01), np.full(pop.n, 0.01), small)
+        assert tiny.histogram_round([0], [0, 1], cs, "s").shape == (2, 1, 4, 2)
+
+    def test_pair_round_needs_one_node_set(self):
+        pop = make_pop(20, 2)
+        agg = FederatedAggregator(pop)
+        with pytest.raises(ValueError, match="same nodes"):
+            agg.split_pair_round({0: {0: 0.5}, 1: {0: 0.5, 1: 0.5}})
+
     def test_refined_candidates_rebin(self):
         ds = d.synthesize(300, 3, 0.3, 0.5, seed=6)
         pop = partition(ds, 10, EQUAL_SHARDS, seed=1)
         agg = FederatedAggregator(pop)
         agg.recompute_gradients(d.UpdateMode.NEWTON)
         cs = d.uniform_candidates(pop.bounds, 8)
-        hess = agg.hessian_round(range(3), cs)
-        refined = d.iterative_hessian_refine(
-            d.HessianHistogram(tuple(hess[j] for j in range(3))), cs, 8
-        )
+        agg.begin_tree()
+        hess = agg.histogram_round([0], range(3), cs, "c")[:, 0, :, 1]
+        refined = d.iterative_hessian_refine(d.HessianHistogram(tuple(hess)), cs, 8)
         got = agg.histogram_round([0], range(3), refined, "s")
         fresh = FederatedAggregator(pop)
         fresh.recompute_gradients(d.UpdateMode.NEWTON)
         want = fresh.histogram_round([0], range(3), refined, "s")
         stale = fresh.histogram_round([0], range(3), cs, "s")
         for j in range(3):
-            assert np.array_equal(np.stack(got[j][0]), np.stack(want[j][0]))
-        assert any(not np.array_equal(np.stack(got[j][0]), np.stack(stale[j][0])) for j in range(3))
+            assert np.array_equal(got[j, 0], want[j, 0])
+        assert any(not np.array_equal(got[j, 0], stale[j, 0]) for j in range(3))
 
     def test_binning_once_per_candidate_set(self, monkeypatch):
         calls = []
@@ -431,7 +493,8 @@ class TestAggregatorMeters:
         pop = make_pop(20, 2)
         agg = FederatedAggregator(pop)
         cs = d.uniform_candidates(pop.bounds, 4)
-        agg.hessian_round([0, 1], cs)
+        agg.begin_tree()
+        agg.histogram_round([0], [0, 1], cs, "c")
         agg.histogram_round([0], [0], cs, "s")
         agg.leaf_round([np.zeros(20, dtype=np.int64)], 2)
         assert d.QueryCounter.from_rounds(agg.rounds).as_tuple() == (2, 1, 1)
@@ -448,7 +511,7 @@ class TestAggregatorMeters:
             agg = FederatedAggregator(pop)
             agg.recompute_gradients(d.UpdateMode.NEWTON)
             res = agg.histogram_round([0], [0], cs, "s")
-            outs.append(np.concatenate(res[0][0]))
+            outs.append(np.concatenate(res[0, 0].T))
         assert np.allclose(outs[0], outs[1], atol=1e-3)
 
 

@@ -258,8 +258,7 @@ class TestHistogramTree:
         ds = d.synthesize(60, 1, 0.0, 0.5, seed=9)
         cs = quantile_set(ds, 5)
         agg = exact_aggregator(ds)
-        res = agg.histogram_round([0], [0], cs, "s")
-        G, H = res[0][0]
+        G, H = agg.histogram_round([0], [0], cs, "s")[0, 0].T
         scores, _ = _prefix_split_scores(G, H, 1.0, 0.0)
         def direct_score(data, left):
             g = 0.5 - data.labels
