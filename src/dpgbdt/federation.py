@@ -445,7 +445,7 @@ class FederatedAggregator:
             key = (pop.client_of_record[lo:hi] - first) * n_cells + cell[lo:hi]
             size = (end - first) * n_cells
             sums = [np.bincount(key, weights=w, minlength=size) for w in gh[:, lo:hi]]
-            grid = np.stack(sums, axis=1)
+            grid = np.column_stack(sums)
             if local:
                 hit = np.flatnonzero(np.bincount(key, minlength=size))
                 grid[hit] += self._rng.normal(0.0, self.noise.std, size=(hit.size, 2))
@@ -490,12 +490,13 @@ class FederatedAggregator:
         self.rounds.append(Round(category, len(proposals), 4 * len(proposals)))
         nodes = sorted(next(iter(proposals.values())))
         pos = self._positions(np.asarray(nodes, dtype=np.int64))
+        left_cell = pos * 2
         out = np.empty((len(proposals), len(nodes), 4))
         for i, (j, per_node) in enumerate(proposals.items()):
             if sorted(per_node) != nodes:
                 raise InvalidParameterError("every feature must propose for the same nodes")
             thr = np.asarray([per_node[nid] for nid in nodes])[pos]
-            sums = self._release(pos * 2 + (self.pop.features[:, j] > thr), len(nodes) * 2)
+            sums = self._release(left_cell + (self.pop.features[:, j] > thr), len(nodes) * 2)
             out[i] = sums.reshape(len(nodes), 4)
         return out
 
