@@ -406,16 +406,17 @@ class TestClientDataPlane:
     def test_sharded_release_detects_wraparound(self):
         ds = d.synthesize(400, 2, 0.0, 0.5, seed=3)
         pop = partition(ds, 10, EQUAL_SHARDS, seed=0)
-        cs = d.uniform_candidates(pop.bounds, 4)
+        cs = d.uniform_candidates(pop.bounds, 2)
         small = FixedPointCodec(precision_bits=8, ring_bits=16)
-        # 10 clients of 40 records with g = 1: a per-client cell sum reaches
-        # about 10 * 2^8 in a ring whose signed half is 2^15
+        # 10 clients of 40 records in 2 bins, g = 1: some per-client cell sum
+        # is at least 20, so 10 clients need 10 * (20 * 2^8 + 1) > 2^15, the
+        # signed half of the ring
         agg = aggregator(pop, np.ones(pop.n), np.ones(pop.n), small)
         with pytest.raises(CodecOverflowError):
             agg.histogram_round([0], [0, 1], cs, "s")
-        # the same round fits once the per-client sums are small enough
+        # at g = h = 0.01 every cell sum is at most 0.4, which fits
         tiny = aggregator(pop, np.full(pop.n, 0.01), np.full(pop.n, 0.01), small)
-        assert tiny.histogram_round([0], [0, 1], cs, "s").shape == (2, 1, 4, 2)
+        assert tiny.histogram_round([0], [0, 1], cs, "s").shape == (2, 1, 2, 2)
 
     def test_pair_round_needs_one_node_set(self):
         pop = make_pop(20, 2)
