@@ -21,7 +21,6 @@ from .accounting import (
 )
 from .boosting import Ensemble, TrainResult, predict, raw_scores, train
 from .candidates import (
-    HessianHistogram,
     SplitCandidateSet,
     iterative_hessian_refine,
     log_candidates,

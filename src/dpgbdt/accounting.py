@@ -239,35 +239,34 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
     return float(np.min(eps))
 
 
-def _epsilon_for_sigma(sigma: float, total_queries: int, delta: float, grid: np.ndarray) -> float:
-    # Composition of ``total_queries`` Gaussian queries at one sigma, converted.
-    taus = total_queries * grid / (2.0 * sigma * sigma)
-    return float(np.min(taus + math.log(1.0 / delta) / (grid - 1.0)))
-
-
 def calibrate_sigma(budget: PrivacyBudget, counter: QueryCounter, alphas=None) -> float:
     """Smallest noise multiplier meeting ``budget`` over ``counter.total`` queries.
 
     Bisects sigma in log space over the bracket [1e-3, 1e4] until the bracket
     is relatively tighter than 1e-4, and returns the feasible endpoint, so the
-    result satisfies the budget while (1 - 1e-3) times it does not.
+    result satisfies the budget while (1 - 1e-3) times it does not. Each
+    epsilon(sigma) is ``rdp_to_dp`` of ``counter.total`` composed copies of
+    ``gaussian_rdp(sigma)``.
     """
     total = counter.total
     if total == 0:
         raise ZeroQueryError("configuration issues no private queries; nothing to calibrate")
-    grid = _as_alpha_grid(DEFAULT_ALPHAS if alphas is None else alphas)
+
+    def epsilon(sigma: float) -> float:
+        return rdp_to_dp(compose_sequential([gaussian_rdp(sigma, alphas)], [total]), budget.delta)
+
     lo, hi = SIGMA_BRACKET
-    if _epsilon_for_sigma(hi, total, budget.delta, grid) > budget.epsilon:
+    if epsilon(hi) > budget.epsilon:
         raise InvalidParameterError(
             f"budget epsilon={budget.epsilon} unreachable within sigma bracket {SIGMA_BRACKET}"
         )
-    if _epsilon_for_sigma(lo, total, budget.delta, grid) <= budget.epsilon:
+    if epsilon(lo) <= budget.epsilon:
         return lo
     for _ in range(SIGMA_MAX_ITER):
         if hi / lo - 1.0 <= SIGMA_REL_TOL:
             break
         mid = math.sqrt(lo * hi)
-        if _epsilon_for_sigma(mid, total, budget.delta, grid) <= budget.epsilon:
+        if epsilon(mid) <= budget.epsilon:
             hi = mid
         else:
             lo = mid
@@ -295,6 +294,10 @@ def plan(config: "TrainConfig") -> list[Round]:
     two-sided pair round per level (4 per feature). Totally random trees pay
     no split round; their leaf vectors go out in one round (w) per batch,
     one query and 2 * 2^d scalars per tree.
+
+    A level round's uplink counts one node's vector, although a level-l
+    round releases 2^l of them and a client's secure-aggregation message
+    would cover them all; leaf rounds do count every leaf.
     """
     from .config import CandidateMethod
     from .trees import SplitMethod

@@ -31,7 +31,6 @@ from .accounting import (
     refined_features,
 )
 from .candidates import (
-    HessianHistogram,
     SplitCandidateSet,
     iterative_hessian_refine,
     log_candidates,
@@ -183,11 +182,6 @@ def _initial_candidates(config: TrainConfig, agg: FederatedAggregator) -> SplitC
     return uniform_candidates(bounds, config.Q)
 
 
-def _refine(cands: SplitCandidateSet, hessians: dict[int, np.ndarray], Q: int) -> SplitCandidateSet:
-    per = tuple(hessians.get(j) for j in range(cands.n_features))
-    return iterative_hessian_refine(HessianHistogram(per), cands, Q)
-
-
 def _assign_weights(tree: Tree, sums: np.ndarray, config: TrainConfig) -> None:
     """Fill the tree's leaf weights from its (2^d, 2) leaf (G, H) sums."""
     raw = leaf_weight(sums[:, 0], sums[:, 1], config.lam, config.update_mode)
@@ -210,7 +204,7 @@ def train(
     and the noise stream use independent Philox streams).
     """
     if config.m is None:
-        config = config.with_m(population.m)
+        config = config.replace(m=population.m)
     elif config.m != population.m:
         raise InvalidParameterError(
             f"config declares m={config.m} but the population has m={population.m}"
@@ -247,8 +241,7 @@ def train(
     trees: list[Tree] = []
     boundaries: list[tuple[int, int]] = []
     batch: list[tuple[Tree, np.ndarray]] = []
-    hist_refines_done = 0
-    prev_root_hessians: dict[int, np.ndarray] | None = None
+    root_hessians: dict[int, np.ndarray] = {}  # the previous tree's, under hist
 
     for t in range(config.T):
         if t % B == 0:
@@ -259,35 +252,31 @@ def train(
         if config.candidate_method is CandidateMethod.ITERATIVE_HESSIAN:
             if config.split_method is SplitMethod.HIST:
                 # free refinement from the previous tree's root histograms
-                if prev_root_hessians is not None and hist_refines_done < config.ih_rounds:
-                    cands = _refine(cands, prev_root_hessians, config.Q)
-                    hist_refines_done += 1
+                if 0 < t <= config.ih_rounds:
+                    cands = iterative_hessian_refine(root_hessians, cands)
             elif t < config.ih_rounds:
                 # a root histogram round whose Hessian half refines the candidates
                 feats = refined_features(config, F)
                 agg.begin_tree()
                 res = agg.histogram_round([0], feats, cands, category="c")
-                cands = _refine(cands, dict(zip(feats, res[:, 0, :, 1])), config.Q)
+                cands = iterative_hessian_refine(dict(zip(feats, res[:, 0, :, 1])), cands)
 
         if is_tr:
             tree = grow_tree_totally_random(rng, F, cands, config.d)
             batch.append((tree, agg.route_tree(tree)))
         else:
             if k == 1:
-                tree, sums, root_hess = grow_tree_single_feature(
+                tree, sums, root_hessians = grow_tree_single_feature(
                     agg, rng, config.split_method, F[0], cands, config.d, config.lam, config.gamma
                 )
             elif config.split_method is SplitMethod.HIST:
-                tree, sums, root_hess = grow_tree_histogram(
+                tree, sums, root_hessians = grow_tree_histogram(
                     agg, F, cands, config.d, config.lam, config.gamma
                 )
             else:
                 tree, sums = grow_tree_partially_random(
                     agg, rng, F, cands, config.d, config.lam, config.gamma
                 )
-                root_hess = None
-            if config.split_method is SplitMethod.HIST:
-                prev_root_hessians = root_hess
             _assign_weights(tree, sums, config)
             # multi-feature builders leave every record at its leaf; a
             # single-feature tree is scored from one histogram and is routed

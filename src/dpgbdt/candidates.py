@@ -20,13 +20,12 @@ Generators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "SplitCandidateSet",
-    "HessianHistogram",
     "uniform_candidates",
     "log_candidates",
     "quantile_candidates",
@@ -68,29 +67,6 @@ class SplitCandidateSet:
     @property
     def q(self) -> int:
         return self.per_feature[0].size
-
-
-@dataclass(frozen=True, eq=False)
-class HessianHistogram:
-    """Per-feature binned Hessian sums; None marks features left untouched.
-
-    Values may be negative after noising; the refinement floors them at zero
-    when making merge/split decisions.
-    """
-
-    per_feature: tuple[np.ndarray | None, ...]
-
-    def __post_init__(self):
-        arrays = []
-        for vals in self.per_feature:
-            if vals is None:
-                arrays.append(None)
-                continue
-            arr = np.asarray(vals, dtype=float)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError("histogram columns must be non-empty 1-d arrays")
-            arrays.append(arr)
-        object.__setattr__(self, "per_feature", tuple(arrays))
 
 
 def bin_index(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -198,18 +174,19 @@ def _fit_to_size(sorted_unique: np.ndarray, Q: int, a: float, b: float) -> np.nd
     return vals
 
 
-def _refine_feature(hess: np.ndarray, thresholds: np.ndarray, Q: int, a: float, b: float) -> np.ndarray:
+def _refine_feature(hess: np.ndarray, thresholds: np.ndarray, a: float, b: float) -> np.ndarray:
     """One refinement round for one feature.
 
     Scans bins left to right against the target mass theta = sum(H+)/Q.
     Starved bins merge rightward (mass accumulates); a run that reaches the
     end of the array keeps only its right edge. Bins at or above target keep
     both edges and gain their midpoint. The survivor set is then fitted back
-    to exactly Q thresholds.
+    to exactly Q = len(thresholds) thresholds.
     """
-    if hess.size != thresholds.size:
+    hess = np.asarray(hess, dtype=float)
+    if hess.shape != thresholds.shape:
         raise ValueError(
-            f"histogram has {hess.size} bins but candidate set has {thresholds.size}"
+            f"histogram has shape {hess.shape} but the candidates have shape {thresholds.shape}"
         )
     floored = np.maximum(hess, 0.0)
     theta = floored.sum() / hess.size
@@ -230,28 +207,23 @@ def _refine_feature(hess: np.ndarray, thresholds: np.ndarray, Q: int, a: float, 
     if ended_in_merge:
         kept.append(edges[-1])
     survivors = np.unique(np.clip(np.asarray(kept, dtype=float), a, b))
-    return _fit_to_size(survivors, Q, a, b)
+    return _fit_to_size(survivors, thresholds.size, a, b)
 
 
 def iterative_hessian_refine(
-    hist: HessianHistogram, current: SplitCandidateSet, Q: int
+    hessians: Mapping[int, np.ndarray], current: SplitCandidateSet
 ) -> SplitCandidateSet:
-    """Refine candidate thresholds around a released Hessian histogram.
+    """Refine candidate thresholds around released Hessian histograms.
 
-    Features whose histogram column is None keep their current thresholds.
-    The input histogram is the only data dependence: the operation is pure
-    post-processing and costs no additional privacy.
+    ``hessians`` maps a feature to its Q Hessian bin sums; features left out
+    keep their current thresholds. The histograms are the only data
+    dependence: the operation is pure post-processing and costs no
+    additional privacy.
     """
-    if len(hist.per_feature) != current.n_features:
-        raise ValueError(
-            f"histogram covers {len(hist.per_feature)} features, "
-            f"candidate set has {current.n_features}"
-        )
-    per = []
-    for j, column in enumerate(hist.per_feature):
-        if column is None:
-            per.append(current.per_feature[j])
-            continue
+    per = list(current.per_feature)
+    for j, column in hessians.items():
+        if not 0 <= j < current.n_features:
+            raise ValueError(f"histogram for feature {j}, candidate set has {current.n_features}")
         a, b = current.bounds[j]
-        per.append(_refine_feature(column, current.per_feature[j], Q, a, b))
+        per[j] = _refine_feature(column, per[j], a, b)
     return SplitCandidateSet(tuple(per), current.bounds)

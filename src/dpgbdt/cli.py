@@ -124,7 +124,7 @@ def _cmd_train(args) -> int:
         budget = (
             PrivacyBudget(epsilon, delta) if delta is not None else budget_for(epsilon, train_set.n)
         )
-        cfg = cfg.with_budget(budget)
+        cfg = cfg.replace(budget=budget)
     pop = partition(train_set, None, ONE_RECORD_PER_CLIENT, seed=cfg.seed)
     result = train(cfg, pop)
     if args.out:
@@ -197,7 +197,7 @@ def _cmd_account(args) -> int:
     if epsilon is not None:
         if delta is None:
             raise ValueError("account needs --delta alongside --epsilon (no dataset to infer 1/n)")
-        cfg = cfg.with_budget(PrivacyBudget(epsilon, delta))
+        cfg = cfg.replace(budget=PrivacyBudget(epsilon, delta))
     if cfg.m is None:
         raise ValueError("account needs --m (number of features)")
     counter = count_queries(cfg)

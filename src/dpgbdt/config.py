@@ -106,12 +106,6 @@ class TrainConfig:
         """Averaging ensembles are one T-sized batch; others use B as given."""
         return self.T if self.update_mode is UpdateMode.AVERAGING else self.B
 
-    def with_m(self, m: int) -> "TrainConfig":
-        return dataclasses.replace(self, m=m)
-
-    def with_budget(self, budget: PrivacyBudget | None) -> "TrainConfig":
-        return dataclasses.replace(self, budget=budget)
-
     def replace(self, **kwargs) -> "TrainConfig":
         return dataclasses.replace(self, **kwargs)
 

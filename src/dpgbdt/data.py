@@ -30,8 +30,6 @@ __all__ = [
     "philox",
 ]
 
-CONTINUOUS = "continuous"
-
 # Shape parameters of the heavy-tailed synthetic features; the clip point is
 # far enough out (4 log-sigma) that clipping leaves skewness intact.
 _LOGNORMAL_SIGMA = 1.25
@@ -65,7 +63,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     bounds: tuple[tuple[float, float], ...]
-    feature_kinds: tuple[str, ...] = ()
     bounds_derived: bool = False
 
     def __post_init__(self):
@@ -94,15 +91,11 @@ class Dataset:
                     f"feature {j} value {X[row, j]!r} at row {row + 1} outside "
                     f"declared bounds ({a}, {b})"
                 )
-        kinds = tuple(self.feature_kinds) or tuple(CONTINUOUS for _ in range(X.shape[1]))
-        if len(kinds) != X.shape[1]:
-            raise ValueError("feature_kinds must align with features")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "feature_kinds", kinds)
 
     @property
     def n(self) -> int:
@@ -115,11 +108,7 @@ class Dataset:
     def take(self, index: np.ndarray) -> "Dataset":
         """Row subset sharing bounds and flags."""
         return Dataset(
-            self.features[index],
-            self.labels[index],
-            self.bounds,
-            self.feature_kinds,
-            self.bounds_derived,
+            self.features[index], self.labels[index], self.bounds, self.bounds_derived
         )
 
 
@@ -127,7 +116,6 @@ class Dataset:
 class SplitPair:
     train: Dataset
     test: Dataset
-    fraction: float
 
 
 def load_csv(path, label_column: str, bounds=None) -> Dataset:
@@ -285,5 +273,4 @@ def train_test_split(dataset: Dataset, fraction: float, seed: int = 0) -> SplitP
     return SplitPair(
         train=dataset.take(order[:n_train]),
         test=dataset.take(order[n_train:]),
-        fraction=fraction,
     )

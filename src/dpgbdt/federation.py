@@ -85,11 +85,8 @@ class FixedPointCodec:
         return ring
 
     def decode(self, ring_values: np.ndarray) -> np.ndarray:
-        u = np.asarray(ring_values, dtype=np.uint64)
-        if self.ring_bits == 64:
-            signed = u.astype(np.int64)
-        else:
-            signed = u.astype(np.int64)
+        signed = np.asarray(ring_values, dtype=np.uint64).astype(np.int64)
+        if self.ring_bits != 64:
             half = self.modulus >> 1
             signed = np.where(signed >= half, signed - self.modulus, signed)
         return signed.astype(float) / self.scale
@@ -476,28 +473,29 @@ class FederatedAggregator:
         return out
 
     def split_pair_round(
-        self, proposals: Mapping[int, Mapping[int, float]], category: str = "s"
+        self, nodes: Sequence[int], proposals: Mapping[int, np.ndarray], category: str = "s"
     ) -> np.ndarray:
         """One round of two-sided aggregates, one proposed threshold per node
         per feature. One privacy query per feature; 4 scalars per feature in
         the client message.
 
-        ``proposals`` maps each feature to {node: threshold}; every feature
-        proposes for the same nodes. Returns an (F, nodes, 4) array: features
-        in the order of ``proposals``, nodes in ascending order, and
-        (G_L, H_L, G_R, H_R) of each split, left being x <= threshold.
+        Every record must sit in one of ``nodes``. ``proposals`` maps each
+        feature to its thresholds, one per node in ascending node order.
+        Returns an (F, nodes, 4) array: features in the order of
+        ``proposals``, nodes in ascending order, and (G_L, H_L, G_R, H_R) of
+        each split, left being x <= threshold.
         """
+        nodes = np.asarray(sorted(nodes), dtype=np.int64)
+        thresholds = [np.asarray(thr, dtype=float) for thr in proposals.values()]
+        if any(thr.shape != nodes.shape for thr in thresholds):
+            raise InvalidParameterError("every feature must propose one threshold per node")
         self.rounds.append(Round(category, len(proposals), 4 * len(proposals)))
-        nodes = sorted(next(iter(proposals.values())))
-        pos = self._positions(np.asarray(nodes, dtype=np.int64))
+        pos = self._positions(nodes)
         left_cell = pos * 2
-        out = np.empty((len(proposals), len(nodes), 4))
-        for i, (j, per_node) in enumerate(proposals.items()):
-            if sorted(per_node) != nodes:
-                raise InvalidParameterError("every feature must propose for the same nodes")
-            thr = np.asarray([per_node[nid] for nid in nodes])[pos]
-            sums = self._release(left_cell + (self.pop.features[:, j] > thr), len(nodes) * 2)
-            out[i] = sums.reshape(len(nodes), 4)
+        out = np.empty((len(proposals), nodes.size, 4))
+        for i, (j, thr) in enumerate(zip(proposals, thresholds)):
+            sums = self._release(left_cell + (self.pop.features[:, j] > thr[pos]), nodes.size * 2)
+            out[i] = sums.reshape(nodes.size, 4)
         return out
 
     def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> list[np.ndarray]:

@@ -456,25 +456,18 @@ def _average_ranks(values: list[tuple[str, float]]) -> dict[str, float]:
 def rank_table(results) -> dict[float | None, dict[str, float]]:
     """Average rank of each method across datasets, one table column per epsilon.
 
-    ``results`` is an iterable of ExperimentResult (or row dicts). Methods are
-    ranked 1 = best by mean test AUC inside every (dataset, epsilon) cell;
-    ranks then average over datasets. Raises MissingCellError when a method
-    lacks results for some cell.
+    ``results`` is an iterable of ExperimentResult; rows that did not finish
+    ok with a test AUC are skipped. Methods are ranked 1 = best by mean test
+    AUC inside every (dataset, epsilon) cell; ranks then average over
+    datasets. Raises MissingCellError when a method lacks results for some
+    cell.
     """
     by_cell: dict[tuple, dict[str, list[float]]] = {}
     methods: set[str] = set()
     for res in results:
-        if isinstance(res, ExperimentResult):
-            if res.status != "ok" or res.test_auc is None:
-                continue
-            dataset, eps, method, auc = res.dataset, res.epsilon, res.config_id, res.test_auc
-        else:
-            dataset, eps, method, auc = (
-                res["dataset"],
-                res["epsilon"],
-                res["config_id"],
-                float(res["test_auc"]),
-            )
+        if res.status != "ok" or res.test_auc is None:
+            continue
+        dataset, eps, method, auc = res.dataset, res.epsilon, res.config_id, res.test_auc
         methods.add(method)
         by_cell.setdefault((dataset, eps), {}).setdefault(method, []).append(auc)
 

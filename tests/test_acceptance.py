@@ -100,15 +100,13 @@ def test_criterion_3_ledger_conservation_all_presets():
             Q = int(rng.integers(2, 9))
             s = int(rng.integers(1, 4))
             B = int(rng.integers(1, T + 1))
-            sub = d.Dataset(
-                ds.features[:, :m], ds.labels, ds.bounds[:m], ds.feature_kinds[:m]
-            )
+            sub = d.Dataset(ds.features[:, :m], ds.labels, ds.bounds[:m])
             pop = partition(sub, None, ONE_RECORD_PER_CLIENT)
             for name in PRESET_NAMES:
                 cfg = baseline_preset(name, T=T, d=depth, Q=Q, ih_rounds=s, m=m, seed=case)
                 if cfg.B == 1:  # B is pinned for DP-RF and the batch preset
                     cfg = cfg.replace(B=B)
-                cfg = cfg.with_budget(d.PrivacyBudget(2.0, 1e-3))
+                cfg = cfg.replace(budget=d.PrivacyBudget(2.0, 1e-3))
                 res = train(cfg, pop)
                 expected = d.count_queries(cfg)
                 assert res.queries.as_tuple() == expected.as_tuple(), (name, case)
@@ -291,7 +289,7 @@ def test_criterion_9_hessian_refinement_helps_skewed_features():
             if prev is not None and prev > 2.0 * theta:
                 assert peak < prev, (peak, prev)
             prev = peak
-            cs = d.iterative_hessian_refine(d.HessianHistogram((hist,)), cs, 32)
+            cs = d.iterative_hessian_refine({0: hist}, cs)
 
 
 @pytest.mark.slow

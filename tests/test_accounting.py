@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpgbdt as d
-from dpgbdt.accounting import (
-    GridMismatchError,
-    InvalidParameterError,
-    ZeroQueryError,
-    _epsilon_for_sigma,
-)
+from dpgbdt.accounting import GridMismatchError, InvalidParameterError, ZeroQueryError
 
 from oracles import dense_alpha_grid, dense_grid_epsilon
 
@@ -124,10 +119,12 @@ class TestRdpToDp:
     )
     @settings(max_examples=40)
     def test_monotone_in_sigma_and_count(self, sigma, k, factor):
-        delta = 1e-5
-        eps = _epsilon_for_sigma(sigma, k, delta, d.DEFAULT_ALPHAS)
-        assert _epsilon_for_sigma(sigma * factor, k, delta, d.DEFAULT_ALPHAS) <= eps
-        assert _epsilon_for_sigma(sigma, 2 * k, delta, d.DEFAULT_ALPHAS) >= eps
+        def epsilon(sigma, count):
+            return d.rdp_to_dp(d.compose_sequential([d.gaussian_rdp(sigma)], [count]), 1e-5)
+
+        eps = epsilon(sigma, k)
+        assert epsilon(sigma * factor, k) <= eps
+        assert epsilon(sigma, 2 * k) >= eps
 
 
 class TestCalibrateSigma:

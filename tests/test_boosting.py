@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import dpgbdt as d
+import dpgbdt.boosting as boosting
+import dpgbdt.candidates as candidates
 from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.boosting import raw_scores
 from dpgbdt.data import philox
@@ -127,7 +129,7 @@ class TestTrain:
         pop = partition(ds, 9, "equal-shards", seed=1)
         cfg = d.TrainConfig(T=4, d=2, Q=4, budget=d.PrivacyBudget(2.0, 1e-3), seed=2)
         res = d.train(cfg, pop)
-        assert res.queries.as_tuple() == d.count_queries(cfg.with_m(3)).as_tuple()
+        assert res.queries.as_tuple() == d.count_queries(cfg.replace(m=3)).as_tuple()
         probs = d.predict(res.ensemble, ds.features)
         assert probs.shape == (90,)
 
@@ -193,7 +195,7 @@ class TestLedgerConservation:
                 budget=d.PrivacyBudget(5.0, 1e-3),
             )
             res = d.train(cfg, pop)
-            expected = d.count_queries(cfg.with_m(4))
+            expected = d.count_queries(cfg.replace(m=4))
             assert res.queries.as_tuple() == expected.as_tuple(), (split, cand, B, k)
 
     def test_tr_spy_sees_no_structure_queries(self, small_data):
@@ -240,6 +242,59 @@ class TestRefinementSchedule:
         for tree in res.ensemble.trees[1:]:
             later_thresholds.update(tree.threshold.tolist())
         assert later_thresholds - uniform - {ds.bounds[0][1]}
+
+
+    @pytest.mark.parametrize("T", [3, 8])
+    @pytest.mark.parametrize("method", list(d.SplitMethod))
+    def test_refinement_runs_at_the_planned_trees(self, small_data, monkeypatch, method, T):
+        # hist refines for free from the previous tree's root Hessians at
+        # trees 1..min(s, T - 1); tr and pr pay a candidate round at trees
+        # 0..min(s, T) - 1
+        _, pop = small_data
+        s = 5
+        tree, roots, calls = [None], [], []  # calls: (tree index, Hessian columns seen)
+        select = boosting.select_features
+        refine = boosting.iterative_hessian_refine
+        refine_feature = candidates._refine_feature
+        grow = boosting.grow_tree_histogram
+
+        def tracked_select(mode, k, t, *args):
+            tree[0] = t
+            return select(mode, k, t, *args)
+
+        def tracked_refine(*args):
+            calls.append((tree[0], []))
+            return refine(*args)
+
+        def tracked_refine_feature(hess, *args):
+            calls[-1][1].append(hess)
+            return refine_feature(hess, *args)
+
+        def tracked_grow(*args):
+            out = grow(*args)
+            roots.append(out[2])
+            return out
+
+        monkeypatch.setattr(boosting, "select_features", tracked_select)
+        monkeypatch.setattr(boosting, "iterative_hessian_refine", tracked_refine)
+        monkeypatch.setattr(candidates, "_refine_feature", tracked_refine_feature)
+        monkeypatch.setattr(boosting, "grow_tree_histogram", tracked_grow)
+        cfg = d.TrainConfig(
+            T=T, d=2, Q=4, split_method=method,
+            candidate_method=d.CandidateMethod.ITERATIVE_HESSIAN, ih_rounds=s, seed=3,
+        )
+        res = d.train(cfg, pop)
+        refined_at = [t for t, _ in calls]
+        if method is d.SplitMethod.HIST:
+            assert refined_at == list(range(1, min(s, T - 1) + 1))
+            for t, columns in calls:
+                previous = list(roots[t - 1].values())
+                assert len(columns) == len(previous) == pop.m
+                assert all(np.array_equal(a, b) for a, b in zip(columns, previous))
+            assert res.queries.kappa_c == 0
+        else:
+            assert refined_at == list(range(min(s, T)))
+            assert res.queries.kappa_c == d.count_queries(res.config).kappa_c > 0
 
 
 def batch_update(prev, trees, X, eta, centered=True):

@@ -96,10 +96,10 @@ class TestBinIndex:
 class TestIterativeHessianRefine:
     def test_uniform_mass_is_a_fixpoint(self):
         grid = d.uniform_candidates([(0.0, 1.0)], 5)
-        hist = d.HessianHistogram((np.full(5, 2.0),))
-        once = d.iterative_hessian_refine(hist, grid, 5)
+        hist = {0: np.full(5, 2.0)}
+        once = d.iterative_hessian_refine(hist, grid)
         assert np.allclose(once.per_feature[0], grid.per_feature[0])
-        twice = d.iterative_hessian_refine(hist, once, 5)
+        twice = d.iterative_hessian_refine(hist, once)
         assert np.allclose(twice.per_feature[0], once.per_feature[0])
 
     def test_uniform_mass_outputs_subset_of_edges_and_midpoints(self):
@@ -108,15 +108,13 @@ class TestIterativeHessianRefine:
         allowed = np.unique(
             np.concatenate([[0.0], old, (np.concatenate([[0.0], old[:-1]]) + old) / 2.0])
         )
-        out = d.iterative_hessian_refine(
-            d.HessianHistogram((np.ones(8),)), grid, 8
-        ).per_feature[0]
+        out = d.iterative_hessian_refine({0: np.ones(8)}, grid).per_feature[0]
         for v in out:
             assert np.any(np.isclose(allowed, v))
 
     def test_single_heavy_bin(self):
         grid = d.uniform_candidates([(0.0, 1.0)], 5)
-        out = _refine_feature(np.array([0.0, 0.0, 10.0, 0.0, 0.0]), grid.per_feature[0], 5, 0.0, 1.0)
+        out = _refine_feature(np.array([0.0, 0.0, 10.0, 0.0, 0.0]), grid.per_feature[0], 0.0, 1.0)
         # heavy bin (0.25, 0.5] keeps both edges and gains its midpoint;
         # the trailing merged run keeps its right edge; fill tops up to Q
         assert np.allclose(out, [0.25, 0.375, 0.5, 0.75, 1.0])
@@ -124,23 +122,28 @@ class TestIterativeHessianRefine:
     def test_negative_bins_treated_as_empty(self):
         grid = d.uniform_candidates([(0.0, 1.0)], 4)
         with_negative = _refine_feature(
-            np.array([-5.0, 8.0, 0.0, 0.0]), grid.per_feature[0], 4, 0.0, 1.0
+            np.array([-5.0, 8.0, 0.0, 0.0]), grid.per_feature[0], 0.0, 1.0
         )
         with_zero = _refine_feature(
-            np.array([0.0, 8.0, 0.0, 0.0]), grid.per_feature[0], 4, 0.0, 1.0
+            np.array([0.0, 8.0, 0.0, 0.0]), grid.per_feature[0], 0.0, 1.0
         )
         assert np.allclose(with_negative, with_zero)
 
     def test_shape_mismatch(self):
         grid = d.uniform_candidates([(0.0, 1.0)], 4)
-        with pytest.raises(ValueError):
-            d.iterative_hessian_refine(d.HessianHistogram((np.ones(3),)), grid, 4)
+        for hist in (np.ones(3), np.ones(5), np.ones((4, 1)), np.ones(())):
+            with pytest.raises(ValueError):
+                d.iterative_hessian_refine({0: hist}, grid)
 
-    def test_none_column_keeps_feature(self):
+    @pytest.mark.parametrize("feature", [-1, 2])
+    def test_feature_outside_candidate_set(self, feature):
         grid = d.uniform_candidates([(0.0, 1.0), (0.0, 2.0)], 4)
-        out = d.iterative_hessian_refine(
-            d.HessianHistogram((None, np.array([0.0, 4.0, 0.0, 0.0]))), grid, 4
-        )
+        with pytest.raises(ValueError):
+            d.iterative_hessian_refine({feature: np.ones(4)}, grid)
+
+    def test_missing_feature_keeps_thresholds(self):
+        grid = d.uniform_candidates([(0.0, 1.0), (0.0, 2.0)], 4)
+        out = d.iterative_hessian_refine({1: np.array([0.0, 4.0, 0.0, 0.0])}, grid)
         assert np.allclose(out.per_feature[0], grid.per_feature[0])
         assert not np.allclose(out.per_feature[1], grid.per_feature[1])
 
@@ -161,15 +164,15 @@ class TestIterativeHessianRefine:
             if prev is not None and prev > 2.0 * theta:
                 assert peak < prev
             prev = peak
-            cs = d.iterative_hessian_refine(d.HessianHistogram((hist,)), cs, 32)
+            cs = d.iterative_hessian_refine({0: hist}, cs)
         final = np.bincount(bin_index(x, cs.per_feature[0]), weights=h, minlength=32).max()
         assert final < prev or final <= 2.0 * theta
 
     def test_signature_admits_no_raw_data(self):
         # post-processing contract: the refinement sees only the released
-        # histogram, the current thresholds, and the target size
+        # histograms and the current thresholds
         params = list(inspect.signature(d.iterative_hessian_refine).parameters)
-        assert params == ["hist", "current", "Q"]
+        assert params == ["hessians", "current"]
 
     @given(
         masses=st.lists(st.floats(-5.0, 50.0), min_size=4, max_size=16),
@@ -178,7 +181,7 @@ class TestIterativeHessianRefine:
     def test_output_always_q_increasing_in_bounds(self, masses):
         Q = len(masses)
         grid = d.uniform_candidates([(0.0, 4.0)], Q)
-        out = _refine_feature(np.array(masses), grid.per_feature[0], Q, 0.0, 4.0)
+        out = _refine_feature(np.array(masses), grid.per_feature[0], 0.0, 4.0)
         assert out.size == Q
         assert np.all(np.diff(out) > 0)
         assert out[0] >= 0.0 and out[-1] <= 4.0

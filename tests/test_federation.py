@@ -10,6 +10,7 @@ from scipy import stats
 
 import dpgbdt as d
 import dpgbdt.federation as federation
+from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.boosting import train
 from dpgbdt.data import philox
 from dpgbdt.federation import (
@@ -349,13 +350,13 @@ class TestClientDataPlane:
         cs = d.SplitCandidateSet(
             tuple(np.sort(rng.choice(grid, Q, replace=False)) for _ in range(m)), pop.bounds
         )
-        proposals = {j: {nid: float(rng.choice(grid)) for nid in nodes} for j in range(m)}
+        proposals = {j: np.array([rng.choice(grid) for _ in nodes]) for j in range(m)}
 
         agg = aggregator(pop, g, h, codec)
         agg.node = node_of_record
         with mock.patch.object(federation, "GROUP_GRID_CELLS", grid_cap):
             hist = agg.histogram_round(nodes, range(m), cs, "s")
-            pairs = agg.split_pair_round(proposals)
+            pairs = agg.split_pair_round(nodes, proposals)
 
         for j in range(m):
             X = pop.features[:, j]
@@ -364,7 +365,7 @@ class TestClientDataPlane:
             got = hist[j].reshape(-1, 2)
             assert np.array_equal(got, want.reshape(-1, 2))
 
-            cells = [2 * p + int(x > proposals[j][nid]) for p, x, nid in zip(pos, X, node_of_record)]
+            cells = [2 * p + int(x > proposals[j][p]) for p, x in zip(pos, X)]
             want = secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * 2), codec)
             got = pairs[j]
             assert np.array_equal(got.reshape(-1, 2), want.reshape(-1, 2))
@@ -418,11 +419,12 @@ class TestClientDataPlane:
         tiny = aggregator(pop, np.full(pop.n, 0.01), np.full(pop.n, 0.01), small)
         assert tiny.histogram_round([0], [0, 1], cs, "s").shape == (2, 1, 2, 2)
 
-    def test_pair_round_needs_one_node_set(self):
-        pop = make_pop(20, 2)
-        agg = FederatedAggregator(pop)
-        with pytest.raises(ValueError, match="same nodes"):
-            agg.split_pair_round({0: {0: 0.5}, 1: {0: 0.5, 1: 0.5}})
+    def test_pair_round_needs_one_threshold_per_node(self):
+        agg = FederatedAggregator(make_pop(20, 2))
+        for thresholds in ([0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]], 0.5):
+            with pytest.raises(InvalidParameterError, match="one threshold per node"):
+                agg.split_pair_round([1, 2], {0: [0.5, 0.5], 1: thresholds})
+        assert agg.rounds == []
 
     def test_refined_candidates_rebin(self):
         ds = d.synthesize(300, 3, 0.3, 0.5, seed=6)
@@ -432,7 +434,7 @@ class TestClientDataPlane:
         cs = d.uniform_candidates(pop.bounds, 8)
         agg.begin_tree()
         hess = agg.histogram_round([0], range(3), cs, "c")[:, 0, :, 1]
-        refined = d.iterative_hessian_refine(d.HessianHistogram(tuple(hess)), cs, 8)
+        refined = d.iterative_hessian_refine(dict(enumerate(hess)), cs)
         got = agg.histogram_round([0], range(3), refined, "s")
         fresh = FederatedAggregator(pop)
         fresh.recompute_gradients(d.UpdateMode.NEWTON)
