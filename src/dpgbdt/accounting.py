@@ -304,8 +304,7 @@ def plan(config: "TrainConfig") -> list[Round]:
 
     if config.m is None:
         raise InvalidParameterError("plan requires config.m (number of features)")
-    k, T, d, Q = config.resolved_k(), config.T, config.d, config.Q
-    B = config.effective_batch_size
+    k, d, Q = config.resolved_k(), config.d, config.Q
     method = config.split_method
     refines = (
         config.candidate_method is CandidateMethod.ITERATIVE_HESSIAN
@@ -321,13 +320,13 @@ def plan(config: "TrainConfig") -> list[Round]:
         tree_rounds = [Round("s", k, per_feature * k)] * d
 
     rounds = []
-    for t in range(T):
-        if refines and t < config.ih_rounds:
-            rounds.append(Round("c", refined, 2 * Q * refined))
-        rounds.extend(tree_rounds)
-        if method is SplitMethod.TOTALLY_RANDOM and (t % B == B - 1 or t == T - 1):
-            batch = t % B + 1
-            rounds.append(Round("w", batch, 2 * batch * 2**d))
+    for start, end in config.batches:
+        for t in range(start, end):
+            if refines and t < config.ih_rounds:
+                rounds.append(Round("c", refined, 2 * Q * refined))
+            rounds.extend(tree_rounds)
+        if method is SplitMethod.TOTALLY_RANDOM:
+            rounds.append(Round("w", end - start, 2 * (end - start) * 2**d))
     return rounds
 
 

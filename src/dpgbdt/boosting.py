@@ -40,7 +40,7 @@ from .candidates import (
 from .config import CandidateMethod, NoisePlacement, TrainConfig
 from .data import philox
 from .federation import ClientPopulation, CommLedger, FederatedAggregator, FixedPointCodec
-from .gradients import UpdateMode, query_sensitivity, sigmoid, update_scores
+from .gradients import UpdateMode, batch_ranges, query_sensitivity, sigmoid, update_scores
 from .trees import (
     SplitMethod,
     Tree,
@@ -85,10 +85,10 @@ class Ensemble:
 
         Raises InvalidParameterError for a tree not complete to its
         max_depth, a non-finite threshold or leaf weight, a split feature
-        outside [0, len(bounds)), a non-finite or non-positive eta, batch
-        boundaries that do not cover the trees contiguously from 0 to T, or,
-        for boosted ensembles, batches that disagree with batch_size (every
-        batch but the last holds exactly batch_size trees, the last at most).
+        outside [0, len(bounds)), a non-finite or non-positive eta, a
+        batch_size below 1, or batch boundaries other than the schedule
+        ``batch_ranges`` derives: one batch of every tree for averaging
+        ensembles, runs of batch_size trees otherwise.
         A missing key or a value of the wrong type raises it too.
         """
         try:
@@ -113,21 +113,14 @@ class Ensemble:
                 raise InvalidParameterError(f"tree {i} has a non-finite threshold or leaf weight")
             if tree.feature.size and not (0 <= tree.feature.min() and tree.feature.max() < m):
                 raise InvalidParameterError(f"tree {i} splits on a feature outside [0, {m})")
-        ends = [0] + [end for _, end in ensemble.batch_boundaries]
-        starts = [start for start, _ in ensemble.batch_boundaries]
-        if starts != ends[:-1] or ends[-1] != len(ensemble.trees) or any(
-            end <= start for start, end in ensemble.batch_boundaries
+        T, B = len(ensemble.trees), ensemble.batch_size
+        if B < 1 or ensemble.batch_boundaries != batch_ranges(
+            T, max(T, 1) if ensemble.update_mode is UpdateMode.AVERAGING else B
         ):
             raise InvalidParameterError(
-                f"batch_boundaries {list(ensemble.batch_boundaries)} do not cover "
-                f"the {len(ensemble.trees)} trees contiguously"
+                f"batch_boundaries {list(ensemble.batch_boundaries)} are not the schedule of "
+                f"{T} trees with batch_size {B} under {ensemble.update_mode.value} updates"
             )
-        sizes = [end - start for start, end in ensemble.batch_boundaries]
-        B = ensemble.batch_size
-        if ensemble.update_mode is not UpdateMode.AVERAGING and (
-            any(size != B for size in sizes[:-1]) or (sizes and sizes[-1] > B)
-        ):
-            raise InvalidParameterError(f"batch sizes {sizes} disagree with batch_size {B}")
         return ensemble
 
     def save(self, path) -> None:
@@ -235,36 +228,32 @@ def train(
     )
     cands = _initial_candidates(config, agg)
 
-    B = config.effective_batch_size
-    n_leaves = 2 ** config.d
     is_tr = config.split_method is SplitMethod.TOTALLY_RANDOM
     trees: list[Tree] = []
-    boundaries: list[tuple[int, int]] = []
-    batch: list[tuple[Tree, np.ndarray]] = []
     root_hessians: dict[int, np.ndarray] = {}  # the previous tree's, under hist
 
-    for t in range(config.T):
-        if t % B == 0:
-            agg.recompute_gradients(config.update_mode)
+    for start, end in config.batches:
+        agg.recompute_gradients(config.update_mode)
+        batch: list[tuple[Tree, np.ndarray]] = []
+        for t in range(start, end):
+            F = select_features(config.feature_mode.value, k, t, m, rng)
 
-        F = select_features(config.feature_mode.value, k, t, m, rng)
+            if config.candidate_method is CandidateMethod.ITERATIVE_HESSIAN:
+                if config.split_method is SplitMethod.HIST:
+                    # free refinement from the previous tree's root histograms
+                    if 0 < t <= config.ih_rounds:
+                        cands = iterative_hessian_refine(root_hessians, cands)
+                elif t < config.ih_rounds:
+                    # a root histogram round whose Hessian half refines the candidates
+                    feats = refined_features(config, F)
+                    agg.begin_tree()
+                    res = agg.histogram_round([0], feats, cands, category="c")
+                    cands = iterative_hessian_refine(dict(zip(feats, res[:, 0, :, 1])), cands)
 
-        if config.candidate_method is CandidateMethod.ITERATIVE_HESSIAN:
-            if config.split_method is SplitMethod.HIST:
-                # free refinement from the previous tree's root histograms
-                if 0 < t <= config.ih_rounds:
-                    cands = iterative_hessian_refine(root_hessians, cands)
-            elif t < config.ih_rounds:
-                # a root histogram round whose Hessian half refines the candidates
-                feats = refined_features(config, F)
-                agg.begin_tree()
-                res = agg.histogram_round([0], feats, cands, category="c")
-                cands = iterative_hessian_refine(dict(zip(feats, res[:, 0, :, 1])), cands)
-
-        if is_tr:
-            tree = grow_tree_totally_random(rng, F, cands, config.d)
-            batch.append((tree, agg.route_tree(tree)))
-        else:
+            if is_tr:
+                tree = grow_tree_totally_random(rng, F, cands, config.d)
+                batch.append((tree, agg.route_tree(tree)))
+                continue
             if k == 1:
                 tree, sums, root_hessians = grow_tree_single_feature(
                     agg, rng, config.split_method, F[0], cands, config.d, config.lam, config.gamma
@@ -283,19 +272,15 @@ def train(
             assign = agg.route_tree(tree) if k == 1 else agg.node - tree.feature.size
             batch.append((tree, assign))
 
-        if len(batch) == B or t == config.T - 1:
-            if is_tr:
-                sums = agg.leaf_round([assign for _, assign in batch], n_leaves)
-                for (tree, _), leaf_sums in zip(batch, sums):
-                    _assign_weights(tree, leaf_sums, config)
-            if config.update_mode is not UpdateMode.AVERAGING:
-                agg.apply_score_update(
-                    batch, config.eta, plain=(config.B == 1), centered=config.centered_batch
-                )
-            start = t + 1 - len(batch)
-            boundaries.append((start, t + 1))
-            trees.extend(tree for tree, _ in batch)
-            batch = []
+        if is_tr:
+            sums = agg.leaf_round([assign for _, assign in batch], 2**config.d)
+            for (tree, _), leaf_sums in zip(batch, sums):
+                _assign_weights(tree, leaf_sums, config)
+        if config.update_mode is not UpdateMode.AVERAGING:
+            agg.apply_score_update(
+                batch, config.eta, plain=(config.B == 1), centered=config.centered_batch
+            )
+        trees.extend(tree for tree, _ in batch)
 
     ensemble = Ensemble(
         trees=trees,
@@ -303,7 +288,7 @@ def train(
         eta=config.eta,
         batch_size=config.B,
         centered_batch=config.centered_batch,
-        batch_boundaries=tuple(boundaries),
+        batch_boundaries=config.batches,
         bounds=population.bounds,
     )
     return TrainResult(

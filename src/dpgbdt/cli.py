@@ -6,10 +6,10 @@ Subcommands:
   presets  list the built-in baseline configurations
   account  query ledger, calibrated sigma, and communication costs, no training
 
-Configuration files are plain ``key = value`` lines (# comments allowed);
-every TrainConfig field can also be set by a flag of the same name, which
-wins over the file. Exit code 0 on success; failures print one JSON error
-line to stderr and exit nonzero.
+Configuration files and grid specs are plain ``key = value`` lines (#
+comments allowed); every TrainConfig field can be set there or by a flag of
+the same name, which wins over the file, and an unknown key fails. Exit code
+0 on success; failures print one JSON error line to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -20,25 +20,15 @@ import sys
 
 from .accounting import PrivacyBudget, calibrate_sigma, count_queries
 from .boosting import predict, train
-from .config import FLAT_FIELDS, TrainConfig
+from .config import FLAT_FIELDS, TrainConfig, parse_fields
 from .data import load_csv, train_test_split
 from .federation import ONE_RECORD_PER_CLIENT, comm_accounting, partition
 from .gradients import query_sensitivity
 from .harness import auc_roc, baseline_preset, budget_for, list_presets, run_grid
 
 
-def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
-
-
-# Parser of each settable key: every TrainConfig field but the budget, whose
-# epsilon and delta are keys of their own. Enum fields stay strings here;
-# TrainConfig.from_flat_dict converts them.
-_CONFIG_FIELDS = {
-    key: {bool: _parse_bool, int: int, float: float}.get(kind, str)
-    for key, kind in FLAT_FIELDS.items()
-}
-_CONFIG_FIELDS.update(epsilon=float, delta=float)
+# Every TrainConfig field but the budget, whose epsilon and delta are keys of their own.
+_CONFIG_KEYS = (*FLAT_FIELDS, "epsilon", "delta")
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -55,57 +45,27 @@ def _parse_kv_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    if key not in _CONFIG_FIELDS:
-        raise ValueError(f"unknown config field: {key!r}")
-    if isinstance(value, str):
-        return _CONFIG_FIELDS[key](value)
-    return value
-
-
-def _merged_values(args, file_values: dict) -> dict:
-    flat: dict = {}
-    for key in _CONFIG_FIELDS:
-        if key in file_values:
-            flat[key] = _coerce(key, file_values[key])
-        flag = getattr(args, key, None)
-        if flag is not None:
-            flat[key] = _coerce(key, flag)
-    return flat
-
-
-_PRESET_KWARGS = ("T", "d", "Q", "ih_rounds", "eta", "beta", "lam", "gamma", "seed", "m")
-
-
 def _config_from(args, file_values: dict) -> tuple[TrainConfig, float | None, float | None]:
     """Build a config from file + flags; the (epsilon, delta) pair is returned
     separately so callers can default delta to 1/n once n is known.
 
-    With --preset, the named baseline supplies the defaults and any explicit
-    key overrides it field by field.
+    Flags win over file values key by key. With --preset, the named baseline
+    supplies the defaults and any explicit key overrides it field by field.
     """
-    flat = _merged_values(args, file_values)
-    epsilon = flat.pop("epsilon", None)
-    delta = flat.pop("delta", None)
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    values = {**file_values, **{key: flag for key, flag in flags.items() if flag is not None}}
+    budget = [values.pop(key, None) for key in ("epsilon", "delta")]
+    epsilon, delta = (None if value is None else float(value) for value in budget)
+    fields = parse_fields(values)
     preset = getattr(args, "preset", None)
-    if preset:
-        base = baseline_preset(
-            preset, **{k: flat[k] for k in _PRESET_KWARGS if k in flat}
-        )
-        merged = base.to_flat_dict()
-        merged.update(flat)
-        return TrainConfig.from_flat_dict(merged), epsilon, delta
-    return TrainConfig.from_flat_dict(flat), epsilon, delta
+    return (baseline_preset(preset, **fields) if preset else TrainConfig(**fields)), epsilon, delta
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--preset", help="baseline preset name, e.g. DP-TR-Newton")
-    for key in _CONFIG_FIELDS:
-        # raw strings here; _coerce applies the field's parser so file values
-        # and flag values go through one code path
+    for key in _CONFIG_KEYS:
+        # raw strings here, parsed with the file values by config.parse_fields
         parser.add_argument(f"--{key}", type=str, default=None)
 
 
@@ -166,12 +126,8 @@ def _cmd_grid(args) -> int:
     split_seeds = _parse_list(spec.pop("split_seeds", "0"), int)
     repeats = int(spec.pop("repeats", "1"))
     test_fraction = float(spec.pop("test_fraction", "0.3"))
-    preset_kwargs = {
-        key: _coerce(key, value)
-        for key, value in spec.items()
-        if key in _PRESET_KWARGS
-    }
-    configs = {name: baseline_preset(name, **preset_kwargs) for name in preset_names}
+    fields = parse_fields(spec)
+    configs = {name: baseline_preset(name, **fields) for name in preset_names}
     results = run_grid(
         configs, dataset_spec, epsilons, split_seeds, repeats, args.out, test_fraction
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .accounting import InvalidParameterError, PrivacyBudget
-from .gradients import UpdateMode
+from .gradients import UpdateMode, batch_ranges
 from .trees import SplitMethod
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "NoisePlacement",
     "TrainConfig",
     "FLAT_FIELDS",
+    "parse_fields",
 ]
 
 
@@ -102,9 +103,10 @@ class TrainConfig:
         return self.m
 
     @property
-    def effective_batch_size(self) -> int:
-        """Averaging ensembles are one T-sized batch; others use B as given."""
-        return self.T if self.update_mode is UpdateMode.AVERAGING else self.B
+    def batches(self) -> tuple[tuple[int, int], ...]:
+        """(start, end) tree range of every batch: one T-sized batch for
+        averaging ensembles, runs of B trees otherwise."""
+        return batch_ranges(self.T, self.T if self.update_mode is UpdateMode.AVERAGING else self.B)
 
     def replace(self, **kwargs) -> "TrainConfig":
         return dataclasses.replace(self, **kwargs)
@@ -131,16 +133,7 @@ class TrainConfig:
             if delta is None:
                 raise InvalidParameterError("epsilon given without delta")
             budget = PrivacyBudget(float(epsilon), float(delta))
-        kwargs = {}
-        for key, value in flat.items():
-            if key not in FLAT_FIELDS:
-                raise InvalidParameterError(f"unknown config field: {key!r}")
-            if value is None:
-                continue
-            if issubclass(FLAT_FIELDS[key], Enum):
-                value = FLAT_FIELDS[key](value)
-            kwargs[key] = value
-        return cls(budget=budget, **kwargs)
+        return cls(budget=budget, **parse_fields(flat))
 
 
 def _flat_fields() -> dict[str, type]:
@@ -157,3 +150,34 @@ def _flat_fields() -> dict[str, type]:
 # Every TrainConfig field but ``budget``, in declaration order, with its value
 # type (None stripped from optional fields).
 FLAT_FIELDS: dict[str, type] = _flat_fields()
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def parse_fields(values: dict) -> dict:
+    """TrainConfig keyword arguments from ``{field: value}``, skipping None.
+
+    A value is a string from a flag or a ``key = value`` file, or already
+    typed. Enums are built from their value; strings become booleans from
+    1/true/yes or 0/false/no (any case), and go through ``int``, ``float`` or
+    ``str`` otherwise. An unknown key or a value its field cannot take raises
+    InvalidParameterError.
+    """
+    out = {}
+    for key, value in values.items():
+        kind = FLAT_FIELDS.get(key)
+        if kind is None:
+            raise InvalidParameterError(f"unknown config field: {key!r}")
+        if value is None:
+            continue
+        try:
+            if issubclass(kind, Enum):
+                value = kind(value)
+            elif kind is bool and isinstance(value, str):
+                value = _BOOLEANS[value.lower()]
+            elif isinstance(value, str):
+                value = kind(value)
+        except (KeyError, ValueError) as exc:
+            raise InvalidParameterError(f"bad value for {key}: {value!r}") from exc
+        out[key] = value
+    return out

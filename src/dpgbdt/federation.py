@@ -449,6 +449,15 @@ class FederatedAggregator:
                 self.noise_draws += 2 * hit.size
             yield grid.reshape(end - first, n_cells, 2)
 
+    def _round(
+        self, kind: str, queries: int, uplink: int, cells: Iterable[np.ndarray], n_cells: int
+    ) -> np.ndarray:
+        """Meter one aggregation round, then release each query's records
+        binned into ``n_cells`` cells: ``cells`` yields one record-to-cell
+        array per query. Returns the (queries, n_cells, 2) (G, H) sums."""
+        self.rounds.append(Round(kind, queries, uplink))
+        return np.stack([self._release(cell, n_cells) for cell in cells])
+
     def histogram_round(
         self, nodes: Sequence[int], features: Sequence[int], cand_set: SplitCandidateSet, category: str
     ) -> np.ndarray:
@@ -462,18 +471,16 @@ class FederatedAggregator:
         Returns an (F, nodes, Q, 2) array: features in the order given, nodes
         in ascending order, the (G, H) sums of each bin.
         """
-        Q = cand_set.q
-        self.rounds.append(Round(category, len(features), 2 * Q * len(features)))
+        Q, F = cand_set.q, len(features)
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
         pos = self._positions(nodes) * Q
         bins = self._binned(cand_set)
-        out = np.empty((len(features), nodes.size, Q, 2))
-        for i, j in enumerate(features):
-            out[i] = self._release(pos + bins[j], nodes.size * Q).reshape(nodes.size, Q, 2)
-        return out
+        cells = (pos + bins[j] for j in features)
+        sums = self._round(category, F, 2 * Q * F, cells, nodes.size * Q)
+        return sums.reshape(F, nodes.size, Q, 2)
 
     def split_pair_round(
-        self, nodes: Sequence[int], proposals: Mapping[int, np.ndarray], category: str = "s"
+        self, nodes: Sequence[int], proposals: Mapping[int, np.ndarray]
     ) -> np.ndarray:
         """One round of two-sided aggregates, one proposed threshold per node
         per feature. One privacy query per feature; 4 scalars per feature in
@@ -489,20 +496,20 @@ class FederatedAggregator:
         thresholds = [np.asarray(thr, dtype=float) for thr in proposals.values()]
         if any(thr.shape != nodes.shape for thr in thresholds):
             raise InvalidParameterError("every feature must propose one threshold per node")
-        self.rounds.append(Round(category, len(proposals), 4 * len(proposals)))
+        F = len(proposals)
         pos = self._positions(nodes)
         left_cell = pos * 2
-        out = np.empty((len(proposals), nodes.size, 4))
-        for i, (j, thr) in enumerate(zip(proposals, thresholds)):
-            sums = self._release(left_cell + (self.pop.features[:, j] > thr[pos]), nodes.size * 2)
-            out[i] = sums.reshape(nodes.size, 4)
-        return out
+        features = self.pop.features
+        cells = (left_cell + (features[:, j] > thr[pos]) for j, thr in zip(proposals, thresholds))
+        return self._round("s", F, 4 * F, cells, nodes.size * 2).reshape(F, nodes.size, 4)
 
-    def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> list[np.ndarray]:
+    def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> np.ndarray:
         """One round carrying the leaf vectors of a whole batch of trees.
 
         Each tree's leaf partition is one privacy query; empty leaves release
         pure noise, and the client message grows linearly with the batch.
+        Returns a (trees, n_leaves, 2) array of leaf (G, H) sums.
         """
-        self.rounds.append(Round("w", len(assignments), len(assignments) * 2 * n_leaves))
-        return [self._release(np.asarray(assign, dtype=np.int64), n_leaves) for assign in assignments]
+        trees = len(assignments)
+        cells = (np.asarray(assign, dtype=np.int64) for assign in assignments)
+        return self._round("w", trees, trees * 2 * n_leaves, cells, n_leaves)

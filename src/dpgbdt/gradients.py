@@ -33,6 +33,7 @@ __all__ = [
     "mode_gradients",
     "query_sensitivity",
     "update_scores",
+    "batch_ranges",
 ]
 
 
@@ -127,3 +128,9 @@ def update_scores(
         return raw + W.sum(axis=0)
     base = 0.5 if centered else 0.0
     return raw + eta * (sigmoid(W.mean(axis=0)) - base)
+
+
+def batch_ranges(T: int, B: int) -> tuple[tuple[int, int], ...]:
+    """(start, end) of each batch of ``T`` trees taken in runs of ``B``; the
+    last run may be shorter."""
+    return tuple((start, min(start + B, T)) for start in range(0, T, B))

@@ -14,8 +14,10 @@ ledgers and noise calibration are directly comparable:
   DP-TR-Newton-IH-EBM     adds cyclical single-feature trees
   DP-TR-Batch-Newton-IH-EBM(p)  adds batched updates with B = round(p * T)
 
-DP-EBM here trains T trees cycling one feature per tree; a run equivalent to
-T_outer full feature cycles uses T = T_outer * m.
+A preset fixes only these choices: any TrainConfig field passed to
+``baseline_preset`` overrides them, and the rest keep their TrainConfig
+defaults. DP-EBM here trains T trees cycling one feature per tree; a run
+equivalent to T_outer full feature cycles uses T = T_outer * m.
 """
 
 from __future__ import annotations
@@ -105,43 +107,15 @@ PRESET_NAMES: tuple[str, ...] = (
 )
 
 
-def baseline_preset(
-    name: str,
-    *,
-    T: int = 100,
-    d: int = 4,
-    Q: int = 32,
-    ih_rounds: int = 5,
-    eta: float = 0.3,
-    beta: float = 2.0,
-    lam: float = 1.0,
-    gamma: float = 0.0,
-    seed: int = 0,
-    m: int | None = None,
-) -> TrainConfig:
+def baseline_preset(preset: str, /, **fields) -> TrainConfig:
     """Build the configuration of a named baseline.
 
-    The batched preset takes its fraction inline, e.g.
-    ``DP-TR-Batch-Newton-IH-EBM(p=0.25)``.
+    Any TrainConfig field given in ``fields`` overrides the preset's choice;
+    a field left out keeps its TrainConfig default, and ``name`` defaults to
+    the preset name. DP-RF and the batched preset, which takes its fraction
+    inline (``DP-TR-Batch-Newton-IH-EBM(p=0.25)``), derive B from the final T
+    (B = T and round(p * T)) unless B is given.
     """
-    base = dict(
-        T=T, d=d, Q=Q, ih_rounds=ih_rounds, eta=eta, beta=beta, lam=lam, gamma=gamma,
-        seed=seed, m=m, name=name,
-    )
-    match = _BATCH_PRESET.match(name)
-    if match:
-        p = float(match.group(1))
-        if not 0.0 < p <= 1.0:
-            raise UnknownPresetError(f"batch fraction must be in (0, 1], got {p}")
-        return TrainConfig(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.NEWTON,
-            candidate_method=CandidateMethod.ITERATIVE_HESSIAN,
-            feature_mode=FeatureMode.CYCLICAL,
-            k=1,
-            B=max(1, min(T, round(p * T))),
-            **base,
-        )
     table = {
         "DP-EBM": dict(
             split_method=SplitMethod.TOTALLY_RANDOM,
@@ -166,7 +140,6 @@ def baseline_preset(
             split_method=SplitMethod.TOTALLY_RANDOM,
             update_mode=UpdateMode.AVERAGING,
             candidate_method=CandidateMethod.UNIFORM,
-            B=T,
         ),
         "FEVERLESS": dict(
             split_method=SplitMethod.HIST,
@@ -197,11 +170,17 @@ def baseline_preset(
             k=1,
         ),
     }
-    if name not in table:
-        raise UnknownPresetError(
-            f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}"
-        )
-    return TrainConfig(**table[name], **base)
+    match = _BATCH_PRESET.match(preset)
+    choice = table.get("DP-TR-Newton-IH-EBM" if match else preset)
+    if choice is None:
+        raise UnknownPresetError(f"unknown preset {preset!r}; known: {', '.join(PRESET_NAMES)}")
+    fraction = float(match.group(1)) if match else (1.0 if preset == "DP-RF" else None)
+    if fraction is not None and not 0.0 < fraction <= 1.0:
+        raise UnknownPresetError(f"batch fraction must be in (0, 1], got {fraction}")
+    config = TrainConfig(**{"name": preset, **choice, **fields})
+    if fraction is not None and "B" not in fields:
+        config = config.replace(B=max(1, min(config.T, round(fraction * config.T))))
+    return config
 
 
 def list_presets(T: int = 100, m: int = 10, d: int = 4) -> list[dict]:

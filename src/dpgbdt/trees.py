@@ -413,7 +413,7 @@ def grow_tree_partially_random(
         thr = np.array(
             [[cand_set.per_feature[j][rng.integers(cand_set.q)] for _ in nodes] for j in feats]
         )
-        sums = agg.split_pair_round(nodes, dict(zip(feats, thr)), category="s")  # (F, nodes, 4)
+        sums = agg.split_pair_round(nodes, dict(zip(feats, thr)))  # (F, nodes, 4)
         # first maximum over features: ties go to the lowest feature
         best = _gain(*np.moveaxis(sums, -1, 0), lam, gamma).argmax(axis=0)
         tree.feature[nodes] = np.asarray(feats)[best]

@@ -500,7 +500,7 @@ class TestEnsembleSerialization:
             d.Tree.from_dict(tree)
 
     @pytest.mark.parametrize(
-        "batch_size, boundaries", [(1, None), (3, None), (2, [[0, 2], [2, 5]])]
+        "batch_size, boundaries", [(1, None), (3, None), (2, [[0, 2], [2, 5]]), (0, None)]
     )
     def test_batch_size_must_match_boundaries(self, small_data, batch_size, boundaries):
         _, pop = small_data
@@ -509,6 +509,17 @@ class TestEnsembleSerialization:
         payload["batch_size"] = batch_size
         payload["batch_boundaries"] = boundaries or payload["batch_boundaries"]
         with pytest.raises(InvalidParameterError, match="batch_size"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_averaging_model_is_one_batch(self, small_data, batch_size):
+        _, pop = small_data
+        cfg = d.TrainConfig(T=5, d=1, Q=4, B=batch_size, update_mode=d.UpdateMode.AVERAGING)
+        payload = d.train(cfg, pop).ensemble.to_json_dict()
+        assert payload["batch_boundaries"] == [[0, 5]]
+        d.Ensemble.from_json_dict(payload)
+        payload["batch_boundaries"] = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
+        with pytest.raises(InvalidParameterError, match="batch_boundaries.*batch_size"):
             d.Ensemble.from_json_dict(payload)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)

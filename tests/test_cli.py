@@ -60,6 +60,19 @@ class TestTrainCommand:
         # hist from file, T overridden by the flag: kappa_s = T*m*d = 6*3*2
         assert metrics["queries"] == [0, 36, 0]
 
+    def test_unknown_config_key_fails_with_json_error(self, csv_dataset, tmp_path, capsys):
+        path, bounds = csv_dataset
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("T = 4\nsplit_methd = hist\n")
+        argv = ["train", "--data", str(path), "--label-column", "y", "--bounds", bounds]
+        assert main([*argv, "--config", str(cfg_file)]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidParameterError" and "split_methd" in err["message"]
+
+    def test_malformed_boolean_flag_fails(self, capsys):
+        assert main(["account", "--m", "3", "--centered_batch", "ture"]) != 0
+        assert "centered_batch" in json.loads(capsys.readouterr().err)["message"]
+
     def test_missing_file_fails_with_json_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "--label-column", "y"])
         assert code != 0
@@ -128,6 +141,28 @@ class TestGridCommand:
         assert out.exists()
         assert (tmp_path / "results.summary.csv").exists()
         assert "4 new rows" in capsys.readouterr().out
+
+    def test_every_config_field_applies(self, tmp_path, capsys):
+        spec = tmp_path / "grid.cfg"
+        spec.write_text(
+            "n = 200\nm = 3\npresets = DP-TR-Newton\nepsilons = none\n"
+            "T = 4\nd = 2\nQ = 4\nsplit_method = hist\nB = 2\n"
+        )
+        out = tmp_path / "results.csv"
+        assert main(["grid", "--spec", str(spec), "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "results.configs.json").read_text())
+        config = sidecar["configs"]["DP-TR-Newton"]
+        assert (config["split_method"], config["B"], config["T"]) == ("hist", 2, 4)
+        # m and seed describe the dataset, not the configs
+        assert sidecar["dataset"]["m"] == 3 and config["m"] is None
+
+    def test_unknown_key_fails(self, tmp_path, capsys):
+        spec = tmp_path / "grid.cfg"
+        spec.write_text("n = 200\nm = 3\npresets = DP-TR-Newton\nepsilons = none\nTt = 7\n")
+        out = tmp_path / "results.csv"
+        assert main(["grid", "--spec", str(spec), "--out", str(out)]) != 0
+        assert "Tt" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
 
 # `dpgbdt account --preset <name> --m 10 --T 100 --epsilon 1 --delta 1e-5`:

@@ -2,6 +2,7 @@ import pytest
 
 import dpgbdt as d
 from dpgbdt.accounting import InvalidParameterError
+from dpgbdt.config import parse_fields
 
 
 class TestValidation:
@@ -41,8 +42,9 @@ class TestValidation:
 
     def test_averaging_batches_as_one(self):
         cfg = d.TrainConfig(T=9, B=1, update_mode=d.UpdateMode.AVERAGING)
-        assert cfg.effective_batch_size == 9
-        assert d.TrainConfig(T=9, B=3).effective_batch_size == 3
+        assert cfg.batches == ((0, 9),)
+        assert d.TrainConfig(T=9, B=3).batches == ((0, 3), (3, 6), (6, 9))
+        assert d.TrainConfig(T=7, B=3).batches == ((0, 3), (3, 6), (6, 7))
 
 
 class TestFlatDict:
@@ -70,3 +72,27 @@ class TestFlatDict:
     def test_epsilon_needs_delta(self):
         with pytest.raises(InvalidParameterError):
             d.TrainConfig.from_flat_dict({"epsilon": 1.0})
+
+
+class TestParseFields:
+    def test_strings_and_typed_values(self):
+        fields = parse_fields(
+            {"T": "7", "eta": "0.5", "split_method": "hist", "k": None, "name": "x",
+             "update_mode": d.UpdateMode.GRADIENT, "d": 3}
+        )
+        assert fields == {
+            "T": 7, "eta": 0.5, "split_method": d.SplitMethod.HIST, "name": "x",
+            "update_mode": d.UpdateMode.GRADIENT, "d": 3,
+        }
+
+    @pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("yes", True),
+                                             ("0", False), ("False", False), ("NO", False)])
+    def test_booleans(self, text, value):
+        assert parse_fields({"centered_batch": text}) == {"centered_batch": value}
+
+    @pytest.mark.parametrize(
+        "values", [{"centered_batch": "ture"}, {"T": "abc"}, {"split_method": "hst"}, {"Tt": "7"}]
+    )
+    def test_bad_key_or_value_rejected(self, values):
+        with pytest.raises(InvalidParameterError, match=next(iter(values))):
+            parse_fields(values)

@@ -72,6 +72,19 @@ class TestPresets:
         assert counter.as_tuple() == (50, 0, 100)
         assert cfg.B == 25
 
+    def test_fields_override_preset_and_keep_derived_batch(self):
+        cfg = d.baseline_preset(
+            "DP-TR-Batch-Newton-IH-EBM(p=0.25)", T=40, split_method=d.SplitMethod.HIST
+        )
+        assert (cfg.split_method, cfg.B, cfg.name) == (
+            d.SplitMethod.HIST, 10, "DP-TR-Batch-Newton-IH-EBM(p=0.25)"
+        )
+        assert d.baseline_preset("DP-RF", T=20, B=5).B == 5
+        assert d.baseline_preset("DP-RF", T=20, name="rf").name == "rf"
+        assert d.baseline_preset("FEVERLESS", eta=0.1).replace(eta=0.3) == d.baseline_preset(
+            "FEVERLESS"
+        )
+
     def test_dp_ebm_trains_single_feature_trees(self):
         cfg = d.baseline_preset("DP-EBM", T=30, m=10)
         assert cfg.k == 1
