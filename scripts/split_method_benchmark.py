@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 import dpgbdt as d
-from dpgbdt.federation import ONE_RECORD_PER_CLIENT, partition
 
 
 def run(args):
@@ -36,16 +35,9 @@ def run(args):
             aucs, sigma = [], 0.0
             for seed in range(args.seeds):
                 pair = d.train_test_split(dataset, 0.7, seed=seed)
-                pop = partition(pair.train, None, ONE_RECORD_PER_CLIENT)
-                cfg = base.replace(
-                    seed=seed,
-                    budget=None if eps is None else d.budget_for(eps, pair.train.n),
-                )
-                res = d.train(cfg, pop)
+                auc, _, res = d.run_single(base.replace(seed=seed), pair.train, pair.test, eps)
+                aucs.append(auc)
                 sigma = res.sigma
-                aucs.append(
-                    d.auc_roc(pair.test.labels, d.predict(res.ensemble, pair.test.features))
-                )
             lo, mid, hi = np.percentile(aucs, [25, 50, 75])
             print(
                 f"{name:6s} {eps!s:>6s} {base.T:4d} {sigma:8.2f} {mid:11.4f} "

@@ -86,9 +86,8 @@ class Ensemble:
         Raises InvalidParameterError for a tree not complete to its
         max_depth, a non-finite threshold or leaf weight, a split feature
         outside [0, len(bounds)), a non-finite or non-positive eta, a
-        batch_size below 1, or batch boundaries other than the schedule
-        ``batch_ranges`` derives: one batch of every tree for averaging
-        ensembles, runs of batch_size trees otherwise.
+        batch_size below 1, or batch boundaries other than runs of
+        batch_size trees (``batch_ranges``).
         A missing key or a value of the wrong type raises it too.
         """
         try:
@@ -114,12 +113,10 @@ class Ensemble:
             if tree.feature.size and not (0 <= tree.feature.min() and tree.feature.max() < m):
                 raise InvalidParameterError(f"tree {i} splits on a feature outside [0, {m})")
         T, B = len(ensemble.trees), ensemble.batch_size
-        if B < 1 or ensemble.batch_boundaries != batch_ranges(
-            T, max(T, 1) if ensemble.update_mode is UpdateMode.AVERAGING else B
-        ):
+        if B < 1 or ensemble.batch_boundaries != batch_ranges(T, B):
             raise InvalidParameterError(
                 f"batch_boundaries {list(ensemble.batch_boundaries)} are not the schedule of "
-                f"{T} trees with batch_size {B} under {ensemble.update_mode.value} updates"
+                f"{T} trees with batch_size {B}"
             )
         return ensemble
 
@@ -286,7 +283,7 @@ def train(
         trees=trees,
         update_mode=config.update_mode,
         eta=config.eta,
-        batch_size=config.B,
+        batch_size=len(range(*config.batches[0])),  # the run length, T under averaging
         centered_batch=config.centered_batch,
         batch_boundaries=config.batches,
         bounds=population.bounds,

@@ -19,12 +19,11 @@ import json
 import sys
 
 from .accounting import PrivacyBudget, calibrate_sigma, count_queries
-from .boosting import predict, train
 from .config import FLAT_FIELDS, TrainConfig, parse_fields
 from .data import load_csv, train_test_split
-from .federation import ONE_RECORD_PER_CLIENT, comm_accounting, partition
+from .federation import comm_accounting
 from .gradients import query_sensitivity
-from .harness import auc_roc, baseline_preset, budget_for, list_presets, run_grid
+from .harness import baseline_preset, list_presets, run_grid, run_single
 
 
 # Every TrainConfig field but the budget, whose epsilon and delta are keys of their own.
@@ -79,14 +78,7 @@ def _cmd_train(args) -> int:
         train_set, test_set = pair.train, pair.test
     else:
         train_set, test_set = dataset, None
-    if epsilon is not None:
-        # delta defaults to 1/n when not given explicitly
-        budget = (
-            PrivacyBudget(epsilon, delta) if delta is not None else budget_for(epsilon, train_set.n)
-        )
-        cfg = cfg.replace(budget=budget)
-    pop = partition(train_set, None, ONE_RECORD_PER_CLIENT, seed=cfg.seed)
-    result = train(cfg, pop)
+    test_auc, train_auc, result = run_single(cfg, train_set, test_set, epsilon, delta)
     if args.out:
         result.ensemble.save(args.out)
     metrics = {
@@ -95,10 +87,10 @@ def _cmd_train(args) -> int:
         "comm_rounds": result.comm_rounds,
         "comm_uplink_values": result.comm_uplink_values,
         "nonprivate_candidates": result.nonprivate_candidates,
-        "train_auc": auc_roc(train_set.labels, predict(result.ensemble, train_set.features)),
+        "train_auc": train_auc,
     }
-    if test_set is not None:
-        metrics["test_auc"] = auc_roc(test_set.labels, predict(result.ensemble, test_set.features))
+    if test_auc is not None:
+        metrics["test_auc"] = test_auc
     print(json.dumps(metrics, indent=2))
     return 0
 
@@ -107,19 +99,20 @@ def _parse_list(text: str, cast):
     return [cast(part.strip()) for part in text.split(",") if part.strip()]
 
 
+# Grid-spec keys that describe the dataset rather than the configs; ``bounds``
+# is the JSON list that ``train --bounds`` takes.
+_DATASET_KEYS = dict(
+    n=int, m=int, seed=int, skewed_fraction=float, class_balance=float,
+    path=str, label_column=str, name=str, bounds=json.loads,
+)
+
+
 def _cmd_grid(args) -> int:
     spec = _parse_kv_file(args.spec)
-    dataset_kind = spec.pop("dataset", "synthetic")
-    dataset_spec: dict = {"kind": dataset_kind}
-    for key in ("n", "m", "seed"):
+    dataset_spec: dict = {"kind": spec.pop("dataset", "synthetic")}
+    for key, parse in _DATASET_KEYS.items():
         if key in spec:
-            dataset_spec[key] = int(spec.pop(key))
-    for key in ("skewed_fraction", "class_balance"):
-        if key in spec:
-            dataset_spec[key] = float(spec.pop(key))
-    for key in ("path", "label_column", "name"):
-        if key in spec:
-            dataset_spec[key] = spec.pop(key)
+            dataset_spec[key] = parse(spec.pop(key))
 
     preset_names = _parse_list(spec.pop("presets"), str)
     epsilons = [None if e in ("none", "None") else float(e) for e in _parse_list(spec.pop("epsilons"), str)]
@@ -141,7 +134,8 @@ def _cmd_presets(_args) -> int:
         kappa = row["kappa"]
         print(
             f"{row['name']:<36} split={row['split_method']:<5} update={row['update_mode']:<9} "
-            f"candidates={row['candidate_method']:<8} k={row['k']:<3} B={row['B']:<4} "
+            f"candidates={row['candidate_method']:<8} features={row['feature_mode']:<8} "
+            f"k={row['k']:<3} noise={row['noise_placement']:<7} B={row['B']:<4} "
             f"kappa=(c={kappa[0]}, s={kappa[1]}, w={kappa[2]})"
         )
     return 0

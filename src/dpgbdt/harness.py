@@ -18,6 +18,11 @@ A preset fixes only these choices: any TrainConfig field passed to
 ``baseline_preset`` overrides them, and the rest keep their TrainConfig
 defaults. DP-EBM here trains T trees cycling one feature per tree; a run
 equivalent to T_outer full feature cycles uses T = T_outer * m.
+
+``run_single`` is the one train-and-evaluate step (budget, one record per
+client, train, AUCs); the CLI, the grid and the scripts all call it. A grid
+cell's outcome is an ``ExperimentResult``, whose fields are the results-CSV
+columns in order.
 """
 
 from __future__ import annotations
@@ -26,17 +31,17 @@ import csv
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .accounting import InvalidParameterError, PrivacyBudget, QueryCounter, count_queries
-from .boosting import predict, train
-from .config import CandidateMethod, FeatureMode, NoisePlacement, TrainConfig
+from .accounting import InvalidParameterError, PrivacyBudget, count_queries
+from .boosting import TrainResult, predict, train
+from .config import CandidateMethod, NoisePlacement, TrainConfig
 from .data import Dataset, load_csv, synthesize, train_test_split
-from .federation import ONE_RECORD_PER_CLIENT, CommLedger, partition
+from .federation import ONE_RECORD_PER_CLIENT, partition
 from .gradients import UpdateMode
 from .trees import SplitMethod
 
@@ -116,59 +121,19 @@ def baseline_preset(preset: str, /, **fields) -> TrainConfig:
     inline (``DP-TR-Batch-Newton-IH-EBM(p=0.25)``), derive B from the final T
     (B = T and round(p * T)) unless B is given.
     """
+    # Every field a preset leaves out keeps its TrainConfig default: tr
+    # splits, newton updates, uniform candidates, cyclical features, k = m,
+    # central noise and B = 1.
     table = {
-        "DP-EBM": dict(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.GRADIENT,
-            candidate_method=CandidateMethod.UNIFORM,
-            feature_mode=FeatureMode.CYCLICAL,
-            k=1,
-        ),
-        "DP-EBM-Newton": dict(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.NEWTON,
-            candidate_method=CandidateMethod.UNIFORM,
-            feature_mode=FeatureMode.CYCLICAL,
-            k=1,
-        ),
-        "DP-GBM": dict(
-            split_method=SplitMethod.HIST,
-            update_mode=UpdateMode.GRADIENT,
-            candidate_method=CandidateMethod.UNIFORM,
-        ),
-        "DP-RF": dict(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.AVERAGING,
-            candidate_method=CandidateMethod.UNIFORM,
-        ),
-        "FEVERLESS": dict(
-            split_method=SplitMethod.HIST,
-            update_mode=UpdateMode.NEWTON,
-            candidate_method=CandidateMethod.UNIFORM,
-        ),
-        "LDP": dict(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.NEWTON,
-            candidate_method=CandidateMethod.UNIFORM,
-            noise_placement=NoisePlacement.LOCAL,
-        ),
-        "DP-TR-Newton": dict(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.NEWTON,
-            candidate_method=CandidateMethod.UNIFORM,
-        ),
-        "DP-TR-Newton-IH": dict(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.NEWTON,
-            candidate_method=CandidateMethod.ITERATIVE_HESSIAN,
-        ),
-        "DP-TR-Newton-IH-EBM": dict(
-            split_method=SplitMethod.TOTALLY_RANDOM,
-            update_mode=UpdateMode.NEWTON,
-            candidate_method=CandidateMethod.ITERATIVE_HESSIAN,
-            feature_mode=FeatureMode.CYCLICAL,
-            k=1,
-        ),
+        "DP-EBM": dict(update_mode=UpdateMode.GRADIENT, k=1),
+        "DP-EBM-Newton": dict(k=1),
+        "DP-GBM": dict(split_method=SplitMethod.HIST, update_mode=UpdateMode.GRADIENT),
+        "DP-RF": dict(update_mode=UpdateMode.AVERAGING),
+        "FEVERLESS": dict(split_method=SplitMethod.HIST),
+        "LDP": dict(noise_placement=NoisePlacement.LOCAL),
+        "DP-TR-Newton": dict(),
+        "DP-TR-Newton-IH": dict(candidate_method=CandidateMethod.ITERATIVE_HESSIAN),
+        "DP-TR-Newton-IH-EBM": dict(candidate_method=CandidateMethod.ITERATIVE_HESSIAN, k=1),
     }
     match = _BATCH_PRESET.match(preset)
     choice = table.get("DP-TR-Newton-IH-EBM" if match else preset)
@@ -195,7 +160,9 @@ def list_presets(T: int = 100, m: int = 10, d: int = 4) -> list[dict]:
                 "split_method": cfg.split_method.value,
                 "update_mode": cfg.update_mode.value,
                 "candidate_method": cfg.candidate_method.value,
+                "feature_mode": cfg.feature_mode.value,
                 "k": cfg.resolved_k(),
+                "noise_placement": cfg.noise_placement.value,
                 "B": cfg.B,
                 "kappa": kappa.as_tuple(),
                 "total_queries": kappa.total,
@@ -204,29 +171,10 @@ def list_presets(T: int = 100, m: int = 10, d: int = 4) -> list[dict]:
     return rows
 
 
-RESULT_COLUMNS = [
-    "config_id",
-    "dataset",
-    "epsilon",
-    "split_seed",
-    "repeat",
-    "status",
-    "test_auc",
-    "train_auc",
-    "sigma",
-    "kappa_c",
-    "kappa_s",
-    "kappa_w",
-    "comm_rounds",
-    "comm_uplink_values",
-    "wall_time",
-    "error",
-]
-
-
 @dataclass
 class ExperimentResult:
-    """One grid cell's outcome; failed runs carry an error string instead of metrics."""
+    """One grid cell's outcome, one field per results-CSV column in column
+    order; failed runs carry an error string instead of metrics."""
 
     config_id: str
     dataset: str
@@ -237,30 +185,25 @@ class ExperimentResult:
     test_auc: float | None = None
     train_auc: float | None = None
     sigma: float | None = None
-    queries: QueryCounter | None = None
-    comm: CommLedger | None = None
+    kappa_c: int | None = None
+    kappa_s: int | None = None
+    kappa_w: int | None = None
+    comm_rounds: int | None = None
+    comm_uplink_values: int | None = None
     wall_time: float = 0.0
     error: str | None = None
 
     def to_row(self) -> dict:
+        """The CSV row: "" for None, every other value through its column's format."""
         return {
-            "config_id": self.config_id,
-            "dataset": self.dataset,
-            "epsilon": "" if self.epsilon is None else self.epsilon,
-            "split_seed": self.split_seed,
-            "repeat": self.repeat,
-            "status": self.status,
-            "test_auc": "" if self.test_auc is None else f"{self.test_auc:.6f}",
-            "train_auc": "" if self.train_auc is None else f"{self.train_auc:.6f}",
-            "sigma": "" if self.sigma is None else f"{self.sigma:.6g}",
-            "kappa_c": self.queries.kappa_c if self.queries else "",
-            "kappa_s": self.queries.kappa_s if self.queries else "",
-            "kappa_w": self.queries.kappa_w if self.queries else "",
-            "comm_rounds": self.comm.rounds if self.comm else "",
-            "comm_uplink_values": self.comm.uplink_values if self.comm else "",
-            "wall_time": f"{self.wall_time:.3f}",
-            "error": self.error or "",
+            name: "" if value is None else format(value, _COLUMN_FORMATS.get(name, ""))
+            for name, value in vars(self).items()
         }
+
+
+_COLUMN_FORMATS = {"test_auc": ".6f", "train_auc": ".6f", "sigma": ".6g", "wall_time": ".3f"}
+
+RESULT_COLUMNS = [field.name for field in fields(ExperimentResult)]
 
 
 def _derive_seed(split_seed: int, repeat: int) -> int:
@@ -270,18 +213,27 @@ def _derive_seed(split_seed: int, repeat: int) -> int:
 def run_single(
     config: TrainConfig,
     train_set: Dataset,
-    test_set: Dataset,
-) -> tuple[float, float, object]:
-    """Train one configuration, return (test AUC, train AUC, TrainResult)."""
-    pop = partition(train_set, None, ONE_RECORD_PER_CLIENT, seed=config.seed)
-    result = train(config, pop)
-    test_scores = predict(result.ensemble, test_set.features)
-    train_scores = predict(result.ensemble, train_set.features)
-    return (
-        auc_roc(test_set.labels, test_scores),
-        auc_roc(train_set.labels, train_scores),
-        result,
-    )
+    test_set: Dataset | None = None,
+    epsilon: float | None = None,
+    delta: float | None = None,
+) -> tuple[float | None, float, TrainResult]:
+    """Train one configuration with one record per client and evaluate it.
+
+    With ``epsilon`` the run gets that budget, delta defaulting to 1/n_train
+    (``budget_for``); without it the config's own budget stands. Returns
+    (test AUC, or None without a test set, train AUC, TrainResult).
+    """
+    if epsilon is not None:
+        budget = (
+            budget_for(epsilon, train_set.n) if delta is None else PrivacyBudget(epsilon, delta)
+        )
+        config = config.replace(budget=budget)
+    result = train(config, partition(train_set, None, ONE_RECORD_PER_CLIENT, seed=config.seed))
+    test_auc = None
+    if test_set is not None:
+        test_auc = auc_roc(test_set.labels, predict(result.ensemble, test_set.features))
+    train_auc = auc_roc(train_set.labels, predict(result.ensemble, train_set.features))
+    return test_auc, train_auc, result
 
 
 def _materialise_dataset(spec: dict) -> tuple[str, Dataset]:
@@ -370,34 +322,30 @@ def run_grid(
 
 def _run_cell(cid, cfg, dataset_name, dataset, eps, split_seed, rep, test_fraction):
     start = time.perf_counter()
+    epsilon = None if eps is None else float(eps)
+    cell = dict(
+        config_id=cid, dataset=dataset_name, epsilon=epsilon, split_seed=split_seed, repeat=rep
+    )
     try:
         pair = train_test_split(dataset, 1.0 - test_fraction, seed=split_seed)
-        run_cfg = cfg.replace(
-            seed=_derive_seed(split_seed, rep),
-            budget=None if eps is None else budget_for(float(eps), pair.train.n),
-            m=cfg.m if cfg.m is not None else dataset.m,
-        )
-        test_auc, train_auc, outcome = run_single(run_cfg, pair.train, pair.test)
+        run_cfg = cfg.replace(seed=_derive_seed(split_seed, rep), budget=None)
+        test_auc, train_auc, outcome = run_single(run_cfg, pair.train, pair.test, epsilon)
+        kappa_c, kappa_s, kappa_w = outcome.queries.as_tuple()
         return ExperimentResult(
-            config_id=cid,
-            dataset=dataset_name,
-            epsilon=None if eps is None else float(eps),
-            split_seed=split_seed,
-            repeat=rep,
+            **cell,
             test_auc=test_auc,
             train_auc=train_auc,
             sigma=outcome.sigma,
-            queries=outcome.queries,
-            comm=outcome.comm,
+            kappa_c=kappa_c,
+            kappa_s=kappa_s,
+            kappa_w=kappa_w,
+            comm_rounds=outcome.comm_rounds,
+            comm_uplink_values=outcome.comm_uplink_values,
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # isolate the cell; the grid continues
         return ExperimentResult(
-            config_id=cid,
-            dataset=dataset_name,
-            epsilon=None if eps is None else float(eps),
-            split_seed=split_seed,
-            repeat=rep,
+            **cell,
             status="error",
             error=f"{type(exc).__name__}: {exc}",
             wall_time=time.perf_counter() - start,

@@ -517,6 +517,7 @@ class TestEnsembleSerialization:
         cfg = d.TrainConfig(T=5, d=1, Q=4, B=batch_size, update_mode=d.UpdateMode.AVERAGING)
         payload = d.train(cfg, pop).ensemble.to_json_dict()
         assert payload["batch_boundaries"] == [[0, 5]]
+        assert payload["batch_size"] == 5  # the batch that ran, whatever B says
         d.Ensemble.from_json_dict(payload)
         payload["batch_boundaries"] = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
         with pytest.raises(InvalidParameterError, match="batch_boundaries.*batch_size"):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -155,6 +156,22 @@ class TestGridCommand:
         assert (config["split_method"], config["B"], config["T"]) == ("hist", 2, 4)
         # m and seed describe the dataset, not the configs
         assert sidecar["dataset"]["m"] == 3 and config["m"] is None
+
+    def test_csv_grid_with_bounds_runs_private_cells(self, csv_dataset, tmp_path, capsys):
+        path, bounds = csv_dataset
+        spec = tmp_path / "grid.cfg"
+        spec.write_text(
+            f"dataset = csv\npath = {path}\nlabel_column = y\nbounds = {bounds}\n"
+            "presets = DP-TR-Newton\nepsilons = 1.0\nT = 3\nd = 2\nQ = 4\n"
+        )
+        out = tmp_path / "results.csv"
+        assert main(["grid", "--spec", str(spec), "--out", str(out)]) == 0
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok", row["error"]
+        assert float(row["sigma"]) > 0
+        sidecar = json.loads((tmp_path / "results.configs.json").read_text())
+        assert sidecar["dataset"]["bounds"] == json.loads(bounds)
 
     def test_unknown_key_fails(self, tmp_path, capsys):
         spec = tmp_path / "grid.cfg"

@@ -480,6 +480,54 @@ class TestClientDataPlane:
         assert max(block for _, block in grids) <= federation.GROUP_GRID_CELLS
 
 
+class TestCentralNoiseAudit:
+    """Central noise is one N(0, std^2) draw per released coordinate.
+
+    With zero gradients a release is pure noise, so over many repeats each
+    coordinate's sample variance must lie in a chi-square band around std^2
+    (Bonferroni-corrected over the release's coordinates) and its mean near
+    0; empty cells are covered too. Local placement joins this audit once its
+    empty cells are noised (ROADMAP item 1): today their variance is 0.
+    """
+
+    REPEATS = 1500
+    NOISE = d.NoiseScale(1.5, 0.8)  # std 1.2
+    ALPHA = 1e-4  # family-wise, per release kind
+
+    @staticmethod
+    def release(agg, kind):
+        n = agg.pop.n
+        if kind == "level-1 histogram":
+            threshold = np.array([np.median(agg.pop.features[:, 0]), 0.0, 0.0])
+            agg.apply_splits(np.zeros(3, dtype=np.int64), threshold)
+            cs = d.uniform_candidates(agg.pop.bounds, 4)
+            return lambda: agg.histogram_round([1, 2], [0, 1], cs, "s")
+        if kind == "split pair":
+            return lambda: agg.split_pair_round([0], {0: [0.5], 1: [0.3]})
+        # every record in leaf 0, leaves 1-3 empty
+        return lambda: agg.leaf_round([np.zeros(n, dtype=np.int64)], 4)
+
+    @pytest.mark.parametrize("n_clients", [None, 7], ids=["one-record", "7-shards"])
+    @pytest.mark.parametrize("kind", ["level-1 histogram", "split pair", "leaf"])
+    def test_every_coordinate_has_the_calibrated_variance(self, n_clients, kind):
+        policy = ONE_RECORD_PER_CLIENT if n_clients is None else EQUAL_SHARDS
+        pop = make_pop(n=42, m=2, seed=6, policy=policy, n_clients=n_clients)
+        zeros = np.zeros(pop.n)
+        agg = aggregator(pop, zeros, zeros, noise=self.NOISE, noise_seed=17)
+        release = self.release(agg, kind)
+        samples = np.stack([release().ravel() for _ in range(self.REPEATS)])
+        coords = samples.shape[1]
+        assert agg.noise_draws == self.REPEATS * coords
+        tail = self.ALPHA / (2 * coords)
+        dof = self.REPEATS - 1
+        std = self.NOISE.std
+        lo, hi = stats.chi2.ppf([tail, 1 - tail], dof) / dof * std**2
+        variance = samples.var(axis=0, ddof=1)
+        assert np.all((lo < variance) & (variance < hi)), (variance, lo, hi)
+        mean_bound = stats.norm.ppf(1 - tail) * std / math.sqrt(self.REPEATS)
+        assert np.all(np.abs(samples.mean(axis=0)) < mean_bound)
+
+
 class TestAggregatorMeters:
     def test_one_draw_per_released_coordinate(self):
         pop = make_pop(40, 3)

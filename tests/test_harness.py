@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import dpgbdt as d
 from dpgbdt.harness import (
     PRESET_NAMES,
+    RESULT_COLUMNS,
     ExperimentResult,
     MissingCellError,
     UndefinedAucError,
     UnknownPresetError,
     rank_table,
     run_grid,
+    run_single,
 )
 
 from oracles import pairwise_auc
@@ -123,6 +125,30 @@ class TestPresets:
         rows = d.list_presets()
         assert {r["name"] for r in rows} == set(PRESET_NAMES)
 
+    # README's preset table: split, update, candidates, feature mode, k (m = 10),
+    # noise placement and B at T = 40. Most presets take these from TrainConfig
+    # defaults, so a changed default shows up here.
+    COMPONENTS = {
+        "DP-EBM": ("tr", "gradient", "uniform", "cyclical", 1, "central", 1),
+        "DP-EBM-Newton": ("tr", "newton", "uniform", "cyclical", 1, "central", 1),
+        "DP-GBM": ("hist", "gradient", "uniform", "cyclical", 10, "central", 1),
+        "DP-RF": ("tr", "averaging", "uniform", "cyclical", 10, "central", 40),
+        "FEVERLESS": ("hist", "newton", "uniform", "cyclical", 10, "central", 1),
+        "LDP": ("tr", "newton", "uniform", "cyclical", 10, "local", 1),
+        "DP-TR-Newton": ("tr", "newton", "uniform", "cyclical", 10, "central", 1),
+        "DP-TR-Newton-IH": ("tr", "newton", "ih", "cyclical", 10, "central", 1),
+        "DP-TR-Newton-IH-EBM": ("tr", "newton", "ih", "cyclical", 1, "central", 1),
+        "DP-TR-Batch-Newton-IH-EBM(p=0.25)": ("tr", "newton", "ih", "cyclical", 1, "central", 10),
+    }
+
+    def test_components_match_table(self):
+        keys = (
+            "split_method", "update_mode", "candidate_method", "feature_mode", "k",
+            "noise_placement", "B",
+        )
+        rows = {row["name"]: tuple(row[key] for key in keys) for row in d.list_presets(T=40)}
+        assert rows == self.COMPONENTS
+
 
 class TestRunGrid:
     def test_grid_shape_and_determinism(self, tmp_path):
@@ -176,6 +202,54 @@ class TestRunGrid:
         with open(tmp_path / "res.summary.csv") as fh:
             summary = list(csv.DictReader(fh))
         assert summary[0]["runs"] == "2"
+
+
+class TestRunSingle:
+    @pytest.fixture()
+    def pair(self):
+        return d.train_test_split(d.synthesize(200, 3, 0.3, 0.4, seed=2), 0.7, seed=0)
+
+    def test_epsilon_sets_budget_with_delta_one_over_n(self, pair):
+        cfg = d.baseline_preset("DP-TR-Newton", T=3, d=2, Q=4)
+        test_auc, train_auc, result = run_single(cfg, pair.train, epsilon=1.0)
+        assert test_auc is None and 0.0 <= train_auc <= 1.0
+        assert result.config.budget == d.PrivacyBudget(1.0, 1.0 / pair.train.n)
+        _, _, result = run_single(cfg, pair.train, pair.test, 1.0, 1e-3)
+        assert result.config.budget == d.PrivacyBudget(1.0, 1e-3)
+
+    def test_three_positional_arguments_keep_the_config_budget(self, pair):
+        budget = d.PrivacyBudget(2.0, 1e-4)
+        cfg = d.baseline_preset("DP-TR-Newton", T=3, d=2, Q=4, budget=budget)
+        test_auc, _, result = run_single(cfg, pair.train, pair.test)
+        assert result.config.budget == budget and result.sigma > 0
+        assert test_auc == d.auc_roc(pair.test.labels, d.predict(result.ensemble, pair.test.features))
+
+
+class TestResultRecord:
+    def test_fields_are_the_csv_columns(self):
+        assert RESULT_COLUMNS == [
+            "config_id", "dataset", "epsilon", "split_seed", "repeat", "status",
+            "test_auc", "train_auc", "sigma", "kappa_c", "kappa_s", "kappa_w",
+            "comm_rounds", "comm_uplink_values", "wall_time", "error",
+        ]
+
+    def test_row_formats(self):
+        ok = ExperimentResult(
+            "A", "ds", 1.0, 0, 2, test_auc=0.5, train_auc=2 / 3, sigma=12.3456789,
+            kappa_c=0, kappa_s=1, kappa_w=2, comm_rounds=3, comm_uplink_values=4,
+            wall_time=1.23456,
+        )
+        assert ok.to_row() == {
+            "config_id": "A", "dataset": "ds", "epsilon": "1.0", "split_seed": "0",
+            "repeat": "2", "status": "ok", "test_auc": "0.500000", "train_auc": "0.666667",
+            "sigma": "12.3457", "kappa_c": "0", "kappa_s": "1", "kappa_w": "2",
+            "comm_rounds": "3", "comm_uplink_values": "4", "wall_time": "1.235", "error": "",
+        }
+        failed = ExperimentResult("A", "ds", None, 0, 0, status="error", error="E: x").to_row()
+        blank = {"epsilon", "test_auc", "train_auc", "sigma", "kappa_c", "kappa_s", "kappa_w",
+                 "comm_rounds", "comm_uplink_values"}
+        assert {key for key, value in failed.items() if value == ""} == blank
+        assert failed["error"] == "E: x"
 
 
 def _result(dataset, eps, method, auc):

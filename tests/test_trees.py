@@ -9,6 +9,7 @@ import dpgbdt as d
 from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.data import philox
 from dpgbdt.federation import (
+    EQUAL_SHARDS,
     ONE_RECORD_PER_CLIENT,
     ClientPopulation,
     FederatedAggregator,
@@ -45,6 +46,17 @@ def quantile_set(ds, Q):
         for j in range(ds.m)
     )
     return d.SplitCandidateSet(per, ds.bounds)
+
+
+def preorder(depth):
+    """Internal heap ids of a depth-``depth`` tree: node, left subtree, right subtree."""
+    order, stack = [], [0]
+    while stack:
+        heap = stack.pop()
+        if heap < 2**depth - 1:
+            order.append(heap)
+            stack += [2 * heap + 2, 2 * heap + 1]
+    return order
 
 
 def structure_of(tree, cand_set):
@@ -321,6 +333,50 @@ class TestHistogramTree:
         assert structure_of(general, cs) == structure_of(single, cs)
         assert d.QueryCounter.from_rounds(agg_a.rounds).kappa_s == 3
         assert d.QueryCounter.from_rounds(agg_b.rounds).kappa_s == 1
+
+    @given(
+        n=st.integers(8, 80),
+        m=st.integers(1, 4),
+        Q=st.integers(2, 6),
+        depth=st.integers(1, 3),
+        data=st.data(),
+        shards=st.one_of(st.none(), st.integers(1, 7)),
+        candidates=st.sampled_from([d.CandidateMethod.UNIFORM, d.CandidateMethod.QUANTILE]),
+        features=st.sampled_from(list(d.FeatureMode)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_trained_hist_tree_matches_oracle(
+        self, n, m, Q, depth, data, shards, candidates, features, seed
+    ):
+        # T = 1: every (g, h) is (+-0.5, 0.25), so the fixed-point sums are
+        # exact; eta = 1 and beta = 1e9 leave the raw leaf weights untouched.
+        k = data.draw(st.integers(1, m), label="k")
+        ds = d.synthesize(n, m, 0.4, 0.5, seed=seed)
+        if shards is None:
+            pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
+        else:
+            pop = partition(ds, shards, EQUAL_SHARDS, seed=seed)
+        cfg = d.TrainConfig(
+            T=1, d=depth, Q=Q, split_method=d.SplitMethod.HIST, candidate_method=candidates,
+            feature_mode=features, k=k, eta=1.0, beta=1e9, seed=seed,
+        )
+        tree = d.train(cfg, pop).ensemble.trees[0]
+        if candidates is d.CandidateMethod.UNIFORM:
+            cs = d.uniform_candidates(ds.bounds, Q)
+        else:
+            cs = quantile_set(ds, Q)
+        ref = reference_greedy_tree(
+            ds.features, ds.labels, cs.per_feature, tree.feature_subset, depth, 1.0, 0.0
+        )
+        ref_splits, ref_weights = collect_structure(ref)
+        # the oracle's last candidate is the all-left split, routed on the upper bound
+        want = [
+            (j, ds.bounds[j][1] if c == Q - 1 else cs.per_feature[j][c]) for j, c in ref_splits
+        ]
+        got = [(int(tree.feature[i]), float(tree.threshold[i])) for i in preorder(depth)]
+        assert got == want
+        assert np.array_equal(tree.leaf_weights, ref_weights)
 
     def test_single_feature_leaf_stats_match_direct_sums(self):
         ds = d.synthesize(50, 1, 0.0, 0.5, seed=31)
