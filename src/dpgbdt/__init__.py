@@ -36,9 +36,8 @@ from .federation import (
     FixedPointCodec,
     comm_accounting,
     partition,
-    secure_sum,
 )
-from .gradients import GradientPair, UpdateMode, bce_gradients, mode_gradients, query_sensitivity
+from .gradients import UpdateMode, bce_gradients, mode_gradients, query_sensitivity
 from .harness import (
     ExperimentResult,
     auc_roc,

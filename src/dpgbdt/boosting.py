@@ -39,7 +39,7 @@ from .candidates import (
 )
 from .config import CandidateMethod, NoisePlacement, TrainConfig
 from .data import philox
-from .federation import ClientPopulation, CommLedger, FederatedAggregator, FixedPointCodec
+from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
 from .gradients import UpdateMode, batch_ranges, query_sensitivity, sigmoid, update_scores
 from .trees import (
     SplitMethod,
@@ -48,6 +48,7 @@ from .trees import (
     grow_tree_partially_random,
     grow_tree_single_feature,
     grow_tree_totally_random,
+    json_int,
     leaf_weight,
     postprocess_weight,
     select_features,
@@ -88,16 +89,24 @@ class Ensemble:
         outside [0, len(bounds)), a non-finite or non-positive eta, a
         batch_size below 1, or batch boundaries other than runs of
         batch_size trees (``batch_ranges``).
-        A missing key or a value of the wrong type raises it too.
+        A missing key or a value of the wrong type raises it too:
+        ``centered_batch`` must be a JSON boolean, and ``batch_size`` and the
+        batch boundaries JSON integers.
         """
         try:
+            centered = payload["centered_batch"]
+            if not isinstance(centered, bool):
+                raise TypeError(f"centered_batch must be a boolean, got {centered!r}")
             ensemble = cls(
                 trees=[Tree.from_dict(t) for t in payload["trees"]],
                 update_mode=UpdateMode(payload["update_mode"]),
                 eta=float(payload["eta"]),
-                batch_size=int(payload["batch_size"]),
-                centered_batch=bool(payload["centered_batch"]),
-                batch_boundaries=tuple((int(s), int(e)) for s, e in payload["batch_boundaries"]),
+                batch_size=json_int(payload["batch_size"], "batch_size"),
+                centered_batch=centered,
+                batch_boundaries=tuple(
+                    (json_int(s, "batch boundary"), json_int(e, "batch boundary"))
+                    for s, e in payload["batch_boundaries"]
+                ),
                 bounds=tuple((float(a), float(b)) for a, b in payload["bounds"]),
             )
         except InvalidParameterError:
@@ -144,10 +153,6 @@ class TrainResult:
     @property
     def queries(self) -> QueryCounter:
         return QueryCounter.from_rounds(self.rounds)
-
-    @property
-    def comm(self) -> CommLedger:
-        return CommLedger.from_rounds(self.rounds)
 
     @property
     def comm_rounds(self) -> int:

@@ -18,10 +18,10 @@ import argparse
 import json
 import sys
 
-from .accounting import PrivacyBudget, calibrate_sigma, count_queries
+from .accounting import InvalidParameterError, PrivacyBudget, calibrate_sigma, count_queries
 from .config import FLAT_FIELDS, TrainConfig, parse_fields
 from .data import load_csv, train_test_split
-from .federation import comm_accounting
+from .federation import SECURE_AGG_ROUND_FACTOR, comm_accounting
 from .gradients import query_sensitivity
 from .harness import baseline_preset, list_presets, run_grid, run_single
 
@@ -148,6 +148,8 @@ def _cmd_account(args) -> int:
         if delta is None:
             raise ValueError("account needs --delta alongside --epsilon (no dataset to infer 1/n)")
         cfg = cfg.replace(budget=PrivacyBudget(epsilon, delta))
+    elif delta is not None:
+        raise InvalidParameterError("delta given without epsilon")
     if cfg.m is None:
         raise ValueError("account needs --m (number of features)")
     counter = count_queries(cfg)
@@ -167,7 +169,7 @@ def _cmd_account(args) -> int:
         "per_round_payload": ledger.per_round_payload,
         "uplink_values": ledger.uplink_values,
         "uplink_bytes": ledger.uplink_bytes,
-        "secure_agg_round_factor": ledger.secure_agg_round_factor,
+        "secure_agg_round_factor": SECURE_AGG_ROUND_FACTOR,
     }
     print(json.dumps(out, indent=2))
     return 0

@@ -123,18 +123,6 @@ class TrainConfig:
         out["delta"] = self.budget.delta if self.budget else None
         return out
 
-    @classmethod
-    def from_flat_dict(cls, flat: dict) -> "TrainConfig":
-        flat = dict(flat)
-        epsilon = flat.pop("epsilon", None)
-        delta = flat.pop("delta", None)
-        budget = None
-        if epsilon is not None:
-            if delta is None:
-                raise InvalidParameterError("epsilon given without delta")
-            budget = PrivacyBudget(float(epsilon), float(delta))
-        return cls(budget=budget, **parse_fields(flat))
-
 
 def _flat_fields() -> dict[str, type]:
     hints = typing.get_type_hints(TrainConfig)

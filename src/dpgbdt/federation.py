@@ -37,7 +37,6 @@ __all__ = [
     "ClientPopulation",
     "CommLedger",
     "partition",
-    "secure_sum",
     "comm_accounting",
     "FederatedAggregator",
 ]
@@ -238,29 +237,6 @@ def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 
     )
 
 
-def secure_sum(
-    contributions: np.ndarray,
-    codec: FixedPointCodec,
-    noise: NoiseScale | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Sum per-client vectors through the fixed-point ring, then noise.
-
-    ``contributions`` has shape (n_clients, dim); an empty first axis yields
-    the zero vector (plus noise when configured).
-    """
-    contribs = np.asarray(contributions, dtype=float)
-    if contribs.ndim != 2:
-        raise InvalidParameterError("contributions must be a (n_clients, dim) array")
-    n_clients, dim = contribs.shape
-    out = codec.ring_sum(contribs, np.zeros(n_clients, dtype=np.int64), 1, n_clients)[0]
-    if noise is not None:
-        if rng is None:
-            raise InvalidParameterError("noisy aggregation requires an rng")
-        out = out + rng.normal(0.0, noise.std, size=dim)
-    return out
-
-
 # Upper bound on the dense (client, cell) grid a release of a sharded
 # population allocates at once; clients are reduced in blocks that fit under it.
 GROUP_GRID_CELLS = 1 << 20
@@ -279,13 +255,12 @@ class CommLedger:
     ``per_round_payload`` is the scalars one client sends in a regular
     aggregation round; ``uplink_values`` totals the whole run. Secure
     aggregation itself multiplies network round trips by
-    ``secure_agg_round_factor``; it is reported, not simulated.
+    ``SECURE_AGG_ROUND_FACTOR``; it is reported, not simulated.
     """
 
     rounds: int
     per_round_payload: int
     uplink_values: int
-    secure_agg_round_factor: int = SECURE_AGG_ROUND_FACTOR
 
     @property
     def uplink_bytes(self) -> int:
@@ -355,8 +330,7 @@ class FederatedAggregator:
     def recompute_gradients(self, mode: UpdateMode) -> None:
         """Recompute every record's (g, h), stacked as ``gh`` (2, n) until the
         next gradient barrier."""
-        pair = mode_gradients(self.pop.labels, self.raw_scores, mode)
-        self.gh = np.stack([pair.g, pair.h]).astype(float, copy=False)
+        self.gh = mode_gradients(self.pop.labels, self.raw_scores, mode)
 
     def begin_tree(self) -> None:
         self.node[:] = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .accounting import InvalidParameterError
 
 __all__ = [
     "UpdateMode",
-    "GradientPair",
     "sigmoid",
     "bce_gradients",
     "mode_gradients",
@@ -43,11 +41,6 @@ class UpdateMode(Enum):
     NEWTON = "newton"
 
 
-class GradientPair(NamedTuple):
-    g: float | np.ndarray
-    h: float | np.ndarray
-
-
 # L2 sensitivity of releasing one record's (g, h) contribution.
 # newton: |g| <= 1 and h <= 1/4, so ||(g, h)||_2 <= sqrt(1 + 1/16) = sqrt(17)/4.
 # averaging and gradient: |g| <= 1 and h = 1, so ||(g, h)||_2 <= sqrt(2).
@@ -55,46 +48,38 @@ SENSITIVITY_NEWTON = math.sqrt(17.0) / 4.0
 SENSITIVITY_COUNTING = math.sqrt(2.0)
 
 
-def sigmoid(x):
-    """Numerically stable logistic function; preserves scalar/array shape.
+def sigmoid(x) -> np.ndarray:
+    """Numerically stable logistic function, elementwise.
 
     With e = exp(-|x|), which never overflows: 1 / (1 + e) for x >= 0 and
     e / (1 + e) below, selected elementwise without boolean masks.
     """
     arr = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
-    if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        return float(out)
-    return out
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
-def bce_gradients(label, raw_score) -> GradientPair:
-    """First and second derivatives of binary cross-entropy at a raw score.
+def bce_gradients(label, raw_score) -> np.ndarray:
+    """First and second derivatives of binary cross-entropy at aligned
+    arrays of labels and raw scores.
 
-    With p = sigmoid(raw_score): g = p - label, h = p (1 - p). Accepts scalars
-    or aligned arrays.
+    With p = sigmoid(raw_score): g = p - label, h = p (1 - p). Returns the
+    (2, n) float array of rows g and h.
     """
     p = sigmoid(raw_score)
-    label = np.asarray(label, dtype=float) if not np.isscalar(label) else float(label)
-    g = p - label
-    h = p * (1.0 - p)
-    return GradientPair(g, h)
+    return np.stack([p - np.asarray(label, dtype=float), p * (1.0 - p)])
 
 
-def mode_gradients(label, raw_score, mode: UpdateMode) -> GradientPair:
-    """Per-record statistics released for the given update mode."""
+def mode_gradients(label, raw_score, mode: UpdateMode) -> np.ndarray:
+    """Per-record (g, h) released under the given update mode, as the (2, n)
+    float array of rows g and h."""
     if mode is UpdateMode.AVERAGING:
-        lab = np.asarray(label, dtype=float)
-        g = (lab == 1.0).astype(float)
-        h = np.ones_like(g)
-        if np.isscalar(label):
-            return GradientPair(float(g), 1.0)
-        return GradientPair(g, h)
+        g = (np.asarray(label, dtype=float) == 1.0).astype(float)
+        return np.stack([g, np.ones_like(g)])
     if mode is UpdateMode.GRADIENT:
-        g, _ = bce_gradients(label, raw_score)
-        h = 1.0 if np.isscalar(raw_score) else np.ones_like(np.asarray(raw_score, dtype=float))
-        return GradientPair(g, h)
+        gh = bce_gradients(label, raw_score)
+        gh[1] = 1.0
+        return gh
     if mode is UpdateMode.NEWTON:
         return bce_gradients(label, raw_score)
     raise ValueError(f"unknown update mode: {mode!r}")

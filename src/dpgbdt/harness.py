@@ -220,9 +220,12 @@ def run_single(
     """Train one configuration with one record per client and evaluate it.
 
     With ``epsilon`` the run gets that budget, delta defaulting to 1/n_train
-    (``budget_for``); without it the config's own budget stands. Returns
-    (test AUC, or None without a test set, train AUC, TrainResult).
+    (``budget_for``); without it the config's own budget stands, and a
+    ``delta`` raises InvalidParameterError. Returns (test AUC, or None
+    without a test set, train AUC, TrainResult).
     """
+    if epsilon is None and delta is not None:
+        raise InvalidParameterError("delta given without epsilon")
     if epsilon is not None:
         budget = (
             budget_for(epsilon, train_set.n) if delta is None else PrivacyBudget(epsilon, delta)

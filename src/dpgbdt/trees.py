@@ -77,6 +77,14 @@ def descend(
     return 2 * node + 2 - left.ravel()[(node - first) * n + np.arange(n)]
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (an int but not a bool); anything
+    else, 2.0 included, raises TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class Tree:
     """Complete binary split tree of depth ``max_depth`` in heap order.
@@ -147,7 +155,8 @@ class Tree:
         ``max_depth``: internal nodes above it, leaves exactly at it. The
         walk checks this before anything is allocated, so its work is
         bounded by the size of the payload. A missing key or a value of the
-        wrong type raises InvalidParameterError too.
+        wrong type, such as a non-integer ``max_depth`` or ``feature``, raises
+        InvalidParameterError too.
         """
         try:
             return cls._from_dict(payload)
@@ -158,7 +167,7 @@ class Tree:
 
     @classmethod
     def _from_dict(cls, payload: dict) -> "Tree":
-        depth = int(payload["max_depth"])
+        depth = json_int(payload["max_depth"], "max_depth")
         if depth < 0:
             raise InvalidParameterError(f"max_depth must be non-negative, got {depth}")
         n_internal = 2 ** depth - 1
@@ -180,7 +189,7 @@ class Tree:
             if heap >= n_internal:
                 tree.leaf_weights[heap - n_internal] = float(spec["weight"])
             else:
-                tree.feature[heap] = int(spec["feature"])
+                tree.feature[heap] = json_int(spec["feature"], "feature")
                 tree.threshold[heap] = float(spec["threshold"])
         return tree
 
@@ -197,12 +206,15 @@ def _preorder(depth: int):
             stack += [2 * heap + 2, 2 * heap + 1]
 
 
-def _gain(GL, HL, GR, HR, lam: float, gamma: float):
-    """Second-order gain of splitting into (GL, HL) and (GR, HR), elementwise.
+def split_score(GL, HL, GR, HR, lam: float, gamma: float):
+    """Second-order gain of splitting a node into left sums (GL, HL) and
+    right sums (GR, HR), elementwise over aligned arrays or scalars.
 
-    Hessian sums are floored at zero so scores stay finite under noise. A
-    side whose floored Hessian plus lam is zero scores 0 if its gradient sum
-    is 0 and inf otherwise.
+    0.5 (GL^2 / (HL + lam) + GR^2 / (HR + lam) - (GL + GR)^2 / (HL + HR + lam))
+    - gamma, with Hessian sums floored at zero so scores stay finite under
+    noise. It never raises: at lam = 0 a side whose floored Hessian is zero
+    scores 0 if its gradient sum is 0 and inf otherwise, and a parent with
+    no Hessian mass contributes 0.
     """
     hl = np.maximum(HL, 0.0)
     hr = np.maximum(HR, 0.0)
@@ -212,22 +224,6 @@ def _gain(GL, HL, GR, HR, lam: float, gamma: float):
         denom = hl + hr + lam
         parent = np.where(denom > 0, (GL + GR) ** 2 / denom, 0.0)
     return 0.5 * (left + right - parent) - gamma
-
-
-def split_score(
-    G_L: float, H_L: float, G_R: float, H_R: float, lam: float, gamma: float = 0.0
-) -> float:
-    """Second-order gain of splitting a node into left/right gradient sums.
-
-    Hessian sums are floored at zero before entering denominators so scores
-    stay finite under noise; this requires lam > 0 whenever a floored sum can
-    be zero.
-    """
-    if lam < 0 or gamma < 0:
-        raise InvalidParameterError("lam and gamma must be non-negative")
-    if lam == 0.0 and (max(H_L, 0.0) == 0.0 or max(H_R, 0.0) == 0.0):
-        raise InvalidParameterError("zero denominator: need lam > 0 when a side has no Hessian mass")
-    return float(_gain(G_L, H_L, G_R, H_R, lam, gamma))
 
 
 def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float):
@@ -241,7 +237,7 @@ def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float)
     HL = np.cumsum(H, axis=-1)
     GR = GL[..., -1:] - GL
     HR = HL[..., -1:] - HL
-    return _gain(GL, HL, GR, HR, lam, gamma), (GL, HL, GR, HR)
+    return split_score(GL, HL, GR, HR, lam, gamma), (GL, HL, GR, HR)
 
 
 def leaf_weight(G, H_or_count, lam: float, mode: UpdateMode):
@@ -415,7 +411,7 @@ def grow_tree_partially_random(
         )
         sums = agg.split_pair_round(nodes, dict(zip(feats, thr)))  # (F, nodes, 4)
         # first maximum over features: ties go to the lowest feature
-        best = _gain(*np.moveaxis(sums, -1, 0), lam, gamma).argmax(axis=0)
+        best = split_score(*np.moveaxis(sums, -1, 0), lam, gamma).argmax(axis=0)
         tree.feature[nodes] = np.asarray(feats)[best]
         tree.threshold[nodes] = thr[best, np.arange(len(nodes))]
         agg.apply_splits(tree.feature, tree.threshold)
@@ -468,7 +464,7 @@ def grow_tree_single_feature(
             HL = cum_h[cuts] - cum_h[a2]
             GR = (cum_g[b2] - cum_g[a2]) - GL
             HR = (cum_h[b2] - cum_h[a2]) - HL
-            c = _gain(GL, HL, GR, HR, lam, gamma).argmax(axis=1)
+            c = split_score(GL, HL, GR, HR, lam, gamma).argmax(axis=1)
         else:
             c = drawn[nodes]
         cut = np.clip(c + 1, a, b)

@@ -92,6 +92,19 @@ def ring_cell_sums(
     return [[(s - modulus if s >= modulus // 2 else s) / scale for s in cell] for cell in sums]
 
 
+def dense_secure_sum(client_vectors, codec) -> np.ndarray:
+    """Secure sum of dense per-client vectors, one row per client, in Python
+    integers: every value is encoded to fixed point, the encodings are summed
+    mod 2^ring_bits and the sum is decoded (``ring_cell_sums`` with every
+    row in one cell)."""
+    rows = np.asarray(client_vectors, dtype=float).tolist()
+    width = len(rows[0]) if rows else 0
+    sums = ring_cell_sums(
+        rows, [0] * len(rows), 1, width, codec.precision_bits, codec.ring_bits
+    )
+    return np.array(sums[0])
+
+
 def bce_loss(label: float, raw: float) -> float:
     p = logistic(raw)
     p = min(max(p, 1e-300), 1.0 - 1e-16)
@@ -134,12 +147,20 @@ def client_cell_vectors(client_sizes, cells, g, h, n_cells: int) -> np.ndarray:
 
 
 def split_gain(gl, hl, gr, hr, lam, gamma):
+    """Second-order gain of one split in Python floats, Hessian sums floored
+    at zero. A side whose denominator is zero scores 0 when its gradient sum
+    is 0 and inf otherwise; a parent whose denominator is zero scores 0."""
+
+    def term(g, denom):
+        if denom > 0.0:
+            return g * g / denom
+        return 0.0 if g == 0.0 else math.inf
+
     hl = max(hl, 0.0)
     hr = max(hr, 0.0)
     gt = gl + gr
-    return 0.5 * (
-        gl * gl / (hl + lam) + gr * gr / (hr + lam) - gt * gt / (hl + hr + lam)
-    ) - gamma
+    parent = gt * gt / (hl + hr + lam) if hl + hr + lam > 0.0 else 0.0
+    return 0.5 * (term(gl, hl + lam) + term(gr, hr + lam) - parent) - gamma
 
 
 class ReferenceNode:

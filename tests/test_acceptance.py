@@ -23,7 +23,6 @@ from dpgbdt.federation import (
     FixedPointCodec,
     comm_accounting,
     partition,
-    secure_sum,
 )
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
 
@@ -169,16 +168,15 @@ def test_criterion_5_gradient_correctness():
 
         rng = np.random.default_rng(505)
         step = 1e-6
-        for _ in range(1000):
-            label = int(rng.integers(0, 2))
-            raw = float(rng.normal(0.0, 3.0))
-            g, h = d.bce_gradients(label, raw)
+        labels = rng.integers(0, 2, size=1000)
+        raws = rng.normal(0.0, 3.0, size=1000)
+        g, h = d.bce_gradients(labels, raws)
+        g_up = d.bce_gradients(labels, raws + step)[0]
+        g_down = d.bce_gradients(labels, raws - step)[0]
+        for i, (label, raw) in enumerate(zip(labels.tolist(), raws.tolist())):
             g_fd = (bce_loss(label, raw + step) - bce_loss(label, raw - step)) / (2 * step)
-            assert abs(g - g_fd) <= 1e-5
-            h_fd = (
-                d.bce_gradients(label, raw + step).g - d.bce_gradients(label, raw - step).g
-            ) / (2 * step)
-            assert abs(h - h_fd) <= 1e-5
+            assert abs(g[i] - g_fd) <= 1e-5
+            assert abs(h[i] - (g_up[i] - g_down[i]) / (2 * step)) <= 1e-5
         labels = rng.integers(0, 2, size=1_000_000)
         raws = rng.normal(0.0, 5.0, size=1_000_000)
         g, h = d.bce_gradients(labels, raws)
@@ -194,13 +192,20 @@ def test_criterion_6_secure_sum_fidelity():
             c = int(rng.integers(1, 60))
             dim = int(rng.integers(1, 6))
             contribs = rng.normal(0.0, 8.0, (c, dim))
-            got = secure_sum(contribs, codec)
-            assert np.abs(got - contribs.sum(axis=0)).max() <= c / 2**17
+            want = contribs.sum(axis=0)
+            # one-record clients scatter into cells; shards reduce dense blocks
+            scattered = codec.ring_sum(contribs, np.zeros(c, dtype=np.int64), 1, c)[0]
+            reduced = codec.ring_reduce(np.array_split(contribs, 3), c)
+            assert np.abs(scattered - want).max() <= c / 2**17
+            assert np.abs(reduced - want).max() <= c / 2**17
 
+        # a noisy leaf round over zero gradients releases 20 coordinates of pure noise
         noise = d.NoiseScale(2.0, 1.5)
-        draws = np.concatenate(
-            [secure_sum(np.zeros((1, 20)), codec, noise, rng) for _ in range(5000)]
-        )
+        pop = partition(d.synthesize(8, 1, 0.0, 0.5, seed=6), None, ONE_RECORD_PER_CLIENT)
+        agg = FederatedAggregator(pop, codec=codec, noise=noise, noise_seed=606)
+        agg.gh = np.zeros((2, pop.n))
+        leaves = np.arange(pop.n, dtype=np.int64)
+        draws = np.concatenate([agg.leaf_round([leaves], 10).ravel() for _ in range(5000)])
         assert draws.size == 100_000
         assert abs(draws.std() / noise.std - 1.0) < 0.02
         assert stats.kstest(draws, "norm", args=(0.0, noise.std)).pvalue > 0.01

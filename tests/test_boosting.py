@@ -500,6 +500,34 @@ class TestEnsembleSerialization:
             d.Tree.from_dict(tree)
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.update(centered_batch="false"),
+            lambda p: p.update(centered_batch=0),
+            lambda p: p.update(batch_size=2.9),
+            lambda p: p.update(batch_size=1.0),
+            lambda p: p.update(batch_size=True),
+            lambda p: p.update(batch_boundaries=[[0.0, 1]]),
+            lambda p: p.update(batch_boundaries=[[False, True]]),
+            lambda p: p["trees"][0].update(max_depth=1.0),
+            lambda p: p["trees"][0]["root"].update(feature=1.7),
+            lambda p: p["trees"][0]["root"].update(feature=False),
+        ],
+        ids=[
+            "centered-string", "centered-int", "batch-size-2.9", "batch-size-1.0",
+            "batch-size-bool", "boundary-float", "boundary-bool", "max-depth-float",
+            "feature-1.7", "feature-bool",
+        ],
+    )
+    def test_mistyped_fields_rejected(self, payload, edit):
+        # the trained model, through JSON text, loads as written
+        payload = json.loads(json.dumps(payload))
+        d.Ensemble.from_json_dict(payload)
+        edit(payload)
+        with pytest.raises(InvalidParameterError, match="malformed"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
         "batch_size, boundaries", [(1, None), (3, None), (2, [[0, 2], [2, 5]]), (0, None)]
     )
     def test_batch_size_must_match_boundaries(self, small_data, batch_size, boundaries):

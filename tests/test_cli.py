@@ -74,6 +74,13 @@ class TestTrainCommand:
         assert main(["account", "--m", "3", "--centered_batch", "ture"]) != 0
         assert "centered_batch" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_delta_without_epsilon_fails_with_json_error(self, csv_dataset, capsys):
+        path, bounds = csv_dataset
+        argv = ["train", "--data", str(path), "--label-column", "y", "--bounds", bounds]
+        assert main([*argv, "--T", "2", "--delta", "1e-5"]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidParameterError" and "delta" in err["message"]
+
     def test_missing_file_fails_with_json_error(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.csv"), "--label-column", "y"])
         assert code != 0
@@ -98,6 +105,15 @@ class TestAccountCommand:
         assert (out["kappa_c"], out["kappa_s"], out["kappa_w"]) == (50, 0, 100)
         assert out["comm"]["rounds"] == 105
         assert out["sigma"] > 0
+
+    def test_epsilon_needs_delta(self, capsys):
+        assert main(["account", "--m", "5", "--epsilon", "1"]) != 0
+        assert "--delta" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_delta_without_epsilon_fails_with_json_error(self, capsys):
+        assert main(["account", "--m", "5", "--delta", "1e-5"]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidParameterError" and "delta" in err["message"]
 
     def test_requires_m(self, capsys):
         assert main(["account", "--preset", "DP-TR-Newton"]) != 0
@@ -252,7 +268,10 @@ def test_every_config_field_round_trips_and_has_a_flag():
     assert all(getattr(cfg, f) != getattr(default, f) for f in fields)
     flat = cfg.to_flat_dict()
     assert set(flat) == set(fields) - {"budget"} | {"epsilon", "delta"}
-    assert d.TrainConfig.from_flat_dict(flat) == cfg
+    # a config file holding the flat dict reads back to the same config
+    args = build_parser().parse_args(["account"])
+    back, epsilon, delta = _config_from(args, {key: str(value) for key, value in flat.items()})
+    assert back.replace(budget=d.PrivacyBudget(epsilon, delta)) == cfg
     for field in set(fields) - {"budget"}:
         args = build_parser().parse_args(["account", f"--{field}", str(flat[field])])
         assert getattr(_config_from(args, {})[0], field) == getattr(cfg, field), field

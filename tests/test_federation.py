@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -22,11 +23,10 @@ from dpgbdt.federation import (
     FixedPointCodec,
     comm_accounting,
     partition,
-    secure_sum,
 )
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
 
-from oracles import client_cell_vectors, closed_right_bin, ring_cell_sums
+from oracles import client_cell_vectors, closed_right_bin, dense_secure_sum, ring_cell_sums
 
 
 def make_pop(n=32, m=2, seed=0, policy=ONE_RECORD_PER_CLIENT, n_clients=None):
@@ -140,11 +140,21 @@ class TestCodec:
             FixedPointCodec(precision_bits=8, ring_bits=63)
 
 
+def one_cell(codec, contribs):
+    """Ring sum of every row of ``contribs`` into a single cell."""
+    n = contribs.shape[0]
+    return codec.ring_sum(contribs, np.zeros(n, dtype=np.int64), 1, n)[0]
+
+
 class TestSecureSum:
+    """The two ring paths a release runs (``ring_sum`` for one-record
+    clients, ``ring_reduce`` for shards) and the noise of a release."""
+
     def test_plain_example(self):
         codec = FixedPointCodec()
-        out = secure_sum(np.array([[1.0], [2.0], [3.0]]), codec)
-        assert abs(out[0] - 6.0) <= 3 / 2**17
+        contribs = np.array([[1.0], [2.0], [3.0]])
+        assert abs(one_cell(codec, contribs)[0] - 6.0) <= 3 / 2**17
+        assert abs(codec.ring_reduce([contribs], 3)[0] - 6.0) <= 3 / 2**17
 
     def test_exactness_bound_many_vectors(self):
         rng = philox(1)
@@ -153,8 +163,10 @@ class TestSecureSum:
             c = int(rng.integers(1, 50))
             dim = int(rng.integers(1, 8))
             contribs = rng.normal(0, 10, (c, dim))
-            got = secure_sum(contribs, codec)
-            assert np.abs(got - contribs.sum(axis=0)).max() <= c / (2 * codec.scale) + 1e-12
+            bound = c / (2 * codec.scale) + 1e-12
+            assert np.abs(one_cell(codec, contribs) - contribs.sum(axis=0)).max() <= bound
+            reduced = codec.ring_reduce(np.array_split(contribs, 2), c)
+            assert np.abs(reduced - contribs.sum(axis=0)).max() <= bound
 
     @given(p=st.integers(4, 24))
     @settings(max_examples=20)
@@ -162,16 +174,16 @@ class TestSecureSum:
         codec = FixedPointCodec(precision_bits=p)
         rng = philox(p)
         contribs = rng.normal(0, 3, (20, 5))
-        got = secure_sum(contribs, codec)
-        assert np.abs(got - contribs.sum(axis=0)).max() <= 20 / (2 * codec.scale) + 1e-12
+        bound = 20 / (2 * codec.scale) + 1e-12
+        assert np.abs(one_cell(codec, contribs) - contribs.sum(axis=0)).max() <= bound
+        assert np.abs(codec.ring_reduce([contribs], 20) - contribs.sum(axis=0)).max() <= bound
 
     def test_noise_distribution(self):
-        codec = FixedPointCodec()
-        rng = philox(42)
         noise = d.NoiseScale(2.0, 1.5)  # std 3.0
-        draws = np.concatenate(
-            [secure_sum(np.zeros((1, 10)), codec, noise, rng) for _ in range(10_000)]
-        )
+        pop = make_pop(5, 1)
+        agg = aggregator(pop, np.zeros(pop.n), np.zeros(pop.n), noise=noise, noise_seed=42)
+        leaves = np.arange(pop.n, dtype=np.int64)
+        draws = np.concatenate([agg.leaf_round([leaves], 5).ravel() for _ in range(10_000)])
         assert draws.size == 100_000
         assert abs(draws.std() / noise.std - 1.0) < 0.02
         ks = stats.kstest(draws, "norm", args=(0.0, noise.std))
@@ -179,15 +191,23 @@ class TestSecureSum:
 
     def test_empty_contributions(self):
         codec = FixedPointCodec()
-        assert np.all(secure_sum(np.zeros((0, 4)), codec) == 0.0)
-        noisy = secure_sum(np.zeros((0, 4)), codec, d.NoiseScale(1.0, 1.0), philox(0))
-        assert noisy.shape == (4,)
-        assert np.any(noisy != 0.0)
+        empty = codec.ring_sum(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 4, 0)
+        assert np.array_equal(empty, np.zeros((4, 2)))
+        # leaves 1..3 hold no record: exact zeros without noise, pure noise with it
+        pop = make_pop(6, 1)
+        leaves = [np.zeros(pop.n, dtype=np.int64)]
+        g, h = np.ones(pop.n), np.ones(pop.n)
+        plain = aggregator(pop, g, h).leaf_round(leaves, 4)[0]
+        assert np.array_equal(plain[1:], np.zeros((3, 2)))
+        noisy = aggregator(pop, g, h, noise=d.NoiseScale(1.0, 1.0), noise_seed=0)
+        assert np.all(noisy.leaf_round(leaves, 4)[0][1:] != 0.0)
 
     def test_wraparound_detected(self):
         codec = FixedPointCodec(precision_bits=8, ring_bits=16)
         with pytest.raises(CodecOverflowError):
-            secure_sum(np.full((200, 1), 100.0), codec)
+            one_cell(codec, np.full((200, 1), 100.0))
+        with pytest.raises(CodecOverflowError):
+            codec.ring_reduce([np.full((200, 1), 100.0)], 200)
 
 
 class TestPartition:
@@ -361,14 +381,12 @@ class TestClientDataPlane:
         for j in range(m):
             X = pop.features[:, j]
             cells = [p * Q + closed_right_bin(x, cs.per_feature[j]) for p, x in zip(pos, X)]
-            want = secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * Q), codec)
-            got = hist[j].reshape(-1, 2)
-            assert np.array_equal(got, want.reshape(-1, 2))
+            want = dense_secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * Q), codec)
+            assert np.array_equal(hist[j].reshape(-1, 2), want.reshape(-1, 2))
 
             cells = [2 * p + int(x > proposals[j][p]) for p, x in zip(pos, X)]
-            want = secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * 2), codec)
-            got = pairs[j]
-            assert np.array_equal(got.reshape(-1, 2), want.reshape(-1, 2))
+            want = dense_secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * 2), codec)
+            assert np.array_equal(pairs[j].reshape(-1, 2), want.reshape(-1, 2))
 
     def test_local_noise_draws_once_per_populated_pair(self):
         rng = philox(4)
@@ -572,7 +590,8 @@ class TestCommAccounting:
         ledger = comm_accounting(cfg)
         assert ledger.rounds == 1
         assert ledger.per_round_payload == 2 * 200 * 16
-        assert ledger.secure_agg_round_factor == 3
+        assert federation.SECURE_AGG_ROUND_FACTOR == 3
+        assert "secure_agg_round_factor" not in {f.name for f in dataclasses.fields(ledger)}
 
     def test_hist_rounds(self):
         cfg = d.TrainConfig(T=25, d=4, m=10, split_method=d.SplitMethod.HIST)
@@ -606,7 +625,10 @@ class TestCommAccounting:
             where = (pop.descriptor, name, overrides)
             assert res.rounds == d.plan(cfg), where
             assert res.queries == d.count_queries(cfg), where
-            assert res.comm == comm_accounting(cfg), where
+            ledger = comm_accounting(cfg)
+            assert (res.comm_rounds, res.comm_uplink_values) == (
+                ledger.rounds, ledger.uplink_values
+            ), where
 
 
 TINY = d.synthesize(24, 3, 0.2, 0.5, seed=4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpgbdt as d
+from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.harness import (
     PRESET_NAMES,
     RESULT_COLUMNS,
@@ -223,6 +224,11 @@ class TestRunSingle:
         test_auc, _, result = run_single(cfg, pair.train, pair.test)
         assert result.config.budget == budget and result.sigma > 0
         assert test_auc == d.auc_roc(pair.test.labels, d.predict(result.ensemble, pair.test.features))
+
+    def test_delta_without_epsilon_fails(self, pair):
+        cfg = d.baseline_preset("DP-TR-Newton", T=3, d=2, Q=4)
+        with pytest.raises(InvalidParameterError, match="delta"):
+            run_single(cfg, pair.train, None, None, 1e-5)
 
 
 class TestResultRecord:

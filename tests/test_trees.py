@@ -30,6 +30,7 @@ from oracles import (
     route_tree_dict,
     scalar_leaf_weight,
     scalar_postprocess,
+    split_gain,
 )
 
 
@@ -87,16 +88,42 @@ class TestSplitScore:
     def test_one_sided(self):
         assert d.split_score(1, 0.25, 0, 0, lam=1, gamma=0.5) == pytest.approx(-0.5)
 
-    def test_zero_denominator_error(self):
-        with pytest.raises(InvalidParameterError):
-            d.split_score(1, 0, 1, 0, lam=0, gamma=0)
-        with pytest.raises(InvalidParameterError):
-            d.split_score(1, -2, 1, 1, lam=0, gamma=0)
+    def test_zero_denominator_scores_zero_or_inf(self):
+        # lam = 0 with a side of no Hessian mass: 0 without gradient, inf with
+        assert d.split_score(1, 0, 1, 0, lam=0, gamma=0) == math.inf
+        assert d.split_score(1, -2, 1, 1, lam=0, gamma=0) == math.inf
+        assert d.split_score(0, 0, 0, 0, lam=0, gamma=0) == 0.0
+        assert d.split_score(0, -1, 2, 1, lam=0, gamma=0) == pytest.approx(0.0)
 
     def test_negative_hessians_floored(self):
         assert d.split_score(1, -5, 1, -5, lam=1, gamma=0) == d.split_score(
             1, 0, 1, 0, lam=1, gamma=0
         )
+
+    @given(
+        sides=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+                st.one_of(st.just(0.0), st.floats(-10, 1e3)),
+                st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+                st.one_of(st.just(0.0), st.floats(-10, 1e3)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        lam=st.one_of(st.just(0.0), st.floats(0, 5)),
+        gamma=st.floats(0, 3),
+    )
+    @settings(max_examples=200)
+    def test_matches_scalar_formula(self, sides, lam, gamma):
+        GL, HL, GR, HR = (np.array(column) for column in zip(*sides))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = d.split_score(GL, HL, GR, HR, lam, gamma)
+        want = [split_gain(*side, lam, gamma) for side in sides]
+        assert got.shape == GL.shape
+        # equal bit for bit; where both side terms overflow to inf (lam = 0,
+        # subnormal Hessian sums) both give inf - inf = nan
+        assert np.array_equal(got, want, equal_nan=True)
 
     @given(
         gl=st.floats(-10, 10),
