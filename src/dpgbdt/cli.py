@@ -2,7 +2,8 @@
 
 Subcommands:
   train    one configuration -> model JSON plus metrics on stdout
-  grid     grid spec file -> incremental results CSV (+ summary and sidecar)
+  grid     grid spec file -> incremental results CSV (+ summary and sidecar),
+           then the average rank of every preset per epsilon
   presets  list the built-in baseline configurations
   account  query ledger, calibrated sigma, and communication costs, no training
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .accounting import InvalidParameterError, PrivacyBudget, calibrate_sigma, count_queries
@@ -23,7 +25,16 @@ from .config import FLAT_FIELDS, TrainConfig, parse_fields
 from .data import load_csv, train_test_split
 from .federation import SECURE_AGG_ROUND_FACTOR, comm_accounting
 from .gradients import query_sensitivity
-from .harness import baseline_preset, list_presets, run_grid, run_single
+from .harness import (
+    MissingCellError,
+    baseline_preset,
+    list_presets,
+    parse_dataset,
+    rank_table,
+    read_results,
+    run_grid,
+    run_single,
+)
 
 
 # Every TrainConfig field but the budget, whose epsilon and delta are keys of their own.
@@ -99,21 +110,9 @@ def _parse_list(text: str, cast):
     return [cast(part.strip()) for part in text.split(",") if part.strip()]
 
 
-# Grid-spec keys that describe the dataset rather than the configs; ``bounds``
-# is the JSON list that ``train --bounds`` takes.
-_DATASET_KEYS = dict(
-    n=int, m=int, seed=int, skewed_fraction=float, class_balance=float,
-    path=str, label_column=str, name=str, bounds=json.loads,
-)
-
-
 def _cmd_grid(args) -> int:
     spec = _parse_kv_file(args.spec)
-    dataset_spec: dict = {"kind": spec.pop("dataset", "synthetic")}
-    for key, parse in _DATASET_KEYS.items():
-        if key in spec:
-            dataset_spec[key] = parse(spec.pop(key))
-
+    dataset_spec = parse_dataset(spec)
     preset_names = _parse_list(spec.pop("presets"), str)
     epsilons = [None if e in ("none", "None") else float(e) for e in _parse_list(spec.pop("epsilons"), str)]
     split_seeds = _parse_list(spec.pop("split_seeds", "0"), int)
@@ -126,6 +125,16 @@ def _cmd_grid(args) -> int:
     )
     failures = sum(1 for r in results if r.status != "ok")
     print(f"wrote {len(results)} new rows to {args.out} ({failures} failures)")
+    # ranks over every row of the file, earlier runs' included
+    try:
+        ranks = rank_table(read_results(args.out))
+    except MissingCellError as exc:
+        print(exc)
+        return 0
+    for eps in sorted(ranks, key=lambda eps: -math.inf if eps is None else eps):
+        print(f"\naverage rank at epsilon={eps} (1 = best):")
+        for name, rank in sorted(ranks[eps].items(), key=lambda item: item[1]):
+            print(f"  {rank:5.2f}  {name}")
     return 0
 
 

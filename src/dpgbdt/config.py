@@ -18,6 +18,8 @@ __all__ = [
     "NoisePlacement",
     "TrainConfig",
     "FLAT_FIELDS",
+    "field_types",
+    "parse_value",
     "parse_fields",
 ]
 
@@ -124,31 +126,44 @@ class TrainConfig:
         return out
 
 
-def _flat_fields() -> dict[str, type]:
-    hints = typing.get_type_hints(TrainConfig)
+def field_types(cls) -> dict[str, type]:
+    """Every field of dataclass ``cls`` in declaration order with its value
+    type; ``int | None`` and the like give their non-None member."""
+    hints = typing.get_type_hints(cls)
     out = {}
-    for field in dataclasses.fields(TrainConfig):
-        if field.name != "budget":
-            # ``int | None`` and the like: the non-None member
-            kinds = [t for t in typing.get_args(hints[field.name]) if t is not type(None)]
-            out[field.name] = kinds[0] if kinds else hints[field.name]
+    for field in dataclasses.fields(cls):
+        kinds = [t for t in typing.get_args(hints[field.name]) if t is not type(None)]
+        out[field.name] = kinds[0] if kinds else hints[field.name]
     return out
 
 
 # Every TrainConfig field but ``budget``, in declaration order, with its value
 # type (None stripped from optional fields).
-FLAT_FIELDS: dict[str, type] = _flat_fields()
+FLAT_FIELDS: dict[str, type] = {
+    name: kind for name, kind in field_types(TrainConfig).items() if name != "budget"
+}
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def parse_value(kind: type, value):
+    """``value`` as a ``kind``. Enums are built from their value; strings
+    become booleans from 1/true/yes or 0/false/no (any case), and go through
+    ``kind`` otherwise; other typed values pass through. Raises KeyError or
+    ValueError for a value ``kind`` cannot take."""
+    if issubclass(kind, Enum):
+        return kind(value)
+    if isinstance(value, str):
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
+    return value
 
 
 def parse_fields(values: dict) -> dict:
     """TrainConfig keyword arguments from ``{field: value}``, skipping None.
 
     A value is a string from a flag or a ``key = value`` file, or already
-    typed. Enums are built from their value; strings become booleans from
-    1/true/yes or 0/false/no (any case), and go through ``int``, ``float`` or
-    ``str`` otherwise. An unknown key or a value its field cannot take raises
+    typed; each goes through ``parse_value`` with its field's type. An
+    unknown key or a value its field cannot take raises
     InvalidParameterError.
     """
     out = {}
@@ -159,13 +174,7 @@ def parse_fields(values: dict) -> dict:
         if value is None:
             continue
         try:
-            if issubclass(kind, Enum):
-                value = kind(value)
-            elif kind is bool and isinstance(value, str):
-                value = _BOOLEANS[value.lower()]
-            elif isinstance(value, str):
-                value = kind(value)
+            out[key] = parse_value(kind, value)
         except (KeyError, ValueError) as exc:
             raise InvalidParameterError(f"bad value for {key}: {value!r}") from exc
-        out[key] = value
     return out

@@ -20,14 +20,16 @@ defaults. DP-EBM here trains T trees cycling one feature per tree; a run
 equivalent to T_outer full feature cycles uses T = T_outer * m.
 
 ``run_single`` is the one train-and-evaluate step (budget, one record per
-client, train, AUCs); the CLI, the grid and the scripts all call it. A grid
-cell's outcome is an ``ExperimentResult``, whose fields are the results-CSV
-columns in order.
+client, train, AUCs); the CLI, the grid and the split-method script all call
+it. A grid cell's outcome is an ``ExperimentResult``, whose fields are the
+results-CSV columns in order; ``read_results`` is the one reader of that
+file, for resuming, the summary and the rank table alike.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 import time
@@ -39,7 +41,7 @@ from scipy.stats import rankdata
 
 from .accounting import InvalidParameterError, PrivacyBudget, count_queries
 from .boosting import TrainResult, predict, train
-from .config import CandidateMethod, NoisePlacement, TrainConfig
+from .config import CandidateMethod, NoisePlacement, TrainConfig, field_types, parse_value
 from .data import Dataset, load_csv, synthesize, train_test_split
 from .federation import ONE_RECORD_PER_CLIENT, partition
 from .gradients import UpdateMode
@@ -55,6 +57,8 @@ __all__ = [
     "baseline_preset",
     "list_presets",
     "ExperimentResult",
+    "read_results",
+    "parse_dataset",
     "run_single",
     "run_grid",
     "rank_table",
@@ -98,18 +102,22 @@ def budget_for(epsilon: float, n: int) -> PrivacyBudget:
 
 _BATCH_PRESET = re.compile(r"^DP-TR-Batch-Newton-IH-EBM\(p=([0-9.]+)\)$")
 
-PRESET_NAMES: tuple[str, ...] = (
-    "DP-EBM",
-    "DP-EBM-Newton",
-    "DP-GBM",
-    "DP-RF",
-    "FEVERLESS",
-    "LDP",
-    "DP-TR-Newton",
-    "DP-TR-Newton-IH",
-    "DP-TR-Newton-IH-EBM",
-    "DP-TR-Batch-Newton-IH-EBM(p=0.25)",
-)
+# What each preset fixes. Every field a preset leaves out keeps its
+# TrainConfig default: tr splits, newton updates, uniform candidates,
+# cyclical features, k = m, central noise and B = 1.
+_PRESET_CHOICES = {
+    "DP-EBM": dict(update_mode=UpdateMode.GRADIENT, k=1),
+    "DP-EBM-Newton": dict(k=1),
+    "DP-GBM": dict(split_method=SplitMethod.HIST, update_mode=UpdateMode.GRADIENT),
+    "DP-RF": dict(update_mode=UpdateMode.AVERAGING),
+    "FEVERLESS": dict(split_method=SplitMethod.HIST),
+    "LDP": dict(noise_placement=NoisePlacement.LOCAL),
+    "DP-TR-Newton": dict(),
+    "DP-TR-Newton-IH": dict(candidate_method=CandidateMethod.ITERATIVE_HESSIAN),
+    "DP-TR-Newton-IH-EBM": dict(candidate_method=CandidateMethod.ITERATIVE_HESSIAN, k=1),
+}
+
+PRESET_NAMES: tuple[str, ...] = (*_PRESET_CHOICES, "DP-TR-Batch-Newton-IH-EBM(p=0.25)")
 
 
 def baseline_preset(preset: str, /, **fields) -> TrainConfig:
@@ -121,22 +129,8 @@ def baseline_preset(preset: str, /, **fields) -> TrainConfig:
     inline (``DP-TR-Batch-Newton-IH-EBM(p=0.25)``), derive B from the final T
     (B = T and round(p * T)) unless B is given.
     """
-    # Every field a preset leaves out keeps its TrainConfig default: tr
-    # splits, newton updates, uniform candidates, cyclical features, k = m,
-    # central noise and B = 1.
-    table = {
-        "DP-EBM": dict(update_mode=UpdateMode.GRADIENT, k=1),
-        "DP-EBM-Newton": dict(k=1),
-        "DP-GBM": dict(split_method=SplitMethod.HIST, update_mode=UpdateMode.GRADIENT),
-        "DP-RF": dict(update_mode=UpdateMode.AVERAGING),
-        "FEVERLESS": dict(split_method=SplitMethod.HIST),
-        "LDP": dict(noise_placement=NoisePlacement.LOCAL),
-        "DP-TR-Newton": dict(),
-        "DP-TR-Newton-IH": dict(candidate_method=CandidateMethod.ITERATIVE_HESSIAN),
-        "DP-TR-Newton-IH-EBM": dict(candidate_method=CandidateMethod.ITERATIVE_HESSIAN, k=1),
-    }
     match = _BATCH_PRESET.match(preset)
-    choice = table.get("DP-TR-Newton-IH-EBM" if match else preset)
+    choice = _PRESET_CHOICES.get("DP-TR-Newton-IH-EBM" if match else preset)
     if choice is None:
         raise UnknownPresetError(f"unknown preset {preset!r}; known: {', '.join(PRESET_NAMES)}")
     fraction = float(match.group(1)) if match else (1.0 if preset == "DP-RF" else None)
@@ -190,6 +184,7 @@ class ExperimentResult:
     kappa_w: int | None = None
     comm_rounds: int | None = None
     comm_uplink_values: int | None = None
+    nonprivate_candidates: bool | None = None
     wall_time: float = 0.0
     error: str | None = None
 
@@ -204,6 +199,28 @@ class ExperimentResult:
 _COLUMN_FORMATS = {"test_auc": ".6f", "train_auc": ".6f", "sigma": ".6g", "wall_time": ".3f"}
 
 RESULT_COLUMNS = [field.name for field in fields(ExperimentResult)]
+
+_COLUMN_TYPES = field_types(ExperimentResult)
+
+
+def read_results(path) -> list[ExperimentResult]:
+    """The rows of a results CSV, the inverse of ``ExperimentResult.to_row``:
+    a blank cell reads as None and every other cell goes through its field's
+    type. A file whose header is not ``RESULT_COLUMNS`` raises
+    InvalidParameterError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != RESULT_COLUMNS:
+            raise InvalidParameterError(f"{path}: columns {reader.fieldnames} != {RESULT_COLUMNS}")
+        return [
+            ExperimentResult(
+                **{
+                    name: None if cell == "" else parse_value(_COLUMN_TYPES[name], cell)
+                    for name, cell in row.items()
+                }
+            )
+            for row in reader
+        ]
 
 
 def _derive_seed(split_seed: int, repeat: int) -> int:
@@ -239,18 +256,31 @@ def run_single(
     return test_auc, train_auc, result
 
 
+# The keys of a dataset spec besides its ``kind``, with their types, and the
+# synthetic kind's defaults; ``bounds`` is the JSON list that ``train --bounds`` takes.
+_DATASET_FIELDS = dict(
+    name=str, n=int, m=int, seed=int, skewed_fraction=float, class_balance=float,
+    path=str, label_column=str, bounds=json.loads,
+)
+_SYNTHETIC_DEFAULTS = dict(n=20000, m=10, skewed_fraction=0.0, class_balance=0.5, seed=0)
+
+
+def parse_dataset(values: dict) -> dict:
+    """Pop a grid spec's dataset keys from ``values``, its ``key = value``
+    strings, into the typed dataset spec ``run_grid`` takes. ``dataset``
+    gives the kind: synthetic (the default) or csv."""
+    spec = {"kind": values.pop("dataset", "synthetic")}
+    for key, parse in _DATASET_FIELDS.items():
+        if key in values:
+            spec[key] = parse(values.pop(key))
+    return spec
+
+
 def _materialise_dataset(spec: dict) -> tuple[str, Dataset]:
-    spec = dict(spec)
-    kind = spec.pop("kind", "synthetic")
+    kind = spec.get("kind", "synthetic")
     if kind == "synthetic":
-        name = spec.pop("name", "synthetic")
-        return name, synthesize(
-            n=int(spec.get("n", 20000)),
-            m=int(spec.get("m", 10)),
-            skewed_fraction=float(spec.get("skewed_fraction", 0.0)),
-            class_balance=float(spec.get("class_balance", 0.5)),
-            seed=int(spec.get("seed", 0)),
-        )
+        args = {key: spec.get(key, default) for key, default in _SYNTHETIC_DEFAULTS.items()}
+        return spec.get("name", "synthetic"), synthesize(**args)
     if kind == "csv":
         path = spec["path"]
         name = spec.get("name", Path(path).stem)
@@ -270,62 +300,78 @@ def run_grid(
     """Run configs x epsilons x split seeds x repeats, appending rows as they finish.
 
     An epsilon of None runs without noise. Individual failures are recorded
-    in their row and the grid continues. Re-running with the same spec skips
-    rows already present in the output, so an interrupted grid resumes to the
-    same final table. A mean/std summary per (config, epsilon) cell is written
-    alongside, and the flattened configs go to a JSON sidecar.
+    in their row and the grid continues. A mean/std summary per (config,
+    epsilon) cell is written alongside, and the dataset spec, the test
+    fraction and the flattened configs go to a JSON sidecar.
+
+    An existing output is resumed: rows already present are skipped, so an
+    interrupted grid resumes to the same final table, and new split seeds,
+    epsilons and config ids extend it. Resuming a different experiment raises
+    InvalidParameterError before anything is written: a missing sidecar, a
+    different dataset spec or test fraction, a config id whose flattened
+    config differs, or a CSV header other than ``RESULT_COLUMNS``.
     """
     out_path = Path(out_path)
-    dataset_name, dataset = _materialise_dataset(dataset_spec)
-
+    epsilons = [None if eps is None else float(eps) for eps in epsilons]
+    sidecar_path = out_path.with_suffix(".configs.json")
+    # through JSON, so it compares equal to a sidecar read back
+    record = json.loads(json.dumps({
+        "dataset": dataset_spec,
+        "test_fraction": test_fraction,
+        "configs": {cid: cfg.to_flat_dict() for cid, cfg in configs.items()},
+    }))
+    resuming = out_path.exists()
     done: set[tuple] = set()
-    mode = "a"
-    if out_path.exists():
-        with open(out_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                done.add(
-                    (row["config_id"], row["epsilon"], row["split_seed"], row["repeat"])
-                )
-    else:
-        mode = "w"
-
-    sidecar = {
-        cid: cfg.to_flat_dict() for cid, cfg in configs.items()
-    }
-    with open(out_path.with_suffix(".configs.json"), "w", encoding="utf-8") as fh:
-        json.dump({"dataset": dataset_spec, "configs": sidecar}, fh, indent=2)
+    if resuming:
+        recorded = _recorded_experiment(out_path, sidecar_path, record)
+        done = {(r.config_id, r.epsilon, r.split_seed, r.repeat) for r in read_results(out_path)}
+        record["configs"] = {**recorded["configs"], **record["configs"]}
+    dataset_name, dataset = _materialise_dataset(dataset_spec)
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
 
     results: list[ExperimentResult] = []
-    with open(out_path, mode, newline="", encoding="utf-8") as fh:
+    with open(out_path, "a" if resuming else "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        if mode == "w":
+        if not resuming:
             writer.writeheader()
-        for cid, cfg in configs.items():
-            for eps in epsilons:
-                for split_seed in split_seeds:
-                    for rep in range(repeats):
-                        key = (
-                            cid,
-                            "" if eps is None else str(float(eps)),
-                            str(split_seed),
-                            str(rep),
-                        )
-                        if key in done:
-                            continue
-                        res = _run_cell(
-                            cid, cfg, dataset_name, dataset, eps, split_seed, rep, test_fraction
-                        )
-                        results.append(res)
-                        writer.writerow(res.to_row())
-                        fh.flush()
+        cells = itertools.product(configs, epsilons, split_seeds, range(repeats))
+        for cid, eps, split_seed, rep in cells:
+            if (cid, eps, split_seed, rep) in done:
+                continue
+            res = _run_cell(
+                cid, configs[cid], dataset_name, dataset, eps, split_seed, rep, test_fraction
+            )
+            results.append(res)
+            writer.writerow(res.to_row())
+            fh.flush()
 
     _write_summary(out_path)
     return results
 
 
-def _run_cell(cid, cfg, dataset_name, dataset, eps, split_seed, rep, test_fraction):
+def _recorded_experiment(out_path: Path, sidecar_path: Path, record: dict) -> dict:
+    """The sidecar of an existing results file, once ``record`` is shown to
+    continue its experiment; raises InvalidParameterError otherwise."""
+    if not sidecar_path.exists():
+        raise InvalidParameterError(f"cannot resume {out_path}: {sidecar_path} is missing")
+    with open(sidecar_path, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    differ = [key for key in ("dataset", "test_fraction") if recorded.get(key) != record[key]]
+    differ += [
+        f"config {cid!r}"
+        for cid, flat in record["configs"].items()
+        if recorded["configs"].get(cid, flat) != flat
+    ]
+    if differ:
+        raise InvalidParameterError(
+            f"cannot resume {out_path}: {', '.join(differ)} differ from {sidecar_path}"
+        )
+    return recorded
+
+
+def _run_cell(cid, cfg, dataset_name, dataset, epsilon, split_seed, rep, test_fraction):
     start = time.perf_counter()
-    epsilon = None if eps is None else float(eps)
     cell = dict(
         config_id=cid, dataset=dataset_name, epsilon=epsilon, split_seed=split_seed, repeat=rep
     )
@@ -344,6 +390,7 @@ def _run_cell(cid, cfg, dataset_name, dataset, eps, split_seed, rep, test_fracti
             kappa_w=kappa_w,
             comm_rounds=outcome.comm_rounds,
             comm_uplink_values=outcome.comm_uplink_values,
+            nonprivate_candidates=outcome.nonprivate_candidates,
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # isolate the cell; the grid continues
@@ -357,30 +404,20 @@ def _run_cell(cid, cfg, dataset_name, dataset, eps, split_seed, rep, test_fracti
 
 def _write_summary(out_path: Path) -> None:
     cells: dict[tuple, list[float]] = {}
-    with open(out_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["status"] != "ok" or not row["test_auc"]:
-                continue
-            cells.setdefault((row["config_id"], row["epsilon"]), []).append(
-                float(row["test_auc"])
-            )
+    for row in read_results(out_path):
+        if row.status == "ok" and row.test_auc is not None:
+            cells.setdefault((row.config_id, row.epsilon), []).append(row.test_auc)
     summary_path = out_path.with_suffix(".summary.csv")
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config_id", "epsilon", "runs", "mean_test_auc", "std_test_auc"])
-        for (cid, eps), aucs in sorted(cells.items()):
-            arr = np.asarray(aucs)
+        # per config, the noise-free cell (epsilon None, written blank) first
+        order = sorted(cells, key=lambda cell: (cell[0], -np.inf if cell[1] is None else cell[1]))
+        for cid, eps in order:
+            arr = np.asarray(cells[cid, eps])
             writer.writerow(
                 [cid, eps, arr.size, f"{arr.mean():.6f}", f"{arr.std(ddof=0):.6f}"]
             )
-
-
-def _average_ranks(values: list[tuple[str, float]]) -> dict[str, float]:
-    # rank 1 = highest value; ties share the mean of the ranks they cover
-    methods = [m for m, _ in values]
-    aucs = np.asarray([v for _, v in values])
-    ranks = rankdata(-aucs)  # average ties
-    return {m: float(r) for m, r in zip(methods, ranks)}
 
 
 def rank_table(results) -> dict[float | None, dict[str, float]]:
@@ -397,9 +434,9 @@ def rank_table(results) -> dict[float | None, dict[str, float]]:
     for res in results:
         if res.status != "ok" or res.test_auc is None:
             continue
-        dataset, eps, method, auc = res.dataset, res.epsilon, res.config_id, res.test_auc
-        methods.add(method)
-        by_cell.setdefault((dataset, eps), {}).setdefault(method, []).append(auc)
+        methods.add(res.config_id)
+        cell = by_cell.setdefault((res.dataset, res.epsilon), {})
+        cell.setdefault(res.config_id, []).append(res.test_auc)
 
     missing = [
         (dataset, eps, method)
@@ -412,11 +449,12 @@ def rank_table(results) -> dict[float | None, dict[str, float]]:
 
     per_eps: dict[float | None, dict[str, list[float]]] = {}
     for (dataset, eps), cell in by_cell.items():
-        means = [(method, float(np.mean(aucs))) for method, aucs in sorted(cell.items())]
-        ranks = _average_ranks(means)
+        names = sorted(cell)
+        # rank 1 = highest mean AUC; ties share the mean of the ranks they cover
+        ranks = rankdata([-float(np.mean(cell[name])) for name in names])
         bucket = per_eps.setdefault(eps, {})
-        for method, rank in ranks.items():
-            bucket.setdefault(method, []).append(rank)
+        for name, rank in zip(names, ranks):
+            bucket.setdefault(name, []).append(float(rank))
     return {
         eps: {method: float(np.mean(ranks)) for method, ranks in sorted(bucket.items())}
         for eps, bucket in per_eps.items()

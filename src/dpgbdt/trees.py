@@ -212,18 +212,21 @@ def split_score(GL, HL, GR, HR, lam: float, gamma: float):
 
     0.5 (GL^2 / (HL + lam) + GR^2 / (HR + lam) - (GL + GR)^2 / (HL + HR + lam))
     - gamma, with Hessian sums floored at zero so scores stay finite under
-    noise. It never raises: at lam = 0 a side whose floored Hessian is zero
-    scores 0 if its gradient sum is 0 and inf otherwise, and a parent with
-    no Hessian mass contributes 0.
+    noise. It never raises or warns: at lam = 0 a side whose floored Hessian
+    is zero scores 0 if its gradient sum is 0 and inf otherwise, and a parent
+    with no Hessian mass contributes 0. A split whose terms cancel as
+    inf - inf (lam = 0 with subnormal Hessian sums) scores -inf, so no
+    builder ever chooses it; every other score is the formula's value.
     """
     hl = np.maximum(HL, 0.0)
     hr = np.maximum(HR, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         left = np.where(hl + lam > 0, GL * GL / (hl + lam), np.where(GL == 0, 0.0, np.inf))
         right = np.where(hr + lam > 0, GR * GR / (hr + lam), np.where(GR == 0, 0.0, np.inf))
         denom = hl + hr + lam
         parent = np.where(denom > 0, (GL + GR) ** 2 / denom, 0.0)
-    return 0.5 * (left + right - parent) - gamma
+        # fmax(nan, -inf) is -inf and fmax(x, -inf) is x for every other x
+        return np.fmax(0.5 * (left + right - parent) - gamma, -np.inf)
 
 
 def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float):

@@ -149,7 +149,8 @@ def client_cell_vectors(client_sizes, cells, g, h, n_cells: int) -> np.ndarray:
 def split_gain(gl, hl, gr, hr, lam, gamma):
     """Second-order gain of one split in Python floats, Hessian sums floored
     at zero. A side whose denominator is zero scores 0 when its gradient sum
-    is 0 and inf otherwise; a parent whose denominator is zero scores 0."""
+    is 0 and inf otherwise; a parent whose denominator is zero scores 0. A
+    gain whose terms cancel as inf - inf is -inf, never chosen."""
 
     def term(g, denom):
         if denom > 0.0:
@@ -160,7 +161,8 @@ def split_gain(gl, hl, gr, hr, lam, gamma):
     hr = max(hr, 0.0)
     gt = gl + gr
     parent = gt * gt / (hl + hr + lam) if hl + hr + lam > 0.0 else 0.0
-    return 0.5 * (term(gl, hl + lam) + term(gr, hr + lam) - parent) - gamma
+    gain = 0.5 * (term(gl, hl + lam) + term(gr, hr + lam) - parent) - gamma
+    return -math.inf if math.isnan(gain) else gain
 
 
 class ReferenceNode:

@@ -6,6 +6,7 @@ import pytest
 
 import dpgbdt as d
 from dpgbdt.cli import _config_from, build_parser, main
+from dpgbdt.harness import PRESET_NAMES, rank_table, read_results
 
 
 @pytest.fixture()
@@ -137,6 +138,19 @@ class TestPresetsCommand:
             assert name in out
 
 
+def printed_ranks(out: str) -> dict:
+    """The rank block ``grid`` prints: {epsilon: {preset: average rank}}."""
+    ranks: dict = {}
+    for line in out.splitlines():
+        if line.startswith("average rank at epsilon="):
+            text = line.removeprefix("average rank at epsilon=").split()[0]
+            block = ranks.setdefault(None if text == "None" else float(text), {})
+        elif line.startswith("  "):
+            rank, name = line.split()
+            block[name] = float(rank)
+    return ranks
+
+
 class TestGridCommand:
     def test_runs_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "grid.cfg"
@@ -158,6 +172,62 @@ class TestGridCommand:
         assert out.exists()
         assert (tmp_path / "results.summary.csv").exists()
         assert "4 new rows" in capsys.readouterr().out
+
+    def test_every_preset_runs_and_is_ranked(self, tmp_path, capsys):
+        spec = tmp_path / "grid.cfg"
+        spec.write_text(
+            f"n = 300\nm = 3\npresets = {', '.join(PRESET_NAMES)}\nepsilons = 1.0\n"
+            "T = 3\nd = 2\nQ = 4\n"
+        )
+        out = tmp_path / "results.csv"
+        assert main(["grid", "--spec", str(spec), "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert f"wrote {len(PRESET_NAMES)} new rows to {out} (0 failures)" in text
+        ranks = printed_ranks(text)
+        assert list(ranks) == [1.0] and sorted(ranks[1.0]) == sorted(PRESET_NAMES)
+        assert all(row.status == "ok" and 0.0 <= row.test_auc <= 1.0 for row in read_results(out))
+
+    def test_resume_ranks_every_row_of_the_file(self, tmp_path, capsys):
+        spec = tmp_path / "grid.cfg"
+        layout = "n = 200\nm = 3\npresets = DP-TR-Newton, DP-RF\nepsilons = 1.0, none\nT = 3\n"
+        argv = ["grid", "--spec", str(spec), "--out", str(tmp_path / "results.csv")]
+        spec.write_text(layout + "split_seeds = 0\n")
+        assert main(argv) == 0
+        capsys.readouterr()
+        spec.write_text(layout + "split_seeds = 0, 1\n")
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "wrote 4 new rows" in text
+        rows = read_results(tmp_path / "results.csv")
+        assert sorted({row.split_seed for row in rows}) == [0, 1] and len(rows) == 8
+        assert printed_ranks(text) == rank_table(rows)
+
+    def test_missing_cells_are_printed_instead_of_ranks(self, tmp_path, capsys):
+        spec = tmp_path / "grid.cfg"
+        argv = ["grid", "--spec", str(spec), "--out", str(tmp_path / "results.csv")]
+        spec.write_text("n = 200\nm = 3\npresets = DP-TR-Newton\nepsilons = 1.0\nT = 3\n")
+        assert main(argv) == 0
+        capsys.readouterr()
+        spec.write_text("n = 200\nm = 3\npresets = DP-RF\nepsilons = 0.5\nT = 3\n")
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "missing results for cells" in text and "'DP-RF'" in text
+        assert "average rank" not in text
+
+    def test_resuming_a_different_experiment_fails_and_appends_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "grid.cfg"
+        out = tmp_path / "results.csv"
+        argv = ["grid", "--spec", str(spec), "--out", str(out)]
+        spec.write_text("n = 200\nm = 3\npresets = DP-TR-Newton\nepsilons = none\nT = 2\n")
+        assert main(argv) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        spec.write_text("n = 200\nm = 3\npresets = DP-TR-Newton\nepsilons = none\nT = 9\n")
+        assert main(argv) != 0
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "InvalidParameterError" and "DP-TR-Newton" in err["message"]
+        assert out.read_bytes() == before
 
     def test_every_config_field_applies(self, tmp_path, capsys):
         spec = tmp_path / "grid.cfg"

@@ -546,6 +546,72 @@ class TestCentralNoiseAudit:
         assert np.all(np.abs(samples.mean(axis=0)) < mean_bound)
 
 
+class TestCanaryAudit:
+    """White-box canary audit of the central leaf release (Jagielski, Ullman
+    & Oprea, NeurIPS 2020; Nasr et al., IEEE S&P 2021).
+
+    A population releases one leaf round many times without and with one
+    added canary record, whose (g, h) is its update mode's worst case. Only
+    the canary's leaf may shift, by the canary's (g, h), so mu_hat = ||mean
+    shift|| / (measured noise std) estimates the Gaussian-DP parameter
+    ||(g, h)|| / (sigma * sensitivity) of one query: it must lie in a
+    two-sided band around that value, and so within the claimed 1 / sigma.
+    Mis-scaled noise moves mu_hat in either direction.
+    """
+
+    SIGMA = 0.5
+    TREES = 1000  # a leaf round over 1,000 copies of one assignment: 1,000 releases
+    CALLS = 20
+    LEAVES = 4
+    CANARY_LEAF = 2
+    ALPHA = 1e-4  # family-wise, per update mode
+    # (label, raw score) at which each mode's (g, h) is largest
+    WORST = {
+        d.UpdateMode.NEWTON: (0, 40.0),
+        d.UpdateMode.GRADIENT: (0, 40.0),
+        d.UpdateMode.AVERAGING: (1, 40.0),
+    }
+
+    def releases(self, gh, leaves, noise, seed):
+        """(TREES * CALLS, LEAVES, 2) leaf releases of one assignment."""
+        pop = make_pop(n=leaves.size, m=1, seed=0)  # a leaf round reads no features
+        agg = aggregator(pop, *gh, noise=noise, noise_seed=seed)
+        return np.concatenate(
+            [agg.leaf_round([leaves] * self.TREES, self.LEAVES) for _ in range(self.CALLS)]
+        )
+
+    @pytest.mark.parametrize("mode", list(WORST), ids=lambda mode: mode.value)
+    def test_canary_shift_is_within_the_claimed_mu(self, mode):
+        rng = np.random.default_rng(11)
+        n = 40
+        gh = d.mode_gradients(rng.integers(0, 2, n), rng.normal(0.0, 1.0, n), mode)
+        leaves = rng.integers(0, self.LEAVES, n)
+        label, raw = self.WORST[mode]
+        canary = d.mode_gradients(np.array([label]), np.array([raw]), mode)
+        noise = d.NoiseScale(self.SIGMA, d.query_sensitivity(mode))
+        without = self.releases(gh, leaves, noise, seed=1)
+        with_canary = self.releases(
+            np.concatenate([gh, canary], axis=1), np.append(leaves, self.CANARY_LEAF), noise, 2
+        )
+
+        runs = without.shape[0]
+        shift = with_canary.mean(axis=0) - without.mean(axis=0)  # (LEAVES, 2)
+        residuals = np.concatenate(
+            [with_canary - with_canary.mean(axis=0), without - without.mean(axis=0)]
+        )
+        std = residuals.std()
+        mu_hat = np.linalg.norm(shift[self.CANARY_LEAF]) / std
+        mu = np.linalg.norm(canary) / noise.std
+        # mu_hat's standard error: the mean shift's, plus the std estimate's
+        se = math.sqrt(2.0 / runs + mu**2 / (2.0 * residuals.size))
+        checks = 2 + 2 * (self.LEAVES - 1)  # band, claim, each other leaf's two coordinates
+        z = stats.norm.ppf(1 - self.ALPHA / (2 * checks))
+        assert abs(mu_hat - mu) < z * se, (mu_hat, mu, se)
+        assert mu_hat < 1.0 / self.SIGMA + z * se, (mu_hat, 1.0 / self.SIGMA)
+        others = np.delete(shift, self.CANARY_LEAF, axis=0)
+        assert np.all(np.abs(others) < z * std * math.sqrt(2.0 / runs)), others
+
+
 class TestAggregatorMeters:
     def test_one_draw_per_released_coordinate(self):
         pop = make_pop(40, 3)

@@ -16,6 +16,7 @@ from dpgbdt.harness import (
     UndefinedAucError,
     UnknownPresetError,
     rank_table,
+    read_results,
     run_grid,
     run_single,
 )
@@ -180,6 +181,18 @@ class TestRunGrid:
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
+    def test_rows_say_when_candidates_read_raw_data(self, tmp_path):
+        tr = d.baseline_preset("DP-TR-Newton", T=3, d=2, Q=4)
+        configs = {"uniform": tr, "quantile": tr.replace(candidate_method=d.CandidateMethod.QUANTILE)}
+        spec = {"kind": "synthetic", "n": 120, "m": 2, "seed": 0}
+        rows = run_grid(configs, spec, [1.0], [0], 1, tmp_path / "res.csv")
+        assert {r.config_id: r.nonprivate_candidates for r in rows} == {
+            "uniform": False, "quantile": True
+        }
+        assert [r.nonprivate_candidates for r in read_results(tmp_path / "res.csv")] == [
+            False, True
+        ]
+
     def test_failing_cell_is_isolated(self, tmp_path):
         configs = {
             "bad": d.baseline_preset("DP-TR-Newton", T=4, d=2, Q=4).replace(m=99),
@@ -203,6 +216,71 @@ class TestRunGrid:
         with open(tmp_path / "res.summary.csv") as fh:
             summary = list(csv.DictReader(fh))
         assert summary[0]["runs"] == "2"
+
+
+class TestResume:
+    """A resumed grid extends its own experiment and refuses any other."""
+
+    SPEC = {"kind": "synthetic", "n": 120, "m": 2, "seed": 0}
+
+    @staticmethod
+    def config(**fields):
+        return d.baseline_preset("DP-TR-Newton", **{"T": 2, "d": 2, "Q": 4, **fields})
+
+    @pytest.fixture()
+    def first(self, tmp_path):
+        out = tmp_path / "res.csv"
+        run_grid({"tr": self.config()}, self.SPEC, [None], [0], 1, out)
+        return out
+
+    @staticmethod
+    def files(out):
+        return [path.read_bytes() for path in (out, out.with_suffix(".configs.json"))]
+
+    def test_new_seed_epsilon_and_config_extend_the_grid(self, first):
+        configs = {"tr": self.config(), "rf": d.baseline_preset("DP-RF", T=2, d=2, Q=4)}
+        rows = run_grid(configs, self.SPEC, [None, 1.0], [0, 1], 1, first)
+        assert len(rows) == 2 * 2 * 2 - 1  # all but the first run's row
+        keys = [(r.config_id, r.epsilon, r.split_seed) for r in read_results(first)]
+        assert len(keys) == len(set(keys)) == 8
+        sidecar = json.loads(first.with_suffix(".configs.json").read_text())
+        assert list(sidecar["configs"]) == ["tr", "rf"]
+        assert sidecar["test_fraction"] == 0.3
+        # an earlier config id stays recorded when a later call leaves it out
+        run_grid({"rf": configs["rf"]}, self.SPEC, [None], [2], 1, first)
+        sidecar = json.loads(first.with_suffix(".configs.json").read_text())
+        assert sidecar["configs"]["tr"]["T"] == 2 and list(sidecar["configs"]) == ["tr", "rf"]
+        with open(first.with_suffix(".summary.csv")) as fh:
+            runs = {(row["config_id"], row["epsilon"]): row["runs"] for row in csv.DictReader(fh)}
+        assert runs == {("rf", ""): "3", ("rf", "1.0"): "2", ("tr", ""): "2", ("tr", "1.0"): "2"}
+
+    @pytest.mark.parametrize(
+        "change",
+        ["config", "dataset", "test_fraction", "sidecar missing", "header"],
+    )
+    def test_a_different_experiment_is_refused(self, first, change):
+        configs, spec, test_fraction = {"tr": self.config()}, self.SPEC, 0.3
+        if change == "config":
+            configs = {"tr": self.config(T=9)}
+        elif change == "dataset":
+            spec = {**self.SPEC, "n": 121}
+        elif change == "test_fraction":
+            test_fraction = 0.25
+        elif change == "sidecar missing":
+            first.with_suffix(".configs.json").unlink()
+        else:  # a results file from before nonprivate_candidates was a column
+            drop = RESULT_COLUMNS.index("nonprivate_candidates")
+            with open(first, newline="") as fh:
+                table = [row[:drop] + row[drop + 1 :] for row in csv.reader(fh)]
+            with open(first, "w", newline="") as fh:
+                csv.writer(fh).writerows(table)
+        before = first.read_bytes()
+        sidecar = first.with_suffix(".configs.json")
+        recorded = sidecar.read_bytes() if sidecar.exists() else None
+        with pytest.raises(InvalidParameterError):
+            run_grid(configs, spec, [None], [0, 1], 1, first, test_fraction)
+        assert first.read_bytes() == before
+        assert (sidecar.read_bytes() if sidecar.exists() else None) == recorded
 
 
 class TestRunSingle:
@@ -236,26 +314,52 @@ class TestResultRecord:
         assert RESULT_COLUMNS == [
             "config_id", "dataset", "epsilon", "split_seed", "repeat", "status",
             "test_auc", "train_auc", "sigma", "kappa_c", "kappa_s", "kappa_w",
-            "comm_rounds", "comm_uplink_values", "wall_time", "error",
+            "comm_rounds", "comm_uplink_values", "nonprivate_candidates", "wall_time", "error",
         ]
 
     def test_row_formats(self):
         ok = ExperimentResult(
             "A", "ds", 1.0, 0, 2, test_auc=0.5, train_auc=2 / 3, sigma=12.3456789,
             kappa_c=0, kappa_s=1, kappa_w=2, comm_rounds=3, comm_uplink_values=4,
-            wall_time=1.23456,
+            nonprivate_candidates=False, wall_time=1.23456,
         )
         assert ok.to_row() == {
             "config_id": "A", "dataset": "ds", "epsilon": "1.0", "split_seed": "0",
             "repeat": "2", "status": "ok", "test_auc": "0.500000", "train_auc": "0.666667",
             "sigma": "12.3457", "kappa_c": "0", "kappa_s": "1", "kappa_w": "2",
-            "comm_rounds": "3", "comm_uplink_values": "4", "wall_time": "1.235", "error": "",
+            "comm_rounds": "3", "comm_uplink_values": "4", "nonprivate_candidates": "False",
+            "wall_time": "1.235", "error": "",
         }
         failed = ExperimentResult("A", "ds", None, 0, 0, status="error", error="E: x").to_row()
         blank = {"epsilon", "test_auc", "train_auc", "sigma", "kappa_c", "kappa_s", "kappa_w",
-                 "comm_rounds", "comm_uplink_values"}
+                 "comm_rounds", "comm_uplink_values", "nonprivate_candidates"}
         assert {key for key, value in failed.items() if value == ""} == blank
         assert failed["error"] == "E: x"
+
+    def test_read_results_inverts_to_row(self, tmp_path):
+        rows = [
+            ExperimentResult(
+                "A", "ds", 0.5, 3, 1, test_auc=0.25, train_auc=0.75, sigma=12.5, kappa_c=0,
+                kappa_s=1, kappa_w=2, comm_rounds=3, comm_uplink_values=4,
+                nonprivate_candidates=True, wall_time=1.5,
+            ),
+            ExperimentResult("B", "ds", None, 0, 0, nonprivate_candidates=False),
+            ExperimentResult("C", "ds", 1.0, 0, 0, status="error", error="E: x", wall_time=0.25),
+        ]
+        out = tmp_path / "res.csv"
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
+            writer.writeheader()
+            writer.writerows(row.to_row() for row in rows)
+        back = read_results(out)
+        assert back == rows
+        assert [type(row.split_seed) for row in back] == [int] * 3
+
+    def test_read_results_refuses_other_columns(self, tmp_path):
+        out = tmp_path / "res.csv"
+        out.write_text(",".join(c for c in RESULT_COLUMNS if c != "nonprivate_candidates") + "\n")
+        with pytest.raises(InvalidParameterError, match="columns"):
+            read_results(out)
 
 
 def _result(dataset, eps, method, auc):

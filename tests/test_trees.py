@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestSplitScore:
         assert d.split_score(0, 0, 0, 0, lam=0, gamma=0) == 0.0
         assert d.split_score(0, -1, 2, 1, lam=0, gamma=0) == pytest.approx(0.0)
 
+    def test_cancelling_infinities_score_minus_inf(self):
+        # lam = 0 with subnormal Hessian sums: the side terms and the parent
+        # overflow to inf, and inf - inf would be nan
+        for sides in [(0.0, 0.0, 1.0, 2.2e-311), (1.0, 1e-311, 1.0, 1e-311)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert d.split_score(*sides, lam=0, gamma=0) == -math.inf
+                assert d.split_score(*(np.array([v]) for v in sides), 0, 0.5)[0] == -math.inf
+            assert split_gain(*sides, 0, 0) == -math.inf
+
     def test_negative_hessians_floored(self):
         assert d.split_score(1, -5, 1, -5, lam=1, gamma=0) == d.split_score(
             1, 0, 1, 0, lam=1, gamma=0
@@ -117,13 +128,11 @@ class TestSplitScore:
     @settings(max_examples=200)
     def test_matches_scalar_formula(self, sides, lam, gamma):
         GL, HL, GR, HR = (np.array(column) for column in zip(*sides))
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = d.split_score(GL, HL, GR, HR, lam, gamma)
+        got = d.split_score(GL, HL, GR, HR, lam, gamma)
         want = [split_gain(*side, lam, gamma) for side in sides]
         assert got.shape == GL.shape
-        # equal bit for bit; where both side terms overflow to inf (lam = 0,
-        # subnormal Hessian sums) both give inf - inf = nan
-        assert np.array_equal(got, want, equal_nan=True)
+        # equal bit for bit, and never nan
+        assert np.array_equal(got, want)
 
     @given(
         gl=st.floats(-10, 10),
@@ -347,6 +356,25 @@ class TestHistogramTree:
         agg = exact_aggregator(ds)
         tree, _, _ = grow_tree_histogram(agg, [0, 1], cs, 1, 1.0, 0.0)
         assert tree.feature[0] == 0
+
+    def test_level_skips_a_split_whose_raw_score_is_nan(self):
+        # feature 0's bins hold subnormal Hessian mass: at lam = 0 both of its
+        # candidates compute inf - inf, which argmax would take first
+        hist = np.array([[[1.0, 1e-311], [1.0, 1e-311]], [[1.0, 0.5], [-1.0, 0.5]]])
+
+        class FixedHistogram:
+            def begin_tree(self):
+                pass
+
+            def histogram_round(self, nodes, feats, cand_set, category):
+                return hist[:, None]
+
+            def apply_splits(self, feature, threshold):
+                pass
+
+        cs = d.uniform_candidates([(0.0, 1.0)] * 2, 2)
+        tree, _, _ = grow_tree_histogram(FixedHistogram(), [0, 1], cs, 1, 0.0, 0.0)
+        assert structure_of(tree, cs) == [(1, 0)]
 
     def test_single_feature_path_equals_general_path_noise_off(self):
         ds = d.synthesize(70, 1, 0.3, 0.5, seed=21)
