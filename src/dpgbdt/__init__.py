@@ -10,14 +10,11 @@ from .accounting import (
     NoiseScale,
     PrivacyBudget,
     QueryCounter,
-    RdpCurve,
     Round,
     calibrate_sigma,
-    compose_sequential,
     count_queries,
-    gaussian_rdp,
     plan,
-    rdp_to_dp,
+    rdp_epsilon,
 )
 from .boosting import Ensemble, TrainResult, predict, raw_scores, train
 from .candidates import (

@@ -1,18 +1,15 @@
 """Renyi differential privacy accounting for Gaussian-mechanism queries.
 
-The training pipeline releases every private statistic through the Gaussian
-mechanism, so the whole privacy analysis reduces to three steps:
-
-  1. each query contributes an RDP curve tau(alpha) = alpha / (2 sigma^2),
-  2. curves compose additively across queries,
-  3. the composed curve converts to an (epsilon, delta) guarantee by
-     minimising epsilon(alpha) = tau(alpha) + log(1/delta) / (alpha - 1)
-     over a grid of Renyi orders.
-
-``calibrate_sigma`` inverts step 3: given a target budget and a query count,
-it finds the smallest noise multiplier that stays within budget. The query
-count comes from ``plan``, the one list of aggregation rounds a configuration
-executes; the ledger and the communication costs are folds over it.
+A run releases every private statistic through the Gaussian mechanism at one
+noise multiplier sigma, over the whole population, without subsampling. One
+query has the Renyi-DP curve alpha / (2 sigma^2) (Mironov, CSF 2017) and
+curves add, so a run of K queries is the single line K alpha / (2 sigma^2):
+its privacy depends only on K / sigma^2 (the run is mu-Gaussian-DP with
+mu = sqrt(K) / sigma; Dong, Roth & Su, JRSS-B 2022). ``rdp_epsilon`` converts
+that line to the epsilon of an (epsilon, delta) guarantee; ``calibrate_sigma``
+inverts it for the query count of ``plan``, the one list of aggregation
+rounds a configuration executes. The ledger and the communication costs are
+folds over that list.
 """
 
 from __future__ import annotations
@@ -29,16 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEFAULT_ALPHAS",
     "InvalidParameterError",
-    "GridMismatchError",
     "ZeroQueryError",
-    "RdpCurve",
     "PrivacyBudget",
     "QueryCounter",
     "Round",
     "NoiseScale",
-    "gaussian_rdp",
-    "compose_sequential",
-    "rdp_to_dp",
+    "rdp_epsilon",
     "calibrate_sigma",
     "plan",
     "count_queries",
@@ -49,16 +42,12 @@ class InvalidParameterError(ValueError):
     """A parameter is outside the domain of the requested operation."""
 
 
-class GridMismatchError(ValueError):
-    """RDP curves defined on different alpha grids cannot be combined."""
-
-
 class ZeroQueryError(ValueError):
     """Calibration was requested for a configuration that issues no queries."""
 
 
 # Dense at small orders (tight epsilon regime), sparse at large orders with two
-# high anchors for very loose budgets. Configurable in every public function.
+# high anchors for very loose budgets.
 DEFAULT_ALPHAS: np.ndarray = np.concatenate(
     [np.arange(1.5, 10.0 + 1e-9, 0.25), np.arange(11.0, 65.0, 1.0), [128.0, 256.0]]
 )
@@ -67,46 +56,6 @@ DEFAULT_ALPHAS.setflags(write=False)
 SIGMA_BRACKET = (1e-3, 1e4)
 SIGMA_REL_TOL = 1e-4
 SIGMA_MAX_ITER = 200
-
-
-def _as_alpha_grid(alphas) -> np.ndarray:
-    grid = np.asarray(alphas, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise InvalidParameterError("alpha grid must be a non-empty 1-d sequence")
-    if np.any(grid <= 1.0):
-        raise InvalidParameterError("all Renyi orders must be > 1")
-    if np.any(np.diff(grid) <= 0.0):
-        raise InvalidParameterError("alpha grid must be strictly increasing")
-    return grid
-
-
-@dataclass(frozen=True, eq=False)
-class RdpCurve:
-    """A tau(alpha) mapping on a fixed, strictly increasing grid of orders."""
-
-    alphas: np.ndarray
-    taus: np.ndarray
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        taus = np.asarray(self.taus, dtype=float)
-        if alphas.shape != taus.shape or alphas.ndim != 1:
-            raise InvalidParameterError("alphas and taus must be 1-d and equal length")
-        if alphas.size:
-            if np.any(alphas <= 1.0) or np.any(np.diff(alphas) <= 0.0):
-                raise InvalidParameterError("orders must be > 1 and strictly increasing")
-            if np.any(taus < 0.0) or not np.all(np.isfinite(taus)):
-                raise InvalidParameterError("tau values must be finite and >= 0")
-        alphas.setflags(write=False)
-        taus.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "taus", taus)
-
-    def __len__(self) -> int:
-        return self.alphas.size
-
-    def same_grid(self, other: "RdpCurve") -> bool:
-        return np.array_equal(self.alphas, other.alphas)
 
 
 @dataclass(frozen=True)
@@ -186,87 +135,44 @@ class NoiseScale:
         return self.sigma * self.sensitivity
 
 
-def gaussian_rdp(sigma: float, alphas=None) -> RdpCurve:
-    """RDP curve of a single Gaussian mechanism: tau(alpha) = alpha / (2 sigma^2)."""
+def rdp_epsilon(sigma: float, queries: int, delta: float) -> float:
+    """Epsilon of the (epsilon, delta)-DP guarantee of ``queries`` Gaussian
+    queries at noise multiplier ``sigma``: the minimum over ``DEFAULT_ALPHAS``
+    of queries * alpha / (2 sigma^2) + log(1/delta) / (alpha - 1)."""
     if not (isinstance(sigma, (int, float, np.floating)) and sigma > 0.0 and math.isfinite(sigma)):
         raise InvalidParameterError(f"sigma must be a positive finite number, got {sigma}")
-    grid = _as_alpha_grid(DEFAULT_ALPHAS if alphas is None else alphas)
-    return RdpCurve(grid, grid / (2.0 * float(sigma) ** 2))
-
-
-def compose_sequential(
-    curves: Sequence[RdpCurve], counts: Sequence[int] | None = None, alphas=None
-) -> RdpCurve:
-    """Sequentially compose RDP curves, each repeated ``counts[i]`` times.
-
-    All curves must share one alpha grid; the composed tau is the
-    count-weighted sum. An empty curve list yields the all-zero curve on
-    ``alphas`` (default grid), the identity of composition.
-    """
-    curves = list(curves)
-    if counts is None:
-        counts = [1] * len(curves)
-    counts = list(counts)
-    if len(counts) != len(curves):
-        raise InvalidParameterError("curves and counts must have equal length")
-    for c in counts:
-        if not isinstance(c, (int, np.integer)) or c < 0:
-            raise InvalidParameterError(f"multiplicities must be non-negative integers, got {c}")
-    if not curves:
-        grid = _as_alpha_grid(DEFAULT_ALPHAS if alphas is None else alphas)
-        return RdpCurve(grid, np.zeros_like(grid))
-    grid = curves[0].alphas
-    for curve in curves[1:]:
-        if not curve.same_grid(curves[0]):
-            raise GridMismatchError("cannot compose RDP curves on different alpha grids")
-    total = np.zeros_like(grid)
-    for curve, count in zip(curves, counts):
-        total = total + count * curve.taus
-    return RdpCurve(grid, total)
-
-
-def rdp_to_dp(curve: RdpCurve, delta: float) -> float:
-    """Convert an RDP curve to the epsilon of an (epsilon, delta)-DP guarantee.
-
-    Uses the standard bound epsilon(alpha) = tau(alpha) + log(1/delta) /
-    (alpha - 1), minimised over the curve's grid.
-    """
-    if len(curve) == 0:
-        raise InvalidParameterError("cannot convert an empty RDP curve")
+    if not isinstance(queries, (int, np.integer)) or queries < 0:
+        raise InvalidParameterError(f"queries must be a non-negative integer, got {queries}")
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
-    eps = curve.taus + math.log(1.0 / delta) / (curve.alphas - 1.0)
-    return float(np.min(eps))
+    eps = queries * (DEFAULT_ALPHAS / (2.0 * float(sigma) ** 2))
+    return float(np.min(eps + math.log(1.0 / delta) / (DEFAULT_ALPHAS - 1.0)))
 
 
-def calibrate_sigma(budget: PrivacyBudget, counter: QueryCounter, alphas=None) -> float:
+def calibrate_sigma(budget: PrivacyBudget, counter: QueryCounter) -> float:
     """Smallest noise multiplier meeting ``budget`` over ``counter.total`` queries.
 
     Bisects sigma in log space over the bracket [1e-3, 1e4] until the bracket
     is relatively tighter than 1e-4, and returns the feasible endpoint, so the
     result satisfies the budget while (1 - 1e-3) times it does not. Each
-    epsilon(sigma) is ``rdp_to_dp`` of ``counter.total`` composed copies of
-    ``gaussian_rdp(sigma)``.
+    epsilon(sigma) it tries is ``rdp_epsilon(sigma, counter.total, budget.delta)``.
     """
-    total = counter.total
+    total, delta = counter.total, budget.delta
     if total == 0:
         raise ZeroQueryError("configuration issues no private queries; nothing to calibrate")
 
-    def epsilon(sigma: float) -> float:
-        return rdp_to_dp(compose_sequential([gaussian_rdp(sigma, alphas)], [total]), budget.delta)
-
     lo, hi = SIGMA_BRACKET
-    if epsilon(hi) > budget.epsilon:
+    if rdp_epsilon(hi, total, delta) > budget.epsilon:
         raise InvalidParameterError(
             f"budget epsilon={budget.epsilon} unreachable within sigma bracket {SIGMA_BRACKET}"
         )
-    if epsilon(lo) <= budget.epsilon:
+    if rdp_epsilon(lo, total, delta) <= budget.epsilon:
         return lo
     for _ in range(SIGMA_MAX_ITER):
         if hi / lo - 1.0 <= SIGMA_REL_TOL:
             break
         mid = math.sqrt(lo * hi)
-        if epsilon(mid) <= budget.epsilon:
+        if rdp_epsilon(mid, total, delta) <= budget.epsilon:
             hi = mid
         else:
             lo = mid

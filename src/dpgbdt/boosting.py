@@ -38,7 +38,7 @@ from .candidates import (
     uniform_candidates,
 )
 from .config import CandidateMethod, NoisePlacement, TrainConfig
-from .data import philox
+from .data import check_bounds, philox
 from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
 from .gradients import UpdateMode, batch_ranges, query_sensitivity, sigmoid, update_scores
 from .trees import (
@@ -86,7 +86,8 @@ class Ensemble:
 
         Raises InvalidParameterError for a tree not complete to its
         max_depth, a non-finite threshold or leaf weight, a split feature
-        outside [0, len(bounds)), a non-finite or non-positive eta, a
+        outside [0, len(bounds)), a bound pair that is not finite with
+        low < high (``check_bounds``), a non-finite or non-positive eta, a
         batch_size below 1, or batch boundaries other than runs of
         batch_size trees (``batch_ranges``).
         A missing key or a value of the wrong type raises it too:
@@ -107,7 +108,7 @@ class Ensemble:
                     (json_int(s, "batch boundary"), json_int(e, "batch boundary"))
                     for s, e in payload["batch_boundaries"]
                 ),
-                bounds=tuple((float(a), float(b)) for a, b in payload["bounds"]),
+                bounds=check_bounds(payload["bounds"]),
             )
         except InvalidParameterError:
             raise

@@ -24,6 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import check_bounds
+
 __all__ = [
     "SplitCandidateSet",
     "uniform_candidates",
@@ -76,23 +78,13 @@ def bin_index(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(thresholds) - 1)
 
 
-def _check_bounds(bounds) -> list[tuple[float, float]]:
-    out = []
-    for j, (a, b) in enumerate(bounds):
-        a, b = float(a), float(b)
-        if not a < b:
-            raise ValueError(f"feature {j}: degenerate bounds ({a}, {b})")
-        out.append((a, b))
-    return out
-
-
 def uniform_candidates(bounds, Q: int) -> SplitCandidateSet:
     """Q evenly spaced thresholds per feature: s_q = a + (q-1)(b-a)/(Q-1)."""
     if Q < 2:
         raise ValueError(f"need at least 2 candidates, got Q={Q}")
-    checked = _check_bounds(bounds)
+    checked = check_bounds(bounds)
     per = tuple(np.linspace(a, b, Q) for a, b in checked)
-    return SplitCandidateSet(per, tuple(checked))
+    return SplitCandidateSet(per, checked)
 
 
 def log_candidates(bounds, Q: int) -> SplitCandidateSet:
@@ -103,14 +95,14 @@ def log_candidates(bounds, Q: int) -> SplitCandidateSet:
     """
     if Q < 2:
         raise ValueError(f"need at least 2 candidates, got Q={Q}")
-    checked = _check_bounds(bounds)
+    checked = check_bounds(bounds)
     per = []
     for a, b in checked:
         t = np.linspace(0.0, np.log1p(b - a), Q)
         vals = a + np.expm1(t)
         vals[0], vals[-1] = a, b
         per.append(vals)
-    return SplitCandidateSet(tuple(per), tuple(checked))
+    return SplitCandidateSet(tuple(per), checked)
 
 
 def quantile_candidates(values: Sequence[float], Q: int, bounds: tuple[float, float]) -> np.ndarray:

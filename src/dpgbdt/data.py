@@ -23,6 +23,7 @@ __all__ = [
     "CsvParseError",
     "NonBinaryLabelError",
     "OutOfBoundsError",
+    "check_bounds",
     "load_csv",
     "save_csv",
     "synthesize",
@@ -56,6 +57,18 @@ class OutOfBoundsError(ValueError):
     """A feature value lies outside its declared bounds."""
 
 
+def check_bounds(bounds) -> tuple[tuple[float, float], ...]:
+    """``bounds`` as (low, high) float pairs; raises ValueError unless every
+    pair is finite with low < high."""
+    out = tuple((float(a), float(b)) for a, b in bounds)
+    for j, (a, b) in enumerate(out):
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(
+                f"bounds of feature {j} must be finite with low < high, got ({a}, {b})"
+            )
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable numeric dataset with binary labels and per-feature bounds."""
@@ -78,12 +91,10 @@ class Dataset:
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
             raise ValueError(f"feature {col} value {X[row, col]!r} at row {row + 1} is not finite")
-        bounds = tuple((float(a), float(b)) for a, b in self.bounds)
+        bounds = check_bounds(self.bounds)
         if len(bounds) != X.shape[1]:
             raise ValueError("one (low, high) bound pair required per feature")
         for j, (a, b) in enumerate(bounds):
-            if not (a < b):
-                raise ValueError(f"degenerate bounds for feature {j}: ({a}, {b})")
             lo, hi = X[:, j].min(), X[:, j].max()
             if lo < a or hi > b:
                 row = int(np.argmax((X[:, j] < a) | (X[:, j] > b)))

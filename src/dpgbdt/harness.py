@@ -423,20 +423,20 @@ def _write_summary(out_path: Path) -> None:
 def rank_table(results) -> dict[float | None, dict[str, float]]:
     """Average rank of each method across datasets, one table column per epsilon.
 
-    ``results`` is an iterable of ExperimentResult; rows that did not finish
-    ok with a test AUC are skipped. Methods are ranked 1 = best by mean test
-    AUC inside every (dataset, epsilon) cell; ranks then average over
-    datasets. Raises MissingCellError when a method lacks results for some
-    cell.
+    ``results`` is an iterable of ExperimentResult. Every row names a method
+    and a (dataset, epsilon) cell, but only rows that finished ok with a test
+    AUC are ranked. Methods are ranked 1 = best by mean test AUC inside every
+    cell; ranks then average over datasets. Raises MissingCellError when a
+    method lacks a ranked result for some cell, as a method whose every run
+    failed does.
     """
     by_cell: dict[tuple, dict[str, list[float]]] = {}
     methods: set[str] = set()
     for res in results:
-        if res.status != "ok" or res.test_auc is None:
-            continue
         methods.add(res.config_id)
         cell = by_cell.setdefault((res.dataset, res.epsilon), {})
-        cell.setdefault(res.config_id, []).append(res.test_auc)
+        if res.status == "ok" and res.test_auc is not None:
+            cell.setdefault(res.config_id, []).append(res.test_auc)
 
     missing = [
         (dataset, eps, method)

@@ -12,17 +12,17 @@ import math
 import numpy as np
 
 
-def dense_grid_epsilon(sigma: float, k: int, delta: float, lo=1.5, hi=64.0, step=0.01):
-    """Brute-force min over a dense alpha grid of the RDP->DP conversion for
-    k composed Gaussian queries at noise multiplier sigma."""
+def dense_grid_epsilon(sigma: float, k: int, delta: float, orders=None):
+    """Brute-force min of the RDP->DP conversion for k composed Gaussian
+    queries at noise multiplier sigma, over the Renyi ``orders`` (default: the
+    dense grid 1.5 to 64 in steps of 0.01)."""
     best = math.inf
-    alpha = lo
-    while alpha <= hi + 1e-12:
+    for alpha in dense_alpha_grid() if orders is None else orders:
+        alpha = float(alpha)
         tau = k * alpha / (2.0 * sigma * sigma)
         eps = tau + math.log(1.0 / delta) / (alpha - 1.0)
         if eps < best:
             best = eps
-        alpha += step
     return best
 
 

@@ -512,11 +512,17 @@ class TestEnsembleSerialization:
             lambda p: p["trees"][0].update(max_depth=1.0),
             lambda p: p["trees"][0]["root"].update(feature=1.7),
             lambda p: p["trees"][0]["root"].update(feature=False),
+            # bound pairs follow the rule Dataset applies: finite, low < high
+            lambda p: p["bounds"].__setitem__(0, [float("nan"), 1.0]),
+            lambda p: p["bounds"].__setitem__(0, [0.0, float("inf")]),
+            lambda p: p["bounds"].__setitem__(0, [1.0, 0.0]),
+            lambda p: p["bounds"].__setitem__(0, [0.5, 0.5]),
         ],
         ids=[
             "centered-string", "centered-int", "batch-size-2.9", "batch-size-1.0",
             "batch-size-bool", "boundary-float", "boundary-bool", "max-depth-float",
-            "feature-1.7", "feature-bool",
+            "feature-1.7", "feature-bool", "bounds-nan", "bounds-inf", "bounds-reversed",
+            "bounds-empty",
         ],
     )
     def test_mistyped_fields_rejected(self, payload, edit):

@@ -214,6 +214,22 @@ class TestGridCommand:
         assert "missing results for cells" in text and "'DP-RF'" in text
         assert "average rank" not in text
 
+    def test_presets_whose_private_runs_all_failed_are_printed_as_missing(
+        self, csv_dataset, tmp_path, capsys
+    ):
+        # no declared bounds: the epsilon = 1 rows fail, the noise-free rows run
+        path, _ = csv_dataset
+        spec = tmp_path / "grid.cfg"
+        spec.write_text(
+            f"dataset = csv\npath = {path}\nlabel_column = y\n"
+            "presets = DP-TR-Newton, DP-RF\nepsilons = none, 1.0\nT = 2\n"
+        )
+        assert main(["grid", "--spec", str(spec), "--out", str(tmp_path / "results.csv")]) == 0
+        text = capsys.readouterr().out
+        assert "(2 failures)" in text
+        assert "('demo', 1.0, 'DP-RF')" in text and "('demo', 1.0, 'DP-TR-Newton')" in text
+        assert "average rank" not in text
+
     def test_resuming_a_different_experiment_fails_and_appends_nothing(self, tmp_path, capsys):
         spec = tmp_path / "grid.cfg"
         out = tmp_path / "results.csv"

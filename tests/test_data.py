@@ -157,6 +157,11 @@ class TestDataset:
         with pytest.raises(OutOfBoundsError):
             d.Dataset(np.array([[2.0]]), np.array([1]), bounds=((0.0, 1.0),))
 
+    @pytest.mark.parametrize("pair", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (1.0, 0.0)])
+    def test_bounds_must_be_finite_and_increasing(self, pair):
+        with pytest.raises(ValueError, match="feature 0 must be finite with low < high"):
+            d.Dataset(np.array([[0.5]]), np.array([1]), bounds=(pair,))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         X = np.array([[0.5, 0.5], [0.5, value]])

@@ -403,3 +403,22 @@ class TestRankTable:
             _result("ds1", 1.0, "B", 0.75),
         ]
         assert rank_table(rows)[1.0] == {"A": 1.0, "B": 2.0}
+
+    def test_method_whose_runs_all_failed_is_missing(self, tmp_path):
+        good = d.baseline_preset("DP-TR-Newton", T=3, d=2, Q=4)
+        configs = {"bad": good.replace(m=99), "good": good}
+        out = tmp_path / "res.csv"
+        run_grid(configs, {"kind": "synthetic", "n": 120, "m": 3, "seed": 2}, [1.0], [0], 1, out)
+        with pytest.raises(MissingCellError, match="'bad'"):
+            rank_table(read_results(out))
+
+    def test_grid_whose_every_row_failed_is_missing(self):
+        rows = [
+            ExperimentResult(
+                config_id=method, dataset="ds1", epsilon=1.0, split_seed=0, repeat=0,
+                status="error", error="ValueError: boom",
+            )
+            for method in ("A", "B")
+        ]
+        with pytest.raises(MissingCellError, match="'A'.*'B'"):
+            rank_table(rows)
