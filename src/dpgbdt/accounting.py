@@ -156,18 +156,25 @@ def calibrate_sigma(budget: PrivacyBudget, counter: QueryCounter) -> float:
     is relatively tighter than 1e-4, and returns the feasible endpoint, so the
     result satisfies the budget while (1 - 1e-3) times it does not. Each
     epsilon(sigma) it tries is ``rdp_epsilon(sigma, counter.total, budget.delta)``.
+    While its upper end misses the budget, the bracket moves up tenfold. No
+    sigma meets an epsilon at or below the floor ``rdp_epsilon(sigma, 0,
+    delta)`` = log(1/delta) / 255; such a budget raises InvalidParameterError.
     """
     total, delta = counter.total, budget.delta
     if total == 0:
         raise ZeroQueryError("configuration issues no private queries; nothing to calibrate")
 
     lo, hi = SIGMA_BRACKET
-    if rdp_epsilon(hi, total, delta) > budget.epsilon:
+    floor = rdp_epsilon(hi, 0, delta)
+    if budget.epsilon <= floor:
         raise InvalidParameterError(
-            f"budget epsilon={budget.epsilon} unreachable within sigma bracket {SIGMA_BRACKET}"
+            f"no sigma meets epsilon={budget.epsilon} at delta={delta}: epsilon must "
+            f"exceed the floor log(1/delta) / {DEFAULT_ALPHAS[-1] - 1:g} = {floor}"
         )
     if rdp_epsilon(lo, total, delta) <= budget.epsilon:
         return lo
+    while rdp_epsilon(hi, total, delta) > budget.epsilon:  # stops: epsilon falls to the floor
+        lo, hi = hi, 10.0 * hi
     for _ in range(SIGMA_MAX_ITER):
         if hi / lo - 1.0 <= SIGMA_REL_TOL:
             break

@@ -49,6 +49,7 @@ from .trees import (
     grow_tree_single_feature,
     grow_tree_totally_random,
     json_int,
+    json_number,
     leaf_weight,
     postprocess_weight,
     select_features,
@@ -66,7 +67,6 @@ class Ensemble:
     eta: float
     batch_size: int
     centered_batch: bool
-    batch_boundaries: tuple[tuple[int, int], ...]
     bounds: tuple[tuple[float, float], ...]
 
     def to_json_dict(self) -> dict:
@@ -75,7 +75,6 @@ class Ensemble:
             "eta": self.eta,
             "batch_size": self.batch_size,
             "centered_batch": self.centered_batch,
-            "batch_boundaries": [list(b) for b in self.batch_boundaries],
             "bounds": [list(b) for b in self.bounds],
             "trees": [t.to_dict() for t in self.trees],
         }
@@ -84,15 +83,13 @@ class Ensemble:
     def from_json_dict(cls, payload: dict) -> "Ensemble":
         """Ensemble from its JSON form.
 
-        Raises InvalidParameterError for a tree not complete to its
-        max_depth, a non-finite threshold or leaf weight, a split feature
-        outside [0, len(bounds)), a bound pair that is not finite with
-        low < high (``check_bounds``), a non-finite or non-positive eta, a
-        batch_size below 1, or batch boundaries other than runs of
-        batch_size trees (``batch_ranges``).
-        A missing key or a value of the wrong type raises it too:
-        ``centered_batch`` must be a JSON boolean, and ``batch_size`` and the
-        batch boundaries JSON integers.
+        Raises InvalidParameterError for a tree that is not complete
+        (``Tree.from_dict``), a non-finite threshold or leaf weight, a split
+        feature outside [0, len(bounds)), a bound pair that is not finite
+        with low < high (``check_bounds``), a non-finite or non-positive eta,
+        or a batch_size below 1. A missing key or a value of the wrong type
+        raises it too: ``centered_batch`` must be a JSON boolean,
+        ``batch_size`` a JSON integer, and eta and the bounds JSON numbers.
         """
         try:
             centered = payload["centered_batch"]
@@ -101,18 +98,16 @@ class Ensemble:
             ensemble = cls(
                 trees=[Tree.from_dict(t) for t in payload["trees"]],
                 update_mode=UpdateMode(payload["update_mode"]),
-                eta=float(payload["eta"]),
+                eta=json_number(payload["eta"], "eta"),
                 batch_size=json_int(payload["batch_size"], "batch_size"),
                 centered_batch=centered,
-                batch_boundaries=tuple(
-                    (json_int(s, "batch boundary"), json_int(e, "batch boundary"))
-                    for s, e in payload["batch_boundaries"]
+                bounds=check_bounds(
+                    [[json_number(v, "bound") for v in pair] for pair in payload["bounds"]]
                 ),
-                bounds=check_bounds(payload["bounds"]),
             )
         except InvalidParameterError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed model JSON: {exc!r}") from exc
         if not (math.isfinite(ensemble.eta) and ensemble.eta > 0):
             raise InvalidParameterError(f"eta must be positive and finite, got {ensemble.eta}")
@@ -122,12 +117,8 @@ class Ensemble:
                 raise InvalidParameterError(f"tree {i} has a non-finite threshold or leaf weight")
             if tree.feature.size and not (0 <= tree.feature.min() and tree.feature.max() < m):
                 raise InvalidParameterError(f"tree {i} splits on a feature outside [0, {m})")
-        T, B = len(ensemble.trees), ensemble.batch_size
-        if B < 1 or ensemble.batch_boundaries != batch_ranges(T, B):
-            raise InvalidParameterError(
-                f"batch_boundaries {list(ensemble.batch_boundaries)} are not the schedule of "
-                f"{T} trees with batch_size {B}"
-            )
+        if ensemble.batch_size < 1:
+            raise InvalidParameterError(f"batch_size must be at least 1, got {ensemble.batch_size}")
         return ensemble
 
     def save(self, path) -> None:
@@ -291,7 +282,6 @@ def train(
         eta=config.eta,
         batch_size=len(range(*config.batches[0])),  # the run length, T under averaging
         centered_batch=config.centered_batch,
-        batch_boundaries=config.batches,
         bounds=population.bounds,
     )
     return TrainResult(
@@ -326,7 +316,7 @@ def raw_scores(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
         raise InvalidParameterError("averaging ensembles have no raw-score accumulation")
     Xc = _checked_features(ensemble, X)
     raw = np.zeros(Xc.shape[0])
-    for start, end in ensemble.batch_boundaries:
+    for start, end in batch_ranges(len(ensemble.trees), ensemble.batch_size):
         W = np.stack([tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees[start:end]])
         raw = update_scores(
             raw, W, ensemble.eta, plain=(ensemble.batch_size == 1), centered=ensemble.centered_batch

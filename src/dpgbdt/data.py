@@ -80,13 +80,14 @@ class Dataset:
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.features, dtype=float))
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = np.asarray(self.labels)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("features must be a non-empty n x m matrix")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be a vector aligned with features")
         if not np.all((y == 0) | (y == 1)):
             raise NonBinaryLabelError("labels must all be 0 or 1")
+        y = y.astype(np.int64, copy=False)
         finite = np.isfinite(X)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]

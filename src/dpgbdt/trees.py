@@ -27,7 +27,7 @@ its leaf sums as a (2^d, 2) array of (G, H) rows, leaf k in row k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -85,33 +85,40 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or a float, not a
+    bool); anything else, a numeric string included, raises TypeError naming
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class Tree:
-    """Complete binary split tree of depth ``max_depth`` in heap order.
+    """Complete binary split tree of depth d in heap order.
 
     Internal node i (0 <= i < 2^d - 1) splits on ``feature[i]`` at
     ``threshold[i]``; its children are 2i + 1 (left) and 2i + 2 (right).
     Heap id i >= 2^d - 1 is leaf k = i - (2^d - 1), left to right, and holds
-    ``leaf_weights[k]``.
+    ``leaf_weights[k]``. The tree's JSON form is these three arrays as lists.
     """
 
     feature: np.ndarray  # int64, (2^d - 1,)
     threshold: np.ndarray  # float, (2^d - 1,)
     leaf_weights: np.ndarray  # float, (2^d,)
-    max_depth: int
-    feature_subset: tuple[int, ...]
 
     @classmethod
-    def zeros(cls, depth: int, feature_subset) -> "Tree":
+    def zeros(cls, depth: int) -> "Tree":
         """A depth-``depth`` tree with every split and weight zero, to be filled."""
         n_internal = 2 ** depth - 1
         return cls(
-            np.zeros(n_internal, dtype=np.int64),
-            np.zeros(n_internal),
-            np.zeros(n_internal + 1),
-            depth,
-            tuple(feature_subset),
+            np.zeros(n_internal, dtype=np.int64), np.zeros(n_internal), np.zeros(n_internal + 1)
         )
+
+    @property
+    def max_depth(self) -> int:
+        return self.feature.size.bit_length()  # 2^d - 1 is d one-bits
 
     @property
     def n_leaves(self) -> int:
@@ -128,70 +135,30 @@ class Tree:
         return node - self.feature.size
 
     def to_dict(self) -> dict:
-        n_internal = self.feature.size
-
-        def encode(heap: int) -> dict:
-            if heap >= n_internal:
-                return {"kind": "leaf", "weight": float(self.leaf_weights[heap - n_internal])}
-            return {
-                "kind": "internal",
-                "feature": int(self.feature[heap]),
-                "threshold": float(self.threshold[heap]),
-                "left": encode(2 * heap + 1),
-                "right": encode(2 * heap + 2),
-            }
-
-        return {
-            "max_depth": self.max_depth,
-            "feature_subset": list(self.feature_subset),
-            "root": encode(0),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Tree":
-        """Tree from its nested JSON form.
+        """Tree from its JSON form.
 
-        Raises InvalidParameterError unless the tree is complete to
-        ``max_depth``: internal nodes above it, leaves exactly at it. The
-        walk checks this before anything is allocated, so its work is
-        bounded by the size of the payload. A missing key or a value of the
-        wrong type, such as a non-integer ``max_depth`` or ``feature``, raises
-        InvalidParameterError too.
+        Raises InvalidParameterError unless, for some depth d >= 0, the tree
+        has 2^d - 1 features and thresholds and 2^d leaf weights, each
+        feature a JSON integer and every threshold and weight a JSON number.
+        A missing key or a value of any other type raises it too.
         """
         try:
-            return cls._from_dict(payload)
-        except InvalidParameterError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            feature = np.array([json_int(v, "feature") for v in payload["feature"]], dtype=np.int64)
+            threshold = np.array([json_number(v, "threshold") for v in payload["threshold"]])
+            weights = np.array([json_number(v, "leaf weight") for v in payload["leaf_weights"]])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed tree: {exc!r}") from exc
-
-    @classmethod
-    def _from_dict(cls, payload: dict) -> "Tree":
-        depth = json_int(payload["max_depth"], "max_depth")
-        if depth < 0:
-            raise InvalidParameterError(f"max_depth must be non-negative, got {depth}")
-        n_internal = 2 ** depth - 1
-        visited = []
-        stack = [(payload["root"], 0)]
-        while stack:
-            spec, heap = stack.pop()
-            expected = "leaf" if heap >= n_internal else "internal"
-            if spec.get("kind") != expected:
-                raise InvalidParameterError(
-                    f"tree is not complete to max_depth {depth}: heap node {heap} "
-                    f"is {spec.get('kind')!r}, expected {expected!r}"
-                )
-            visited.append((heap, spec))
-            if expected == "internal":
-                stack += [(spec["right"], 2 * heap + 2), (spec["left"], 2 * heap + 1)]
-        tree = cls.zeros(depth, payload["feature_subset"])
-        for heap, spec in visited:
-            if heap >= n_internal:
-                tree.leaf_weights[heap - n_internal] = float(spec["weight"])
-            else:
-                tree.feature[heap] = json_int(spec["feature"], "feature")
-                tree.threshold[heap] = float(spec["threshold"])
-        return tree
+        d = feature.size.bit_length()
+        if not (feature.size == threshold.size == 2**d - 1 and weights.size == 2**d):
+            raise InvalidParameterError(
+                f"tree is not complete: {feature.size} features, {threshold.size} thresholds "
+                f"and {weights.size} leaf weights, where depth d needs 2^d - 1, 2^d - 1 and 2^d"
+            )
+        return cls(feature, threshold, weights)
 
 
 def _preorder(depth: int):
@@ -331,7 +298,7 @@ def grow_tree_totally_random(
     feats = sorted(feature_subset)
     if not feats:
         raise InvalidParameterError("feature subset must be non-empty")
-    tree = Tree.zeros(depth, feats)
+    tree = Tree.zeros(depth)
     for heap in _preorder(depth):
         j = feats[int(rng.integers(len(feats)))]
         c = int(rng.integers(cand_set.q))
@@ -362,7 +329,7 @@ def grow_tree_histogram(
     if depth < 1:
         raise InvalidParameterError(f"depth must be at least 1, got {depth}")
     agg.begin_tree()
-    tree = Tree.zeros(depth, feats)
+    tree = Tree.zeros(depth)
     for level in range(depth):
         nodes = _level_nodes(level)
         res = agg.histogram_round(nodes, feats, cand_set, category="s")  # (F, nodes, Q, 2)
@@ -405,7 +372,7 @@ def grow_tree_partially_random(
     if depth < 1:
         raise InvalidParameterError(f"depth must be at least 1, got {depth}")
     agg.begin_tree()
-    tree = Tree.zeros(depth, feats)
+    tree = Tree.zeros(depth)
     for level in range(depth):
         nodes = _level_nodes(level)
         # one candidate per (feature, node), drawn feature by feature
@@ -448,7 +415,7 @@ def grow_tree_single_feature(
     Q = G.size
     cum_g = np.concatenate([[0.0], np.cumsum(G)])
     cum_h = np.concatenate([[0.0], np.cumsum(H)])
-    tree = Tree.zeros(depth, (feature_j,))
+    tree = Tree.zeros(depth)
     if method is SplitMethod.PARTIALLY_RANDOM:
         drawn = np.zeros(tree.feature.size, dtype=np.int64)
         for heap in _preorder(depth):

@@ -245,11 +245,13 @@ def collect_structure(ref_node):
 
 
 def route_tree_dict(tree_dict: dict, x: np.ndarray) -> float:
-    """Walk an exported tree JSON dict for one record; returns the leaf weight."""
-    node = tree_dict["root"]
-    while node["kind"] == "internal":
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["weight"]
+    """Walk an exported tree JSON dict (heap-ordered lists) one node at a time
+    for one record; returns the leaf weight."""
+    feature, threshold = tree_dict["feature"], tree_dict["threshold"]
+    node = 0
+    while node < len(feature):
+        node = 2 * node + 1 if x[feature[node]] <= threshold[node] else 2 * node + 2
+    return tree_dict["leaf_weights"][node - len(feature)]
 
 
 def rf_average_prediction(tree_dicts, X) -> np.ndarray:

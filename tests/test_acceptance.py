@@ -141,20 +141,20 @@ def test_criterion_4_noise_off_matches_bruteforce_reference():
                 ds.features, ds.labels, per, range(m), depth, 1.0, 0.0
             )
             ref_splits, ref_weights = collect_structure(ref)
+            payload = tree.to_dict()
             ours = []
 
-            def walk(node):
-                if node["kind"] == "leaf":
+            def walk(heap):
+                if heap >= len(payload["feature"]):
                     return
-                cands = per[node["feature"]]
-                hits = np.where(np.isclose(cands, node["threshold"]))[0]
-                ours.append(
-                    (node["feature"], int(hits[-1]) if hits.size else cands.size - 1)
-                )
-                walk(node["left"])
-                walk(node["right"])
+                feature = payload["feature"][heap]
+                cands = per[feature]
+                hits = np.where(np.isclose(cands, payload["threshold"][heap]))[0]
+                ours.append((feature, int(hits[-1]) if hits.size else cands.size - 1))
+                walk(2 * heap + 1)
+                walk(2 * heap + 2)
 
-            walk(tree.to_dict()["root"])
+            walk(0)
             assert ours == ref_splits, f"trial {trial}: structure diverged"
             assert np.allclose(tree.leaf_weights, ref_weights, atol=1e-9), f"trial {trial}"
 

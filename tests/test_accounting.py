@@ -114,6 +114,24 @@ class TestCalibrateSigma:
         with pytest.raises(ZeroQueryError):
             d.calibrate_sigma(d.PrivacyBudget(1.0, 1e-5), d.QueryCounter(0, 0, 0))
 
+    def test_budget_met_only_above_sigma_1e4(self):
+        # sigma = 1e4 misses this budget, but sigma = 1e5 meets it
+        budget, total = d.PrivacyBudget(0.0378, 2.856e-4), 17_149
+        assert d.rdp_epsilon(1e4, total, budget.delta) > budget.epsilon
+        assert d.rdp_epsilon(1e5, total, budget.delta) <= budget.epsilon
+        sigma = d.calibrate_sigma(budget, d.QueryCounter(0, total, 0))
+        assert 1e4 < sigma < 1e5
+        assert d.rdp_epsilon(sigma, total, budget.delta) <= budget.epsilon
+        assert d.rdp_epsilon((1 - 1e-3) * sigma, total, budget.delta) > budget.epsilon
+
+    def test_budget_at_or_below_the_floor_is_unreachable(self):
+        # no sigma gets epsilon below log(1/delta) / 255, the largest order's term
+        floor = math.log(1e6) / 255
+        assert d.rdp_epsilon(1e12, 20_000, 1e-6) == pytest.approx(floor, rel=1e-12)
+        for eps in (0.05, floor):
+            with pytest.raises(InvalidParameterError, match="no sigma meets.*floor"):
+                d.calibrate_sigma(d.PrivacyBudget(eps, 1e-6), d.QueryCounter(0, 20_000, 0))
+
 
 class TestCountQueries:
     def test_hist_full_features(self):

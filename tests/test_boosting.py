@@ -47,13 +47,7 @@ class TestTrain:
         for ds in (small, large):
             pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
             res = d.train(cfg, pop)
-            trees.append(
-                [
-                    {k: v for k, v in t.to_dict().items() if k != "root"}
-                    | {"structure": _strip_weights(t.to_dict()["root"])}
-                    for t in res.ensemble.trees
-                ]
-            )
+            trees.append([(t.feature.tolist(), t.threshold.tolist()) for t in res.ensemble.trees])
         assert trees[0] == trees[1]
 
     def test_gradient_barriers_follow_batch_size(self, small_data):
@@ -349,7 +343,7 @@ class TestBatchedUpdate:
 
 class TestPredict:
     def test_empty_boosted_ensemble_is_half(self):
-        ens = d.Ensemble([], d.UpdateMode.NEWTON, 0.3, 1, True, (), ((0.0, 1.0),))
+        ens = d.Ensemble([], d.UpdateMode.NEWTON, 0.3, 1, True, ((0.0, 1.0),))
         assert d.predict(ens, np.array([0.3])) == pytest.approx(0.5)
 
     def test_averaging_all_ones(self):
@@ -359,16 +353,14 @@ class TestPredict:
             t = grow_tree_totally_random(philox(seed), [0], cs, 2)
             t.leaf_weights = np.ones(t.n_leaves)
             trees.append(t)
-        ens = d.Ensemble(
-            trees, d.UpdateMode.AVERAGING, 0.3, 3, True, ((0, 3),), ((0.0, 1.0),)
-        )
+        ens = d.Ensemble(trees, d.UpdateMode.AVERAGING, 0.3, 3, True, ((0.0, 1.0),))
         assert d.predict(ens, np.array([0.4])) == pytest.approx(1.0)
 
     def test_single_tree_sigmoid_of_weight(self):
         cs = d.uniform_candidates([(0.0, 1.0)], 2)
         tree = grow_tree_totally_random(philox(0), [0], cs, 1)
         tree.leaf_weights = np.array([0.12, 0.12])
-        ens = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, ((0, 1),), ((0.0, 1.0),))
+        ens = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, ((0.0, 1.0),))
         assert d.predict(ens, np.array([0.7])) == pytest.approx(logistic(0.12))
 
     def test_matrix_input_and_clamping(self, small_data):
@@ -432,7 +424,7 @@ class TestEnsembleSerialization:
         res.ensemble.save(path)
         back = d.Ensemble.load(path)
         assert np.allclose(d.predict(back, ds.features), d.predict(res.ensemble, ds.features))
-        assert back.batch_boundaries == res.ensemble.batch_boundaries
+        assert back.to_json_dict() == res.ensemble.to_json_dict()
 
     @pytest.fixture
     def payload(self, small_data):
@@ -440,7 +432,7 @@ class TestEnsembleSerialization:
         return d.train(d.TrainConfig(T=1, d=1, Q=4, seed=5), pop).ensemble.to_json_dict()
 
     def test_incomplete_tree_rejected(self, payload):
-        payload["trees"][0]["max_depth"] = 2  # the structure stops at depth 1
+        payload["trees"][0]["leaf_weights"] += [0.0, 0.0]  # the splits stop at depth 1
         with pytest.raises(InvalidParameterError, match="complete"):
             d.Tree.from_dict(payload["trees"][0])
         with pytest.raises(InvalidParameterError, match="complete"):
@@ -448,21 +440,15 @@ class TestEnsembleSerialization:
 
     @pytest.mark.parametrize("feature", [-1, 3])
     def test_feature_outside_bounds_rejected(self, payload, feature):
-        payload["trees"][0]["root"]["feature"] = feature
+        payload["trees"][0]["feature"][0] = feature
         with pytest.raises(InvalidParameterError, match="feature"):
             d.Ensemble.from_json_dict(payload)
 
     @pytest.mark.parametrize("field", ["threshold", "weight"])
     def test_non_finite_value_rejected(self, payload, field):
-        root = payload["trees"][0]["root"]
-        (root if field == "threshold" else root["left"])[field] = float("nan")
+        key = "threshold" if field == "threshold" else "leaf_weights"
+        payload["trees"][0][key][0] = float("nan")
         with pytest.raises(InvalidParameterError, match="non-finite"):
-            d.Ensemble.from_json_dict(payload)
-
-    @pytest.mark.parametrize("boundaries", [[[0, 5]], [], [[1, 1]], [[0, 0], [0, 1]]])
-    def test_batch_boundaries_must_cover_trees(self, payload, boundaries):
-        payload["batch_boundaries"] = boundaries
-        with pytest.raises(InvalidParameterError, match="batch_boundaries"):
             d.Ensemble.from_json_dict(payload)
 
     @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1.0])
@@ -475,13 +461,13 @@ class TestEnsembleSerialization:
         "edit",
         [
             lambda p: p.pop("eta"),
-            lambda p: p["trees"][0].pop("root"),
+            lambda p: p["trees"][0].pop("feature"),
             lambda p: p.update(eta="abc"),
             lambda p: p.update(update_mode="foo"),
-            lambda p: p["trees"][0]["root"].update(feature="x"),
+            lambda p: p["trees"][0]["feature"].__setitem__(0, "x"),
             lambda p: p.update(trees=5),
         ],
-        ids=["no-eta", "no-root", "eta-abc", "update-mode-foo", "feature-x", "trees-int"],
+        ids=["no-eta", "no-feature", "eta-abc", "update-mode-foo", "feature-x", "trees-int"],
     )
     def test_malformed_json_rejected(self, payload, edit):
         edit(payload)
@@ -490,8 +476,8 @@ class TestEnsembleSerialization:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda t: t.pop("root"), lambda t: t["root"].update(feature="x")],
-        ids=["no-root", "feature-x"],
+        [lambda t: t.pop("leaf_weights"), lambda t: t["feature"].__setitem__(0, "x")],
+        ids=["no-leaf-weights", "feature-x"],
     )
     def test_malformed_tree_rejected(self, payload, edit):
         tree = payload["trees"][0]
@@ -507,11 +493,16 @@ class TestEnsembleSerialization:
             lambda p: p.update(batch_size=2.9),
             lambda p: p.update(batch_size=1.0),
             lambda p: p.update(batch_size=True),
-            lambda p: p.update(batch_boundaries=[[0.0, 1]]),
-            lambda p: p.update(batch_boundaries=[[False, True]]),
-            lambda p: p["trees"][0].update(max_depth=1.0),
-            lambda p: p["trees"][0]["root"].update(feature=1.7),
-            lambda p: p["trees"][0]["root"].update(feature=False),
+            lambda p: p.update(eta="0.3"),
+            lambda p: p.update(eta=True),
+            lambda p: p["trees"][0]["feature"].__setitem__(0, 1.7),
+            lambda p: p["trees"][0]["feature"].__setitem__(0, False),
+            lambda p: p["trees"][0]["threshold"].__setitem__(0, "0.5"),
+            lambda p: p["trees"][0]["threshold"].__setitem__(0, True),
+            lambda p: p["trees"][0]["leaf_weights"].__setitem__(0, "0.1"),
+            lambda p: p["trees"][0]["leaf_weights"].__setitem__(0, False),
+            lambda p: p["bounds"][0].__setitem__(1, "1e9"),
+            lambda p: p["bounds"][0].__setitem__(1, True),
             # bound pairs follow the rule Dataset applies: finite, low < high
             lambda p: p["bounds"].__setitem__(0, [float("nan"), 1.0]),
             lambda p: p["bounds"].__setitem__(0, [0.0, float("inf")]),
@@ -520,8 +511,9 @@ class TestEnsembleSerialization:
         ],
         ids=[
             "centered-string", "centered-int", "batch-size-2.9", "batch-size-1.0",
-            "batch-size-bool", "boundary-float", "boundary-bool", "max-depth-float",
-            "feature-1.7", "feature-bool", "bounds-nan", "bounds-inf", "bounds-reversed",
+            "batch-size-bool", "eta-string", "eta-bool", "feature-1.7", "feature-bool",
+            "threshold-string", "threshold-bool", "weight-string", "weight-bool",
+            "bound-string", "bound-bool", "bounds-nan", "bounds-inf", "bounds-reversed",
             "bounds-empty",
         ],
     )
@@ -533,29 +525,50 @@ class TestEnsembleSerialization:
         with pytest.raises(InvalidParameterError, match="malformed"):
             d.Ensemble.from_json_dict(payload)
 
-    @pytest.mark.parametrize(
-        "batch_size, boundaries", [(1, None), (3, None), (2, [[0, 2], [2, 5]]), (0, None)]
-    )
-    def test_batch_size_must_match_boundaries(self, small_data, batch_size, boundaries):
-        _, pop = small_data
-        res = d.train(d.TrainConfig(T=5, d=1, Q=4, B=2, seed=5), pop)
-        payload = res.ensemble.to_json_dict()  # batches of 2, 2 and 1 trees
+    def test_old_nested_format_rejected(self, payload):
+        # the nested form of earlier versions: no reader is kept for it
+        payload["batch_boundaries"] = [[0, 1]]
+        payload["trees"][0] = {
+            "max_depth": 1,
+            "feature_subset": [0, 1, 2],
+            "root": {
+                "kind": "internal", "feature": 0, "threshold": 0.5,
+                "left": {"kind": "leaf", "weight": 0.1},
+                "right": {"kind": "leaf", "weight": -0.1},
+            },
+        }
+        with pytest.raises(InvalidParameterError, match="malformed"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_must_be_positive(self, payload, batch_size):
         payload["batch_size"] = batch_size
-        payload["batch_boundaries"] = boundaries or payload["batch_boundaries"]
         with pytest.raises(InvalidParameterError, match="batch_size"):
             d.Ensemble.from_json_dict(payload)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5])
+    def test_batch_size_sets_the_replay_schedule(self, small_data, batch_size):
+        ds, pop = small_data
+        payload = d.train(d.TrainConfig(T=5, d=1, Q=4, B=2, seed=5), pop).ensemble.to_json_dict()
+        payload["batch_size"] = batch_size
+        ensemble = d.Ensemble.from_json_dict(payload)
+        # runs of batch_size trees, the last possibly shorter
+        want = np.zeros(ds.n)
+        for start in range(0, 5, batch_size):
+            batch = ensemble.trees[start : start + batch_size]
+            W = np.stack([t.leaf_weights[t.route(ds.features)] for t in batch])
+            want = update_scores(want, W, ensemble.eta, plain=(batch_size == 1), centered=True)
+        assert np.array_equal(raw_scores(ensemble, ds.features), want)
+
     @pytest.mark.parametrize("batch_size", [1, 5])
     def test_averaging_model_is_one_batch(self, small_data, batch_size):
-        _, pop = small_data
+        ds, pop = small_data
         cfg = d.TrainConfig(T=5, d=1, Q=4, B=batch_size, update_mode=d.UpdateMode.AVERAGING)
-        payload = d.train(cfg, pop).ensemble.to_json_dict()
-        assert payload["batch_boundaries"] == [[0, 5]]
+        ensemble = d.train(cfg, pop).ensemble
+        payload = ensemble.to_json_dict()
         assert payload["batch_size"] == 5  # the batch that ran, whatever B says
-        d.Ensemble.from_json_dict(payload)
-        payload["batch_boundaries"] = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
-        with pytest.raises(InvalidParameterError, match="batch_boundaries.*batch_size"):
-            d.Ensemble.from_json_dict(payload)
+        back = d.Ensemble.from_json_dict(payload)
+        assert np.array_equal(d.predict(back, ds.features), d.predict(ensemble, ds.features))
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("B", [None, 3])
@@ -597,14 +610,3 @@ class TestLearning:
             auc = d.auc_roc(ds.labels, d.predict(res.ensemble, ds.features))
             assert auc > 0.6, split
 
-
-def _strip_weights(node):
-    if node["kind"] == "leaf":
-        return {"kind": "leaf"}
-    return {
-        "kind": "internal",
-        "feature": node["feature"],
-        "threshold": node["threshold"],
-        "left": _strip_weights(node["left"]),
-        "right": _strip_weights(node["right"]),
-    }

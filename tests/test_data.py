@@ -171,3 +171,13 @@ class TestDataset:
     def test_label_validation(self):
         with pytest.raises(NonBinaryLabelError):
             d.Dataset(np.array([[0.5]]), np.array([2]), bounds=((0.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.0, 1.9], [0.0, 1.0, np.nan]], ids=["fractional", "nan"]
+    )
+    def test_labels_checked_before_integer_cast(self, labels):
+        # an int64 cast first would truncate 0.5 and 1.9, and fail on NaN
+        with pytest.raises(NonBinaryLabelError):
+            d.Dataset(np.zeros((3, 1)), np.array(labels), bounds=((0.0, 1.0),))
+        whole = d.Dataset(np.zeros((3, 1)), np.array([0.0, 1.0, 1.0]), bounds=((0.0, 1.0),))
+        assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1, 1]

@@ -40,34 +40,34 @@ VARIANTS = tuple((name, name, {}) for name in PRESET_NAMES) + (
 POPULATIONS = ("one-record", "7-shards")
 
 GOLDEN = {
-    ("one-record", "DP-EBM"): "f17ca33886e11a69",
-    ("one-record", "DP-EBM-Newton"): "b77000df078b75e9",
-    ("one-record", "DP-GBM"): "27a33434a99ce2a2",
-    ("one-record", "DP-RF"): "5084fda32ca2378a",
-    ("one-record", "FEVERLESS"): "18d3fee235b90da3",
-    ("one-record", "LDP"): "197624d7770152c0",
-    ("one-record", "DP-TR-Newton"): "9d7dd488ea2223e1",
-    ("one-record", "DP-TR-Newton-IH"): "53012c6ee68edb53",
-    ("one-record", "DP-TR-Newton-IH-EBM"): "80a7cf9fab3e5b03",
-    ("one-record", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "5a03e0efba2c39cc",
-    ("one-record", "pr"): "7324ff274b627208",
-    ("one-record", "hist-k1"): "062e044aaf357d50",
-    ("one-record", "hist-IH"): "f3b72a012b21c2af",
-    ("one-record", "pr-k1"): "e905f8cc88977f5f",
-    ("7-shards", "DP-EBM"): "373b8ea5a65b0a9a",
-    ("7-shards", "DP-EBM-Newton"): "8729dd331bd6b032",
-    ("7-shards", "DP-GBM"): "660d3a2cdb3680a5",
-    ("7-shards", "DP-RF"): "5084fda32ca2378a",
-    ("7-shards", "FEVERLESS"): "79c70f0f50da5788",
-    ("7-shards", "LDP"): "617c433f922d7218",
-    ("7-shards", "DP-TR-Newton"): "aa0075b283f56b40",
-    ("7-shards", "DP-TR-Newton-IH"): "bbc72c17b4e64ab1",
-    ("7-shards", "DP-TR-Newton-IH-EBM"): "33f576c55647c050",
-    ("7-shards", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "58558933e3995d1b",
-    ("7-shards", "pr"): "bbcbf84b78799a37",
-    ("7-shards", "hist-k1"): "5adf720a251d968d",
-    ("7-shards", "hist-IH"): "2e2813caab08fded",
-    ("7-shards", "pr-k1"): "f4e418fb7b380c48",
+    ("one-record", "DP-EBM"): "ec030a6a7148d086",
+    ("one-record", "DP-EBM-Newton"): "082da4fb9a68fe46",
+    ("one-record", "DP-GBM"): "04f6eeb8a49d00e9",
+    ("one-record", "DP-RF"): "0e2596baeb5a430e",
+    ("one-record", "FEVERLESS"): "2b14e16d7632b838",
+    ("one-record", "LDP"): "dcce22ada38568df",
+    ("one-record", "DP-TR-Newton"): "a40b2664c2918f33",
+    ("one-record", "DP-TR-Newton-IH"): "1f5bc1cfd6bda7fb",
+    ("one-record", "DP-TR-Newton-IH-EBM"): "0e345c5dfb7ded0e",
+    ("one-record", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "8a6f1a903fdd47cb",
+    ("one-record", "pr"): "4bd9a067b5513108",
+    ("one-record", "hist-k1"): "ace92312e79acf5d",
+    ("one-record", "hist-IH"): "ce6f845f74c0c797",
+    ("one-record", "pr-k1"): "cfd666f7dee81188",
+    ("7-shards", "DP-EBM"): "78ff1728d1311aaf",
+    ("7-shards", "DP-EBM-Newton"): "ad84f0936e653279",
+    ("7-shards", "DP-GBM"): "b93552661259cb77",
+    ("7-shards", "DP-RF"): "0e2596baeb5a430e",
+    ("7-shards", "FEVERLESS"): "8ffeac0e808e68b7",
+    ("7-shards", "LDP"): "f91b768e5380423c",
+    ("7-shards", "DP-TR-Newton"): "dc8308c50b684f15",
+    ("7-shards", "DP-TR-Newton-IH"): "80c954172abbad9c",
+    ("7-shards", "DP-TR-Newton-IH-EBM"): "d7bbe88cf4f0b218",
+    ("7-shards", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "382bcfdfb2a6b782",
+    ("7-shards", "pr"): "099ea13e59171d63",
+    ("7-shards", "hist-k1"): "4747e252cf1d6838",
+    ("7-shards", "hist-IH"): "40b71eecd8b117fe",
+    ("7-shards", "pr-k1"): "ad828a747eb08eac",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -63,19 +64,21 @@ def preorder(depth):
 
 def structure_of(tree, cand_set):
     """(feature, candidate index) per internal node in preorder."""
+    payload = tree.to_dict()
     out = []
 
-    def walk(node):
-        if node["kind"] == "leaf":
+    def walk(heap):
+        if heap >= len(payload["feature"]):
             return
-        cands = cand_set.per_feature[node["feature"]]
-        hits = np.where(np.isclose(cands, node["threshold"]))[0]
+        feature = payload["feature"][heap]
+        cands = cand_set.per_feature[feature]
+        hits = np.where(np.isclose(cands, payload["threshold"][heap]))[0]
         c = int(hits[-1]) if hits.size else cands.size - 1
-        out.append((node["feature"], c))
-        walk(node["left"])
-        walk(node["right"])
+        out.append((feature, c))
+        walk(2 * heap + 1)
+        walk(2 * heap + 2)
 
-    walk(tree.to_dict()["root"])
+    walk(0)
     return out
 
 
@@ -251,10 +254,10 @@ class TestTotallyRandom:
     def test_depth_one_shape(self):
         cs = d.uniform_candidates([(0.0, 1.0)], 4)
         tree = grow_tree_totally_random(philox(0), [0], cs, 1)
-        root = tree.to_dict()["root"]
-        assert root["kind"] == "internal"
-        assert root["left"]["kind"] == "leaf" and root["right"]["kind"] == "leaf"
-        assert tree.n_leaves == 2
+        payload = tree.to_dict()
+        assert len(payload["feature"]) == len(payload["threshold"]) == 1
+        assert len(payload["leaf_weights"]) == 2
+        assert tree.max_depth == 1 and tree.n_leaves == 2
 
     def test_respects_feature_subset(self):
         cs = d.uniform_candidates([(0.0, 1.0)] * 5, 4)
@@ -421,8 +424,12 @@ class TestHistogramTree:
             cs = d.uniform_candidates(ds.bounds, Q)
         else:
             cs = quantile_set(ds, Q)
+        # tree 0's feature subset is the first draw of the trainer's structure stream
+        subset = d.select_features(
+            features.value, k, 0, m, philox(np.random.SeedSequence(seed).spawn(2)[0])
+        )
         ref = reference_greedy_tree(
-            ds.features, ds.labels, cs.per_feature, tree.feature_subset, depth, 1.0, 0.0
+            ds.features, ds.labels, cs.per_feature, subset, depth, 1.0, 0.0
         )
         ref_splits, ref_weights = collect_structure(ref)
         # the oracle's last candidate is the all-left split, routed on the upper bound
@@ -507,22 +514,44 @@ class TestTreeSerialization:
             rng.integers(0, m, n_internal),
             rng.choice(self.GRID, n_internal),
             rng.normal(0, 1, n_internal + 1),
-            depth,
-            tuple(range(m)),
         )
         wide = rng.choice(self.GRID, size=(40, 2 * m))
         X = np.ascontiguousarray(wide[:, ::2])
         return tree, (X, np.asfortranarray(X), wide[:, ::2])
 
-    @given(depth=st.integers(1, 5), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @given(depth=st.integers(0, 6), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_complete_trees_round_trip_and_route_like_oracle(self, depth, m, seed):
         tree, layouts = self.random_tree_and_rows(depth, m, seed)
-        payload = tree.to_dict()
-        assert d.Tree.from_dict(payload).to_dict() == payload
+        payload = json.loads(json.dumps(tree.to_dict()))
+        back = d.Tree.from_dict(payload)
+        assert back.to_dict() == payload and back.max_depth == depth
         oracle = [route_tree_dict(payload, x) for x in layouts[0]]
         for X in layouts:
             assert tree.leaf_weights[tree.route(X)].tolist() == oracle
+            assert back.leaf_weights[back.route(X)].tolist() == oracle
+
+    @given(
+        lengths=st.integers(0, 6).flatmap(
+            lambda depth: st.tuples(
+                *(st.integers(max(n - 2, 0), n + 2) for n in (2**depth - 1,) * 2 + (2**depth,))
+            )
+        )
+        | st.tuples(*[st.integers(0, 130)] * 3)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_only_complete_lengths_load(self, lengths):
+        n_feature, n_threshold, n_weights = lengths
+        payload = {
+            "feature": [0] * n_feature,
+            "threshold": [0.5] * n_threshold,
+            "leaf_weights": [1.0] * n_weights,
+        }
+        if lengths in [(2**depth - 1, 2**depth - 1, 2**depth) for depth in range(8)]:
+            assert d.Tree.from_dict(payload).to_dict() == payload
+        else:
+            with pytest.raises(InvalidParameterError, match="not complete"):
+                d.Tree.from_dict(payload)
 
     @given(depth=st.integers(1, 5), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -538,12 +567,12 @@ class TestTreeSerialization:
         for _ in range(depth):
             agg.apply_splits(tree.feature, tree.threshold)
         assert np.array_equal(agg.node - tree.feature.size, tree.route(X))
-        ensemble = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, ((0, 1),), bounds)
+        ensemble = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, bounds)
         want = d.predict(ensemble, X)
         for other in layouts[1:]:
             assert np.array_equal(d.predict(ensemble, other), want)
 
     def test_routing_splits_on_threshold(self):
-        tree = d.Tree(np.array([0]), np.array([0.5]), np.zeros(2), 1, (0,))
+        tree = d.Tree(np.array([0]), np.array([0.5]), np.zeros(2))
         out = tree.route(np.array([[0.5], [0.51]]))
         assert list(out) == [0, 1]
