@@ -3,11 +3,11 @@
 The trainer executes the federated protocol batch by batch: gradients are
 recomputed only at batch boundaries, trees inside a batch share those
 gradients, and the batch's leaf weights fold into client scores in a single
-update. With batch size 1 the update is plain boosting (raw score plus leaf
-weight); larger batches push the averaged leaf weight through a centered
-sigmoid so that a zero-weight batch leaves predictions unchanged. Averaging
-(random-forest) ensembles skip score updates entirely and predict the mean
-leaf proportion.
+update (``update_scores``). With batch size 1 the update is plain boosting
+(raw score plus leaf weight); larger batches add eta * (sigmoid(mean leaf
+weight) - 1/2), so that a zero-weight batch leaves predictions unchanged.
+Averaging (random-forest) ensembles are one batch of all T trees: they skip
+score updates entirely and predict the mean leaf proportion.
 
 All data access happens through a FederatedAggregator; the functions here see
 only query results and public model state.
@@ -38,7 +38,7 @@ from .candidates import (
     uniform_candidates,
 )
 from .config import CandidateMethod, NoisePlacement, TrainConfig
-from .data import check_bounds, philox
+from .data import check_bounds, json_int, json_number, philox
 from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
 from .gradients import UpdateMode, batch_ranges, query_sensitivity, sigmoid, update_scores
 from .trees import (
@@ -48,14 +48,15 @@ from .trees import (
     grow_tree_partially_random,
     grow_tree_single_feature,
     grow_tree_totally_random,
-    json_int,
-    json_number,
     leaf_weight,
     postprocess_weight,
     select_features,
 )
 
 __all__ = ["Ensemble", "TrainResult", "train", "predict", "raw_scores"]
+
+# The keys of the model JSON, exactly those ``Ensemble.to_json_dict`` writes.
+_MODEL_KEYS = {"update_mode", "eta", "batch_size", "bounds", "trees"}
 
 
 @dataclass
@@ -66,7 +67,6 @@ class Ensemble:
     update_mode: UpdateMode
     eta: float
     batch_size: int
-    centered_batch: bool
     bounds: tuple[tuple[float, float], ...]
 
     def to_json_dict(self) -> dict:
@@ -74,7 +74,6 @@ class Ensemble:
             "update_mode": self.update_mode.value,
             "eta": self.eta,
             "batch_size": self.batch_size,
-            "centered_batch": self.centered_batch,
             "bounds": [list(b) for b in self.bounds],
             "trees": [t.to_dict() for t in self.trees],
         }
@@ -87,23 +86,22 @@ class Ensemble:
         (``Tree.from_dict``), a non-finite threshold or leaf weight, a split
         feature outside [0, len(bounds)), a bound pair that is not finite
         with low < high (``check_bounds``), a non-finite or non-positive eta,
-        or a batch_size below 1. A missing key or a value of the wrong type
-        raises it too: ``centered_batch`` must be a JSON boolean,
-        ``batch_size`` a JSON integer, and eta and the bounds JSON numbers.
+        or a batch_size below 1. Keys other than exactly those
+        ``to_json_dict`` writes raise it too, as does a value of the wrong
+        type: ``batch_size`` must be a JSON integer, and eta and the bounds
+        JSON numbers.
         """
         try:
-            centered = payload["centered_batch"]
-            if not isinstance(centered, bool):
-                raise TypeError(f"centered_batch must be a boolean, got {centered!r}")
+            if set(payload) != _MODEL_KEYS:
+                raise InvalidParameterError(
+                    f"malformed model JSON: keys {sorted(payload)}, not {sorted(_MODEL_KEYS)}"
+                )
             ensemble = cls(
                 trees=[Tree.from_dict(t) for t in payload["trees"]],
                 update_mode=UpdateMode(payload["update_mode"]),
                 eta=json_number(payload["eta"], "eta"),
                 batch_size=json_int(payload["batch_size"], "batch_size"),
-                centered_batch=centered,
-                bounds=check_bounds(
-                    [[json_number(v, "bound") for v in pair] for pair in payload["bounds"]]
-                ),
+                bounds=check_bounds(payload["bounds"]),
             )
         except InvalidParameterError:
             raise
@@ -139,8 +137,13 @@ class TrainResult:
     ensemble: Ensemble
     rounds: list[Round]
     sigma: float
-    nonprivate_candidates: bool
     config: TrainConfig
+
+    @property
+    def nonprivate_candidates(self) -> bool:
+        """Whether the split candidates came from the pooled raw feature
+        values (quantile candidates), outside the privacy guarantee."""
+        return self.config.candidate_method is CandidateMethod.QUANTILE
 
     @property
     def queries(self) -> QueryCounter:
@@ -271,26 +274,17 @@ def train(
             for (tree, _), leaf_sums in zip(batch, sums):
                 _assign_weights(tree, leaf_sums, config)
         if config.update_mode is not UpdateMode.AVERAGING:
-            agg.apply_score_update(
-                batch, config.eta, plain=(config.B == 1), centered=config.centered_batch
-            )
+            agg.apply_score_update(batch, config.eta, plain=(config.B == 1))
         trees.extend(tree for tree, _ in batch)
 
     ensemble = Ensemble(
         trees=trees,
         update_mode=config.update_mode,
         eta=config.eta,
-        batch_size=len(range(*config.batches[0])),  # the run length, T under averaging
-        centered_batch=config.centered_batch,
+        batch_size=config.B,
         bounds=population.bounds,
     )
-    return TrainResult(
-        ensemble=ensemble,
-        rounds=agg.rounds,
-        sigma=sigma,
-        nonprivate_candidates=agg.nonprivate_candidate_access,
-        config=config,
-    )
+    return TrainResult(ensemble=ensemble, rounds=agg.rounds, sigma=sigma, config=config)
 
 
 def _checked_features(ensemble: Ensemble, X) -> np.ndarray:
@@ -318,9 +312,7 @@ def raw_scores(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     raw = np.zeros(Xc.shape[0])
     for start, end in batch_ranges(len(ensemble.trees), ensemble.batch_size):
         W = np.stack([tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees[start:end]])
-        raw = update_scores(
-            raw, W, ensemble.eta, plain=(ensemble.batch_size == 1), centered=ensemble.centered_batch
-        )
+        raw = update_scores(raw, W, ensemble.eta, plain=(ensemble.batch_size == 1))
     return raw
 
 

@@ -47,9 +47,10 @@ class TrainConfig:
 
     k is the feature-interaction width (None means all features); B is the
     batch size of the prediction update, with B = 1 giving plain boosting.
-    Averaging (random-forest) runs behave as a single batch of size T because
-    their gradients never depend on predictions. m (number of features) may
-    stay None until data is attached.
+    An averaging (random-forest) run is one batch of all T trees, because its
+    gradients never depend on predictions, so its B is set to T whatever B
+    it was given. m (number of features) may stay None until data is
+    attached.
     """
 
     T: int = 100
@@ -69,11 +70,12 @@ class TrainConfig:
     budget: PrivacyBudget | None = None
     seed: int = 0
     m: int | None = None
-    centered_batch: bool = True
     noise_placement: NoisePlacement = NoisePlacement.CENTRAL
     name: str | None = None
 
     def __post_init__(self):
+        if self.update_mode is UpdateMode.AVERAGING:
+            object.__setattr__(self, "B", self.T)
         if self.T < 1 or self.d < 1:
             raise InvalidParameterError("need T >= 1 and d >= 1")
         if self.Q < 2:
@@ -106,9 +108,8 @@ class TrainConfig:
 
     @property
     def batches(self) -> tuple[tuple[int, int], ...]:
-        """(start, end) tree range of every batch: one T-sized batch for
-        averaging ensembles, runs of B trees otherwise."""
-        return batch_ranges(self.T, self.T if self.update_mode is UpdateMode.AVERAGING else self.B)
+        """(start, end) tree range of every batch: runs of B trees."""
+        return batch_ranges(self.T, self.B)
 
     def replace(self, **kwargs) -> "TrainConfig":
         return dataclasses.replace(self, **kwargs)

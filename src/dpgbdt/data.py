@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,29 @@ class OutOfBoundsError(ValueError):
     """A feature value lies outside its declared bounds."""
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (an int but not a bool); anything
+    else, 2.0 included, raises TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, name: str) -> float:
+    """``value`` as a float if it is a real number: a Python or numpy int or
+    float, not a bool. Anything else, a numeric string included, raises
+    TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_bounds(bounds) -> tuple[tuple[float, float], ...]:
-    """``bounds`` as (low, high) float pairs; raises ValueError unless every
-    pair is finite with low < high."""
-    out = tuple((float(a), float(b)) for a, b in bounds)
+    """``bounds`` as (low, high) float pairs, the one rule for declared
+    bounds. A bound that is not a number (``json_number``: a bool or a
+    string is not) raises TypeError; a pair that is not finite with
+    low < high raises ValueError."""
+    out = tuple((json_number(a, "bound"), json_number(b, "bound")) for a, b in bounds)
     for j, (a, b) in enumerate(out):
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(
@@ -188,7 +208,7 @@ def load_csv(path, label_column: str, bounds=None) -> Dataset:
         # Degenerate constant columns get a unit pad so bounds stay an interval.
         derived = tuple((a, b) if a < b else (a - 0.5, a + 0.5) for a, b in derived)
         return Dataset(X, y, derived, bounds_derived=True)
-    declared = tuple((float(a), float(b)) for a, b in bounds)
+    declared = check_bounds(bounds)
     if len(declared) != X.shape[1]:
         raise CsvParseError(
             f"{path}: {len(declared)} bound pairs for {X.shape[1]} feature columns"

@@ -162,7 +162,6 @@ class ClientPopulation:
     labels: np.ndarray
     client_sizes: np.ndarray
     bounds: tuple[tuple[float, float], ...]
-    descriptor: str
     bounds_derived: bool = False
 
     def __post_init__(self):
@@ -232,7 +231,6 @@ def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 
         labels=dataset.labels[order],
         client_sizes=sizes,
         bounds=dataset.bounds,
-        descriptor=policy,
         bounds_derived=dataset.bounds_derived,
     )
 
@@ -322,7 +320,6 @@ class FederatedAggregator:
         self.rounds: list[Round] = []
         self.coords_released = 0
         self.noise_draws = 0
-        self.nonprivate_candidate_access = False
 
     # ------------------------------------------------------------------
     # client-local computation (no queries, no communication)
@@ -348,15 +345,15 @@ class FederatedAggregator:
     def route_tree(self, tree) -> np.ndarray:
         return tree.route(self.pop.features)
 
-    def apply_score_update(self, batch, eta: float, plain: bool, centered: bool) -> None:
+    def apply_score_update(self, batch, eta: float, plain: bool) -> None:
         """Clients fold a finished batch of public trees into their raw scores."""
         W = np.stack([tree.leaf_weights[assign] for tree, assign in batch])
-        self.raw_scores = update_scores(self.raw_scores, W, eta, plain, centered)
+        self.raw_scores = update_scores(self.raw_scores, W, eta, plain)
 
     def nonprivate_feature_column(self, j: int) -> np.ndarray:
-        """Pooled raw values of one feature, sorted. Explicitly NOT private;
-        flags the run so the harness can report it as partially non-private."""
-        self.nonprivate_candidate_access = True
+        """Pooled raw values of one feature, sorted. Explicitly NOT private:
+        quantile candidates read it, and ``TrainResult.nonprivate_candidates``
+        reports such runs as partially non-private."""
         return np.sort(self.pop.features[:, j])
 
     def _binned(self, cand_set: SplitCandidateSet) -> np.ndarray:

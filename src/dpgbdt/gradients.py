@@ -94,15 +94,12 @@ def query_sensitivity(mode: UpdateMode) -> float:
     raise ValueError(f"unknown update mode: {mode!r}")
 
 
-def update_scores(
-    raw: np.ndarray, W: np.ndarray, eta: float, plain: bool, centered: bool
-) -> np.ndarray:
+def update_scores(raw: np.ndarray, W: np.ndarray, eta: float, plain: bool) -> np.ndarray:
     """Raw scores after one finished batch, from its (trees, n) leaf-weight matrix.
 
     plain (batch size 1): raw + the summed leaf weights. Otherwise squash the
-    mean leaf weight per record: raw + eta * (sigmoid(mean) - sigmoid(0)) in
-    the centered form, so an all-zero batch is a no-op; the uncentered
-    variant keeps the raw sigmoid and its +eta/2 bias.
+    mean leaf weight per record: raw + eta * (sigmoid(mean) - sigmoid(0)), so
+    an all-zero batch is a no-op.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] == 0:
@@ -111,8 +108,7 @@ def update_scores(
         )
     if plain:
         return raw + W.sum(axis=0)
-    base = 0.5 if centered else 0.0
-    return raw + eta * (sigmoid(W.mean(axis=0)) - base)
+    return raw + eta * (sigmoid(W.mean(axis=0)) - 0.5)
 
 
 def batch_ranges(T: int, B: int) -> tuple[tuple[int, int], ...]:

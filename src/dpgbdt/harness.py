@@ -125,15 +125,16 @@ def baseline_preset(preset: str, /, **fields) -> TrainConfig:
 
     Any TrainConfig field given in ``fields`` overrides the preset's choice;
     a field left out keeps its TrainConfig default, and ``name`` defaults to
-    the preset name. DP-RF and the batched preset, which takes its fraction
-    inline (``DP-TR-Batch-Newton-IH-EBM(p=0.25)``), derive B from the final T
-    (B = T and round(p * T)) unless B is given.
+    the preset name. The batched preset takes its fraction inline
+    (``DP-TR-Batch-Newton-IH-EBM(p=0.25)``) and derives B = round(p * T) from
+    the final T unless B is given. DP-RF, an averaging run, has B = T
+    (``TrainConfig``).
     """
     match = _BATCH_PRESET.match(preset)
     choice = _PRESET_CHOICES.get("DP-TR-Newton-IH-EBM" if match else preset)
     if choice is None:
         raise UnknownPresetError(f"unknown preset {preset!r}; known: {', '.join(PRESET_NAMES)}")
-    fraction = float(match.group(1)) if match else (1.0 if preset == "DP-RF" else None)
+    fraction = float(match.group(1)) if match else None
     if fraction is not None and not 0.0 < fraction <= 1.0:
         raise UnknownPresetError(f"batch fraction must be in (0, 1], got {fraction}")
     config = TrainConfig(**{"name": preset, **choice, **fields})

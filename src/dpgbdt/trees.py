@@ -34,6 +34,7 @@ import numpy as np
 
 from .accounting import InvalidParameterError
 from .candidates import SplitCandidateSet
+from .data import json_int, json_number
 from .gradients import UpdateMode
 
 __all__ = [
@@ -75,23 +76,6 @@ def descend(
     for i in range(first + 1):
         np.less_equal(X[:, feature[first + i]], threshold[first + i], out=left[i])
     return 2 * node + 2 - left.ravel()[(node - first) * n + np.arange(n)]
-
-
-def json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer (an int but not a bool); anything
-    else, 2.0 included, raises TypeError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def json_number(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number (an int or a float, not a
-    bool); anything else, a numeric string included, raises TypeError naming
-    ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dpgbdt.boosting import raw_scores
 from dpgbdt.data import philox
 from dpgbdt.federation import EQUAL_SHARDS, ONE_RECORD_PER_CLIENT, FederatedAggregator, partition
 from dpgbdt.gradients import update_scores
-from dpgbdt.harness import PRESET_NAMES, baseline_preset
+from dpgbdt.harness import PRESET_NAMES, baseline_preset, list_presets
 from dpgbdt.trees import grow_tree_totally_random
 
 from oracles import logistic, rf_average_prediction
@@ -103,20 +103,6 @@ class TestTrain:
         cfg = d.TrainConfig(T=2, d=1, Q=4, budget=d.PrivacyBudget(1.0, 1e-3), seed=0)
         with pytest.raises(InvalidParameterError, match="bounds"):
             d.train(cfg, pop)
-
-    def test_uncentered_batch_variant(self, small_data):
-        ds, pop = small_data
-        centered = d.train(d.TrainConfig(T=6, B=3, d=2, Q=4, seed=3), pop)
-        uncentered = d.train(
-            d.TrainConfig(T=6, B=3, d=2, Q=4, seed=3, centered_batch=False), pop
-        )
-        rc = raw_scores(centered.ensemble, ds.features)
-        ru = raw_scores(uncentered.ensemble, ds.features)
-        assert not np.allclose(rc, ru)
-        again = d.train(
-            d.TrainConfig(T=6, B=3, d=2, Q=4, seed=3, centered_batch=False), pop
-        )
-        assert np.allclose(ru, raw_scores(again.ensemble, ds.features))
 
     def test_trains_on_sharded_population(self):
         ds = d.synthesize(90, 3, 0.2, 0.5, seed=6)
@@ -291,10 +277,10 @@ class TestRefinementSchedule:
             assert res.queries.kappa_c == d.count_queries(res.config).kappa_c > 0
 
 
-def batch_update(prev, trees, X, eta, centered=True):
+def batch_update(prev, trees, X, eta):
     """``update_scores`` for a batch of B > 1 trees routed on X."""
     W = np.asarray([t.leaf_weights[t.route(X)] for t in trees]).reshape(len(trees), len(X))
-    return update_scores(prev, W, eta, plain=False, centered=centered)
+    return update_scores(prev, W, eta, plain=False)
 
 
 class TestBatchedUpdate:
@@ -329,13 +315,6 @@ class TestBatchedUpdate:
         assert out[0] == pytest.approx(logistic(2.0) - 0.5)
         assert out[0] == pytest.approx(0.3807970779778824)
 
-    def test_uncentered_variant_keeps_bias(self):
-        cs = d.uniform_candidates([(0.0, 1.0)], 2)
-        tree = grow_tree_totally_random(philox(0), [0], cs, 1)
-        tree.leaf_weights = np.zeros(2)
-        out = batch_update(np.zeros(4), [tree], philox(1).random((4, 1)), eta=1.0, centered=False)
-        assert np.allclose(out, 0.5)
-
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidParameterError):
             batch_update(np.zeros(3), [], np.zeros((3, 1)), eta=0.3)
@@ -343,7 +322,7 @@ class TestBatchedUpdate:
 
 class TestPredict:
     def test_empty_boosted_ensemble_is_half(self):
-        ens = d.Ensemble([], d.UpdateMode.NEWTON, 0.3, 1, True, ((0.0, 1.0),))
+        ens = d.Ensemble([], d.UpdateMode.NEWTON, 0.3, 1, ((0.0, 1.0),))
         assert d.predict(ens, np.array([0.3])) == pytest.approx(0.5)
 
     def test_averaging_all_ones(self):
@@ -353,14 +332,14 @@ class TestPredict:
             t = grow_tree_totally_random(philox(seed), [0], cs, 2)
             t.leaf_weights = np.ones(t.n_leaves)
             trees.append(t)
-        ens = d.Ensemble(trees, d.UpdateMode.AVERAGING, 0.3, 3, True, ((0.0, 1.0),))
+        ens = d.Ensemble(trees, d.UpdateMode.AVERAGING, 0.3, 3, ((0.0, 1.0),))
         assert d.predict(ens, np.array([0.4])) == pytest.approx(1.0)
 
     def test_single_tree_sigmoid_of_weight(self):
         cs = d.uniform_candidates([(0.0, 1.0)], 2)
         tree = grow_tree_totally_random(philox(0), [0], cs, 1)
         tree.leaf_weights = np.array([0.12, 0.12])
-        ens = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, ((0.0, 1.0),))
+        ens = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, ((0.0, 1.0),))
         assert d.predict(ens, np.array([0.7])) == pytest.approx(logistic(0.12))
 
     def test_matrix_input_and_clamping(self, small_data):
@@ -488,8 +467,6 @@ class TestEnsembleSerialization:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda p: p.update(centered_batch="false"),
-            lambda p: p.update(centered_batch=0),
             lambda p: p.update(batch_size=2.9),
             lambda p: p.update(batch_size=1.0),
             lambda p: p.update(batch_size=True),
@@ -510,7 +487,7 @@ class TestEnsembleSerialization:
             lambda p: p["bounds"].__setitem__(0, [0.5, 0.5]),
         ],
         ids=[
-            "centered-string", "centered-int", "batch-size-2.9", "batch-size-1.0",
+            "batch-size-2.9", "batch-size-1.0",
             "batch-size-bool", "eta-string", "eta-bool", "feature-1.7", "feature-bool",
             "threshold-string", "threshold-bool", "weight-string", "weight-bool",
             "bound-string", "bound-bool", "bounds-nan", "bounds-inf", "bounds-reversed",
@@ -523,6 +500,17 @@ class TestEnsembleSerialization:
         d.Ensemble.from_json_dict(payload)
         edit(payload)
         with pytest.raises(InvalidParameterError, match="malformed"):
+            d.Ensemble.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"centered_batch": True}, {"centered_batch": False}, {"batch_boundaries": [[0, 1]]}],
+        ids=["centered-true", "centered-false", "batch-boundaries"],
+    )
+    def test_unknown_key_rejected(self, payload, extra):
+        # a key the loader does not read would otherwise be ignored without a word
+        payload.update(extra)
+        with pytest.raises(InvalidParameterError, match="malformed model JSON: keys"):
             d.Ensemble.from_json_dict(payload)
 
     def test_old_nested_format_rejected(self, payload):
@@ -557,16 +545,20 @@ class TestEnsembleSerialization:
         for start in range(0, 5, batch_size):
             batch = ensemble.trees[start : start + batch_size]
             W = np.stack([t.leaf_weights[t.route(ds.features)] for t in batch])
-            want = update_scores(want, W, ensemble.eta, plain=(batch_size == 1), centered=True)
+            want = update_scores(want, W, ensemble.eta, plain=(batch_size == 1))
         assert np.array_equal(raw_scores(ensemble, ds.features), want)
 
-    @pytest.mark.parametrize("batch_size", [1, 5])
-    def test_averaging_model_is_one_batch(self, small_data, batch_size):
+    @pytest.mark.parametrize("B", [1, 2, 5])
+    def test_averaging_model_is_one_batch(self, small_data, B):
         ds, pop = small_data
-        cfg = d.TrainConfig(T=5, d=1, Q=4, B=batch_size, update_mode=d.UpdateMode.AVERAGING)
+        cfg = d.TrainConfig(T=5, d=1, Q=4, B=B, update_mode=d.UpdateMode.AVERAGING)
+        # an averaging config says B = T wherever it is read, whatever B it was given
+        assert cfg.B == cfg.to_flat_dict()["B"] == 5
+        assert cfg.replace(T=3).B == 3
+        assert {row["name"]: row["B"] for row in list_presets(T=5)}["DP-RF"] == 5
         ensemble = d.train(cfg, pop).ensemble
         payload = ensemble.to_json_dict()
-        assert payload["batch_size"] == 5  # the batch that ran, whatever B says
+        assert payload["batch_size"] == 5
         back = d.Ensemble.from_json_dict(payload)
         assert np.array_equal(d.predict(back, ds.features), d.predict(ensemble, ds.features))
 

@@ -71,9 +71,13 @@ class TestTrainCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidParameterError" and "split_methd" in err["message"]
 
-    def test_malformed_boolean_flag_fails(self, capsys):
-        assert main(["account", "--m", "3", "--centered_batch", "ture"]) != 0
-        assert "centered_batch" in json.loads(capsys.readouterr().err)["message"]
+    def test_non_number_bounds_fail(self, csv_dataset, capsys):
+        path, _ = csv_dataset
+        bounds = json.dumps([["0", True], [0, 1], [0, 1]])
+        argv = ["train", "--data", str(path), "--label-column", "y", "--bounds", bounds]
+        assert main([*argv, "--T", "2"]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TypeError" and "bound must be a number" in err["message"]
 
     def test_delta_without_epsilon_fails_with_json_error(self, csv_dataset, capsys):
         path, bounds = csv_dataset
@@ -275,6 +279,19 @@ class TestGridCommand:
         sidecar = json.loads((tmp_path / "results.configs.json").read_text())
         assert sidecar["dataset"]["bounds"] == json.loads(bounds)
 
+    def test_csv_grid_with_non_number_bounds_fails(self, csv_dataset, tmp_path, capsys):
+        path, _ = csv_dataset
+        spec = tmp_path / "grid.cfg"
+        bounds = json.dumps([["0", "1"], [0, 1], [0, 1]])
+        spec.write_text(
+            f"dataset = csv\npath = {path}\nlabel_column = y\nbounds = {bounds}\n"
+            "presets = DP-TR-Newton\nepsilons = 1.0\nT = 3\nd = 2\nQ = 4\n"
+        )
+        out = tmp_path / "results.csv"
+        assert main(["grid", "--spec", str(spec), "--out", str(out)]) != 0
+        assert "bound must be a number" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
     def test_unknown_key_fails(self, tmp_path, capsys):
         spec = tmp_path / "grid.cfg"
         spec.write_text("n = 200\nm = 3\npresets = DP-TR-Newton\nepsilons = none\nTt = 7\n")
@@ -345,7 +362,6 @@ def test_every_config_field_round_trips_and_has_a_flag():
         budget=d.PrivacyBudget(1.0, 1e-5),
         seed=9,
         m=4,
-        centered_batch=False,
         noise_placement=d.NoisePlacement.LOCAL,
         name="x",
     )

@@ -2,7 +2,7 @@ import pytest
 
 import dpgbdt as d
 from dpgbdt.accounting import InvalidParameterError
-from dpgbdt.config import parse_fields
+from dpgbdt.config import parse_fields, parse_value
 
 
 class TestValidation:
@@ -85,10 +85,15 @@ class TestParseFields:
     @pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("yes", True),
                                              ("0", False), ("False", False), ("NO", False)])
     def test_booleans(self, text, value):
-        assert parse_fields({"centered_batch": text}) == {"centered_batch": value}
+        # the results CSV's boolean column reads through this rule
+        assert parse_value(bool, text) is value
+
+    def test_misspelled_boolean_rejected(self):
+        with pytest.raises(KeyError):
+            parse_value(bool, "ture")
 
     @pytest.mark.parametrize(
-        "values", [{"centered_batch": "ture"}, {"T": "abc"}, {"split_method": "hst"}, {"Tt": "7"}]
+        "values", [{"centered_batch": "true"}, {"T": "abc"}, {"split_method": "hst"}, {"Tt": "7"}]
     )
     def test_bad_key_or_value_rejected(self, values):
         with pytest.raises(InvalidParameterError, match=next(iter(values))):

@@ -130,6 +130,13 @@ class TestCsv:
         with pytest.raises(OutOfBoundsError, match="row 3"):
             d.load_csv(path, "y", bounds=[(0.0, 1.0)])
 
+    @pytest.mark.parametrize("bounds", [[["0", True]], [[0, "1"]], [[False, 1.0]]])
+    def test_declared_bounds_must_be_numbers(self, tmp_path, bounds):
+        path = tmp_path / "t.csv"
+        path.write_text("a,y\n0.5,0\n0.25,1\n")
+        with pytest.raises(TypeError, match="bound must be a number"):
+            d.load_csv(path, "y", bounds=bounds)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("bounds", [None, [(0.0, 1.0)]])
     def test_non_finite_cell_rejected(self, tmp_path, cell, bounds):
@@ -156,6 +163,19 @@ class TestDataset:
     def test_bounds_enforced_on_construction(self):
         with pytest.raises(OutOfBoundsError):
             d.Dataset(np.array([[2.0]]), np.array([1]), bounds=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("pair", [("0", "1"), (0.0, "1e9"), (False, True), (0, True)])
+    def test_bounds_must_be_numbers(self, pair):
+        with pytest.raises(TypeError, match="bound must be a number"):
+            d.Dataset(np.array([[0.5]]), np.array([1]), bounds=(pair,))
+
+    @pytest.mark.parametrize(
+        "pair", [(0, 1), (np.int64(0), np.int64(1)), (np.float32(0.0), 1.0), (-1, np.float64(2))]
+    )
+    def test_python_and_numpy_numbers_are_bounds(self, pair):
+        ds = d.Dataset(np.array([[0.5]]), np.array([1]), bounds=(pair,))
+        assert ds.bounds == ((float(pair[0]), float(pair[1])),)
+        assert all(type(v) is float for v in ds.bounds[0])
 
     @pytest.mark.parametrize("pair", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (1.0, 0.0)])
     def test_bounds_must_be_finite_and_increasing(self, pair):

@@ -345,7 +345,7 @@ def grid_population(sizes, m, rng):
     n = int(sum(sizes))
     X = rng.integers(0, 21, size=(n, m)) / 20
     ds = d.Dataset(X, rng.integers(0, 2, n), ((0.0, 1.0),) * m)
-    return ClientPopulation(ds.features, ds.labels, np.asarray(sizes), ds.bounds, "grid")
+    return ClientPopulation(ds.features, ds.labels, np.asarray(sizes), ds.bounds)
 
 
 class TestClientDataPlane:
@@ -547,16 +547,17 @@ class TestCentralNoiseAudit:
 
 
 class TestCanaryAudit:
-    """White-box canary audit of the central leaf release (Jagielski, Ullman
-    & Oprea, NeurIPS 2020; Nasr et al., IEEE S&P 2021).
+    """White-box canary audit of the central leaf, histogram and pair
+    releases (Jagielski, Ullman & Oprea, NeurIPS 2020; Nasr et al., IEEE S&P
+    2021).
 
-    A population releases one leaf round many times without and with one
-    added canary record, whose (g, h) is its update mode's worst case. Only
-    the canary's leaf may shift, by the canary's (g, h), so mu_hat = ||mean
-    shift|| / (measured noise std) estimates the Gaussian-DP parameter
-    ||(g, h)|| / (sigma * sensitivity) of one query: it must lie in a
-    two-sided band around that value, and so within the claimed 1 / sigma.
-    Mis-scaled noise moves mu_hat in either direction.
+    A population releases one query many times without and with one added
+    canary record, whose (g, h) is its update mode's worst case. Only the
+    canary's cell (its leaf, bin or side) may shift, by the canary's (g, h),
+    so mu_hat = ||mean shift|| / (measured noise std) estimates the
+    Gaussian-DP parameter ||(g, h)|| / (sigma * sensitivity) of one query: it
+    must lie in a two-sided band around that value, and so within the
+    claimed 1 / sigma. Mis-scaled noise moves mu_hat in either direction.
     """
 
     SIGMA = 0.5
@@ -564,13 +565,20 @@ class TestCanaryAudit:
     CALLS = 20
     LEAVES = 4
     CANARY_LEAF = 2
-    ALPHA = 1e-4  # family-wise, per update mode
+    ALPHA = 1e-4  # family-wise, per test case
     # (label, raw score) at which each mode's (g, h) is largest
     WORST = {
         d.UpdateMode.NEWTON: (0, 40.0),
         d.UpdateMode.GRADIENT: (0, 40.0),
         d.UpdateMode.AVERAGING: (1, 40.0),
     }
+    # histogram and pair releases: 1,000 identical feature columns, one query
+    # each per round, all on the root node
+    FEATURES = 1000
+    BINS = 4  # thresholds 0, 1/3, 2/3, 1
+    PAIR_THRESHOLD = 0.3
+    CANARY_X = 0.5  # bin 2 of the histogram, the right side of the pair
+    CANARY_CELL = {"histogram": 2, "pair": 1}
 
     def releases(self, gh, leaves, noise, seed):
         """(TREES * CALLS, LEAVES, 2) leaf releases of one assignment."""
@@ -580,36 +588,89 @@ class TestCanaryAudit:
             [agg.leaf_round([leaves] * self.TREES, self.LEAVES) for _ in range(self.CALLS)]
         )
 
+    def feature_releases(self, kind, x, gh, sizes, noise, seed):
+        """(FEATURES * CALLS, cells, 2) root histogram or pair releases, the
+        pair's cells being its left and right side."""
+        X = np.repeat(x[:, None], self.FEATURES, axis=1)
+        bounds = ((0.0, 1.0),) * self.FEATURES
+        pop = ClientPopulation(X, np.zeros(x.size), np.asarray(sizes), bounds)
+        agg = aggregator(pop, *gh, noise=noise, noise_seed=seed)
+        features = range(self.FEATURES)
+        if kind == "histogram":
+            cs = d.uniform_candidates(pop.bounds, self.BINS)
+            release = lambda: agg.histogram_round([0], features, cs, "s")  # noqa: E731
+        else:
+            proposals = {j: [self.PAIR_THRESHOLD] for j in features}
+            release = lambda: agg.split_pair_round([0], proposals)  # noqa: E731
+        return np.concatenate(
+            [release().reshape(self.FEATURES, -1, 2) for _ in range(self.CALLS)]
+        )
+
+    def assert_canary_band(self, without, with_canary, cell, canary, noise):
+        """Only ``cell`` shifts, and its mu_hat lies in the band around
+        ||canary|| / noise std and under the claimed 1 / sigma."""
+        runs, cells = without.shape[:2]
+        shift = with_canary.mean(axis=0) - without.mean(axis=0)  # (cells, 2)
+        residuals = np.concatenate(
+            [with_canary - with_canary.mean(axis=0), without - without.mean(axis=0)]
+        )
+        std = residuals.std()
+        mu_hat = np.linalg.norm(shift[cell]) / std
+        mu = np.linalg.norm(canary) / noise.std
+        # mu_hat's standard error: the mean shift's, plus the std estimate's
+        se = math.sqrt(2.0 / runs + mu**2 / (2.0 * residuals.size))
+        checks = 2 + 2 * (cells - 1)  # band, claim, each other cell's two coordinates
+        z = stats.norm.ppf(1 - self.ALPHA / (2 * checks))
+        assert abs(mu_hat - mu) < z * se, (mu_hat, mu, se)
+        assert mu_hat < 1.0 / self.SIGMA + z * se, (mu_hat, 1.0 / self.SIGMA)
+        others = np.delete(shift, cell, axis=0)
+        assert np.all(np.abs(others) < z * std * math.sqrt(2.0 / runs)), others
+
+    def canary(self, mode):
+        label, raw = self.WORST[mode]
+        return d.mode_gradients(np.array([label]), np.array([raw]), mode)
+
     @pytest.mark.parametrize("mode", list(WORST), ids=lambda mode: mode.value)
     def test_canary_shift_is_within_the_claimed_mu(self, mode):
         rng = np.random.default_rng(11)
         n = 40
         gh = d.mode_gradients(rng.integers(0, 2, n), rng.normal(0.0, 1.0, n), mode)
         leaves = rng.integers(0, self.LEAVES, n)
-        label, raw = self.WORST[mode]
-        canary = d.mode_gradients(np.array([label]), np.array([raw]), mode)
+        canary = self.canary(mode)
         noise = d.NoiseScale(self.SIGMA, d.query_sensitivity(mode))
         without = self.releases(gh, leaves, noise, seed=1)
         with_canary = self.releases(
             np.concatenate([gh, canary], axis=1), np.append(leaves, self.CANARY_LEAF), noise, 2
         )
+        self.assert_canary_band(without, with_canary, self.CANARY_LEAF, canary, noise)
 
-        runs = without.shape[0]
-        shift = with_canary.mean(axis=0) - without.mean(axis=0)  # (LEAVES, 2)
-        residuals = np.concatenate(
-            [with_canary - with_canary.mean(axis=0), without - without.mean(axis=0)]
+    @pytest.mark.parametrize("clients", [None, 8], ids=["one-record", "8-shards"])
+    @pytest.mark.parametrize("kind", ["histogram", "pair"])
+    def test_feature_release_canary_shift_is_within_the_claimed_mu(self, kind, clients):
+        mode = d.UpdateMode.NEWTON
+        rng = np.random.default_rng(12)
+        n = 40
+        x = rng.random(n)
+        gh = d.mode_gradients(rng.integers(0, 2, n), rng.normal(0.0, 1.0, n), mode)
+        # the canary joins as a client of its own, or as one more record of the last shard
+        if clients is None:
+            sizes, canary_sizes = np.ones(n, dtype=np.int64), np.ones(n + 1, dtype=np.int64)
+        else:
+            sizes = np.full(clients, n // clients)
+            canary_sizes = sizes.copy()
+            canary_sizes[-1] += 1
+        canary = self.canary(mode)
+        noise = d.NoiseScale(self.SIGMA, d.query_sensitivity(mode))
+        without = self.feature_releases(kind, x, gh, sizes, noise, seed=1)
+        with_canary = self.feature_releases(
+            kind,
+            np.append(x, self.CANARY_X),
+            np.concatenate([gh, canary], axis=1),
+            canary_sizes,
+            noise,
+            seed=2,
         )
-        std = residuals.std()
-        mu_hat = np.linalg.norm(shift[self.CANARY_LEAF]) / std
-        mu = np.linalg.norm(canary) / noise.std
-        # mu_hat's standard error: the mean shift's, plus the std estimate's
-        se = math.sqrt(2.0 / runs + mu**2 / (2.0 * residuals.size))
-        checks = 2 + 2 * (self.LEAVES - 1)  # band, claim, each other leaf's two coordinates
-        z = stats.norm.ppf(1 - self.ALPHA / (2 * checks))
-        assert abs(mu_hat - mu) < z * se, (mu_hat, mu, se)
-        assert mu_hat < 1.0 / self.SIGMA + z * se, (mu_hat, 1.0 / self.SIGMA)
-        others = np.delete(shift, self.CANARY_LEAF, axis=0)
-        assert np.all(np.abs(others) < z * std * math.sqrt(2.0 / runs)), others
+        self.assert_canary_band(without, with_canary, self.CANARY_CELL[kind], canary, noise)
 
 
 class TestAggregatorMeters:
@@ -688,7 +749,7 @@ class TestCommAccounting:
             cfg = baseline_preset(name, T=12, d=3, Q=8, ih_rounds=3, m=5, seed=1)
             cfg = cfg.replace(budget=d.PrivacyBudget(2.0, 1e-3), **overrides)
             res = train(cfg, pop)
-            where = (pop.descriptor, name, overrides)
+            where = (pop.n_clients, name, overrides)
             assert res.rounds == d.plan(cfg), where
             assert res.queries == d.count_queries(cfg), where
             ledger = comm_accounting(cfg)

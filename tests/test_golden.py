@@ -40,34 +40,34 @@ VARIANTS = tuple((name, name, {}) for name in PRESET_NAMES) + (
 POPULATIONS = ("one-record", "7-shards")
 
 GOLDEN = {
-    ("one-record", "DP-EBM"): "ec030a6a7148d086",
-    ("one-record", "DP-EBM-Newton"): "082da4fb9a68fe46",
-    ("one-record", "DP-GBM"): "04f6eeb8a49d00e9",
-    ("one-record", "DP-RF"): "0e2596baeb5a430e",
-    ("one-record", "FEVERLESS"): "2b14e16d7632b838",
-    ("one-record", "LDP"): "dcce22ada38568df",
-    ("one-record", "DP-TR-Newton"): "a40b2664c2918f33",
-    ("one-record", "DP-TR-Newton-IH"): "1f5bc1cfd6bda7fb",
-    ("one-record", "DP-TR-Newton-IH-EBM"): "0e345c5dfb7ded0e",
-    ("one-record", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "8a6f1a903fdd47cb",
-    ("one-record", "pr"): "4bd9a067b5513108",
-    ("one-record", "hist-k1"): "ace92312e79acf5d",
-    ("one-record", "hist-IH"): "ce6f845f74c0c797",
-    ("one-record", "pr-k1"): "cfd666f7dee81188",
-    ("7-shards", "DP-EBM"): "78ff1728d1311aaf",
-    ("7-shards", "DP-EBM-Newton"): "ad84f0936e653279",
-    ("7-shards", "DP-GBM"): "b93552661259cb77",
-    ("7-shards", "DP-RF"): "0e2596baeb5a430e",
-    ("7-shards", "FEVERLESS"): "8ffeac0e808e68b7",
-    ("7-shards", "LDP"): "f91b768e5380423c",
-    ("7-shards", "DP-TR-Newton"): "dc8308c50b684f15",
-    ("7-shards", "DP-TR-Newton-IH"): "80c954172abbad9c",
-    ("7-shards", "DP-TR-Newton-IH-EBM"): "d7bbe88cf4f0b218",
-    ("7-shards", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "382bcfdfb2a6b782",
-    ("7-shards", "pr"): "099ea13e59171d63",
-    ("7-shards", "hist-k1"): "4747e252cf1d6838",
-    ("7-shards", "hist-IH"): "40b71eecd8b117fe",
-    ("7-shards", "pr-k1"): "ad828a747eb08eac",
+    ("one-record", "DP-EBM"): "f984cd254beae596",
+    ("one-record", "DP-EBM-Newton"): "c9dfbb0e0c73b3aa",
+    ("one-record", "DP-GBM"): "ea50fb4a9502d0e9",
+    ("one-record", "DP-RF"): "bac75db534b8a7aa",
+    ("one-record", "FEVERLESS"): "2b21a9160b75c372",
+    ("one-record", "LDP"): "b6f075c7152c8482",
+    ("one-record", "DP-TR-Newton"): "f5164ce2ac58f8b2",
+    ("one-record", "DP-TR-Newton-IH"): "65b8a2573c66336a",
+    ("one-record", "DP-TR-Newton-IH-EBM"): "b080de245276a6e0",
+    ("one-record", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "4a253f7ccc5f7e7b",
+    ("one-record", "pr"): "1feab70fdfaf92c4",
+    ("one-record", "hist-k1"): "eb3e0ee316b291fc",
+    ("one-record", "hist-IH"): "a1fb275143894ba6",
+    ("one-record", "pr-k1"): "c3fc71350815238c",
+    ("7-shards", "DP-EBM"): "98858f2e45afef0a",
+    ("7-shards", "DP-EBM-Newton"): "02d96adfb970f8ec",
+    ("7-shards", "DP-GBM"): "14d7405b67b8b34f",
+    ("7-shards", "DP-RF"): "bac75db534b8a7aa",
+    ("7-shards", "FEVERLESS"): "8e41dd016b8c28c9",
+    ("7-shards", "LDP"): "dec9d11a677c63b5",
+    ("7-shards", "DP-TR-Newton"): "d41878bb7b43aa90",
+    ("7-shards", "DP-TR-Newton-IH"): "1d052cf255670d82",
+    ("7-shards", "DP-TR-Newton-IH-EBM"): "351c00896773761f",
+    ("7-shards", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"): "1b179d2a5549732c",
+    ("7-shards", "pr"): "8a81e8f598347eb2",
+    ("7-shards", "hist-k1"): "f5db287e5d4dd65e",
+    ("7-shards", "hist-IH"): "dca7bcc7389e44ff",
+    ("7-shards", "pr-k1"): "0de4a9eb5f438dc9",
 }
 
 

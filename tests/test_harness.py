@@ -83,7 +83,7 @@ class TestPresets:
         assert (cfg.split_method, cfg.B, cfg.name) == (
             d.SplitMethod.HIST, 10, "DP-TR-Batch-Newton-IH-EBM(p=0.25)"
         )
-        assert d.baseline_preset("DP-RF", T=20, B=5).B == 5
+        assert d.baseline_preset("DP-RF", T=20, B=5).B == 20  # averaging: B = T
         assert d.baseline_preset("DP-RF", T=20, name="rf").name == "rf"
         assert d.baseline_preset("FEVERLESS", eta=0.1).replace(eta=0.3) == d.baseline_preset(
             "FEVERLESS"

@@ -560,14 +560,14 @@ class TestTreeSerialization:
         X = layouts[0]
         bounds = ((0.0, 1.0),) * m
         # a population built from C-ordered rows; clients descend level by level
-        pop = ClientPopulation(X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64), bounds, "grid")
+        pop = ClientPopulation(X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64), bounds)
         assert pop.features.flags.f_contiguous
         agg = FederatedAggregator(pop)
         agg.begin_tree()
         for _ in range(depth):
             agg.apply_splits(tree.feature, tree.threshold)
         assert np.array_equal(agg.node - tree.feature.size, tree.route(X))
-        ensemble = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, True, bounds)
+        ensemble = d.Ensemble([tree], d.UpdateMode.NEWTON, 0.3, 1, bounds)
         want = d.predict(ensemble, X)
         for other in layouts[1:]:
             assert np.array_equal(d.predict(ensemble, other), want)
