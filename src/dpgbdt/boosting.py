@@ -38,7 +38,7 @@ from .candidates import (
     uniform_candidates,
 )
 from .config import CandidateMethod, NoisePlacement, TrainConfig
-from .data import check_bounds, json_int, json_number, philox
+from .data import check_bounds, json_int, json_keys, json_number, philox
 from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
 from .gradients import UpdateMode, batch_ranges, query_sensitivity, sigmoid, update_scores
 from .trees import (
@@ -92,10 +92,7 @@ class Ensemble:
         JSON numbers.
         """
         try:
-            if set(payload) != _MODEL_KEYS:
-                raise InvalidParameterError(
-                    f"malformed model JSON: keys {sorted(payload)}, not {sorted(_MODEL_KEYS)}"
-                )
+            json_keys(payload, _MODEL_KEYS, "model JSON")
             ensemble = cls(
                 trees=[Tree.from_dict(t) for t in payload["trees"]],
                 update_mode=UpdateMode(payload["update_mode"]),

@@ -112,6 +112,11 @@ class TrainConfig:
         return batch_ranges(self.T, self.B)
 
     def replace(self, **kwargs) -> "TrainConfig":
+        """A copy with ``kwargs`` changed. Under averaging B is derived
+        (B = T), so it is not carried over: left out, B takes its default
+        and ``__post_init__`` derives it again if the copy still averages."""
+        if self.update_mode is UpdateMode.AVERAGING:
+            kwargs.setdefault("B", TrainConfig.B)
         return dataclasses.replace(self, **kwargs)
 
     def to_flat_dict(self) -> dict:

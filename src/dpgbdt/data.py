@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accounting import InvalidParameterError
+
 __all__ = [
     "Dataset",
     "SplitPair",
@@ -73,6 +75,15 @@ def json_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def json_keys(payload, keys, name: str) -> None:
+    """Raise InvalidParameterError unless the keys of ``payload`` are exactly
+    ``keys``: a key the reader does not read is refused, not dropped."""
+    if set(payload) != set(keys):
+        raise InvalidParameterError(
+            f"malformed {name}: keys {sorted(payload)}, not {sorted(keys)}"
+        )
 
 
 def check_bounds(bounds) -> tuple[tuple[float, float], ...]:

@@ -2,7 +2,7 @@
 
 Clients hold disjoint record shards. Every statistic that reaches the
 server-side trainer passes through one pipeline: per-client float sums are
-encoded to fixed point, summed in a modular ring (the secure-aggregation
+encoded to fixed point, summed in the 2^64 ring (the secure-aggregation
 abstraction), decoded, and noised with one Gaussian draw per released
 coordinate. Under local noising each client perturbs its own contribution
 before encoding instead, and no central noise is added.
@@ -55,50 +55,36 @@ class CodecOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class FixedPointCodec:
-    """Fixed-point encoding with ``precision_bits`` fractional bits in a
-    2**ring_bits ring. Quantisation error is at most 1/(2*scale) per client
-    contribution."""
+    """Fixed-point encoding with ``precision_bits`` fractional bits in the
+    2^64 ring: uint64 arithmetic, decoded as int64. Quantisation error is at
+    most 1/(2*scale) per client contribution."""
 
     precision_bits: int = 16
-    ring_bits: int = 64
 
     def __post_init__(self):
-        if not (1 <= self.precision_bits < self.ring_bits):
-            raise InvalidParameterError("need 1 <= precision_bits < ring_bits")
-        if self.ring_bits != 64 and not (8 <= self.ring_bits <= 62):
-            raise InvalidParameterError("ring_bits must be 64 or within [8, 62]")
+        if not (1 <= self.precision_bits < 64):
+            raise InvalidParameterError("need 1 <= precision_bits < 64")
 
     @property
     def scale(self) -> int:
         return 1 << self.precision_bits
 
-    @property
-    def modulus(self) -> int:
-        return 1 << self.ring_bits
-
     def encode(self, values: np.ndarray) -> np.ndarray:
         fixed = np.rint(np.asarray(values, dtype=float) * self.scale).astype(np.int64)
-        ring = fixed.view(np.uint64)  # two's complement: the same bits as a cast
-        if self.ring_bits != 64:
-            ring &= np.uint64(self.modulus - 1)
-        return ring
+        return fixed.view(np.uint64)  # two's complement: the same bits as a cast
 
     def decode(self, ring_values: np.ndarray) -> np.ndarray:
         signed = np.asarray(ring_values, dtype=np.uint64).astype(np.int64)
-        if self.ring_bits != 64:
-            half = self.modulus >> 1
-            signed = np.where(signed >= half, signed - self.modulus, signed)
         return signed.astype(float) / self.scale
 
     def check_capacity(self, n_contributions: int, max_abs: float) -> None:
         if n_contributions == 0:
             return
         need = n_contributions * (int(math.ceil(max_abs * self.scale)) + 1)
-        if need >= self.modulus // 2:
+        if need >= 1 << 63:
             raise CodecOverflowError(
                 f"{n_contributions} contributions of magnitude up to {max_abs} "
-                f"risk wraparound in a 2^{self.ring_bits} ring at {self.precision_bits} "
-                "fractional bits"
+                f"risk wraparound in the 2^64 ring at {self.precision_bits} fractional bits"
             )
 
     def ring_sum(
@@ -118,7 +104,7 @@ class FixedPointCodec:
         acc = np.zeros((cols.shape[1], n_cells), dtype=np.uint64)
         for k in range(cols.shape[1]):
             np.add.at(acc[k], cell, cols[:, k])
-        return self._decode_sum(acc.T.reshape((n_cells,) + contrib.shape[1:]))
+        return self.decode(acc.T.reshape((n_cells,) + contrib.shape[1:]))
 
     def ring_reduce(self, blocks: Iterable[np.ndarray], n_clients: int) -> np.ndarray:
         """Decoded modular sum of dense per-client contribution blocks.
@@ -138,12 +124,6 @@ class FixedPointCodec:
             max_abs = max(float(block.max(initial=0.0)), -float(block.min(initial=0.0)))
             self.check_capacity(n_clients, max_abs)
             acc = acc + self.encode(block).sum(axis=0, dtype=np.uint64)
-        return self._decode_sum(acc)
-
-    def _decode_sum(self, acc: np.ndarray) -> np.ndarray:
-        """Reduce a uint64 accumulator (summed mod 2^64) into the ring, then decode."""
-        if self.ring_bits != 64:
-            acc &= np.uint64(self.modulus - 1)
         return self.decode(acc)
 
 
@@ -251,7 +231,8 @@ class CommLedger:
     """Aggregation rounds and per-client uplink for one training run.
 
     ``per_round_payload`` is the scalars one client sends in a regular
-    aggregation round; ``uplink_values`` totals the whole run. Secure
+    aggregation round; ``uplink_values`` totals the whole run, and every
+    scalar is one 8-byte word of the 2^64 ring (``uplink_bytes``). Secure
     aggregation itself multiplies network round trips by
     ``SECURE_AGG_ROUND_FACTOR``; it is reported, not simulated.
     """

@@ -20,10 +20,10 @@ defaults. DP-EBM here trains T trees cycling one feature per tree; a run
 equivalent to T_outer full feature cycles uses T = T_outer * m.
 
 ``run_single`` is the one train-and-evaluate step (budget, one record per
-client, train, AUCs); the CLI, the grid and the split-method script all call
-it. A grid cell's outcome is an ``ExperimentResult``, whose fields are the
-results-CSV columns in order; ``read_results`` is the one reader of that
-file, for resuming, the summary and the rank table alike.
+client, train, AUCs); the CLI and the grid both call it. A grid cell's
+outcome is an ``ExperimentResult``, whose fields are the results-CSV columns
+in order; ``read_results`` is the one reader of that file, for resuming, the
+summary and the rank table alike.
 """
 
 from __future__ import annotations

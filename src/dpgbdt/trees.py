@@ -34,7 +34,7 @@ import numpy as np
 
 from .accounting import InvalidParameterError
 from .candidates import SplitCandidateSet
-from .data import json_int, json_number
+from .data import json_int, json_keys, json_number
 from .gradients import UpdateMode
 
 __all__ = [
@@ -128,9 +128,11 @@ class Tree:
         Raises InvalidParameterError unless, for some depth d >= 0, the tree
         has 2^d - 1 features and thresholds and 2^d leaf weights, each
         feature a JSON integer and every threshold and weight a JSON number.
-        A missing key or a value of any other type raises it too.
+        Keys other than exactly those ``to_dict`` writes raise it too, as does
+        a value of any other type.
         """
         try:
+            json_keys(payload, [f.name for f in fields(cls)], "tree")
             feature = np.array([json_int(v, "feature") for v in payload["feature"]], dtype=np.int64)
             threshold = np.array([json_number(v, "threshold") for v in payload["threshold"]])
             weights = np.array([json_number(v, "leaf weight") for v in payload["leaf_weights"]])

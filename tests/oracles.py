@@ -74,34 +74,30 @@ def scalar_postprocess(w: float, eta: float, beta: float) -> float:
     return eta * math.copysign(min(abs(w), beta), w) if w != 0.0 else 0.0
 
 
-def ring_cell_sums(
-    rows, cells, n_cells: int, width: int, precision_bits: int, ring_bits: int
-) -> list:
+def ring_cell_sums(rows, cells, n_cells: int, width: int, precision_bits: int) -> list:
     """Per-cell sums of fixed-point encoded rows of ``width`` values, in
     Python integers.
 
     Each value is encoded as round-half-even(value * 2^precision_bits) mod
-    2^ring_bits; cell sums are reduced mod 2^ring_bits, read as signed
-    (upper half negative) and scaled back. Returns n_cells lists of floats.
+    2^64; cell sums are reduced mod 2^64, read as signed (upper half
+    negative) and scaled back. Returns n_cells lists of floats.
     """
-    modulus, scale = 1 << ring_bits, 1 << precision_bits
+    ring, scale = 1 << 64, 1 << precision_bits
     sums = [[0] * width for _ in range(n_cells)]
     for row, cell in zip(rows, cells):
         for k, value in enumerate(row):
-            sums[cell][k] = (sums[cell][k] + round(value * scale)) % modulus
-    return [[(s - modulus if s >= modulus // 2 else s) / scale for s in cell] for cell in sums]
+            sums[cell][k] = (sums[cell][k] + round(value * scale)) % ring
+    return [[(s - ring if s >= ring // 2 else s) / scale for s in cell] for cell in sums]
 
 
 def dense_secure_sum(client_vectors, codec) -> np.ndarray:
     """Secure sum of dense per-client vectors, one row per client, in Python
     integers: every value is encoded to fixed point, the encodings are summed
-    mod 2^ring_bits and the sum is decoded (``ring_cell_sums`` with every
-    row in one cell)."""
+    mod 2^64 and the sum is decoded (``ring_cell_sums`` with every row in
+    one cell)."""
     rows = np.asarray(client_vectors, dtype=float).tolist()
     width = len(rows[0]) if rows else 0
-    sums = ring_cell_sums(
-        rows, [0] * len(rows), 1, width, codec.precision_bits, codec.ring_bits
-    )
+    sums = ring_cell_sums(rows, [0] * len(rows), 1, width, codec.precision_bits)
     return np.array(sums[0])
 
 

@@ -455,14 +455,21 @@ class TestEnsembleSerialization:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda t: t.pop("leaf_weights"), lambda t: t["feature"].__setitem__(0, "x")],
-        ids=["no-leaf-weights", "feature-x"],
+        [
+            lambda t: t.pop("leaf_weights"),
+            lambda t: t["feature"].__setitem__(0, "x"),
+            # a key the loader does not read would otherwise be dropped without a word
+            lambda t: t.update(kind="internal"),
+        ],
+        ids=["no-leaf-weights", "feature-x", "unknown-key"],
     )
     def test_malformed_tree_rejected(self, payload, edit):
         tree = payload["trees"][0]
         edit(tree)
-        with pytest.raises(InvalidParameterError, match="malformed"):
+        with pytest.raises(InvalidParameterError, match="malformed tree"):
             d.Tree.from_dict(tree)
+        with pytest.raises(InvalidParameterError, match="malformed tree"):
+            d.Ensemble.from_json_dict(payload)
 
     @pytest.mark.parametrize(
         "edit",

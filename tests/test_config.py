@@ -46,6 +46,21 @@ class TestValidation:
         assert d.TrainConfig(T=9, B=3).batches == ((0, 3), (3, 6), (6, 9))
         assert d.TrainConfig(T=7, B=3).batches == ((0, 3), (3, 6), (6, 7))
 
+    def test_replace_rederives_the_averaging_batch(self):
+        averaging = d.TrainConfig(T=5, update_mode=d.UpdateMode.AVERAGING)
+        assert averaging.B == 5
+        # leaving averaging, B is what a fresh config of that mode has
+        newton = averaging.replace(update_mode=d.UpdateMode.NEWTON)
+        assert newton.B == d.TrainConfig(T=5, update_mode=d.UpdateMode.NEWTON).B == 1
+        assert newton.batches == tuple((t, t + 1) for t in range(5))
+        assert averaging.replace(update_mode=d.UpdateMode.NEWTON, B=2).B == 2
+        # within averaging B follows T
+        assert averaging.replace(T=8).B == 8
+        # a config that does not average keeps its B
+        batched = d.baseline_preset("DP-TR-Batch-Newton-IH-EBM(p=0.25)")
+        assert batched.B == 25
+        assert batched.replace(seed=3).B == batched.replace(T=100).B == 25
+
 
 class TestFlatDict:
     def test_round_trip(self):

@@ -61,83 +61,92 @@ class TestCodec:
         assert err.max() <= 1 / (2 * codec.scale) + 1e-15
 
     def test_small_ring(self):
-        codec = FixedPointCodec(precision_bits=8, ring_bits=24)
+        # at 56 fractional bits the 2^64 ring holds magnitudes below 2^7 only
+        codec = FixedPointCodec(precision_bits=56)
         vals = np.array([3.5, -7.25])
         assert np.allclose(codec.decode(codec.encode(vals)), vals)
+        with pytest.raises(CodecOverflowError):
+            codec.ring_sum(np.array([[100.0], [100.0]]), np.zeros(2, dtype=np.int64), 1, 2)
 
     def test_capacity_check(self):
-        codec = FixedPointCodec(precision_bits=8, ring_bits=16)
+        codec = FixedPointCodec(precision_bits=56)
         with pytest.raises(CodecOverflowError):
             codec.check_capacity(1000, 10.0)
+        # the signed half of the ring is 2^63 = 128 * 2^56
+        codec.check_capacity(1, 127.0)
+        with pytest.raises(CodecOverflowError):
+            codec.check_capacity(1, 128.0)
 
     @given(
         data=st.data(),
-        ring_bits=st.sampled_from([64, 20]),
+        precision=st.sampled_from([16, 40]),
         tail=st.sampled_from([(), (1,), (2,), (3,)]),
         rows=st.integers(0, 40),
         n_cells=st.integers(1, 6),
     )
     @settings(max_examples=200, deadline=None)
-    def test_ring_sum_matches_integer_oracle(self, data, ring_bits, tail, rows, n_cells):
+    def test_ring_sum_matches_integer_oracle(self, data, precision, tail, rows, n_cells):
         # few cells for many rows: cells repeat, and some stay unused
-        precision, bound = (16, 1e6) if ring_bits == 64 else (4, 100.0)
+        bound = 1e6 if precision == 16 else 1e4
         width = math.prod(tail)
         cells = data.draw(st.lists(st.integers(0, n_cells - 1), min_size=rows, max_size=rows))
         value = st.floats(-bound, bound, allow_nan=False)
         values = data.draw(st.lists(value, min_size=rows * width, max_size=rows * width))
         contrib = np.array(values, dtype=float).reshape((rows,) + tail)
-        codec = FixedPointCodec(precision_bits=precision, ring_bits=ring_bits)
+        codec = FixedPointCodec(precision_bits=precision)
         out = codec.ring_sum(contrib, np.array(cells, dtype=np.int64), n_cells, max(rows, 1))
         assert out.shape == (n_cells,) + tail
         expected = ring_cell_sums(
-            contrib.reshape(rows, width).tolist(), cells, n_cells, width, precision, ring_bits
+            contrib.reshape(rows, width).tolist(), cells, n_cells, width, precision
         )
         assert out.reshape(n_cells, width).tolist() == expected
 
-    @pytest.mark.parametrize("ring_bits, precision", [(64, 16), (20, 4)])
-    def test_ring_sum_wraps_before_mask(self, ring_bits, precision):
-        # each -1.0 encodes near the top of the ring, so the raw accumulator
-        # passes 2^ring_bits (2^64: wraps in uint64) before it is reduced
-        codec = FixedPointCodec(precision_bits=precision, ring_bits=ring_bits)
+    @pytest.mark.parametrize("precision", [4, 16, 40])
+    def test_ring_sum_wraps_in_uint64(self, precision):
+        # each -1.0 encodes near the top of the ring, so the uint64
+        # accumulator passes 2^64 and wraps
+        codec = FixedPointCodec(precision_bits=precision)
         contrib = np.array([[-1.0, 2.0], [-1.0, -3.0], [-1.0, 0.5], [0.25, -0.5]])
         cells = np.array([0, 0, 0, 2])
         out = codec.ring_sum(contrib, cells, 3, 4)
-        expected = ring_cell_sums(contrib.tolist(), cells.tolist(), 3, 2, precision, ring_bits)
+        expected = ring_cell_sums(contrib.tolist(), cells.tolist(), 3, 2, precision)
         assert out.tolist() == expected == [[-3.0, -0.5], [0.0, 0.0], [0.25, -0.5]]
 
     @given(
         data=st.data(),
-        ring_bits=st.sampled_from([64, 20]),
+        precision=st.sampled_from([16, 40]),
         block_rows=st.lists(st.integers(0, 6), min_size=1, max_size=4),
         width=st.integers(1, 4),
     )
     @settings(max_examples=100, deadline=None)
-    def test_ring_reduce_matches_integer_oracle(self, data, ring_bits, block_rows, width):
-        precision, bound = (16, 1e6) if ring_bits == 64 else (4, 100.0)
+    def test_ring_reduce_matches_integer_oracle(self, data, precision, block_rows, width):
+        bound = 1e6 if precision == 16 else 1e4
         value = st.floats(-bound, bound, allow_nan=False)
         blocks = [
             np.array(data.draw(st.lists(value, min_size=r * width, max_size=r * width)))
             .reshape(r, 1, width)
             for r in block_rows
         ]
-        codec = FixedPointCodec(precision_bits=precision, ring_bits=ring_bits)
+        codec = FixedPointCodec(precision_bits=precision)
         rows = np.concatenate(blocks).reshape(-1, width)
         out = codec.ring_reduce(iter(blocks), max(len(rows), 1))
         assert out.shape == (1, width)
-        expected = ring_cell_sums(rows.tolist(), [0] * len(rows), 1, width, precision, ring_bits)
+        expected = ring_cell_sums(rows.tolist(), [0] * len(rows), 1, width, precision)
         assert out.tolist() == expected
 
     def test_ring_reduce_checks_capacity(self):
-        codec = FixedPointCodec(precision_bits=8, ring_bits=16)
-        blocks = [np.full((100, 3), 1.0), np.full((100, 3), -100.0)]
+        # the first block fits (200 * 2^48 < 2^63); the second does not
+        codec = FixedPointCodec(precision_bits=48)
+        blocks = [np.full((100, 3), 1.0), np.full((100, 3), -1000.0)]
+        codec.ring_reduce(iter(blocks[:1]), 200)
         with pytest.raises(CodecOverflowError):
             codec.ring_reduce(iter(blocks), 200)
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            FixedPointCodec(precision_bits=70)
-        with pytest.raises(ValueError):
-            FixedPointCodec(precision_bits=8, ring_bits=63)
+        for precision in (0, 64, 70):
+            with pytest.raises(ValueError):
+                FixedPointCodec(precision_bits=precision)
+        assert FixedPointCodec(precision_bits=63).scale == 2**63
 
 
 def one_cell(codec, contribs):
@@ -203,7 +212,7 @@ class TestSecureSum:
         assert np.all(noisy.leaf_round(leaves, 4)[0][1:] != 0.0)
 
     def test_wraparound_detected(self):
-        codec = FixedPointCodec(precision_bits=8, ring_bits=16)
+        codec = FixedPointCodec(precision_bits=56)
         with pytest.raises(CodecOverflowError):
             one_cell(codec, np.full((200, 1), 100.0))
         with pytest.raises(CodecOverflowError):
@@ -352,16 +361,16 @@ class TestClientDataPlane:
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12),
         Q=st.integers(2, 9),
-        ring_bits=st.sampled_from([64, 20]),
+        precision=st.sampled_from([8, 40]),
         grid_cap=st.sampled_from([1, 7, federation.GROUP_GRID_CELLS]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rounds_equal_dense_secure_sum(self, sizes, Q, ring_bits, grid_cap, seed):
+    def test_rounds_equal_dense_secure_sum(self, sizes, Q, precision, grid_cap, seed):
         rng = philox(seed)
         m = 2
         pop = grid_population(sizes, m, rng)
-        codec = FixedPointCodec(precision_bits=8, ring_bits=ring_bits)
+        codec = FixedPointCodec(precision_bits=precision)
         g, h = rng.normal(0, 1, pop.n), rng.random(pop.n)
         nodes = sorted(int(v) for v in rng.choice(15, size=int(rng.integers(1, 5)), replace=False))
         node_of_record = rng.choice(nodes, size=pop.n)
@@ -426,15 +435,15 @@ class TestClientDataPlane:
         ds = d.synthesize(400, 2, 0.0, 0.5, seed=3)
         pop = partition(ds, 10, EQUAL_SHARDS, seed=0)
         cs = d.uniform_candidates(pop.bounds, 2)
-        small = FixedPointCodec(precision_bits=8, ring_bits=16)
+        fine = FixedPointCodec(precision_bits=56)
         # 10 clients of 40 records in 2 bins, g = 1: some per-client cell sum
-        # is at least 20, so 10 clients need 10 * (20 * 2^8 + 1) > 2^15, the
+        # is at least 20, so 10 clients need 10 * (20 * 2^56 + 1) > 2^63, the
         # signed half of the ring
-        agg = aggregator(pop, np.ones(pop.n), np.ones(pop.n), small)
+        agg = aggregator(pop, np.ones(pop.n), np.ones(pop.n), fine)
         with pytest.raises(CodecOverflowError):
             agg.histogram_round([0], [0, 1], cs, "s")
         # at g = h = 0.01 every cell sum is at most 0.4, which fits
-        tiny = aggregator(pop, np.full(pop.n, 0.01), np.full(pop.n, 0.01), small)
+        tiny = aggregator(pop, np.full(pop.n, 0.01), np.full(pop.n, 0.01), fine)
         assert tiny.histogram_round([0], [0, 1], cs, "s").shape == (2, 1, 2, 2)
 
     def test_pair_round_needs_one_threshold_per_node(self):

@@ -170,6 +170,22 @@ class TestRunGrid:
                          repeats=1, out_path=out2)
         assert [r.test_auc for r in rows] == [r.test_auc for r in rows2]
 
+    def test_split_methods_at_equal_epsilon(self, tmp_path):
+        # hist, pr and tr side by side at one budget: a configs dict, since a
+        # grid spec applies its fields to every preset and cannot name pr alone
+        shape = {"d": 2, "Q": 8}
+        configs = {
+            "hist": d.TrainConfig(T=2, split_method=d.SplitMethod.HIST, **shape),
+            "pr": d.TrainConfig(T=2, split_method=d.SplitMethod.PARTIALLY_RANDOM, **shape),
+            "tr": d.TrainConfig(T=5, **shape),
+        }
+        spec = {"kind": "synthetic", "n": 600, "m": 4, "seed": 0}
+        rows = run_grid(configs, spec, [1.0], [0], 1, tmp_path / "res.csv")
+        assert [(r.config_id, r.epsilon, r.status) for r in rows] == [
+            ("hist", 1.0, "ok"), ("pr", 1.0, "ok"), ("tr", 1.0, "ok")
+        ]
+        assert all(0.0 <= r.test_auc <= 1.0 for r in rows)
+
     def test_resume_skips_done_rows(self, tmp_path):
         configs = {"tr": d.baseline_preset("DP-TR-Newton", T=3, d=2, Q=4)}
         spec = {"kind": "synthetic", "n": 120, "m": 2, "seed": 0}
