@@ -40,7 +40,14 @@ from .candidates import (
 from .config import CandidateMethod, NoisePlacement, TrainConfig
 from .data import check_bounds, json_int, json_keys, json_number, philox
 from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
-from .gradients import UpdateMode, batch_ranges, query_sensitivity, sigmoid, update_scores
+from .gradients import (
+    UpdateMode,
+    batch_ranges,
+    query_sensitivity,
+    sigmoid,
+    sum_vectors,
+    update_scores,
+)
 from .trees import (
     SplitMethod,
     Tree,
@@ -223,6 +230,9 @@ def train(
     cands = _initial_candidates(config, agg)
 
     is_tr = config.split_method is SplitMethod.TOTALLY_RANDOM
+    # a batch holds one leaf index per record per tree, in the narrowest
+    # unsigned dtype that holds 2^d - 1 (one byte up to d = 8)
+    leaf_dtype = np.min_scalar_type(2**config.d - 1)
     trees: list[Tree] = []
     root_hessians: dict[int, np.ndarray] = {}  # the previous tree's, under hist
 
@@ -246,7 +256,7 @@ def train(
 
             if is_tr:
                 tree = grow_tree_totally_random(rng, F, cands, config.d)
-                batch.append((tree, agg.route_tree(tree)))
+                batch.append((tree, agg.route_tree(tree).astype(leaf_dtype)))
                 continue
             if k == 1:
                 tree, sums, root_hessians = grow_tree_single_feature(
@@ -264,7 +274,7 @@ def train(
             # multi-feature builders leave every record at its leaf; a
             # single-feature tree is scored from one histogram and is routed
             assign = agg.route_tree(tree) if k == 1 else agg.node - tree.feature.size
-            batch.append((tree, assign))
+            batch.append((tree, assign.astype(leaf_dtype)))
 
         if is_tr:
             sums = agg.leaf_round([assign for _, assign in batch], 2**config.d)
@@ -308,8 +318,8 @@ def raw_scores(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     Xc = _checked_features(ensemble, X)
     raw = np.zeros(Xc.shape[0])
     for start, end in batch_ranges(len(ensemble.trees), ensemble.batch_size):
-        W = np.stack([tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees[start:end]])
-        raw = update_scores(raw, W, ensemble.eta, plain=(ensemble.batch_size == 1))
+        weights = (tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees[start:end])
+        raw = update_scores(raw, weights, ensemble.eta, plain=(ensemble.batch_size == 1))
     return raw
 
 
@@ -330,11 +340,10 @@ def predict(ensemble: Ensemble, x: np.ndarray) -> np.ndarray | float:
         if not ensemble.trees:
             raise InvalidParameterError("averaging ensemble has no trees to average")
         Xc = _checked_features(ensemble, X)
-        probs = np.clip(
-            np.mean([tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees], axis=0),
-            0.0,
-            1.0,
-        )
+        weights = (tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees)
+        total, count = sum_vectors(weights, (Xc.shape[0],))
+        total /= count
+        probs = np.clip(total, 0.0, 1.0, out=total)
     else:
         probs = sigmoid(raw_scores(ensemble, X))
     return float(probs[0]) if single else probs

@@ -328,8 +328,8 @@ class FederatedAggregator:
 
     def apply_score_update(self, batch, eta: float, plain: bool) -> None:
         """Clients fold a finished batch of public trees into their raw scores."""
-        W = np.stack([tree.leaf_weights[assign] for tree, assign in batch])
-        self.raw_scores = update_scores(self.raw_scores, W, eta, plain)
+        weights = (tree.leaf_weights[assign] for tree, assign in batch)
+        self.raw_scores = update_scores(self.raw_scores, weights, eta, plain)
 
     def nonprivate_feature_column(self, j: int) -> np.ndarray:
         """Pooled raw values of one feature, sorted. Explicitly NOT private:

@@ -12,12 +12,15 @@ sensitivity of the (sum g, sum h) query without clipping.
 
 ``update_scores`` is the one rule by which a finished batch of trees moves
 raw scores, both on the clients during training and when a saved ensemble
-is replayed for prediction.
+is replayed for prediction. It takes the batch as per-tree leaf-weight
+vectors and adds them, in order, into one buffer (``sum_vectors``), so a
+batch of any size needs an O(n) working set.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from enum import Enum
 
 import numpy as np
@@ -30,6 +33,7 @@ __all__ = [
     "bce_gradients",
     "mode_gradients",
     "query_sensitivity",
+    "sum_vectors",
     "update_scores",
     "batch_ranges",
 ]
@@ -94,21 +98,41 @@ def query_sensitivity(mode: UpdateMode) -> float:
     raise ValueError(f"unknown update mode: {mode!r}")
 
 
-def update_scores(raw: np.ndarray, W: np.ndarray, eta: float, plain: bool) -> np.ndarray:
-    """Raw scores after one finished batch, from its (trees, n) leaf-weight matrix.
+def sum_vectors(vectors: Iterable, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The sum of ``vectors``, each a float array of ``shape``, and how many
+    there were.
+
+    Each vector is added, in order, into one zeroed buffer, so the working
+    set is the sum plus the vector being added. numpy's axis-0 reduce over
+    the stacked (count, n) matrix adds in the same order, so for n > 1 the
+    sum is bit-identical to ``W.sum(axis=0)`` (at n = 1 that reduce sums
+    pairwise instead).
+    """
+    total, count = np.zeros(shape), 0
+    for vec in vectors:
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != shape:
+            raise InvalidParameterError(f"expected vectors of shape {shape}, got {vec.shape}")
+        total += vec
+        count += 1
+    if count == 0:
+        raise InvalidParameterError("a batch update needs at least one tree")
+    return total, count
+
+
+def update_scores(raw: np.ndarray, weights: Iterable, eta: float, plain: bool) -> np.ndarray:
+    """Raw scores after one finished batch, from its per-tree (n,) leaf-weight
+    vectors, summed in order as they arrive (see ``sum_vectors``).
 
     plain (batch size 1): raw + the summed leaf weights. Otherwise squash the
     mean leaf weight per record: raw + eta * (sigmoid(mean) - sigmoid(0)), so
     an all-zero batch is a no-op.
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] == 0:
-        raise InvalidParameterError(
-            f"a batch update needs a non-empty (trees, n) matrix, got shape {W.shape}"
-        )
+    total, count = sum_vectors(weights, raw.shape)
     if plain:
-        return raw + W.sum(axis=0)
-    return raw + eta * (sigmoid(W.mean(axis=0)) - 0.5)
+        return np.add(raw, total, out=total)
+    total /= count
+    return raw + eta * (sigmoid(total) - 0.5)
 
 
 def batch_ranges(T: int, B: int) -> tuple[tuple[int, int], ...]:

@@ -37,7 +37,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .accounting import InvalidParameterError, PrivacyBudget, count_queries
 from .boosting import TrainResult, predict, train
@@ -51,6 +50,7 @@ __all__ = [
     "UndefinedAucError",
     "UnknownPresetError",
     "MissingCellError",
+    "average_ranks",
     "auc_roc",
     "budget_for",
     "PRESET_NAMES",
@@ -78,20 +78,40 @@ class MissingCellError(ValueError):
     """Ranking requires every method to cover every (dataset, epsilon) cell."""
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values`` in ascending order, tied values sharing the
+    mean of the ranks they cover (the "average" method for ties)."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="mergesort")
+    ordered = v[order]
+    # each tie group covers sorted positions [start, end), so 1-based ranks start + 1 .. end
+    start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    end = np.append(start[1:], v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+    return ranks
+
+
 def auc_roc(labels, scores) -> float:
     """Probability that a random positive outranks a random negative.
 
-    Mann-Whitney form via average ranks; tied scores count one half.
+    Mann-Whitney form via average ranks; tied scores count one half. Labels
+    must be 0 or 1 (bools and 0.0/1.0 included) and scores finite; anything
+    else raises InvalidParameterError.
     """
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=float)
     if y.shape != s.shape or y.ndim != 1:
         raise InvalidParameterError("labels and scores must be aligned vectors")
+    if not np.isin(y, (0, 1)).all():
+        raise InvalidParameterError("labels must be 0 or 1")
+    if not np.isfinite(s).all():
+        raise InvalidParameterError("scores must be finite (no NaN or infinity)")
     n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
+    n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAucError("both classes must be present to compute AUC")
-    ranks = rankdata(s)
+    ranks = average_ranks(s)
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -452,7 +472,7 @@ def rank_table(results) -> dict[float | None, dict[str, float]]:
     for (dataset, eps), cell in by_cell.items():
         names = sorted(cell)
         # rank 1 = highest mean AUC; ties share the mean of the ranks they cover
-        ranks = rankdata([-float(np.mean(cell[name])) for name in names])
+        ranks = average_ranks([-float(np.mean(cell[name])) for name in names])
         bucket = per_eps.setdefault(eps, {})
         for name, rank in zip(names, ranks):
             bucket.setdefault(name, []).append(float(rank))

@@ -261,6 +261,21 @@ def rf_average_prediction(tree_dicts, X) -> np.ndarray:
     return out
 
 
+def stacked_update_scores(raw, W, eta: float, plain: bool) -> np.ndarray:
+    """The batch update over the stacked (trees, n) leaf-weight matrix: raw
+    plus the column sums (plain), else raw + eta * (sigmoid(column means) - 1/2)."""
+    W = np.asarray(W, dtype=float)
+    if plain:
+        return raw + W.sum(axis=0)
+    return raw + eta * (masked_sigmoid(W.mean(axis=0)) - 0.5)
+
+
+def stacked_average(vectors) -> np.ndarray:
+    """Mean of a list of per-tree prediction vectors over the stacked matrix,
+    clipped to [0, 1]."""
+    return np.clip(np.mean(vectors, axis=0), 0.0, 1.0)
+
+
 def sample_skewness(values: np.ndarray) -> float:
     v = np.asarray(values, dtype=float)
     centered = v - v.mean()

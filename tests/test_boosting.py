@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from dpgbdt.gradients import update_scores
 from dpgbdt.harness import PRESET_NAMES, baseline_preset, list_presets
 from dpgbdt.trees import grow_tree_totally_random
 
-from oracles import logistic, rf_average_prediction
+from oracles import logistic, rf_average_prediction, stacked_average, stacked_update_scores
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +396,23 @@ class TestPredict:
         oracle = rf_average_prediction([t.to_dict() for t in res.ensemble.trees], ds.features)
         assert np.allclose(pred, oracle)
 
+    def test_averaging_predict_bit_equals_stacked_mean(self, small_data):
+        ds, pop = small_data
+        cfg = d.TrainConfig(T=12, d=2, Q=4, update_mode=d.UpdateMode.AVERAGING, seed=3)
+        ensemble = d.train(cfg.replace(budget=d.PrivacyBudget(1.0, 1e-3)), pop).ensemble
+        want = stacked_average([t.leaf_weights[t.route(ds.features)] for t in ensemble.trees])
+        assert np.array_equal(d.predict(ensemble, ds.features), want)
+
+    @pytest.mark.parametrize("mode", [d.UpdateMode.AVERAGING, d.UpdateMode.NEWTON])
+    def test_one_record_predicts_as_its_row(self, mode):
+        # one batch of 50 trees: a record's score must not depend on the rows beside it
+        ds = d.synthesize(300, 3, 0.3, 0.5, seed=2)
+        pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
+        cfg = d.TrainConfig(T=50, d=3, Q=8, B=50, update_mode=mode, seed=1)
+        ensemble = d.train(cfg.replace(budget=d.PrivacyBudget(1.0, 1e-3)), pop).ensemble
+        rows = d.predict(ensemble, ds.features)
+        assert [d.predict(ensemble, x) for x in ds.features] == rows.tolist()
+
 
 class TestEnsembleSerialization:
     def test_round_trip(self, small_data, tmp_path):
@@ -552,7 +571,7 @@ class TestEnsembleSerialization:
         for start in range(0, 5, batch_size):
             batch = ensemble.trees[start : start + batch_size]
             W = np.stack([t.leaf_weights[t.route(ds.features)] for t in batch])
-            want = update_scores(want, W, ensemble.eta, plain=(batch_size == 1))
+            want = stacked_update_scores(want, W, ensemble.eta, plain=(batch_size == 1))
         assert np.array_equal(raw_scores(ensemble, ds.features), want)
 
     @pytest.mark.parametrize("B", [1, 2, 5])
@@ -579,6 +598,47 @@ class TestEnsembleSerialization:
         ensemble = d.train(cfg, pop).ensemble
         back = d.Ensemble.from_json_dict(json.loads(json.dumps(ensemble.to_json_dict())))
         assert np.array_equal(d.predict(back, ds.features), d.predict(ensemble, ds.features))
+
+
+def _peak_bytes(fn, *args) -> int:
+    """Peak traced allocation, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """A batch's working set is O(n): no (trees, n) stack in training or prediction."""
+
+    N = 20_000
+
+    @pytest.fixture(scope="class")
+    def X(self):
+        return np.random.default_rng(9).uniform(size=(self.N, 3))
+
+    @pytest.mark.parametrize("mode", [d.UpdateMode.AVERAGING, d.UpdateMode.NEWTON])
+    def test_predict_peak_does_not_grow_with_trees(self, small_data, X, mode):
+        _, pop = small_data
+        cfg = d.TrainConfig(T=24, d=2, Q=4, B=24, update_mode=mode, seed=6)
+        ensemble = d.train(cfg, pop).ensemble
+        ensembles = [
+            dataclasses.replace(ensemble, trees=ensemble.trees[:T], batch_size=T) for T in (2, 24)
+        ]
+        peaks = [_peak_bytes(d.predict, ens, X) for ens in ensembles]
+        # 22 more trees in the one batch may not cost even one more float per record
+        assert peaks[1] - peaks[0] < 8 * self.N
+
+    @pytest.mark.parametrize("split_method", [d.SplitMethod.TOTALLY_RANDOM, d.SplitMethod.HIST])
+    def test_batch_holds_under_two_bytes_per_record_per_tree(self, split_method):
+        ds = d.synthesize(self.N, 3, 0.3, 0.5, seed=7)
+        pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
+        cfg = d.TrainConfig(d=2, Q=4, split_method=split_method, seed=8)
+        small, large = 4, 20
+        peaks = [_peak_bytes(d.train, cfg.replace(T=T, B=T), pop) for T in (small, large)]
+        assert (peaks[1] - peaks[0]) / (self.N * (large - small)) < 2
 
 
 class TestLearning:

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpgbdt as d
+from dpgbdt.accounting import InvalidParameterError
 from dpgbdt.gradients import (
     SENSITIVITY_COUNTING,
     SENSITIVITY_NEWTON,
     sigmoid,
+    update_scores,
 )
 
-from oracles import bce_loss, masked_sigmoid
+from oracles import bce_loss, masked_sigmoid, stacked_update_scores
 
 
 class TestBceGradients:
@@ -110,3 +112,69 @@ class TestHelpers:
         got, want = sigmoid(x), masked_sigmoid(x)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestUpdateScores:
+    """The streamed batch update against the stacked-matrix formula it replaced."""
+
+    VALUES = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        st.floats(-1e8, 1e8, allow_nan=False),
+        st.floats(-1e-8, 1e-8, allow_nan=False),
+    )
+
+    @given(
+        data=st.data(),
+        B=st.integers(1, 12),
+        n=st.integers(2, 30),
+        eta=st.floats(0.01, 1.0),
+        plain=st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_bit_equal_to_stacked_formula(self, data, B, n, eta, plain):
+        flat = data.draw(st.lists(self.VALUES, min_size=(B + 1) * n, max_size=(B + 1) * n))
+        raw, W = np.array(flat[:n]), np.array(flat[n:]).reshape(B, n)
+        want = stacked_update_scores(raw, W, eta, plain)
+        got = update_scores(raw, (row.copy() for row in W), eta, plain)
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_signed_zeros_match_the_stacked_sum(self, B):
+        # numpy's reduce starts from +0.0, so an all -0.0 column sums to +0.0
+        raw = np.array([-0.0, -0.0, 0.0, 1.0])
+        W = np.tile([-0.0, 0.0, -0.0, -0.0], (B, 1))
+        for plain in (True, False):
+            got = update_scores(raw, list(W), 0.3, plain)
+            assert _same_bits(got, stacked_update_scores(raw, W, 0.3, plain))
+        assert _same_bits(update_scores(raw, list(W), 0.3, True), np.array([0.0, 0.0, 0.0, 1.0]))
+
+    def test_long_batch_bit_equal(self):
+        rng = np.random.default_rng(4)
+        W = rng.normal(size=(300, 500)) * 10.0 ** rng.uniform(-8, 8, size=(300, 1))
+        raw = rng.normal(size=500)
+        for plain in (True, False):
+            assert _same_bits(
+                update_scores(raw, list(W), 0.1, plain), stacked_update_scores(raw, W, 0.1, plain)
+            )
+
+    def test_inputs_are_not_modified(self):
+        raw, W = np.ones(3), np.arange(6.0).reshape(2, 3)
+        update_scores(raw, W, 0.1, plain=True)  # rows of W are views into it
+        assert np.array_equal(raw, np.ones(3)) and np.array_equal(W, np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("weights", [[], iter(())])
+    def test_empty_batch_raises(self, weights):
+        with pytest.raises(InvalidParameterError, match="at least one tree"):
+            update_scores(np.zeros(3), weights, 0.1, plain=False)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[np.zeros(4)], [np.zeros(3), np.zeros(2)], [np.zeros((1, 3))], [np.zeros(3), 1.0]],
+    )
+    def test_vector_shape_must_match_raw(self, weights):
+        with pytest.raises(InvalidParameterError, match="shape"):
+            update_scores(np.zeros(3), weights, 0.1, plain=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import dpgbdt as d
 from dpgbdt.accounting import InvalidParameterError
@@ -15,6 +16,7 @@ from dpgbdt.harness import (
     MissingCellError,
     UndefinedAucError,
     UnknownPresetError,
+    average_ranks,
     rank_table,
     read_results,
     run_grid,
@@ -58,6 +60,70 @@ class TestAuc:
         base = d.auc_roc(y, s)
         assert d.auc_roc(y, scale * s + shift) == pytest.approx(base, abs=1e-12)
         assert d.auc_roc(y, np.exp(s)) == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "labels, scores",
+        [
+            ([0, 1, 2], [0.1, 0.9, 0.5]),
+            ([-1, 1], [0.1, 0.9]),
+            ([0, 1, 0.5], [0.1, 0.9, 0.5]),
+            ([0.0, 1.0, np.nan], [0.1, 0.9, 0.5]),
+            (["0", "1"], [0.1, 0.9]),
+        ],
+    )
+    def test_labels_outside_zero_one_rejected(self, labels, scores):
+        with pytest.raises(InvalidParameterError, match="labels"):
+            d.auc_roc(labels, scores)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            d.auc_roc([0, 1, 1], [0.1, bad, 0.5])
+
+    def test_bool_and_float_labels_accepted(self):
+        scores = [0.1, 0.9, 0.5, 0.5]
+        want = d.auc_roc([0, 1, 0, 1], scores)
+        assert d.auc_roc([False, True, False, True], scores) == want
+        assert d.auc_roc([0.0, 1.0, 0.0, 1.0], scores) == want
+
+    @given(
+        labels=st.lists(st.booleans(), min_size=2, max_size=60),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_equals_pairwise_oracle_with_ties(self, labels, data):
+        y = np.array(labels)
+        if y.all() or not y.any():
+            y[0] = not y[0]
+        values = st.sampled_from([0.0, -0.0, 0.25, 1.0, -3.0]) | st.floats(-1e6, 1e6)
+        s = data.draw(st.lists(values, min_size=y.size, max_size=y.size))
+        assert d.auc_roc(y, s) == pytest.approx(pairwise_auc(y, s), abs=1e-12)
+
+
+class TestAverageRanks:
+    """The rank function behind auc_roc and rank_table, against scipy's."""
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(allow_nan=False),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @settings(max_examples=300)
+    def test_equals_rankdata(self, values):
+        got = average_ranks(values)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, rankdata(values))
+
+    def test_length_one(self):
+        assert np.array_equal(average_ranks([7.0]), [1.0])
+
+    def test_long_tied_vector(self):
+        rng = np.random.default_rng(8)
+        values = np.round(rng.normal(size=200_000), 2)
+        values[::7] = -0.0
+        assert np.array_equal(average_ranks(values), rankdata(values))
 
 
 class TestPresets:
