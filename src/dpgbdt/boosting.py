@@ -51,9 +51,7 @@ from .gradients import (
 from .trees import (
     SplitMethod,
     Tree,
-    grow_tree_histogram,
-    grow_tree_partially_random,
-    grow_tree_single_feature,
+    grow_tree,
     grow_tree_totally_random,
     leaf_weight,
     postprocess_weight,
@@ -203,8 +201,6 @@ def train(
         raise InvalidParameterError(
             f"config declares m={config.m} but the population has m={population.m}"
         )
-    k = config.resolved_k()
-    m = config.m
 
     counter = count_queries(config)
     sigma = 0.0
@@ -240,7 +236,7 @@ def train(
         agg.recompute_gradients(config.update_mode)
         batch: list[tuple[Tree, np.ndarray]] = []
         for t in range(start, end):
-            F = select_features(config.feature_mode.value, k, t, m, rng)
+            F = select_features(config.feature_mode.value, config.resolved_k(), t, config.m, rng)
 
             if config.candidate_method is CandidateMethod.ITERATIVE_HESSIAN:
                 if config.split_method is SplitMethod.HIST:
@@ -256,24 +252,13 @@ def train(
 
             if is_tr:
                 tree = grow_tree_totally_random(rng, F, cands, config.d)
-                batch.append((tree, agg.route_tree(tree).astype(leaf_dtype)))
-                continue
-            if k == 1:
-                tree, sums, root_hessians = grow_tree_single_feature(
-                    agg, rng, config.split_method, F[0], cands, config.d, config.lam, config.gamma
-                )
-            elif config.split_method is SplitMethod.HIST:
-                tree, sums, root_hessians = grow_tree_histogram(
-                    agg, F, cands, config.d, config.lam, config.gamma
-                )
+                assign = agg.route_tree(tree)
             else:
-                tree, sums = grow_tree_partially_random(
-                    agg, rng, F, cands, config.d, config.lam, config.gamma
+                tree, sums, root_hessians = grow_tree(
+                    agg, rng, config.split_method, F, cands, config.d, config.lam, config.gamma
                 )
-            _assign_weights(tree, sums, config)
-            # multi-feature builders leave every record at its leaf; a
-            # single-feature tree is scored from one histogram and is routed
-            assign = agg.route_tree(tree) if k == 1 else agg.node - tree.feature.size
+                _assign_weights(tree, sums, config)
+                assign = agg.node - tree.feature.size  # grow_tree leaves records at their leaves
             batch.append((tree, assign.astype(leaf_dtype)))
 
         if is_tr:

@@ -348,10 +348,20 @@ class FederatedAggregator:
         return self._bins
 
     def _positions(self, nodes: np.ndarray) -> np.ndarray:
-        """Index of each record's node within the sorted ``nodes``."""
-        lookup = np.zeros(int(nodes[-1]) + 1, dtype=np.int64)
+        """Index of each record's node within the sorted ``nodes``.
+
+        Raises InvalidParameterError when some record sits in none of
+        ``nodes`` (records sit at the current level, below node 2^(level+1)
+        - 1): its (g, h) would land in no released cell.
+        """
+        lookup = np.full(max(int(nodes[-1]), 2 ** (self.level + 1) - 2) + 1, -1, dtype=np.int64)
         lookup[nodes] = np.arange(nodes.size)
-        return lookup[self.node]
+        pos = lookup.take(self.node)
+        if pos.min(initial=0) < 0:
+            raise InvalidParameterError(
+                f"nodes {nodes.tolist()} do not cover every record's node at level {self.level}"
+            )
+        return pos
 
     # ------------------------------------------------------------------
     # metered queries

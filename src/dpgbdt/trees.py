@@ -16,13 +16,14 @@ Three split methods:
   totally random (tr) - draw feature and threshold uniformly; structure never
          touches data.
 
-Single-feature trees (k = 1) are special-cased for hist and pr: every node is
-an interval of the root histogram's bins, so one histogram per tree provides
-all split scores and leaf sums.
+hist and pr trees come from one builder, ``grow_tree``: at each level it
+scores the splits offered to every node and keeps the best. A single-feature
+tree (k = 1) is offered splits from one root histogram, since every node is
+an interval of its bins, so it costs one query per tree.
 
 Builders talk to the federation layer only through an aggregator handle; raw
-records never appear here. The data-dependent builders return the tree plus
-its leaf sums as a (2^d, 2) array of (G, H) rows, leaf k in row k.
+records never appear here. ``grow_tree`` returns the tree plus its leaf sums
+as a (2^d, 2) array of (G, H) rows, leaf k in row k.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ __all__ = [
     "postprocess_weight",
     "select_features",
     "grow_tree_totally_random",
-    "grow_tree_histogram",
-    "grow_tree_partially_random",
-    "grow_tree_single_feature",
+    "grow_tree",
 ]
 
 
@@ -182,20 +181,6 @@ def split_score(GL, HL, GR, HR, lam: float, gamma: float):
         return np.fmax(0.5 * (left + right - parent) - gamma, -np.inf)
 
 
-def _prefix_split_scores(G: np.ndarray, H: np.ndarray, lam: float, gamma: float):
-    """Scores for splitting at every candidate via cumulative bin sums.
-
-    Bins run along the last axis; candidate c sends bins 0..c left. Returns
-    the score array plus the (G_L, H_L, G_R, H_R) arrays so the chosen child
-    sums can be reused.
-    """
-    GL = np.cumsum(G, axis=-1)
-    HL = np.cumsum(H, axis=-1)
-    GR = GL[..., -1:] - GL
-    HR = HL[..., -1:] - HL
-    return split_score(GL, HL, GR, HR, lam, gamma), (GL, HL, GR, HR)
-
-
 def leaf_weight(G, H_or_count, lam: float, mode: UpdateMode):
     """Raw (pre-learning-rate) weight of a leaf from its aggregate sums.
 
@@ -254,22 +239,6 @@ def select_features(
     raise InvalidParameterError(f"unknown feature mode: {mode!r}")
 
 
-def _routing_threshold(cand_set: SplitCandidateSet, j: int, c: int) -> float:
-    """Threshold that routes records consistently with bin-prefix statistics.
-
-    The last bin of a histogram absorbs everything above the final candidate,
-    so a split chosen at the last candidate is the all-left split; it routes
-    on the feature's upper bound rather than the candidate value.
-    """
-    if c == cand_set.q - 1:
-        return float(cand_set.bounds[j][1])
-    return float(cand_set.per_feature[j][c])
-
-
-def _level_nodes(level: int) -> list[int]:
-    return list(range(2 ** level - 1, 2 ** (level + 1) - 1))
-
-
 def grow_tree_totally_random(
     rng: np.random.Generator,
     feature_subset,
@@ -293,141 +262,113 @@ def grow_tree_totally_random(
     return tree
 
 
-def grow_tree_histogram(
-    agg,
-    feature_subset,
-    cand_set: SplitCandidateSet,
-    depth: int,
-    lam: float,
-    gamma: float,
-):
-    """Greedy histogram tree: one noisy histogram per (level, feature).
+def _routing_thresholds(cand_set: SplitCandidateSet, feats) -> np.ndarray:
+    """Threshold of every candidate of ``feats``, feature-major, that routes
+    records consistently with bin-prefix statistics.
 
-    Ties in the split score resolve to the lowest feature index, then the
-    lowest candidate index. Leaf sums are the prefix/suffix of the parent's
-    chosen-feature histogram, so the weight phase needs no extra query.
-
-    Returns (tree, (2^d, 2) leaf sums, {feature: root Hessian bins}).
+    The last bin of a histogram absorbs everything above the final candidate,
+    so a split at the last candidate is the all-left split; it routes on the
+    feature's upper bound rather than the candidate value.
     """
-    feats = sorted(feature_subset)
-    if not feats:
-        raise InvalidParameterError("feature subset must be non-empty")
-    if depth < 1:
-        raise InvalidParameterError(f"depth must be at least 1, got {depth}")
-    agg.begin_tree()
-    tree = Tree.zeros(depth)
-    for level in range(depth):
-        nodes = _level_nodes(level)
-        res = agg.histogram_round(nodes, feats, cand_set, category="s")  # (F, nodes, Q, 2)
-        if level == 0:
-            root_hessians = dict(zip(feats, res[:, 0, :, 1]))
-        # (node, feature, candidate) scores of the whole level; the first
-        # maximum of a node's flattened row is its lowest feature, then
-        # lowest candidate, among the best.
-        by_node = res.transpose(1, 0, 2, 3)
-        scores, sides = _prefix_split_scores(by_node[..., 0], by_node[..., 1], lam, gamma)
-        f, c = np.divmod(scores.reshape(len(nodes), -1).argmax(axis=1), cand_set.q)
-        for i, node in enumerate(nodes):
-            j = feats[f[i]]
-            tree.feature[node] = j
-            tree.threshold[node] = _routing_threshold(cand_set, j, int(c[i]))
-        agg.apply_splits(tree.feature, tree.threshold)
-    # last level: node i's chosen (GL, HL, GR, HR) are the sums of leaves 2i, 2i + 1
-    chosen = np.stack([side[np.arange(len(nodes)), f, c] for side in sides], axis=1)
-    return tree, chosen.reshape(-1, 2), root_hessians
+    thresholds = np.array([cand_set.per_feature[j] for j in feats])
+    thresholds[:, -1] = [cand_set.bounds[j][1] for j in feats]
+    return thresholds.ravel()
 
 
-def grow_tree_partially_random(
-    agg,
-    rng: np.random.Generator,
-    feature_subset,
-    cand_set: SplitCandidateSet,
-    depth: int,
-    lam: float,
-    gamma: float,
-):
-    """One random threshold per feature per node; keep the best-scoring feature.
-
-    Needs only a two-sided aggregate per proposal, not a full histogram.
-    Ties resolve to the lowest feature index.
-    Returns (tree, (2^d, 2) leaf sums).
-    """
-    feats = sorted(feature_subset)
-    if not feats:
-        raise InvalidParameterError("feature subset must be non-empty")
-    if depth < 1:
-        raise InvalidParameterError(f"depth must be at least 1, got {depth}")
-    agg.begin_tree()
-    tree = Tree.zeros(depth)
-    for level in range(depth):
-        nodes = _level_nodes(level)
-        # one candidate per (feature, node), drawn feature by feature
-        thr = np.array(
-            [[cand_set.per_feature[j][rng.integers(cand_set.q)] for _ in nodes] for j in feats]
-        )
-        sums = agg.split_pair_round(nodes, dict(zip(feats, thr)))  # (F, nodes, 4)
-        # first maximum over features: ties go to the lowest feature
-        best = split_score(*np.moveaxis(sums, -1, 0), lam, gamma).argmax(axis=0)
-        tree.feature[nodes] = np.asarray(feats)[best]
-        tree.threshold[nodes] = thr[best, np.arange(len(nodes))]
-        agg.apply_splits(tree.feature, tree.threshold)
-    # last level: node i's chosen (GL, HL, GR, HR) are the sums of leaves 2i, 2i + 1
-    return tree, sums[best, np.arange(len(nodes))].reshape(-1, 2)
-
-
-def grow_tree_single_feature(
+def grow_tree(
     agg,
     rng: np.random.Generator,
     method: SplitMethod,
-    feature_j: int,
+    feature_subset,
     cand_set: SplitCandidateSet,
     depth: int,
     lam: float,
     gamma: float,
 ):
-    """Hist or PR tree on a single feature from one root histogram.
+    """Grow a hist or pr tree level by level from the splits offered to each node.
 
-    Every node of a single-feature tree is a contiguous bin interval, so the
-    root histogram supplies split scores at every level and the leaf sums,
-    at the cost of a single query per tree. HIST scores a whole level at
-    once (ties go to the lowest candidate); PR draws every node's candidate
-    in pre-order before the first level is split.
+    Each level offers every node splits as (node, offer) arrays of left and
+    right (G, H) sums, feature-major, and one ``split_score`` argmax keeps
+    the node's first best offer: ties go to the lowest feature, then the
+    lowest candidate. hist offers every (feature, candidate) prefix split of
+    the level's histogram round; pr offers, per feature, the candidate drawn
+    for each node (feature by feature) in the level's pair round. A
+    single-feature tree (k = 1) makes one root histogram round: every node is
+    a bin interval, offered the candidates inside it (hist) or the one drawn
+    for it in pre-order before the first level (pr).
 
-    Returns (tree, (2^d, 2) leaf sums, {feature: root Hessian bins}).
+    Histogram offers route on ``_routing_thresholds``; pair offers route on
+    the drawn candidate, so pr's last candidate is a real split. Clients
+    descend one level after each level, so ``agg.node`` ends at the leaves.
+
+    Returns (tree, (2^d, 2) leaf sums, {feature: root Hessian bins}); the
+    last is empty when no histogram was released. The leaf sums are the last
+    level's chosen offers, or for k = 1 the leaves' bin intervals, so leaf
+    weights need no further query.
     """
+    feats = sorted(feature_subset)
+    if not feats:
+        raise InvalidParameterError("feature subset must be non-empty")
+    if depth < 1:
+        raise InvalidParameterError(f"depth must be at least 1, got {depth}")
     if method not in (SplitMethod.HIST, SplitMethod.PARTIALLY_RANDOM):
-        raise InvalidParameterError("single-feature growth applies to hist/pr only")
-    G, H = agg.histogram_round([0], [feature_j], cand_set, category="s")[0, 0].T
-    Q = G.size
-    cum_g = np.concatenate([[0.0], np.cumsum(G)])
-    cum_h = np.concatenate([[0.0], np.cumsum(H)])
+        raise InvalidParameterError(f"grow_tree grows hist or pr trees, not {method!r}")
+    hist, single, Q = method is SplitMethod.HIST, len(feats) == 1, cand_set.q
+    agg.begin_tree()
     tree = Tree.zeros(depth)
-    if method is SplitMethod.PARTIALLY_RANDOM:
-        drawn = np.zeros(tree.feature.size, dtype=np.int64)
-        for heap in _preorder(depth):
-            drawn[heap] = rng.integers(Q)
-    # bin interval [lo, hi) of every heap node, parents set before children
-    lo = np.zeros(2 * tree.n_leaves - 1, dtype=np.int64)
-    hi = np.full(2 * tree.n_leaves - 1, Q, dtype=np.int64)
+    feature_of = np.repeat(feats, Q if hist else 1)  # the feature of each offer
+    routing = _routing_thresholds(cand_set, feats) if hist or single else None
+    root_hessians = {}
+    if single:
+        res = agg.histogram_round([0], feats, cand_set, category="s")
+        root_hessians = dict(zip(feats, res[:, 0, :, 1]))
+        cum = np.concatenate([np.zeros((1, 2)), np.cumsum(res[0, 0], axis=0)])
+        cum_g, cum_h = cum.T
+        # bin interval [lo, hi) of every heap node, parents set before children
+        lo = np.zeros(2 * tree.n_leaves - 1, dtype=np.int64)
+        hi = np.full(2 * tree.n_leaves - 1, Q, dtype=np.int64)
+        if hist:
+            offered = np.arange(Q)  # every candidate, at every node
+        else:  # one candidate per node, drawn in pre-order
+            offered = np.zeros((tree.feature.size, 1), dtype=np.int64)
+            for heap in _preorder(depth):
+                offered[heap] = rng.integers(Q)
     for level in range(depth):
-        nodes = np.asarray(_level_nodes(level))
-        a, b = lo[nodes], hi[nodes]
-        if method is SplitMethod.HIST:
-            # (node, candidate) scores of the level; first maximum per node
-            a2, b2 = a[:, None], b[:, None]
-            cuts = np.clip(np.arange(1, Q + 1), a2, b2)
-            GL = cum_g[cuts] - cum_g[a2]
-            HL = cum_h[cuts] - cum_h[a2]
-            GR = (cum_g[b2] - cum_g[a2]) - GL
-            HR = (cum_h[b2] - cum_h[a2]) - HL
-            c = split_score(GL, HL, GR, HR, lam, gamma).argmax(axis=1)
+        nodes = np.arange(2**level - 1, 2 ** (level + 1) - 1)
+        if single:
+            a, b = lo[nodes, None], hi[nodes, None]
+            cand = offered if hist else offered[nodes]
+            cuts = np.clip(cand + 1, a, b)
+            GL = cum_g[cuts] - cum_g[a]
+            HL = cum_h[cuts] - cum_h[a]
+            sides = GL, HL, (cum_g[b] - cum_g[a]) - GL, (cum_h[b] - cum_h[a]) - HL
+            thr = routing[cand]
+        elif hist:
+            res = agg.histogram_round(nodes, feats, cand_set, category="s")  # (F, nodes, Q, 2)
+            if level == 0:
+                root_hessians = dict(zip(feats, res[:, 0, :, 1]))
+            by_node = res.transpose(1, 0, 2, 3)
+            GL, HL = np.cumsum(by_node[..., 0], axis=-1), np.cumsum(by_node[..., 1], axis=-1)
+            sides = (GL, HL, GL[..., -1:] - GL, HL[..., -1:] - HL)
+            sides = [side.reshape(nodes.size, -1) for side in sides]  # offer f * Q + c
+            thr = routing
         else:
-            c = drawn[nodes]
-        cut = np.clip(c + 1, a, b)
-        tree.feature[nodes] = feature_j
-        tree.threshold[nodes] = [_routing_threshold(cand_set, feature_j, int(k)) for k in c]
-        lo[2 * nodes + 1], hi[2 * nodes + 1] = a, cut
-        lo[2 * nodes + 2], hi[2 * nodes + 2] = cut, b
-    leaf_lo, leaf_hi = lo[-tree.n_leaves :], hi[-tree.n_leaves :]
-    leaves = np.stack([cum_g[leaf_hi] - cum_g[leaf_lo], cum_h[leaf_hi] - cum_h[leaf_lo]], axis=1)
-    return tree, leaves, {feature_j: H.copy()}
+            thr = np.array(
+                [[cand_set.per_feature[j][rng.integers(Q)] for _ in nodes] for j in feats]
+            )
+            sides = agg.split_pair_round(nodes, dict(zip(feats, thr))).T  # (4, nodes, F)
+            thr = thr.T
+        best = split_score(*sides, lam, gamma).argmax(axis=1)
+        rows = nodes - nodes[0]
+        tree.feature[nodes] = feature_of[best]
+        tree.threshold[nodes] = thr[rows, best] if thr.ndim == 2 else thr[best]
+        if single:
+            cut = cuts[rows, best]
+            lo[2 * nodes + 1], hi[2 * nodes + 1] = lo[nodes], cut
+            lo[2 * nodes + 2], hi[2 * nodes + 2] = cut, hi[nodes]
+        agg.apply_splits(tree.feature, tree.threshold)
+    if single:
+        return tree, cum[hi[-tree.n_leaves :]] - cum[lo[-tree.n_leaves :]], root_hessians
+    # last level: node i's chosen (G_L, H_L, G_R, H_R) are the sums of leaves 2i, 2i + 1
+    leaves = np.stack([side[rows, best] for side in sides], axis=1)
+    return tree, leaves.reshape(-1, 2), root_hessians

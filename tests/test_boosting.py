@@ -238,7 +238,7 @@ class TestRefinementSchedule:
         select = boosting.select_features
         refine = boosting.iterative_hessian_refine
         refine_feature = candidates._refine_feature
-        grow = boosting.grow_tree_histogram
+        grow = boosting.grow_tree
 
         def tracked_select(mode, k, t, *args):
             tree[0] = t
@@ -260,7 +260,7 @@ class TestRefinementSchedule:
         monkeypatch.setattr(boosting, "select_features", tracked_select)
         monkeypatch.setattr(boosting, "iterative_hessian_refine", tracked_refine)
         monkeypatch.setattr(candidates, "_refine_feature", tracked_refine_feature)
-        monkeypatch.setattr(boosting, "grow_tree_histogram", tracked_grow)
+        monkeypatch.setattr(boosting, "grow_tree", tracked_grow)
         cfg = d.TrainConfig(
             T=T, d=2, Q=4, split_method=method,
             candidate_method=d.CandidateMethod.ITERATIVE_HESSIAN, ih_rounds=s, seed=3,

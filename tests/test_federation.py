@@ -296,6 +296,26 @@ class TestHistogramQuery:
         G, _ = root_histogram(pop, thr, g=np.ones(n), h=np.ones(n))
         assert G.sum() == pytest.approx(n, abs=1e-6)
 
+    @pytest.mark.parametrize("nodes", [[3, 4, 5, 6], [0], [1], [2, 3]])
+    def test_round_missing_an_occupied_node_is_refused_unmetered(self, nodes):
+        # after one level the records sit at nodes 1 and 2; a round over
+        # other nodes would pool them into the wrong cells or none at all
+        pop = make_pop(40, 2)
+        agg = FederatedAggregator(pop)
+        agg.recompute_gradients(d.UpdateMode.NEWTON)
+        agg.begin_tree()
+        agg.apply_splits(np.array([0]), np.array([0.5]))
+        assert set(agg.node.tolist()) == {1, 2}
+        cs = d.uniform_candidates(pop.bounds, 4)
+        with pytest.raises(InvalidParameterError, match="cover"):
+            agg.histogram_round(nodes, [0], cs, "s")
+        with pytest.raises(InvalidParameterError, match="cover"):
+            agg.split_pair_round(nodes, {0: np.full(len(nodes), 0.5)})
+        assert agg.rounds == [] and agg.coords_released == 0
+        # the level's nodes, with or without an extra empty one, are released
+        assert agg.histogram_round([1, 2], [0], cs, "s")[0, :, :, 1].sum() == 40 * 0.25
+        assert agg.split_pair_round([1, 2, 3], {0: np.full(3, 0.5)}).shape == (1, 3, 4)
+
 
 class TestLeafQuery:
     def test_two_leaves(self):

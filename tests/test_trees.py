@@ -18,13 +18,7 @@ from dpgbdt.federation import (
     FixedPointCodec,
     partition,
 )
-from dpgbdt.trees import (
-    _prefix_split_scores,
-    grow_tree_histogram,
-    grow_tree_partially_random,
-    grow_tree_single_feature,
-    grow_tree_totally_random,
-)
+from dpgbdt.trees import grow_tree, grow_tree_totally_random
 
 from oracles import (
     collect_structure,
@@ -41,6 +35,9 @@ def exact_aggregator(ds, mode=d.UpdateMode.NEWTON):
     agg = FederatedAggregator(pop, codec=FixedPointCodec(precision_bits=40))
     agg.recompute_gradients(mode)
     return agg
+
+
+HIST, PR = d.SplitMethod.HIST, d.SplitMethod.PARTIALLY_RANDOM
 
 
 def quantile_set(ds, Q):
@@ -276,7 +273,7 @@ class TestHistogramTree:
         ds = d.synthesize(8, 2, 0.0, 0.5, seed=4)
         cs = quantile_set(ds, 3)
         agg = exact_aggregator(ds)
-        tree, _, _ = grow_tree_histogram(agg, [0, 1], cs, 1, 1.0, 0.0)
+        tree, _, _ = grow_tree(agg, philox(0), HIST, [0, 1], cs, 1, 1.0, 0.0)
         ref = reference_greedy_tree(
             ds.features, ds.labels, cs.per_feature, [0, 1], 1, 1.0, 0.0
         )
@@ -293,7 +290,7 @@ class TestHistogramTree:
             ds = d.synthesize(n, m, 0.4, 0.5, seed=1000 + trial)
             cs = quantile_set(ds, Q)
             agg = exact_aggregator(ds)
-            tree, leaf_stats, _ = grow_tree_histogram(agg, range(m), cs, depth, 1.0, 0.0)
+            tree, leaf_stats, _ = grow_tree(agg, philox(0), HIST, range(m), cs, depth, 1.0, 0.0)
             ref = reference_greedy_tree(
                 ds.features, ds.labels, cs.per_feature, range(m), depth, 1.0, 0.0
             )
@@ -306,34 +303,33 @@ class TestHistogramTree:
             assert np.allclose(ours, ref_weights, atol=1e-9), f"trial {trial}"
 
     def test_prefix_scores_match_raw_sums(self):
-        ds = d.synthesize(60, 1, 0.0, 0.5, seed=9)
-        cs = quantile_set(ds, 5)
-        agg = exact_aggregator(ds)
-        G, H = agg.histogram_round([0], [0], cs, "s")[0, 0].T
-        scores, _ = _prefix_split_scores(G, H, 1.0, 0.0)
         def direct_score(data, left):
             g = 0.5 - data.labels
             h = np.full(data.n, 0.25)
             return d.split_score(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), 1.0, 0.0)
 
-        x = ds.features[:, 0]
-        direct = []
-        for c in range(5):
-            left = np.ones(ds.n, bool) if c == 4 else x <= cs.per_feature[0][c]
-            direct.append(direct_score(ds, left))
-            assert scores[c] == pytest.approx(direct[c], abs=1e-9)
-        # the single-feature builder scores its root with the same gain
-        tree, _, _ = grow_tree_single_feature(
-            exact_aggregator(ds), philox(0), d.SplitMethod.HIST, 0, cs, 1, 1.0, 0.0
-        )
-        assert structure_of(tree, cs) == [(0, int(np.argmax(direct)))]
+        # a hist root, on one feature or three, keeps the first best prefix
+        # split scored from direct sums; candidate 4 is the all-left split
+        for m, seed in [(1, 9), (1, 10), (3, 9), (3, 11)]:
+            ds = d.synthesize(60, m, 0.0, 0.5, seed=seed)
+            cs = quantile_set(ds, 5)
+            direct = [
+                direct_score(ds, np.ones(ds.n, bool) if c == 4 else ds.features[:, j] <= thr)
+                for j in range(m)
+                for c, thr in enumerate(cs.per_feature[j])
+            ]
+            agg = exact_aggregator(ds)
+            tree, leaves, _ = grow_tree(agg, philox(0), HIST, range(m), cs, 1, 1.0, 0.0)
+            assert structure_of(tree, cs) == [divmod(int(np.argmax(direct)), 5)], (m, seed)
+            g = 0.5 - ds.labels
+            leaf = tree.route(ds.features)
+            assert leaves[:, 0] == pytest.approx([g[leaf == 0].sum(), g[leaf == 1].sum()], abs=1e-9)
         # so does the pr builder, over its root's one proposal per feature
         ds3 = d.synthesize(60, 3, 0.0, 0.5, seed=9)
         cs3 = quantile_set(ds3, 5)
         for seed in range(5):
-            tree, _ = grow_tree_partially_random(
-                exact_aggregator(ds3), philox(seed), range(3), cs3, 1, 1.0, 0.0
-            )
+            agg = exact_aggregator(ds3)
+            tree, _, _ = grow_tree(agg, philox(seed), PR, range(3), cs3, 1, 1.0, 0.0)
             draws = philox(seed)
             proposed = [cs3.per_feature[j][int(draws.integers(5))] for j in range(3)]
             direct = [direct_score(ds3, ds3.features[:, j] <= thr) for j, thr in enumerate(proposed)]
@@ -346,7 +342,7 @@ class TestHistogramTree:
         trees = []
         for gamma in (0.0, 0.7):
             agg = exact_aggregator(ds)
-            tree, _, _ = grow_tree_histogram(agg, range(3), cs, 2, 1.0, gamma)
+            tree, _, _ = grow_tree(agg, philox(0), HIST, range(3), cs, 2, 1.0, gamma)
             trees.append(structure_of(tree, cs))
         assert trees[0] == trees[1]
 
@@ -357,7 +353,7 @@ class TestHistogramTree:
         ds = d.Dataset(X, y, ((0.0, 1.0), (0.0, 1.0)))
         cs = d.uniform_candidates(ds.bounds, 5)
         agg = exact_aggregator(ds)
-        tree, _, _ = grow_tree_histogram(agg, [0, 1], cs, 1, 1.0, 0.0)
+        tree, _, _ = grow_tree(agg, philox(0), HIST, [0, 1], cs, 1, 1.0, 0.0)
         assert tree.feature[0] == 0
 
     def test_level_skips_a_split_whose_raw_score_is_nan(self):
@@ -376,21 +372,18 @@ class TestHistogramTree:
                 pass
 
         cs = d.uniform_candidates([(0.0, 1.0)] * 2, 2)
-        tree, _, _ = grow_tree_histogram(FixedHistogram(), [0, 1], cs, 1, 0.0, 0.0)
+        tree, _, _ = grow_tree(FixedHistogram(), philox(0), HIST, [0, 1], cs, 1, 0.0, 0.0)
         assert structure_of(tree, cs) == [(1, 0)]
 
-    def test_single_feature_path_equals_general_path_noise_off(self):
+    def test_single_feature_tree_matches_greedy_oracle_noise_off(self):
         ds = d.synthesize(70, 1, 0.3, 0.5, seed=21)
         cs = quantile_set(ds, 6)
-        agg_a = exact_aggregator(ds)
-        general, _, _ = grow_tree_histogram(agg_a, [0], cs, 3, 1.0, 0.0)
-        agg_b = exact_aggregator(ds)
-        single, _, _ = grow_tree_single_feature(
-            agg_b, philox(0), d.SplitMethod.HIST, 0, cs, 3, 1.0, 0.0
-        )
-        assert structure_of(general, cs) == structure_of(single, cs)
-        assert d.QueryCounter.from_rounds(agg_a.rounds).kappa_s == 3
-        assert d.QueryCounter.from_rounds(agg_b.rounds).kappa_s == 1
+        agg = exact_aggregator(ds)
+        tree, _, _ = grow_tree(agg, philox(0), HIST, [0], cs, 3, 1.0, 0.0)
+        ref = reference_greedy_tree(ds.features, ds.labels, cs.per_feature, [0], 3, 1.0, 0.0)
+        assert structure_of(tree, cs) == collect_structure(ref)[0]
+        # one root histogram scores every level
+        assert d.QueryCounter.from_rounds(agg.rounds).kappa_s == 1
 
     @given(
         n=st.integers(8, 80),
@@ -444,9 +437,7 @@ class TestHistogramTree:
         ds = d.synthesize(50, 1, 0.0, 0.5, seed=31)
         cs = quantile_set(ds, 4)
         agg = exact_aggregator(ds)
-        tree, leaf_stats, _ = grow_tree_single_feature(
-            agg, philox(0), d.SplitMethod.HIST, 0, cs, 2, 1.0, 0.0
-        )
+        tree, leaf_stats, _ = grow_tree(agg, philox(0), HIST, [0], cs, 2, 1.0, 0.0)
         leaves = tree.route(ds.features)
         g = 0.5 - ds.labels
         for leaf in range(tree.n_leaves):
@@ -455,15 +446,33 @@ class TestHistogramTree:
             assert leaf_stats[leaf][1] == pytest.approx(0.25 * mask.sum(), abs=1e-9)
 
 
-@pytest.mark.parametrize("grow", ["hist", "pr"])
-def test_data_dependent_builders_reject_depth_zero(grow):
+# the data-dependent builds: hist and pr, over two features and over one
+BUILDS = pytest.mark.parametrize(
+    "method, feats",
+    [(HIST, [0, 1]), (PR, [0, 1]), (HIST, [0]), (PR, [0])],
+    ids=["hist", "pr", "hist-k1", "pr-k1"],
+)
+
+
+@BUILDS
+def test_data_dependent_builders_reject_depth_zero(method, feats):
     ds = d.synthesize(20, 2, 0.0, 0.5, seed=3)
     cs = quantile_set(ds, 3)
     with pytest.raises(InvalidParameterError, match="depth"):
-        if grow == "hist":
-            grow_tree_histogram(exact_aggregator(ds), [0, 1], cs, 0, 1.0, 0.0)
-        else:
-            grow_tree_partially_random(exact_aggregator(ds), philox(0), [0, 1], cs, 0, 1.0, 0.0)
+        grow_tree(exact_aggregator(ds), philox(0), method, feats, cs, 0, 1.0, 0.0)
+
+
+@BUILDS
+def test_grown_tree_leaves_every_record_at_its_leaf(method, feats):
+    # noisy sums over shards, so that the splits are not the exact-data ones
+    ds = d.synthesize(150, 2, 0.3, 0.5, seed=8)
+    pop = partition(ds, 7, EQUAL_SHARDS, seed=8)
+    agg = FederatedAggregator(pop, noise=d.NoiseScale(2.0, 1.0), noise_seed=5)
+    agg.recompute_gradients(d.UpdateMode.NEWTON)
+    cs = d.uniform_candidates(ds.bounds, 6)
+    for seed in range(3):
+        tree, _, _ = grow_tree(agg, philox(seed), method, feats, cs, 3, 1.0, 0.0)
+        assert np.array_equal(agg.node - (2**3 - 1), tree.route(pop.features))
 
 
 class TestPartiallyRandom:
@@ -471,9 +480,7 @@ class TestPartiallyRandom:
         ds = d.synthesize(80, 3, 0.0, 0.5, seed=17)
         cs = quantile_set(ds, 5)
         agg = exact_aggregator(ds)
-        tree, leaf_stats = grow_tree_partially_random(
-            agg, philox(2), range(3), cs, 2, 1.0, 0.0
-        )
+        tree, leaf_stats, _ = grow_tree(agg, philox(2), PR, range(3), cs, 2, 1.0, 0.0)
         leaves = tree.route(ds.features)
         g = 0.5 - ds.labels
         h = np.full(ds.n, 0.25)
@@ -486,8 +493,31 @@ class TestPartiallyRandom:
         ds = d.synthesize(30, 4, 0.0, 0.5, seed=2)
         cs = quantile_set(ds, 3)
         agg = exact_aggregator(ds)
-        grow_tree_partially_random(agg, philox(0), range(4), cs, 3, 1.0, 0.0)
+        grow_tree(agg, philox(0), PR, range(4), cs, 3, 1.0, 0.0)
         assert d.QueryCounter.from_rounds(agg.rounds).kappa_s == 4 * 3
+
+    def test_single_feature_tree_splits_at_its_preorder_draws(self):
+        ds = d.synthesize(80, 2, 0.0, 0.5, seed=19)
+        Q, depth = 5, 3
+        cs = quantile_set(ds, Q)
+        agg = exact_aggregator(ds)
+        tree, leaf_stats, _ = grow_tree(agg, philox(4), PR, [1], cs, depth, 1.0, 0.0)
+        # every node's candidate is drawn in pre-order before the first level;
+        # it splits the root histogram's bins, so the last one routes on the
+        # upper bound
+        draws = philox(4)
+        drawn = {heap: int(draws.integers(Q)) for heap in preorder(depth)}
+        assert Q - 1 in drawn.values()
+        routing = [*cs.per_feature[1][:-1], ds.bounds[1][1]]
+        assert tree.feature.tolist() == [1] * (2**depth - 1)
+        assert tree.threshold.tolist() == [routing[drawn[i]] for i in range(2**depth - 1)]
+        leaves = tree.route(ds.features)
+        g = 0.5 - ds.labels
+        for leaf in range(tree.n_leaves):
+            mask = leaves == leaf
+            assert leaf_stats[leaf][0] == pytest.approx(g[mask].sum(), abs=1e-9)
+            assert leaf_stats[leaf][1] == pytest.approx(0.25 * mask.sum(), abs=1e-9)
+        assert [(r.kind, r.queries) for r in agg.rounds] == [("s", 1)]
 
 
 class TestTreeSerialization:
