@@ -252,13 +252,16 @@ def train(
 
             if is_tr:
                 tree = grow_tree_totally_random(rng, F, cands, config.d)
-                assign = agg.route_tree(tree)
+                agg.begin_tree()
+                for _ in range(config.d):
+                    agg.apply_splits(tree.feature, tree.threshold)
             else:
                 tree, sums, root_hessians = grow_tree(
                     agg, rng, config.split_method, F, cands, config.d, config.lam, config.gamma
                 )
                 _assign_weights(tree, sums, config)
-                assign = agg.node - tree.feature.size  # grow_tree leaves records at their leaves
+            # clients have descended every level: each record sits at its leaf
+            assign = agg.node - tree.feature.size
             batch.append((tree, assign.astype(leaf_dtype)))
 
         if is_tr:

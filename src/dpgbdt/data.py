@@ -5,6 +5,10 @@ per-feature ranges are public knowledge. When bounds are inferred from the
 data itself the dataset is flagged, and the trainer refuses to run privately
 on it.
 
+A ``Dataset`` holds its features feature-major (Fortran order), so every read
+of one feature column (binning, pair queries, routing) is contiguous; a
+client population is a ``Dataset`` too (``federation.ClientPopulation``).
+
 All randomness uses the counter-based Philox generator so that synthetic data
 and splits are bit-reproducible across platforms and runs.
 """
@@ -102,7 +106,11 @@ def check_bounds(bounds) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable numeric dataset with binary labels and per-feature bounds."""
+    """Immutable numeric dataset with binary labels and per-feature bounds.
+
+    Features are stored feature-major (Fortran order) as a read-only float
+    matrix; every value must be finite and inside its feature's bounds.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -110,7 +118,7 @@ class Dataset:
     bounds_derived: bool = False
 
     def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.features, dtype=float))
+        X = np.asfortranarray(self.features, dtype=float)
         y = np.asarray(self.labels)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("features must be a non-empty n x m matrix")
@@ -149,10 +157,14 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, index: np.ndarray) -> "Dataset":
-        """Row subset sharing bounds and flags."""
-        return Dataset(
-            self.features[index], self.labels[index], self.bounds, self.bounds_derived
-        )
+        """The rows at the integer positions ``index``, in that order, sharing
+        bounds and flags. Each column is gathered straight into the
+        feature-major layout, with no row-major copy on the way."""
+        index = np.asarray(index)
+        features = np.empty((index.size, self.m), order="F")
+        for j, column in enumerate(self.features.T):
+            np.take(column, index, out=features[:, j])
+        return Dataset(features, self.labels[index], self.bounds, self.bounds_derived)
 
 
 @dataclass(frozen=True)
@@ -267,7 +279,7 @@ def synthesize(
         raise ValueError("skewed_fraction in [0, 1] and class_balance in (0, 1) required")
     rng = philox(seed)
     n_skew = int(round(skewed_fraction * m))
-    X = np.empty((n, m), dtype=float)
+    X = np.empty((n, m), dtype=float, order="F")
     bounds = []
     for j in range(m):
         if j < n_skew:

@@ -1,6 +1,7 @@
 """Simulated horizontal federation with fixed-point secure aggregation.
 
-Clients hold disjoint record shards. Every statistic that reaches the
+Clients hold disjoint record shards: a ``ClientPopulation`` is a validated,
+feature-major ``data.Dataset`` grouped into clients. Every statistic that reaches the
 server-side trainer passes through one pipeline: per-client float sums are
 encoded to fixed point, summed in the 2^64 ring (the secure-aggregation
 abstraction), decoded, and noised with one Gaussian draw per released
@@ -17,7 +18,7 @@ their predicted values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -128,68 +129,48 @@ class FixedPointCodec:
 
 
 @dataclass(frozen=True, eq=False)
-class ClientPopulation:
-    """Disjoint partition of a training set across simulated clients.
+class ClientPopulation(Dataset):
+    """A training set split into disjoint client shards: a ``Dataset``, with
+    every check and the feature-major layout that implies, whose records are
+    stored client-contiguous.
 
-    Records are stored client-contiguous; ``client_sizes`` gives the shard
-    sizes in order. ``features`` is held feature-major (Fortran order), so
-    every client-side read of one feature column (binning, pair queries,
-    routing) is contiguous. Raw features and labels are client-side state:
-    the trainer must reach them only through FederatedAggregator queries.
+    ``client_sizes`` gives the shard sizes in order; ``client_of_record``,
+    ``client_starts`` (each shard's first record, plus n at the end) and
+    ``all_singleton`` are derived from it. Raw features and labels are
+    client-side state: the trainer must reach them only through
+    FederatedAggregator queries.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
-    client_sizes: np.ndarray
-    bounds: tuple[tuple[float, float], ...]
-    bounds_derived: bool = False
+    client_sizes: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
+        super().__post_init__()
         sizes = np.asarray(self.client_sizes, dtype=np.int64)
-        if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != len(self.labels):
+        if sizes.ndim != 1 or np.any(sizes < 1) or sizes.sum() != self.n:
             raise InvalidParameterError("client sizes must be positive and cover every record")
-        client_of_record = np.repeat(np.arange(sizes.size), sizes)
-        object.__setattr__(self, "features", np.asfortranarray(self.features, dtype=float))
         object.__setattr__(self, "client_sizes", sizes)
-        object.__setattr__(self, "_client_of_record", client_of_record)
-        object.__setattr__(self, "_client_starts", np.concatenate([[0], np.cumsum(sizes)]))
-        object.__setattr__(self, "_all_singleton", bool(np.all(sizes == 1)))
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.features.shape[1]
+        object.__setattr__(self, "client_of_record", np.repeat(np.arange(sizes.size), sizes))
+        object.__setattr__(self, "client_starts", np.concatenate([[0], np.cumsum(sizes)]))
+        object.__setattr__(self, "all_singleton", bool(np.all(sizes == 1)))
 
     @property
     def n_clients(self) -> int:
         return int(self.client_sizes.size)
 
-    @property
-    def client_of_record(self) -> np.ndarray:
-        return self._client_of_record
-
-    @property
-    def client_starts(self) -> np.ndarray:
-        """Record offset of each client's shard, plus n at the end."""
-        return self._client_starts
-
-    @property
-    def all_singleton(self) -> bool:
-        return self._all_singleton
-
 
 def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 0) -> ClientPopulation:
-    """Split a dataset into a client population under the given policy."""
+    """Split a dataset into a client population under the given policy.
+
+    One record per client keeps the dataset's record order and shares its
+    arrays; equal shards are the records in a seeded random order, cut into
+    ``n_clients`` shards whose sizes differ by at most one.
+    """
     if policy == ONE_RECORD_PER_CLIENT:
         if n_clients is not None and n_clients != dataset.n:
             raise InvalidParameterError(
                 f"one-record policy makes {dataset.n} clients, not {n_clients}"
             )
         sizes = np.ones(dataset.n, dtype=np.int64)
-        order = np.arange(dataset.n)
     elif policy == EQUAL_SHARDS:
         if n_clients is None or not (1 <= n_clients <= dataset.n):
             raise InvalidParameterError(
@@ -198,20 +179,11 @@ def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 
         base, extra = divmod(dataset.n, n_clients)
         sizes = np.full(n_clients, base, dtype=np.int64)
         sizes[:extra] += 1
-        order = philox(seed).permutation(dataset.n)
+        dataset = dataset.take(philox(seed).permutation(dataset.n))
     else:
         raise InvalidParameterError(f"unknown partition policy: {policy!r}")
-    # gather each column straight into the feature-major layout the
-    # population holds, with no row-major copy on the way
-    features = np.empty(dataset.features.shape, order="F")
-    for j, column in enumerate(dataset.features.T):
-        np.take(column, order, out=features[:, j])
     return ClientPopulation(
-        features=features,
-        labels=dataset.labels[order],
-        client_sizes=sizes,
-        bounds=dataset.bounds,
-        bounds_derived=dataset.bounds_derived,
+        dataset.features, dataset.labels, dataset.bounds, dataset.bounds_derived, client_sizes=sizes
     )
 
 
@@ -271,7 +243,7 @@ class FederatedAggregator:
     Raw records, labels, scores, and gradients live here as client state; the
     trainer sees them only through the query methods below, each of which
     meters its privacy cost and communication. Structure broadcast
-    (``apply_splits``, ``route_tree``) and local score updates are free.
+    (``apply_splits``) and local score updates are free.
 
     Clients keep their records binned against the current candidate set: the
     bin matrix is rebuilt only when a query names a different
@@ -322,9 +294,6 @@ class FederatedAggregator:
         """
         self.node = descend(self.pop.features, self.node, self.level, feature, threshold)
         self.level += 1
-
-    def route_tree(self, tree) -> np.ndarray:
-        return tree.route(self.pop.features)
 
     def apply_score_update(self, batch, eta: float, plain: bool) -> None:
         """Clients fold a finished batch of public trees into their raw scores."""

@@ -284,6 +284,13 @@ _DATASET_FIELDS = dict(
     path=str, label_column=str, bounds=json.loads,
 )
 _SYNTHETIC_DEFAULTS = dict(n=20000, m=10, skewed_fraction=0.0, class_balance=0.5, seed=0)
+# The keys each kind reads besides ``kind``: a spec with any other key is
+# refused, so a csv spec that forgets ``dataset = csv`` does not train on
+# synthetic data.
+_DATASET_KEYS = {
+    "synthetic": {"name", *_SYNTHETIC_DEFAULTS},
+    "csv": {"name", "path", "label_column", "bounds"},
+}
 
 
 def parse_dataset(values: dict) -> dict:
@@ -299,14 +306,20 @@ def parse_dataset(values: dict) -> dict:
 
 def _materialise_dataset(spec: dict) -> tuple[str, Dataset]:
     kind = spec.get("kind", "synthetic")
+    if kind not in _DATASET_KEYS:
+        raise InvalidParameterError(f"unknown dataset kind: {kind!r}")
+    unread = sorted(set(spec) - _DATASET_KEYS[kind] - {"kind"})
+    if unread:
+        raise InvalidParameterError(f"a {kind} dataset spec does not read {unread}")
     if kind == "synthetic":
         args = {key: spec.get(key, default) for key, default in _SYNTHETIC_DEFAULTS.items()}
         return spec.get("name", "synthetic"), synthesize(**args)
-    if kind == "csv":
-        path = spec["path"]
-        name = spec.get("name", Path(path).stem)
-        return name, load_csv(path, spec["label_column"], spec.get("bounds"))
-    raise InvalidParameterError(f"unknown dataset kind: {kind!r}")
+    missing = [key for key in ("path", "label_column") if key not in spec]
+    if missing:
+        raise InvalidParameterError(f"a csv dataset spec needs {missing}")
+    path = spec["path"]
+    name = spec.get("name", Path(path).stem)
+    return name, load_csv(path, spec["label_column"], spec.get("bounds"))
 
 
 def run_grid(

@@ -298,6 +298,30 @@ class TestGridCommand:
         out = tmp_path / "results.csv"
         assert main(["grid", "--spec", str(spec), "--out", str(out)]) != 0
         assert "Tt" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "dataset, named",
+        [
+            ("n = 300\npath = {path}\nlabel_column = y\n", "path"),  # no dataset = csv
+            ("dataset = csv\npath = {path}\nlabel_column = y\nn = 300\nseed = 1\n", "seed"),
+            ("dataset = csv\nlabel_column = y\n", "path"),
+            ("dataset = csv\npath = {path}\n", "label_column"),
+        ],
+        ids=["synthetic-with-csv-keys", "csv-with-synthetic-keys", "csv-no-path", "csv-no-label"],
+    )
+    def test_dataset_spec_reads_exactly_its_kinds_keys(
+        self, csv_dataset, tmp_path, capsys, dataset, named
+    ):
+        path, _ = csv_dataset
+        spec = tmp_path / "grid.cfg"
+        spec.write_text(
+            dataset.format(path=path) + "presets = DP-TR-Newton\nepsilons = none\nT = 2\n"
+        )
+        out = tmp_path / "results.csv"
+        assert main(["grid", "--spec", str(spec), "--out", str(out)]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidParameterError" and named in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.csv", "grid.cfg"]
         assert not out.exists()
 
 

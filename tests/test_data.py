@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import dpgbdt as d
@@ -201,3 +203,20 @@ class TestDataset:
             d.Dataset(np.zeros((3, 1)), np.array(labels), bounds=((0.0, 1.0),))
         whole = d.Dataset(np.zeros((3, 1)), np.array([0.0, 1.0, 1.0]), bounds=((0.0, 1.0),))
         assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1, 1]
+
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 4)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_held_feature_major_and_take_gathers_them(self, shape, data):
+        n, m = shape
+        rows = np.ascontiguousarray(np.arange(n * m, dtype=float).reshape(n, m) / (n * m))
+        ds = d.Dataset(rows, np.arange(n) % 2, bounds=((0.0, 1.0),) * m)
+        assert ds.features.flags.f_contiguous and np.array_equal(ds.features, rows)
+        index = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20)))
+        part = ds.take(index)
+        assert part.features.flags.f_contiguous
+        assert np.array_equal(part.features, ds.features[index])
+        assert np.array_equal(part.labels, ds.labels[index])
+        assert (part.bounds, part.bounds_derived) == (ds.bounds, ds.bounds_derived)

@@ -255,6 +255,34 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(ds, 3, ONE_RECORD_PER_CLIENT)
 
+    def test_one_record_per_client_shares_the_dataset(self):
+        ds = d.synthesize(30, 3, seed=5)
+        pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
+        assert np.shares_memory(pop.features, ds.features)
+        assert np.shares_memory(pop.labels, ds.labels)
+
+    def test_population_is_a_dataset_with_client_sizes(self):
+        assert issubclass(ClientPopulation, d.Dataset)
+        names = [f.name for f in dataclasses.fields(ClientPopulation)]
+        assert names == [f.name for f in dataclasses.fields(d.Dataset)] + ["client_sizes"]
+
+    @pytest.mark.parametrize(
+        "value, label, error",
+        [
+            (np.nan, 0, "not finite"),
+            (5.0, 0, "outside declared bounds"),
+            (0.5, 2, "labels must all be 0 or 1"),
+        ],
+        ids=["nan", "out-of-bounds", "label-2"],
+    )
+    def test_direct_population_runs_the_dataset_checks(self, value, label, error):
+        X = np.full((3, 2), 0.5)
+        X[1, 1] = value
+        with pytest.raises(ValueError, match=error):
+            ClientPopulation(
+                X, np.array([0, 1, label]), ((0.0, 1.0),) * 2, client_sizes=np.ones(3, dtype=np.int64)
+            )
+
 
 class TestHistogramQuery:
     def test_binning_example(self):
@@ -374,7 +402,7 @@ def grid_population(sizes, m, rng):
     n = int(sum(sizes))
     X = rng.integers(0, 21, size=(n, m)) / 20
     ds = d.Dataset(X, rng.integers(0, 2, n), ((0.0, 1.0),) * m)
-    return ClientPopulation(ds.features, ds.labels, np.asarray(sizes), ds.bounds)
+    return ClientPopulation(ds.features, ds.labels, ds.bounds, client_sizes=np.asarray(sizes))
 
 
 class TestClientDataPlane:
@@ -622,7 +650,7 @@ class TestCanaryAudit:
         pair's cells being its left and right side."""
         X = np.repeat(x[:, None], self.FEATURES, axis=1)
         bounds = ((0.0, 1.0),) * self.FEATURES
-        pop = ClientPopulation(X, np.zeros(x.size), np.asarray(sizes), bounds)
+        pop = ClientPopulation(X, np.zeros(x.size), bounds, client_sizes=np.asarray(sizes))
         agg = aggregator(pop, *gh, noise=noise, noise_seed=seed)
         features = range(self.FEATURES)
         if kind == "histogram":

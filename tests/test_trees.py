@@ -590,7 +590,7 @@ class TestTreeSerialization:
         X = layouts[0]
         bounds = ((0.0, 1.0),) * m
         # a population built from C-ordered rows; clients descend level by level
-        pop = ClientPopulation(X, np.zeros(len(X)), np.ones(len(X), dtype=np.int64), bounds)
+        pop = ClientPopulation(X, np.zeros(len(X)), bounds, client_sizes=np.ones(len(X), dtype=np.int64))
         assert pop.features.flags.f_contiguous
         agg = FederatedAggregator(pop)
         agg.begin_tree()
