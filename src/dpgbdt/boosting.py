@@ -251,10 +251,7 @@ def train(
                     cands = iterative_hessian_refine(dict(zip(feats, res[:, 0, :, 1])), cands)
 
             if is_tr:
-                tree = grow_tree_totally_random(rng, F, cands, config.d)
-                agg.begin_tree()
-                for _ in range(config.d):
-                    agg.apply_splits(tree.feature, tree.threshold)
+                tree = grow_tree_totally_random(rng, F, cands, config.d, agg)
             else:
                 tree, sums, root_hessians = grow_tree(
                     agg, rng, config.split_method, F, cands, config.d, config.lam, config.gamma

@@ -106,11 +106,8 @@ def check_bounds(bounds) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable numeric dataset with binary labels and per-feature bounds.
-
-    Features are stored feature-major (Fortran order) as a read-only float
-    matrix; every value must be finite and inside its feature's bounds.
-    """
+    """Immutable numeric dataset with binary labels and per-feature bounds;
+    every feature value is finite, inside its bounds and held feature-major."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -157,10 +154,12 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, index: np.ndarray) -> "Dataset":
-        """The rows at the integer positions ``index``, in that order, sharing
+        """The rows at ``index``, positions in order or a boolean mask, sharing
         bounds and flags. Each column is gathered straight into the
         feature-major layout, with no row-major copy on the way."""
         index = np.asarray(index)
+        if index.dtype == bool:  # NumPy's mask indexing, length check included
+            index = np.arange(self.n)[index]
         features = np.empty((index.size, self.m), order="F")
         for j, column in enumerate(self.features.T):
             np.take(column, index, out=features[:, j])

@@ -130,14 +130,12 @@ class FixedPointCodec:
 
 @dataclass(frozen=True, eq=False)
 class ClientPopulation(Dataset):
-    """A training set split into disjoint client shards: a ``Dataset``, with
-    every check and the feature-major layout that implies, whose records are
-    stored client-contiguous.
-
-    ``client_sizes`` gives the shard sizes in order; ``client_of_record``,
-    ``client_starts`` (each shard's first record, plus n at the end) and
-    ``all_singleton`` are derived from it. Raw features and labels are
-    client-side state: the trainer must reach them only through
+    """A training set split into disjoint client shards, stored
+    client-contiguous: a ``Dataset``, so every check and the feature-major
+    layout hold. ``client_sizes`` gives the shard sizes in order;
+    ``client_of_record``, ``client_starts`` (each shard's first record, plus
+    n at the end) and ``all_singleton`` derive from it. Raw features and
+    labels are client-side state: the trainer must reach them only through
     FederatedAggregator queries.
     """
 

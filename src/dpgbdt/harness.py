@@ -277,19 +277,20 @@ def run_single(
     return test_auc, train_auc, result
 
 
-# The keys of a dataset spec besides its ``kind``, with their types, and the
-# synthetic kind's defaults; ``bounds`` is the JSON list that ``train --bounds`` takes.
-_DATASET_FIELDS = dict(
-    name=str, n=int, m=int, seed=int, skewed_fraction=float, class_balance=float,
-    path=str, label_column=str, bounds=json.loads,
-)
-_SYNTHETIC_DEFAULTS = dict(n=20000, m=10, skewed_fraction=0.0, class_balance=0.5, seed=0)
-# The keys each kind reads besides ``kind``: a spec with any other key is
+# Each dataset kind's builder and the keys it reads besides ``kind``, as key:
+# (parser, default), _REQUIRED marking a key the spec must give. Other keys are
 # refused, so a csv spec that forgets ``dataset = csv`` does not train on
-# synthetic data.
-_DATASET_KEYS = {
-    "synthetic": {"name", *_SYNTHETIC_DEFAULTS},
-    "csv": {"name", "path", "label_column", "bounds"},
+# synthetic data. ``bounds`` is the JSON list that ``train --bounds`` takes.
+_REQUIRED = object()
+_DATASET_KINDS = {
+    "synthetic": (synthesize, dict(
+        name=(str, "synthetic"), n=(int, 20000), m=(int, 10), seed=(int, 0),
+        skewed_fraction=(float, 0.0), class_balance=(float, 0.5),
+    )),
+    "csv": (load_csv, dict(
+        name=(str, None), path=(str, _REQUIRED), label_column=(str, _REQUIRED),
+        bounds=(json.loads, None),
+    )),
 }
 
 
@@ -298,28 +299,27 @@ def parse_dataset(values: dict) -> dict:
     strings, into the typed dataset spec ``run_grid`` takes. ``dataset``
     gives the kind: synthetic (the default) or csv."""
     spec = {"kind": values.pop("dataset", "synthetic")}
-    for key, parse in _DATASET_FIELDS.items():
-        if key in values:
-            spec[key] = parse(values.pop(key))
+    for _, fields in _DATASET_KINDS.values():
+        for key, (parse, _) in fields.items():
+            if key in values:
+                spec[key] = parse(values.pop(key))
     return spec
 
 
 def _materialise_dataset(spec: dict) -> tuple[str, Dataset]:
     kind = spec.get("kind", "synthetic")
-    if kind not in _DATASET_KEYS:
+    if kind not in _DATASET_KINDS:
         raise InvalidParameterError(f"unknown dataset kind: {kind!r}")
-    unread = sorted(set(spec) - _DATASET_KEYS[kind] - {"kind"})
+    build, fields = _DATASET_KINDS[kind]
+    unread = sorted(set(spec) - set(fields) - {"kind"})
     if unread:
         raise InvalidParameterError(f"a {kind} dataset spec does not read {unread}")
-    if kind == "synthetic":
-        args = {key: spec.get(key, default) for key, default in _SYNTHETIC_DEFAULTS.items()}
-        return spec.get("name", "synthetic"), synthesize(**args)
-    missing = [key for key in ("path", "label_column") if key not in spec]
+    missing = [key for key, (_, default) in fields.items() if default is _REQUIRED and key not in spec]
     if missing:
-        raise InvalidParameterError(f"a csv dataset spec needs {missing}")
-    path = spec["path"]
-    name = spec.get("name", Path(path).stem)
-    return name, load_csv(path, spec["label_column"], spec.get("bounds"))
+        raise InvalidParameterError(f"a {kind} dataset spec needs {missing}")
+    args = {key: spec.get(key, default) for key, (_, default) in fields.items()}
+    name = args.pop("name")
+    return (Path(args["path"]).stem if name is None else name), build(**args)
 
 
 def run_grid(

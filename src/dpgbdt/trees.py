@@ -244,11 +244,13 @@ def grow_tree_totally_random(
     feature_subset,
     cand_set: SplitCandidateSet,
     depth: int,
+    agg=None,
 ) -> Tree:
     """Draw the whole structure from the RNG; no data access at all.
 
     Each internal node draws its feature, then its candidate, in pre-order.
-    Leaf weights stay zero until the batch's leaf round.
+    Leaf weights stay zero until the batch's leaf round. Given ``agg``, its
+    clients then descend the tree, leaving ``agg.node`` at the leaves.
     """
     feats = sorted(feature_subset)
     if not feats:
@@ -259,6 +261,10 @@ def grow_tree_totally_random(
         c = int(rng.integers(cand_set.q))
         tree.feature[heap] = j
         tree.threshold[heap] = cand_set.per_feature[j][c]
+    if agg is not None:
+        agg.begin_tree()
+        for _ in range(depth):
+            agg.apply_splits(tree.feature, tree.threshold)
     return tree
 
 

@@ -298,6 +298,7 @@ class TestGridCommand:
         out = tmp_path / "results.csv"
         assert main(["grid", "--spec", str(spec), "--out", str(out)]) != 0
         assert "Tt" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "dataset, named",

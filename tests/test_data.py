@@ -220,3 +220,12 @@ class TestDataset:
         assert np.array_equal(part.features, ds.features[index])
         assert np.array_equal(part.labels, ds.labels[index])
         assert (part.bounds, part.bounds_derived) == (ds.bounds, ds.bounds_derived)
+
+    def test_take_with_a_mask_selects_its_rows(self):
+        ds = d.synthesize(6, 2, seed=1)
+        mask = np.array([True, False, False, True, True, False])
+        part = ds.take(mask)
+        assert np.array_equal(part.features, ds.features[mask])
+        assert np.array_equal(part.labels, ds.labels[mask])
+        with pytest.raises(IndexError):
+            ds.take(mask[:4])

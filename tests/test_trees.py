@@ -267,6 +267,14 @@ class TestTotallyRandom:
         with pytest.raises(InvalidParameterError):
             grow_tree_totally_random(philox(0), [], cs, 2)
 
+    def test_given_an_aggregator_its_records_descend_to_their_leaves(self):
+        ds = d.synthesize(40, 3, seed=2)
+        agg = exact_aggregator(ds)
+        cs = quantile_set(ds, 4)
+        tree = grow_tree_totally_random(philox(5), [0, 2], cs, 3, agg)
+        assert tree.to_dict() == grow_tree_totally_random(philox(5), [0, 2], cs, 3).to_dict()
+        assert np.array_equal(agg.node - tree.feature.size, tree.route(ds.features))
+
 
 class TestHistogramTree:
     def test_tiny_example_matches_bruteforce(self):
