@@ -7,7 +7,6 @@ Gaussian-mechanism noise calibration, and communication-cost reporting.
 
 from .accounting import (
     DEFAULT_ALPHAS,
-    NoiseScale,
     PrivacyBudget,
     QueryCounter,
     Round,
@@ -25,7 +24,7 @@ from .candidates import (
     uniform_candidates,
 )
 from .config import CandidateMethod, FeatureMode, NoisePlacement, TrainConfig
-from .data import Dataset, SplitPair, load_csv, save_csv, synthesize, train_test_split
+from .data import Dataset, SplitPair, load_csv, synthesize, train_test_split
 from .federation import (
     ClientPopulation,
     CommLedger,

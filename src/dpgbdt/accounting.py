@@ -30,7 +30,6 @@ __all__ = [
     "PrivacyBudget",
     "QueryCounter",
     "Round",
-    "NoiseScale",
     "rdp_epsilon",
     "calibrate_sigma",
     "plan",
@@ -112,27 +111,6 @@ class Round(NamedTuple):
     kind: str
     queries: int
     uplink: int
-
-
-@dataclass(frozen=True)
-class NoiseScale:
-    """Gaussian noise multiplier paired with the L2 sensitivity it scales."""
-
-    sigma: float
-    sensitivity: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
-        if not (self.sensitivity > 0.0 and math.isfinite(self.sensitivity)):
-            raise InvalidParameterError(
-                f"sensitivity must be positive, got {self.sensitivity}"
-            )
-
-    @property
-    def std(self) -> float:
-        """Standard deviation of the noise added to each released coordinate."""
-        return self.sigma * self.sensitivity
 
 
 def rdp_epsilon(sigma: float, queries: int, delta: float) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .accounting import (
     InvalidParameterError,
-    NoiseScale,
     QueryCounter,
     Round,
     calibrate_sigma,
@@ -204,7 +203,7 @@ def train(
 
     counter = count_queries(config)
     sigma = 0.0
-    noise = None
+    noise_std = None
     if config.budget is not None:
         if population.bounds_derived:
             raise InvalidParameterError(
@@ -212,14 +211,14 @@ def train(
                 "these bounds were derived from the data"
             )
         sigma = calibrate_sigma(config.budget, counter)
-        noise = NoiseScale(sigma, query_sensitivity(config.update_mode))
+        noise_std = sigma * query_sensitivity(config.update_mode)
 
     ss_structure, ss_noise = np.random.SeedSequence(config.seed).spawn(2)
     rng = philox(ss_structure)
     agg = FederatedAggregator(
         population,
         codec=codec,
-        noise=noise,
+        noise_std=noise_std,
         noise_seed=ss_noise,
         local_noise=config.noise_placement is NoisePlacement.LOCAL,
     )

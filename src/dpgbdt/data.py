@@ -32,7 +32,6 @@ __all__ = [
     "OutOfBoundsError",
     "check_bounds",
     "load_csv",
-    "save_csv",
     "synthesize",
     "train_test_split",
     "philox",
@@ -175,10 +174,10 @@ class SplitPair:
 def load_csv(path, label_column: str, bounds=None) -> Dataset:
     """Parse a numeric CSV with a header row into a Dataset.
 
-    The label column must hold only 0/1 values. If ``bounds`` (a sequence of
-    (low, high) pairs aligned with the non-label columns) is omitted, bounds
-    are derived from column minima/maxima and the dataset is flagged as
-    non-private.
+    Feature cells must be finite numbers and label cells 0 or 1; a bad cell's
+    error names its row and column. If ``bounds`` (a sequence of (low, high)
+    pairs aligned with the non-label columns) is omitted, bounds are derived
+    from column minima/maxima and the dataset is flagged as non-private.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -212,6 +211,11 @@ def load_csv(path, label_column: str, bounds=None) -> Dataset:
                         f"{path}: non-numeric cell {cell!r} at row {row_no}, "
                         f"column {col_no} ({header[col_no - 1]!r})"
                     ) from None
+                if not math.isfinite(value) and col_no - 1 != label_idx:
+                    raise CsvParseError(
+                        f"{path}: non-finite cell {cell!r} at row {row_no}, "
+                        f"column {col_no} ({header[col_no - 1]!r})"
+                    )
                 parsed.append(value)
             label = parsed.pop(label_idx)
             if label not in (0.0, 1.0):
@@ -245,16 +249,6 @@ def load_csv(path, label_column: str, bounds=None) -> Dataset:
                 f"{feature_names[j]!r} outside declared bounds ({a}, {b})"
             )
     return Dataset(X, y, declared, bounds_derived=False)
-
-
-def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write a Dataset to CSV with full float precision (round-trips exactly)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(dataset.m)] + [label_column])
-        for i in range(dataset.n):
-            cells = [repr(float(v)) for v in dataset.features[i]]
-            writer.writerow(cells + [int(dataset.labels[i])])
 
 
 def synthesize(
@@ -298,18 +292,20 @@ def synthesize(
         sign = 1.0 if rank % 2 == 0 else -1.0
         z += sign * (col - col.mean()) / std
     z *= _LOGIT_SCALE / math.sqrt(max(len(informative), 1))
+    y = (rng.random(n) < _label_probabilities(z, class_balance)).astype(np.int64)
+    return Dataset(X, y, tuple(bounds))
 
-    # Solve mean(sigmoid(z + c)) = class_balance by bisection; monotone in c.
+
+def _label_probabilities(z: np.ndarray, class_balance: float) -> np.ndarray:
+    """sigmoid(z + c), where c solves mean(sigmoid(z + c)) = class_balance: bisection
+    on [-40, 40] (monotone in c) until the bracket's midpoint is one of its ends."""
     lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if np.mean(1.0 / (1.0 + np.exp(-(z + mid)))) < class_balance:
             lo = mid
         else:
             hi = mid
-    p = 1.0 / (1.0 + np.exp(-(z + 0.5 * (lo + hi))))
-    y = (rng.random(n) < p).astype(np.int64)
-    return Dataset(X, y, tuple(bounds))
+    return 1.0 / (1.0 + np.exp(-(z + mid)))
 
 
 def train_test_split(dataset: Dataset, fraction: float, seed: int = 0) -> SplitPair:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .accounting import InvalidParameterError, NoiseScale, Round, plan
+from .accounting import InvalidParameterError, Round, plan
 from .candidates import SplitCandidateSet, bin_index
 from .data import Dataset, philox
 from .gradients import UpdateMode, mode_gradients, update_scores
@@ -252,14 +252,17 @@ class FederatedAggregator:
         self,
         population: ClientPopulation,
         codec: FixedPointCodec | None = None,
-        noise: NoiseScale | None = None,
+        noise_std: float | None = None,
         noise_seed=None,
         local_noise: bool = False,
     ):
+        if noise_std is not None and not (noise_std > 0.0 and math.isfinite(noise_std)):
+            raise InvalidParameterError(f"noise std must be positive and finite, got {noise_std}")
         self.pop = population
         self.codec = codec if codec is not None else FixedPointCodec()
-        self.noise = noise
-        self.local_noise = local_noise
+        self.noise_std = noise_std
+        self.local_noise = noise_std is not None and local_noise
+        self.central_noise = noise_std is not None and not local_noise
         self._rng = philox(noise_seed if noise_seed is not None else 0)
         n = population.n
         self.raw_scores = np.zeros(n)
@@ -336,29 +339,31 @@ class FederatedAggregator:
     def _release(self, cell: np.ndarray, n_cells: int) -> np.ndarray:
         """Securely aggregate the records' (g, h) into (n_cells, 2) noisy sums.
 
-        Central model: one Gaussian draw per released coordinate after
-        decoding. Local model: one draw per client-contribution coordinate
-        before encoding. One-record clients send their record's (g, h) into
-        its cell, scattered by ``ring_sum``; sharded clients send their dense
+        Central model: one N(0, ``noise_std``^2) draw per released coordinate
+        after decoding. Local model: one per client-contribution coordinate
+        before encoding. One-record clients send their record's (g, h) into its
+        cell, scattered by ``ring_sum``; sharded clients send their dense
         per-cell sums, reduced by ``ring_reduce`` (see ``_client_grids``).
         """
-        local = self.noise is not None and self.local_noise
         if self.pop.all_singleton:
             contrib = self.gh.T
-            if local:
-                contrib = contrib + self._rng.normal(0.0, self.noise.std, size=contrib.shape)
-                self.noise_draws += contrib.size
+            if self.local_noise:
+                contrib = contrib + self._noise(contrib.shape)
             out = self.codec.ring_sum(contrib, cell, n_cells, self.pop.n_clients)
         else:
-            grids = self._client_grids(cell, n_cells, local)
-            out = self.codec.ring_reduce(grids, self.pop.n_clients)
-        if self.noise is not None and not self.local_noise:
-            out = out + self._rng.normal(0.0, self.noise.std, size=out.shape)
-            self.noise_draws += out.size
+            out = self.codec.ring_reduce(self._client_grids(cell, n_cells), self.pop.n_clients)
+        if self.central_noise:
+            out = out + self._noise(out.shape)
         self.coords_released += out.size
         return out
 
-    def _client_grids(self, cell: np.ndarray, n_cells: int, local: bool):
+    def _noise(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Every Gaussian a release adds: ``shape`` draws at ``noise_std``, counted."""
+        draws = self._rng.normal(0.0, self.noise_std, size=shape)
+        self.noise_draws += draws.size
+        return draws
+
+    def _client_grids(self, cell: np.ndarray, n_cells: int):
         """Per-client (g, h) sums of every cell, one client block at a time.
 
         Yields (clients, n_cells, 2) grids whose blocks stay under
@@ -372,10 +377,9 @@ class FederatedAggregator:
             size = (end - first) * n_cells
             sums = [np.bincount(key, weights=w, minlength=size) for w in gh[:, lo:hi]]
             grid = np.column_stack(sums)
-            if local:
+            if self.local_noise:
                 hit = np.flatnonzero(np.bincount(key, minlength=size))
-                grid[hit] += self._rng.normal(0.0, self.noise.std, size=(hit.size, 2))
-                self.noise_draws += 2 * hit.size
+                grid[hit] += self._noise((hit.size, 2))
             yield grid.reshape(end - first, n_cells, 2)
 
     def _round(

@@ -282,3 +282,16 @@ def sample_skewness(values: np.ndarray) -> float:
     m2 = np.mean(centered**2)
     m3 = np.mean(centered**3)
     return m3 / m2**1.5
+
+
+def bisected_label_probabilities(z: np.ndarray, class_balance: float) -> np.ndarray:
+    """sigmoid(z + c) after exactly 200 bisection steps for the intercept c of
+    mean(sigmoid(z + c)) = class_balance on [-40, 40], c being the final midpoint."""
+    lo, hi = -40.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.mean(1.0 / (1.0 + np.exp(-(z + mid)))) < class_balance:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 / (1.0 + np.exp(-(z + 0.5 * (lo + hi))))

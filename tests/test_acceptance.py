@@ -197,15 +197,15 @@ def test_criterion_6_secure_sum_fidelity():
             assert np.abs(reduced - want).max() <= c / 2**17
 
         # a noisy leaf round over zero gradients releases 20 coordinates of pure noise
-        noise = d.NoiseScale(2.0, 1.5)
+        std = 3.0
         pop = partition(d.synthesize(8, 1, 0.0, 0.5, seed=6), None, ONE_RECORD_PER_CLIENT)
-        agg = FederatedAggregator(pop, codec=codec, noise=noise, noise_seed=606)
+        agg = FederatedAggregator(pop, codec=codec, noise_std=std, noise_seed=606)
         agg.gh = np.zeros((2, pop.n))
         leaves = np.arange(pop.n, dtype=np.int64)
         draws = np.concatenate([agg.leaf_round([leaves], 10).ravel() for _ in range(5000)])
         assert draws.size == 100_000
-        assert abs(draws.std() / noise.std - 1.0) < 0.02
-        assert stats.kstest(draws, "norm", args=(0.0, noise.std)).pvalue > 0.01
+        assert abs(draws.std() / std - 1.0) < 0.02
+        assert stats.kstest(draws, "norm", args=(0.0, std)).pvalue > 0.01
 
 
 @pytest.fixture(scope="module")

@@ -198,8 +198,3 @@ class TestTypes:
             d.QueryCounter(-1, 0, 0)
         assert d.QueryCounter(1, 2, 3).total == 6
 
-    def test_noise_scale(self):
-        ns = d.NoiseScale(2.0, 0.5)
-        assert ns.std == pytest.approx(1.0)
-        with pytest.raises(InvalidParameterError):
-            d.NoiseScale(0.0, 1.0)

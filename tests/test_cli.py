@@ -8,12 +8,14 @@ import dpgbdt as d
 from dpgbdt.cli import _config_from, build_parser, main
 from dpgbdt.harness import PRESET_NAMES, rank_table, read_results
 
+from helpers import save_csv
+
 
 @pytest.fixture()
 def csv_dataset(tmp_path):
     ds = d.synthesize(300, 3, 0.3, 0.4, seed=5)
     path = tmp_path / "demo.csv"
-    d.save_csv(ds, path, label_column="y")
+    save_csv(ds, path, label_column="y")
     bounds = json.dumps([list(b) for b in ds.bounds])
     return path, bounds
 

@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import dpgbdt as d
-from dpgbdt.data import CsvParseError, NonBinaryLabelError, OutOfBoundsError
+from dpgbdt.data import (
+    CsvParseError,
+    NonBinaryLabelError,
+    OutOfBoundsError,
+    _label_probabilities,
+)
 
-from oracles import sample_skewness
+from helpers import save_csv
+from oracles import bisected_label_probabilities, sample_skewness
 
 
 class TestSynthesize:
@@ -46,6 +52,20 @@ class TestSynthesize:
             assert ds.features[:, j].min() >= a
             assert ds.features[:, j].max() <= b
         assert not ds.bounds_derived
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z=st.one_of(
+            st.integers(2, 60).map(np.zeros),
+            st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=60).map(np.array),
+        ),
+        class_balance=st.one_of(
+            st.sampled_from([1e-9, 0.5, 1 - 1e-9]), st.floats(1e-9, 1 - 1e-9)
+        ),
+    )
+    def test_intercept_bisection_matches_200_steps(self, z, class_balance):
+        got = _label_probabilities(z, class_balance)
+        assert np.array_equal(got, bisected_label_probabilities(z, class_balance))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -94,7 +114,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         ds = d.synthesize(200, 4, 0.5, 0.4, seed=13)
         path = tmp_path / "data.csv"
-        d.save_csv(ds, path, label_column="y")
+        save_csv(ds, path, label_column="y")
         back = d.load_csv(path, "y", bounds=ds.bounds)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
@@ -144,7 +164,7 @@ class TestCsv:
     def test_non_finite_cell_rejected(self, tmp_path, cell, bounds):
         path = tmp_path / "t.csv"
         path.write_text(f"a,y\n0.5,0\n{cell},1\n")
-        with pytest.raises(ValueError, match="row 2 is not finite|row 3.*outside declared bounds"):
+        with pytest.raises(CsvParseError, match=r"row 3, column 1 \('a'\)"):
             d.load_csv(path, "y", bounds=bounds)
 
     def test_unknown_label_column(self, tmp_path):

@@ -188,14 +188,14 @@ class TestSecureSum:
         assert np.abs(codec.ring_reduce([contribs], 20) - contribs.sum(axis=0)).max() <= bound
 
     def test_noise_distribution(self):
-        noise = d.NoiseScale(2.0, 1.5)  # std 3.0
+        std = 3.0
         pop = make_pop(5, 1)
-        agg = aggregator(pop, np.zeros(pop.n), np.zeros(pop.n), noise=noise, noise_seed=42)
+        agg = aggregator(pop, np.zeros(pop.n), np.zeros(pop.n), noise_std=std, noise_seed=42)
         leaves = np.arange(pop.n, dtype=np.int64)
         draws = np.concatenate([agg.leaf_round([leaves], 5).ravel() for _ in range(10_000)])
         assert draws.size == 100_000
-        assert abs(draws.std() / noise.std - 1.0) < 0.02
-        ks = stats.kstest(draws, "norm", args=(0.0, noise.std))
+        assert abs(draws.std() / std - 1.0) < 0.02
+        ks = stats.kstest(draws, "norm", args=(0.0, std))
         assert ks.pvalue > 0.01
 
     def test_empty_contributions(self):
@@ -208,7 +208,7 @@ class TestSecureSum:
         g, h = np.ones(pop.n), np.ones(pop.n)
         plain = aggregator(pop, g, h).leaf_round(leaves, 4)[0]
         assert np.array_equal(plain[1:], np.zeros((3, 2)))
-        noisy = aggregator(pop, g, h, noise=d.NoiseScale(1.0, 1.0), noise_seed=0)
+        noisy = aggregator(pop, g, h, noise_std=1.0, noise_seed=0)
         assert np.all(noisy.leaf_round(leaves, 4)[0][1:] != 0.0)
 
     def test_wraparound_detected(self):
@@ -361,9 +361,7 @@ class TestLeafQuery:
     def test_empty_leaf_is_pure_noise(self):
         ds = d.synthesize(4, 1, 0.0, 0.5, seed=1)
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        agg = aggregator(
-            pop, np.ones(4), np.ones(4), noise=d.NoiseScale(1.0, 1.0), noise_seed=5
-        )
+        agg = aggregator(pop, np.ones(4), np.ones(4), noise_std=1.0, noise_seed=5)
         out = agg.leaf_round([np.zeros(4, dtype=np.int64)], 2)[0]
         assert out[1, 0] != 0.0 and abs(out[1, 0]) < 10.0
 
@@ -373,13 +371,13 @@ class TestLdp:
         n = 400
         ds = d.Dataset(np.full((n, 1), 0.5), np.zeros(n, dtype=int), ((0.0, 1.0),))
         pop = partition(ds, None, ONE_RECORD_PER_CLIENT)
-        noise = d.NoiseScale(1.0, 2.0)
-        agg = FederatedAggregator(pop, noise=noise, noise_seed=9, local_noise=True)
+        std = 2.0
+        agg = FederatedAggregator(pop, noise_std=std, noise_seed=9, local_noise=True)
         agg.gh = np.zeros((2, n))
         sums = np.concatenate(
             [agg.leaf_round([np.zeros(n, dtype=np.int64)], 1)[0].ravel() for _ in range(2000)]
         )
-        target = noise.std * math.sqrt(n)
+        target = std * math.sqrt(n)
         assert abs(sums.std() / target - 1.0) < 0.03
 
     def test_zero_local_noise_matches_secure_path(self):
@@ -452,7 +450,7 @@ class TestClientDataPlane:
             pop,
             rng.normal(0, 1, pop.n),
             rng.random(pop.n),
-            noise=d.NoiseScale(1.0, 1.0),
+            noise_std=1.0,
             noise_seed=2,
             local_noise=True,
         )
@@ -470,9 +468,7 @@ class TestClientDataPlane:
         cs = d.uniform_candidates(pop.bounds, 6)
         outs, draws = [], []
         for cap in (1, 7, federation.GROUP_GRID_CELLS):
-            agg = aggregator(
-                pop, g, h, noise=d.NoiseScale(1.0, 1.0), noise_seed=3, local_noise=True
-            )
+            agg = aggregator(pop, g, h, noise_std=1.0, noise_seed=3, local_noise=True)
             with mock.patch.object(federation, "GROUP_GRID_CELLS", cap):
                 outs.append(agg.histogram_round([0], [0, 1], cs, "s"))
             draws.append(agg.noise_draws)
@@ -566,7 +562,7 @@ class TestCentralNoiseAudit:
     """
 
     REPEATS = 1500
-    NOISE = d.NoiseScale(1.5, 0.8)  # std 1.2
+    STD = 1.5 * 0.8  # sigma times sensitivity
     ALPHA = 1e-4  # family-wise, per release kind
 
     @staticmethod
@@ -588,14 +584,14 @@ class TestCentralNoiseAudit:
         policy = ONE_RECORD_PER_CLIENT if n_clients is None else EQUAL_SHARDS
         pop = make_pop(n=42, m=2, seed=6, policy=policy, n_clients=n_clients)
         zeros = np.zeros(pop.n)
-        agg = aggregator(pop, zeros, zeros, noise=self.NOISE, noise_seed=17)
+        agg = aggregator(pop, zeros, zeros, noise_std=self.STD, noise_seed=17)
         release = self.release(agg, kind)
         samples = np.stack([release().ravel() for _ in range(self.REPEATS)])
         coords = samples.shape[1]
         assert agg.noise_draws == self.REPEATS * coords
         tail = self.ALPHA / (2 * coords)
         dof = self.REPEATS - 1
-        std = self.NOISE.std
+        std = self.STD
         lo, hi = stats.chi2.ppf([tail, 1 - tail], dof) / dof * std**2
         variance = samples.var(axis=0, ddof=1)
         assert np.all((lo < variance) & (variance < hi)), (variance, lo, hi)
@@ -637,21 +633,21 @@ class TestCanaryAudit:
     CANARY_X = 0.5  # bin 2 of the histogram, the right side of the pair
     CANARY_CELL = {"histogram": 2, "pair": 1}
 
-    def releases(self, gh, leaves, noise, seed):
+    def releases(self, gh, leaves, noise_std, seed):
         """(TREES * CALLS, LEAVES, 2) leaf releases of one assignment."""
         pop = make_pop(n=leaves.size, m=1, seed=0)  # a leaf round reads no features
-        agg = aggregator(pop, *gh, noise=noise, noise_seed=seed)
+        agg = aggregator(pop, *gh, noise_std=noise_std, noise_seed=seed)
         return np.concatenate(
             [agg.leaf_round([leaves] * self.TREES, self.LEAVES) for _ in range(self.CALLS)]
         )
 
-    def feature_releases(self, kind, x, gh, sizes, noise, seed):
+    def feature_releases(self, kind, x, gh, sizes, noise_std, seed):
         """(FEATURES * CALLS, cells, 2) root histogram or pair releases, the
         pair's cells being its left and right side."""
         X = np.repeat(x[:, None], self.FEATURES, axis=1)
         bounds = ((0.0, 1.0),) * self.FEATURES
         pop = ClientPopulation(X, np.zeros(x.size), bounds, client_sizes=np.asarray(sizes))
-        agg = aggregator(pop, *gh, noise=noise, noise_seed=seed)
+        agg = aggregator(pop, *gh, noise_std=noise_std, noise_seed=seed)
         features = range(self.FEATURES)
         if kind == "histogram":
             cs = d.uniform_candidates(pop.bounds, self.BINS)
@@ -663,7 +659,7 @@ class TestCanaryAudit:
             [release().reshape(self.FEATURES, -1, 2) for _ in range(self.CALLS)]
         )
 
-    def assert_canary_band(self, without, with_canary, cell, canary, noise):
+    def assert_canary_band(self, without, with_canary, cell, canary, noise_std):
         """Only ``cell`` shifts, and its mu_hat lies in the band around
         ||canary|| / noise std and under the claimed 1 / sigma."""
         runs, cells = without.shape[:2]
@@ -673,7 +669,7 @@ class TestCanaryAudit:
         )
         std = residuals.std()
         mu_hat = np.linalg.norm(shift[cell]) / std
-        mu = np.linalg.norm(canary) / noise.std
+        mu = np.linalg.norm(canary) / noise_std
         # mu_hat's standard error: the mean shift's, plus the std estimate's
         se = math.sqrt(2.0 / runs + mu**2 / (2.0 * residuals.size))
         checks = 2 + 2 * (cells - 1)  # band, claim, each other cell's two coordinates
@@ -694,12 +690,12 @@ class TestCanaryAudit:
         gh = d.mode_gradients(rng.integers(0, 2, n), rng.normal(0.0, 1.0, n), mode)
         leaves = rng.integers(0, self.LEAVES, n)
         canary = self.canary(mode)
-        noise = d.NoiseScale(self.SIGMA, d.query_sensitivity(mode))
-        without = self.releases(gh, leaves, noise, seed=1)
+        std = self.SIGMA * d.query_sensitivity(mode)
+        without = self.releases(gh, leaves, std, seed=1)
         with_canary = self.releases(
-            np.concatenate([gh, canary], axis=1), np.append(leaves, self.CANARY_LEAF), noise, 2
+            np.concatenate([gh, canary], axis=1), np.append(leaves, self.CANARY_LEAF), std, 2
         )
-        self.assert_canary_band(without, with_canary, self.CANARY_LEAF, canary, noise)
+        self.assert_canary_band(without, with_canary, self.CANARY_LEAF, canary, std)
 
     @pytest.mark.parametrize("clients", [None, 8], ids=["one-record", "8-shards"])
     @pytest.mark.parametrize("kind", ["histogram", "pair"])
@@ -717,23 +713,28 @@ class TestCanaryAudit:
             canary_sizes = sizes.copy()
             canary_sizes[-1] += 1
         canary = self.canary(mode)
-        noise = d.NoiseScale(self.SIGMA, d.query_sensitivity(mode))
-        without = self.feature_releases(kind, x, gh, sizes, noise, seed=1)
+        std = self.SIGMA * d.query_sensitivity(mode)
+        without = self.feature_releases(kind, x, gh, sizes, std, seed=1)
         with_canary = self.feature_releases(
             kind,
             np.append(x, self.CANARY_X),
             np.concatenate([gh, canary], axis=1),
             canary_sizes,
-            noise,
+            std,
             seed=2,
         )
-        self.assert_canary_band(without, with_canary, self.CANARY_CELL[kind], canary, noise)
+        self.assert_canary_band(without, with_canary, self.CANARY_CELL[kind], canary, std)
 
 
 class TestAggregatorMeters:
+    @pytest.mark.parametrize("std", [0.0, -1.0, math.nan, math.inf])
+    def test_noise_std_must_be_positive_and_finite(self, std):
+        with pytest.raises(InvalidParameterError, match="noise std"):
+            FederatedAggregator(make_pop(4, 1), noise_std=std)
+
     def test_one_draw_per_released_coordinate(self):
         pop = make_pop(40, 3)
-        agg = FederatedAggregator(pop, noise=d.NoiseScale(1.0, 1.0), noise_seed=1)
+        agg = FederatedAggregator(pop, noise_std=1.0, noise_seed=1)
         agg.recompute_gradients(d.UpdateMode.NEWTON)
         cs = d.uniform_candidates(pop.bounds, 4)
         agg.histogram_round([0], [0, 1], cs, "s")

@@ -475,7 +475,7 @@ def test_grown_tree_leaves_every_record_at_its_leaf(method, feats):
     # noisy sums over shards, so that the splits are not the exact-data ones
     ds = d.synthesize(150, 2, 0.3, 0.5, seed=8)
     pop = partition(ds, 7, EQUAL_SHARDS, seed=8)
-    agg = FederatedAggregator(pop, noise=d.NoiseScale(2.0, 1.0), noise_seed=5)
+    agg = FederatedAggregator(pop, noise_std=2.0, noise_seed=5)
     agg.recompute_gradients(d.UpdateMode.NEWTON)
     cs = d.uniform_candidates(ds.bounds, 6)
     for seed in range(3):
