@@ -1,19 +1,19 @@
-"""Federated gradient-boosted decision trees under Renyi differential privacy.
+"""Federated gradient-boosted decision trees under (epsilon, delta) differential privacy.
 
 Train GBDT/RF ensembles on horizontally partitioned data through a simulated
 fixed-point secure-aggregation layer, with exact query-count accounting,
-Gaussian-mechanism noise calibration, and communication-cost reporting.
+Gaussian-mechanism noise calibrated on the exact Gaussian-DP curve, and
+communication-cost reporting.
 """
 
 from .accounting import (
-    DEFAULT_ALPHAS,
     PrivacyBudget,
     QueryCounter,
     Round,
     calibrate_sigma,
     count_queries,
+    gdp_delta,
     plan,
-    rdp_epsilon,
 )
 from .boosting import Ensemble, TrainResult, predict, raw_scores, train
 from .candidates import (

@@ -1,15 +1,13 @@
-"""Renyi differential privacy accounting for Gaussian-mechanism queries.
+"""Exact Gaussian-DP accounting for Gaussian-mechanism queries.
 
 A run releases every private statistic through the Gaussian mechanism at one
-noise multiplier sigma, over the whole population, without subsampling. One
-query has the Renyi-DP curve alpha / (2 sigma^2) (Mironov, CSF 2017) and
-curves add, so a run of K queries is the single line K alpha / (2 sigma^2):
-its privacy depends only on K / sigma^2 (the run is mu-Gaussian-DP with
-mu = sqrt(K) / sigma; Dong, Roth & Su, JRSS-B 2022). ``rdp_epsilon`` converts
-that line to the epsilon of an (epsilon, delta) guarantee; ``calibrate_sigma``
-inverts it for the query count of ``plan``, the one list of aggregation
-rounds a configuration executes. The ledger and the communication costs are
-folds over that list.
+noise multiplier sigma, over the whole population, without subsampling, so a
+run of K queries is exactly mu-Gaussian-DP with mu = sqrt(K) / sigma (Dong,
+Roth & Su, JRSS-B 2022). Its (epsilon, delta) curve is exact (Balle & Wang,
+ICML 2018): ``gdp_delta`` evaluates it, and ``calibrate_sigma`` inverts it
+for the query count of ``plan``, the one list of aggregation rounds a
+configuration executes. The ledger and the communication costs are folds
+over that list.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import TrainConfig
 
 __all__ = [
-    "DEFAULT_ALPHAS",
     "InvalidParameterError",
     "ZeroQueryError",
     "PrivacyBudget",
     "QueryCounter",
     "Round",
-    "rdp_epsilon",
+    "gdp_delta",
     "calibrate_sigma",
     "plan",
     "count_queries",
@@ -45,16 +42,8 @@ class ZeroQueryError(ValueError):
     """Calibration was requested for a configuration that issues no queries."""
 
 
-# Dense at small orders (tight epsilon regime), sparse at large orders with two
-# high anchors for very loose budgets.
-DEFAULT_ALPHAS: np.ndarray = np.concatenate(
-    [np.arange(1.5, 10.0 + 1e-9, 0.25), np.arange(11.0, 65.0, 1.0), [128.0, 256.0]]
-)
-DEFAULT_ALPHAS.setflags(write=False)
-
-SIGMA_BRACKET = (1e-3, 1e4)
-SIGMA_REL_TOL = 1e-4
-SIGMA_MAX_ITER = 200
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -113,55 +102,56 @@ class Round(NamedTuple):
     uplink: int
 
 
-def rdp_epsilon(sigma: float, queries: int, delta: float) -> float:
-    """Epsilon of the (epsilon, delta)-DP guarantee of ``queries`` Gaussian
-    queries at noise multiplier ``sigma``: the minimum over ``DEFAULT_ALPHAS``
-    of queries * alpha / (2 sigma^2) + log(1/delta) / (alpha - 1)."""
-    if not (isinstance(sigma, (int, float, np.floating)) and sigma > 0.0 and math.isfinite(sigma)):
-        raise InvalidParameterError(f"sigma must be a positive finite number, got {sigma}")
-    if not isinstance(queries, (int, np.integer)) or queries < 0:
-        raise InvalidParameterError(f"queries must be a non-negative integer, got {queries}")
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
-    eps = queries * (DEFAULT_ALPHAS / (2.0 * float(sigma) ** 2))
-    return float(np.min(eps + math.log(1.0 / delta) / (DEFAULT_ALPHAS - 1.0)))
+def _log_ndtr(x: float) -> float:
+    """log Phi(x), the log of the standard normal CDF, from the standard
+    library: through erfc down to x = -30, and below that the asymptotic
+    series Phi(x) ~ phi(x) / -x * sum_k (-1)^k (2k - 1)!! / x^(2k), whose
+    terms to k = 7 leave a relative error under 1e-15."""
+    if x > 0.0:
+        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
+    if x >= -30.0:
+        return math.log(0.5 * math.erfc(-x / _SQRT2))
+    series = term = 1.0
+    for k in range(1, 8):
+        term *= -(2 * k - 1) / (x * x)
+        series += term
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(series)
+
+
+def gdp_delta(mu: float, epsilon: float) -> float:
+    """Exact delta at ``epsilon`` of a mu-Gaussian-DP mechanism:
+    Phi(-epsilon / mu + mu / 2) - e^epsilon Phi(-epsilon / mu - mu / 2),
+    computed in log space so neither term overflows."""
+    if not (mu > 0.0 and epsilon >= 0.0):
+        raise InvalidParameterError(f"need mu > 0 and epsilon >= 0, got {mu}, {epsilon}")
+    log_a = _log_ndtr(-epsilon / mu + mu / 2.0)
+    log_b = _log_ndtr(-epsilon / mu - mu / 2.0)
+    # gap <= 0 exactly; rounding can push it above 0, and it is nan when
+    # both terms underflow to log 0
+    gap = epsilon + log_b - log_a
+    return math.exp(log_a) * -math.expm1(gap) if gap < 0.0 else 0.0
 
 
 def calibrate_sigma(budget: PrivacyBudget, counter: QueryCounter) -> float:
     """Smallest noise multiplier meeting ``budget`` over ``counter.total`` queries.
 
-    Bisects sigma in log space over the bracket [1e-3, 1e4] until the bracket
-    is relatively tighter than 1e-4, and returns the feasible endpoint, so the
-    result satisfies the budget while (1 - 1e-3) times it does not. Each
-    epsilon(sigma) it tries is ``rdp_epsilon(sigma, counter.total, budget.delta)``.
-    While its upper end misses the budget, the bracket moves up tenfold. No
-    sigma meets an epsilon at or below the floor ``rdp_epsilon(sigma, 0,
-    delta)`` = log(1/delta) / 255; such a budget raises InvalidParameterError.
+    The run is mu-GDP with mu = sqrt(K) / sigma, and its delta at
+    ``budget.epsilon`` grows with mu. Bisects log sigma until the midpoint
+    equals one of its ends and returns the feasible end: ``gdp_delta(sqrt(K)
+    / sigma, epsilon)`` is at most delta for the returned sigma and above it
+    one step below. The bracket, mu from e^-600 to e^600, holds the answer
+    for every delta above 1e-260.
     """
-    total, delta = counter.total, budget.delta
-    if total == 0:
+    if counter.total == 0:
         raise ZeroQueryError("configuration issues no private queries; nothing to calibrate")
-
-    lo, hi = SIGMA_BRACKET
-    floor = rdp_epsilon(hi, 0, delta)
-    if budget.epsilon <= floor:
-        raise InvalidParameterError(
-            f"no sigma meets epsilon={budget.epsilon} at delta={delta}: epsilon must "
-            f"exceed the floor log(1/delta) / {DEFAULT_ALPHAS[-1] - 1:g} = {floor}"
-        )
-    if rdp_epsilon(lo, total, delta) <= budget.epsilon:
-        return lo
-    while rdp_epsilon(hi, total, delta) > budget.epsilon:  # stops: epsilon falls to the floor
-        lo, hi = hi, 10.0 * hi
-    for _ in range(SIGMA_MAX_ITER):
-        if hi / lo - 1.0 <= SIGMA_REL_TOL:
-            break
-        mid = math.sqrt(lo * hi)
-        if rdp_epsilon(mid, total, delta) <= budget.epsilon:
+    root_k = math.sqrt(counter.total)
+    lo, hi = math.log(root_k) - 600.0, math.log(root_k) + 600.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if gdp_delta(root_k / math.exp(mid), budget.epsilon) <= budget.delta:
             hi = mid
         else:
             lo = mid
-    return hi
+    return math.exp(hi)
 
 
 def refined_features(config: "TrainConfig", features) -> tuple[int, ...]:

@@ -295,3 +295,24 @@ def bisected_label_probabilities(z: np.ndarray, class_balance: float) -> np.ndar
         else:
             hi = mid
     return 1.0 / (1.0 + np.exp(-(z + 0.5 * (lo + hi))))
+
+
+def gdp_delta_by_integration(mu: float, epsilon: float) -> float:
+    """delta(epsilon) of a mu-GDP mechanism as E[(1 - e^(epsilon - L))_+] over
+    its privacy loss L ~ N(mu^2 / 2, mu^2), by numerical quadrature.
+
+    With L = epsilon + mu u and z0 = (epsilon - mu^2 / 2) / mu, the expectation
+    is phi(z0) times the integral over u > 0 of (1 - e^(-mu u)) e^(-z0 u - u^2 / 2),
+    so a far tail keeps its relative accuracy.
+    """
+    from scipy import integrate
+
+    z0 = (epsilon - mu * mu / 2.0) / mu
+    peak = max(0.0, -z0)  # e^(-z0 u - u^2 / 2) peaks here, at e^(peak^2 / 2)
+    integrand = lambda u: -math.expm1(-mu * u) * math.exp(-z0 * u - 0.5 * u * u - 0.5 * peak**2)
+    upper = peak + 40.0
+    points = [p for p in (1.0 / mu, peak) if 0.0 < p < upper] or None
+    total = integrate.quad(
+        integrand, 0.0, upper, points=points, epsabs=0.0, epsrel=1e-12, limit=200
+    )[0]
+    return math.exp(0.5 * (peak**2 - z0 * z0)) / math.sqrt(2.0 * math.pi) * total

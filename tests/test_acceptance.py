@@ -28,7 +28,7 @@ from dpgbdt.harness import PRESET_NAMES, baseline_preset
 
 from oracles import (
     collect_structure,
-    dense_grid_epsilon,
+    gdp_delta_by_integration,
     pairwise_auc,
     reference_greedy_tree,
 )
@@ -64,16 +64,18 @@ def median_test_auc(cfg_base, dataset, seeds, eps):
     return float(np.median(aucs))
 
 
-def test_criterion_1_accounting_matches_dense_oracle():
-    with criterion(1, "accounting arithmetic vs brute-force oracle", 10.0):
+def test_criterion_1_accounting_matches_integrated_privacy_loss():
+    with criterion(1, "exact delta vs integrated privacy-loss distribution", 10.0):
         rng = np.random.default_rng(101)
         for _ in range(200):
-            sigma = float(rng.uniform(0.3, 40.0))
-            k = int(rng.integers(1, 3000))
-            delta = float(10.0 ** rng.uniform(-8, -2))
-            impl = d.rdp_epsilon(sigma, k, delta)
-            oracle = dense_grid_epsilon(sigma, k, delta, orders=d.DEFAULT_ALPHAS)
-            assert abs(impl - oracle) <= 1e-6, (sigma, k, delta)
+            mu = math.sqrt(int(rng.integers(1, 3000))) / float(rng.uniform(0.3, 40.0))
+            # epsilon at a loss threshold (epsilon - mu^2 / 2) / mu from -3 to 8
+            # standard deviations: delta from near 1 down to about 1e-16
+            z0 = float(rng.uniform(-min(3.0, mu / 2.0), 8.0))
+            epsilon = mu * z0 + mu * mu / 2.0
+            impl = d.gdp_delta(mu, epsilon)
+            oracle = gdp_delta_by_integration(mu, epsilon)
+            assert abs(impl - oracle) <= 1e-6 * oracle, (mu, epsilon)
 
 
 def test_criterion_2_calibration_scaling_law():

@@ -4,86 +4,55 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 import dpgbdt as d
-from dpgbdt.accounting import InvalidParameterError, ZeroQueryError
+from dpgbdt.accounting import InvalidParameterError, ZeroQueryError, _log_ndtr
 
 from oracles import dense_grid_epsilon
 
 
-class TestGaussianRdp:
-    def test_basic_points(self):
-        # K alpha / (2 sigma^2) + L / (alpha - 1) is least at
-        # alpha = 1 + sqrt(2 sigma^2 L / K), here an order of DEFAULT_ALPHAS
-        for sigma, queries, log_inv_delta, epsilon in [
-            (1.0, 1, 0.5, 1.5), (2.0, 8, 9.0, 7.0), (0.5, 1, 98.0, 30.0)
-        ]:
-            delta = math.exp(-log_inv_delta)
-            assert d.rdp_epsilon(sigma, queries, delta) == pytest.approx(epsilon, rel=1e-12)
+class TestLogNdtr:
+    @staticmethod
+    def assert_matches_scipy(x):
+        ref = float(log_ndtr(x))
+        assert abs(_log_ndtr(x) - ref) <= 1e-12 * max(1.0, abs(ref)), x
 
-    def test_rejects_bad_sigma(self):
-        for sigma in (0.0, -1.0, math.inf, math.nan):
+    def test_matches_scipy_on_a_grid(self):
+        # both sides of the switch to the asymptotic series at x = -30
+        grid = np.concatenate([np.linspace(-1e4, 40.0, 20_001), np.linspace(-31.0, -29.0, 2_001)])
+        for x in [*grid, np.nextafter(-30.0, 0.0), np.nextafter(-30.0, -31.0), 0.0, 5e-324]:
+            self.assert_matches_scipy(float(x))
+
+    @given(x=st.floats(-1e4, 40.0))
+    @settings(max_examples=300)
+    def test_matches_scipy(self, x):
+        self.assert_matches_scipy(x)
+
+
+class TestGdpDelta:
+    @given(mu=st.floats(1e-3, 20.0))
+    def test_at_epsilon_zero_it_is_the_total_variation(self, mu):
+        # delta(0) = Phi(mu / 2) - Phi(-mu / 2)
+        assert d.gdp_delta(mu, 0.0) == pytest.approx(math.erf(mu / (2.0 * math.sqrt(2.0))), rel=1e-12)
+
+    @given(mu=st.floats(1e-3, 50.0), epsilon=st.floats(0.0, 50.0), factor=st.floats(1.001, 10.0))
+    def test_grows_with_mu_and_falls_with_epsilon(self, mu, epsilon, factor):
+        delta = d.gdp_delta(mu, epsilon)
+        assert 0.0 <= delta <= 1.0
+        assert d.gdp_delta(mu * factor, epsilon) >= delta
+        assert d.gdp_delta(mu, epsilon * factor + 1e-3) <= delta
+
+    def test_far_tails_raise_no_domain_error(self):
+        assert d.gdp_delta(1e-4, 10.0) == 0.0
+        assert d.gdp_delta(1e-4, 50.0) == 0.0
+        assert d.gdp_delta(1e4, 1e-3) == pytest.approx(1.0)
+        assert 0.0 < d.gdp_delta(0.3, 10.0) < 1e-100
+
+    def test_rejects_bad_parameters(self):
+        for mu, epsilon in [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.nan)]:
             with pytest.raises(InvalidParameterError):
-                d.rdp_epsilon(sigma, 1, 1e-5)
-
-    @given(
-        sigma=st.floats(0.01, 100.0),
-        queries=st.integers(0, 5000),
-        c=st.integers(1, 50),
-        delta=st.floats(1e-12, 0.5),
-    )
-    @settings(max_examples=100)
-    def test_homogeneous_in_sigma(self, sigma, queries, c, delta):
-        # epsilon is a function of queries / sigma^2 alone
-        scaled = d.rdp_epsilon(c * sigma, c * c * queries, delta)
-        assert scaled == pytest.approx(d.rdp_epsilon(sigma, queries, delta), rel=1e-12)
-
-
-class TestRdpToDp:
-    def test_single_point(self):
-        # the minimum sits at the smallest order, alpha = 1.5
-        assert d.rdp_epsilon(1.0, 2, math.exp(-0.25)) == pytest.approx(2.0)
-
-    def test_zero_curve_minimised_at_largest_alpha(self):
-        expected = math.log(1e5) / (d.DEFAULT_ALPHAS[-1] - 1.0)
-        assert d.rdp_epsilon(1.0, 0, 1e-5) == pytest.approx(expected)
-
-    def test_dense_grid_example_frozen(self):
-        # sigma=3, 150 queries, delta=1e-5; expected value computed by the
-        # brute-force oracle on DEFAULT_ALPHAS
-        eps = d.rdp_epsilon(3.0, 150, 1e-5)
-        assert eps == pytest.approx(27.960340371976184, abs=1e-9)
-        # the default orders cost little against the dense 1.5..64 grid here
-        assert 0.0 <= eps - dense_grid_epsilon(3.0, 150, 1e-5) < 0.01 * eps
-
-    def test_matches_dense_oracle_random_cases(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            sigma = float(rng.uniform(0.3, 30.0))
-            k = int(rng.integers(1, 2000))
-            delta = float(10.0 ** rng.uniform(-8, -2))
-            impl = d.rdp_epsilon(sigma, k, delta)
-            oracle = dense_grid_epsilon(sigma, k, delta, orders=d.DEFAULT_ALPHAS)
-            assert impl == pytest.approx(oracle, abs=1e-6)
-
-    def test_errors(self):
-        for delta in (0.0, 1.0, -0.5):
-            with pytest.raises(InvalidParameterError):
-                d.rdp_epsilon(1.0, 1, delta)
-        for queries in (-1, 1.5):
-            with pytest.raises(InvalidParameterError):
-                d.rdp_epsilon(1.0, queries, 1e-5)
-
-    @given(
-        sigma=st.floats(0.2, 20.0),
-        k=st.integers(1, 500),
-        factor=st.floats(1.1, 5.0),
-    )
-    @settings(max_examples=40)
-    def test_monotone_in_sigma_and_count(self, sigma, k, factor):
-        eps = d.rdp_epsilon(sigma, k, 1e-5)
-        assert d.rdp_epsilon(sigma * factor, k, 1e-5) <= eps
-        assert d.rdp_epsilon(sigma, 2 * k, 1e-5) >= eps
+                d.gdp_delta(mu, epsilon)
 
 
 class TestCalibrateSigma:
@@ -103,34 +72,40 @@ class TestCalibrateSigma:
         tight = d.calibrate_sigma(d.PrivacyBudget(0.5, 1e-5), counter)
         assert tight > loose
 
+    @staticmethod
+    def assert_tight(budget, total):
+        # sigma meets the budget on the exact curve, and (1 - 1e-6) sigma does not
+        sigma = d.calibrate_sigma(budget, d.QueryCounter(0, total, 0))
+        mu = math.sqrt(total) / sigma
+        assert d.gdp_delta(mu, budget.epsilon) <= budget.delta
+        assert d.gdp_delta(mu / (1 - 1e-6), budget.epsilon) > budget.delta
+        return sigma
+
     def test_round_trip_tightness(self):
         for eps, total in [(0.5, 40), (1.0, 300), (3.0, 25)]:
-            budget = d.PrivacyBudget(eps, 1e-5)
-            sigma = d.calibrate_sigma(budget, d.QueryCounter(total, 0, 0))
-            assert d.rdp_epsilon(sigma, total, budget.delta) <= eps
-            assert d.rdp_epsilon((1 - 1e-3) * sigma, total, budget.delta) > eps
+            self.assert_tight(d.PrivacyBudget(eps, 1e-5), total)
 
     def test_zero_queries_error(self):
         with pytest.raises(ZeroQueryError):
             d.calibrate_sigma(d.PrivacyBudget(1.0, 1e-5), d.QueryCounter(0, 0, 0))
 
-    def test_budget_met_only_above_sigma_1e4(self):
-        # sigma = 1e4 misses this budget, but sigma = 1e5 meets it
-        budget, total = d.PrivacyBudget(0.0378, 2.856e-4), 17_149
-        assert d.rdp_epsilon(1e4, total, budget.delta) > budget.epsilon
-        assert d.rdp_epsilon(1e5, total, budget.delta) <= budget.epsilon
-        sigma = d.calibrate_sigma(budget, d.QueryCounter(0, total, 0))
-        assert 1e4 < sigma < 1e5
-        assert d.rdp_epsilon(sigma, total, budget.delta) <= budget.epsilon
-        assert d.rdp_epsilon((1 - 1e-3) * sigma, total, budget.delta) > budget.epsilon
+    def test_small_epsilon_calibrates(self):
+        self.assert_tight(d.PrivacyBudget(0.05, 1e-6), 20_000)
 
-    def test_budget_at_or_below_the_floor_is_unreachable(self):
-        # no sigma gets epsilon below log(1/delta) / 255, the largest order's term
-        floor = math.log(1e6) / 255
-        assert d.rdp_epsilon(1e12, 20_000, 1e-6) == pytest.approx(floor, rel=1e-12)
-        for eps in (0.05, floor):
-            with pytest.raises(InvalidParameterError, match="no sigma meets.*floor"):
-                d.calibrate_sigma(d.PrivacyBudget(eps, 1e-6), d.QueryCounter(0, 20_000, 0))
+    def test_budget_met_only_above_sigma_1e4(self):
+        budget, total = d.PrivacyBudget(0.02, 1e-6), 5_000
+        assert d.gdp_delta(math.sqrt(total) / 1e4, budget.epsilon) > budget.delta
+        assert self.assert_tight(budget, total) > 1e4
+
+    @given(
+        total=st.integers(1, 10**6),
+        epsilon=st.floats(1e-3, 50.0),
+        delta=st.floats(1e-12, 0.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_calibration_is_tight_and_never_looser_than_renyi(self, total, epsilon, delta):
+        sigma = self.assert_tight(d.PrivacyBudget(epsilon, delta), total)
+        assert dense_grid_epsilon(sigma, total, delta) >= epsilon
 
 
 class TestCountQueries:

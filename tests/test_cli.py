@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from dpgbdt.cli import _config_from, build_parser, main
 from dpgbdt.harness import PRESET_NAMES, rank_table, read_results
 
 from helpers import save_csv
+from oracles import gdp_delta_by_integration
 
 
 @pytest.fixture()
@@ -331,21 +333,28 @@ class TestGridCommand:
 # `dpgbdt account --preset <name> --m 10 --T 100 --epsilon 1 --delta 1e-5`:
 # (kappa_c, kappa_s, kappa_w), sigma, noise_std and (rounds,
 # per_round_payload, uplink_values) of the full JSON output.
-SIGMA_100, SIGMA_150, SIGMA_4000 = 49.01559964592086, 60.03443408961688, 310.00403032981666
+SIGMA_100, SIGMA_150, SIGMA_4000 = 37.30631634815949, 45.690719617920415, 235.9458615419175
 ACCOUNT_JSON = {
-    "DP-EBM": ((0, 0, 100), SIGMA_100, 69.31852578711116, (100, 32, 3200)),
-    "DP-EBM-Newton": ((0, 0, 100), SIGMA_100, 50.52412366077983, (100, 32, 3200)),
-    "DP-GBM": ((0, 4000, 0), SIGMA_4000, 438.41190408274707, (400, 640, 256000)),
-    "DP-RF": ((0, 0, 100), SIGMA_100, 69.31852578711116, (1, 3200, 3200)),
-    "FEVERLESS": ((0, 4000, 0), SIGMA_4000, 319.5448403542537, (400, 640, 256000)),
-    "LDP": ((0, 0, 100), SIGMA_100, 50.52412366077983, (100, 32, 3200)),
-    "DP-TR-Newton": ((0, 0, 100), SIGMA_100, 50.52412366077983, (100, 32, 3200)),
-    "DP-TR-Newton-IH": ((50, 0, 100), SIGMA_150, 61.88207823141801, (105, 32, 6400)),
-    "DP-TR-Newton-IH-EBM": ((50, 0, 100), SIGMA_150, 61.88207823141801, (105, 32, 6400)),
+    "DP-EBM": ((0, 0, 100), SIGMA_100, 52.75909854174827, (100, 32, 3200)),
+    "DP-EBM-Newton": ((0, 0, 100), SIGMA_100, 38.45447070154212, (100, 32, 3200)),
+    "DP-GBM": ((0, 4000, 0), SIGMA_4000, 333.67783737838425, (400, 640, 256000)),
+    "DP-RF": ((0, 0, 100), SIGMA_100, 52.75909854174827, (1, 3200, 3200)),
+    "FEVERLESS": ((0, 4000, 0), SIGMA_4000, 243.20742726617144, (400, 640, 256000)),
+    "LDP": ((0, 0, 100), SIGMA_100, 38.45447070154212, (100, 32, 3200)),
+    "DP-TR-Newton": ((0, 0, 100), SIGMA_100, 38.45447070154212, (100, 32, 3200)),
+    "DP-TR-Newton-IH": ((50, 0, 100), SIGMA_150, 47.096915773791714, (105, 32, 6400)),
+    "DP-TR-Newton-IH-EBM": ((50, 0, 100), SIGMA_150, 47.096915773791714, (105, 32, 6400)),
     "DP-TR-Batch-Newton-IH-EBM(p=0.25)": (
-        (50, 0, 100), SIGMA_150, 61.88207823141801, (9, 800, 6400)
+        (50, 0, 100), SIGMA_150, 47.096915773791714, (9, 800, 6400)
     ),
 }
+
+
+@pytest.mark.parametrize("total, sigma", [(100, SIGMA_100), (150, SIGMA_150), (4000, SIGMA_4000)])
+def test_pinned_sigma_meets_the_budget_on_the_integrated_curve(total, sigma):
+    # delta(1; sqrt(K) / sigma) = 1e-5, so the pins are the calibration's answer
+    delta = gdp_delta_by_integration(math.sqrt(total) / sigma, 1.0)
+    assert delta == pytest.approx(1e-5, rel=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(ACCOUNT_JSON))

@@ -45,61 +45,61 @@ COMPONENTS = ("model", "ledger", "sigma", "comm")
 # (population, label) -> digests in COMPONENTS order
 GOLDEN = {
     ("one-record", "DP-EBM"):
-        ("057b103b8ba4022c", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("6c265ab9d233e239", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("one-record", "DP-EBM-Newton"):
-        ("067f8014eded1ef8", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("6c18b91ebb44ed91", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("one-record", "DP-GBM"):
-        ("cc1e98bc8ada70ab", "01409473f044f688", "689fd4ded951eb5e", "dbb377dd35d3ce89"),
+        ("b8edfc78617a51bb", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("one-record", "DP-RF"):
-        ("607f58fd718bc8ef", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "66b2d1fb1a5230f0"),
+        ("07bdb897b6b1e24e", "cbf73e1f7d25de22", "67890684d7242c10", "66b2d1fb1a5230f0"),
     ("one-record", "FEVERLESS"):
-        ("4561147ff1f8be96", "01409473f044f688", "689fd4ded951eb5e", "dbb377dd35d3ce89"),
+        ("28defd317d360d5f", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("one-record", "LDP"):
-        ("65fad1ce8af9c69a", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("0db6749245bcb345", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("one-record", "DP-TR-Newton"):
-        ("9cc702a3e32d572f", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("eff13111bf313a40", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("one-record", "DP-TR-Newton-IH"):
-        ("96a3b06924f84ee9", "08f57baf33f75932", "71ca1e91a08afc67", "93043210dba9eae7"),
+        ("6f668b992a952c3e", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
     ("one-record", "DP-TR-Newton-IH-EBM"):
-        ("00ce74d27b316619", "08f57baf33f75932", "71ca1e91a08afc67", "93043210dba9eae7"),
+        ("a7a34e93aadf556d", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
     ("one-record", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"):
-        ("a7cd17e42d93aa53", "08f57baf33f75932", "71ca1e91a08afc67", "adc731cba167994b"),
+        ("c7d29497d6b40067", "08f57baf33f75932", "f88b02f1a0fdd374", "adc731cba167994b"),
     ("one-record", "pr"):
-        ("d1f8567777adff0e", "01409473f044f688", "689fd4ded951eb5e", "c7f60e2daa23b0b7"),
+        ("27b0cb4a0a7c850c", "01409473f044f688", "0d1b4c40380546b5", "c7f60e2daa23b0b7"),
     ("one-record", "hist-k1"):
-        ("871c104de26fb62e", "d2153fea7cfabfbb", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("c1eb8fb1dc4a150f", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
     ("one-record", "hist-IH"):
-        ("3b941c970edda1f2", "01409473f044f688", "689fd4ded951eb5e", "dbb377dd35d3ce89"),
+        ("7b1f7ea38051867b", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("one-record", "pr-k1"):
-        ("9663642aa4bb6a71", "d2153fea7cfabfbb", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("10c0a9da0783133a", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-EBM"):
-        ("cca29ac6ed30d541", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("6c5fbf222a5387ee", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-EBM-Newton"):
-        ("a744562255a05245", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("938e540340aeb1ad", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-GBM"):
-        ("6cfcb45045d3d100", "01409473f044f688", "689fd4ded951eb5e", "dbb377dd35d3ce89"),
+        ("6a3792054c8affb3", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("7-shards", "DP-RF"):
-        ("607f58fd718bc8ef", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "66b2d1fb1a5230f0"),
+        ("07bdb897b6b1e24e", "cbf73e1f7d25de22", "67890684d7242c10", "66b2d1fb1a5230f0"),
     ("7-shards", "FEVERLESS"):
-        ("850f396e2285cefb", "01409473f044f688", "689fd4ded951eb5e", "dbb377dd35d3ce89"),
+        ("9ff4768fbdf2001f", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("7-shards", "LDP"):
-        ("2bd5dfb8f7578a1d", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("b56c9e91c4103af5", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-TR-Newton"):
-        ("281e6b99e3c7ef5f", "cbf73e1f7d25de22", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("29dc6e67bc4003eb", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-TR-Newton-IH"):
-        ("d03ebffb805d84c9", "08f57baf33f75932", "71ca1e91a08afc67", "93043210dba9eae7"),
+        ("1d3a2c68e95d4c29", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
     ("7-shards", "DP-TR-Newton-IH-EBM"):
-        ("08e2cc12ac5bdfa0", "08f57baf33f75932", "71ca1e91a08afc67", "93043210dba9eae7"),
+        ("e5e45363c2e8b344", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
     ("7-shards", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"):
-        ("858726886389bfb2", "08f57baf33f75932", "71ca1e91a08afc67", "adc731cba167994b"),
+        ("5913398856a25cd1", "08f57baf33f75932", "f88b02f1a0fdd374", "adc731cba167994b"),
     ("7-shards", "pr"):
-        ("ef7d58e3fac62cd7", "01409473f044f688", "689fd4ded951eb5e", "c7f60e2daa23b0b7"),
+        ("cb34fcb84932bf89", "01409473f044f688", "0d1b4c40380546b5", "c7f60e2daa23b0b7"),
     ("7-shards", "hist-k1"):
-        ("050c2940e153fe3b", "d2153fea7cfabfbb", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("d438832bf5ea76a4", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "hist-IH"):
-        ("41c12ada181a6ac9", "01409473f044f688", "689fd4ded951eb5e", "dbb377dd35d3ce89"),
+        ("321219f06ddbf0b3", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("7-shards", "pr-k1"):
-        ("7ce0a9685da72233", "d2153fea7cfabfbb", "1bdc9f7e2b3bd331", "22a6c7dc0192265e"),
+        ("f3d198f16e96991c", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
 }
 
 

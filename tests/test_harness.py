@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import rankdata
 
 import dpgbdt as d
 from dpgbdt.accounting import InvalidParameterError
+from dpgbdt.cli import _parse_kv_file, _parse_list
 from dpgbdt.harness import (
     PRESET_NAMES,
     RESULT_COLUMNS,
@@ -298,6 +300,26 @@ class TestRunGrid:
         with open(tmp_path / "res.summary.csv") as fh:
             summary = list(csv.DictReader(fh))
         assert summary[0]["runs"] == "2"
+
+
+class TestCommittedGrid:
+    """``experiments/presets.grid`` and the summary ``dpgbdt grid`` writes for
+    it, checked without training."""
+
+    EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+
+    def test_spec_names_every_preset_and_summary_has_each_cell(self):
+        spec = _parse_kv_file(self.EXPERIMENTS / "presets.grid")
+        assert tuple(_parse_list(spec["presets"], str)) == PRESET_NAMES
+        epsilons = [None if e == "none" else float(e) for e in _parse_list(spec["epsilons"], str)]
+        seeds = _parse_list(spec["split_seeds"], int)
+        with open(self.EXPERIMENTS / "presets.summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [(row["config_id"], float(row["epsilon"]) if row["epsilon"] else None) for row in rows]
+        assert sorted(cells, key=str) == sorted(
+            ((name, eps) for name in PRESET_NAMES for eps in epsilons), key=str
+        )
+        assert len(seeds) == 5 and all(int(row["runs"]) == len(seeds) for row in rows)
 
 
 class TestResume:
