@@ -93,13 +93,22 @@ class QueryCounter:
 
 
 class Round(NamedTuple):
-    """One aggregation round: the kind of its queries (c = split candidates,
-    s = inner splits, w = leaf weights), how many privacy queries it releases
-    and how many scalars each client uplinks."""
+    """One aggregation round and what it releases: the kind of its queries
+    (c = split candidates, s = inner splits, w = leaf weights), the privacy
+    queries, the tree nodes each query covers and the (G, H) cells per node."""
 
     kind: str
     queries: int
-    uplink: int
+    nodes: int
+    cells: int
+
+    @property
+    def uplink(self) -> int:
+        """Scalars each client sends: 2 per cell of one node, per query. A level-l
+        round releases ``nodes`` = 2^l node vectors, all of which a client's
+        secure-aggregation message would cover, so this undercounts hist and pr
+        level rounds by 2^l; a leaf round's one node holds every leaf."""
+        return 2 * self.queries * self.cells
 
 
 def _log_ndtr(x: float) -> float:
@@ -171,14 +180,11 @@ def plan(config: "TrainConfig") -> list[Round]:
     pay a refinement round (c), unless the split method is hist, which
     refines for free from its own root histograms. Then the tree's split
     rounds (s): a single-feature tree (k = 1) needs one root histogram; hist
-    pays one histogram round per level (2 Q scalars per feature) and pr one
-    two-sided pair round per level (4 per feature). Totally random trees pay
-    no split round; their leaf vectors go out in one round (w) per batch,
-    one query and 2 * 2^d scalars per tree.
-
-    A level round's uplink counts one node's vector, although a level-l
-    round releases 2^l of them and a client's secure-aggregation message
-    would cover them all; leaf rounds do count every leaf.
+    pays one round per level l, a Q-cell histogram of each of its 2^l nodes
+    per feature, and pr one two-sided pair (2 cells) per node per feature.
+    Totally random trees pay no split round; their leaf vectors go out in one
+    round (w) per batch, one query of 2^d cells per tree. ``Round.uplink``
+    states what a round's uplink counts, and what it undercounts.
     """
     from .config import CandidateMethod
     from .trees import SplitMethod
@@ -195,19 +201,19 @@ def plan(config: "TrainConfig") -> list[Round]:
     if method is SplitMethod.TOTALLY_RANDOM:
         tree_rounds = []
     elif k == 1:
-        tree_rounds = [Round("s", 1, 2 * Q)]
+        tree_rounds = [Round("s", 1, 1, Q)]
     else:
-        per_feature = 2 * Q if method is SplitMethod.HIST else 4
-        tree_rounds = [Round("s", k, per_feature * k)] * d
+        cells = Q if method is SplitMethod.HIST else 2
+        tree_rounds = [Round("s", k, 2**level, cells) for level in range(d)]
 
     rounds = []
     for start, end in config.batches:
         for t in range(start, end):
             if refines and t < config.ih_rounds:
-                rounds.append(Round("c", refined, 2 * Q * refined))
+                rounds.append(Round("c", refined, 1, Q))
             rounds.extend(tree_rounds)
         if method is SplitMethod.TOTALLY_RANDOM:
-            rounds.append(Round("w", end - start, 2 * (end - start) * 2**d))
+            rounds.append(Round("w", end - start, 1, 2**d))
     return rounds
 
 

@@ -10,9 +10,9 @@ before encoding instead, and no central noise is added.
 
 The aggregator keeps the per-record client state (raw scores, gradient pairs,
 current tree node) and one running meter: the list of executed aggregation
-rounds (see ``accounting.Round``). The privacy ledger and the communication
-costs are folds over it, the same folds that turn ``accounting.plan`` into
-their predicted values.
+rounds (``accounting.Round``: the queries, nodes and cells each released).
+The ledger and the communication costs are folds over it, the same folds
+that turn ``accounting.plan`` into their predicted values.
 """
 
 from __future__ import annotations
@@ -227,11 +227,7 @@ class CommLedger:
 
 
 def comm_accounting(config: "TrainConfig") -> CommLedger:
-    """Rounds and payload sizes of the configuration's ``plan``.
-
-    ``per_round_payload`` is the largest split or leaf round; candidate
-    refinement rounds count towards the rounds and the uplink only.
-    """
+    """Rounds and payload sizes of the configuration's ``plan``."""
     return CommLedger.from_rounds(plan(config))
 
 
@@ -272,7 +268,6 @@ class FederatedAggregator:
         self._bins = None
         self._bins_for: SplitCandidateSet | None = None
         self.rounds: list[Round] = []
-        self.coords_released = 0
         self.noise_draws = 0
 
     # ------------------------------------------------------------------
@@ -324,6 +319,8 @@ class FederatedAggregator:
         ``nodes`` (records sit at the current level, below node 2^(level+1)
         - 1): its (g, h) would land in no released cell.
         """
+        if not nodes.size:
+            raise InvalidParameterError("a round must cover at least one node")
         lookup = np.full(max(int(nodes[-1]), 2 ** (self.level + 1) - 2) + 1, -1, dtype=np.int64)
         lookup[nodes] = np.arange(nodes.size)
         pos = lookup.take(self.node)
@@ -354,7 +351,6 @@ class FederatedAggregator:
             out = self.codec.ring_reduce(self._client_grids(cell, n_cells), self.pop.n_clients)
         if self.central_noise:
             out = out + self._noise(out.shape)
-        self.coords_released += out.size
         return out
 
     def _noise(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -383,13 +379,15 @@ class FederatedAggregator:
             yield grid.reshape(end - first, n_cells, 2)
 
     def _round(
-        self, kind: str, queries: int, uplink: int, cells: Iterable[np.ndarray], n_cells: int
+        self, kind: str, queries: int, nodes: int, cells: int, cell_of: Iterable[np.ndarray]
     ) -> np.ndarray:
-        """Meter one aggregation round, then release each query's records
-        binned into ``n_cells`` cells: ``cells`` yields one record-to-cell
-        array per query. Returns the (queries, n_cells, 2) (G, H) sums."""
-        self.rounds.append(Round(kind, queries, uplink))
-        return np.stack([self._release(cell, n_cells) for cell in cells])
+        """Meter ``Round(kind, queries, nodes, cells)``, then release it:
+        ``cell_of`` yields each query's record-to-cell array, cell c of node
+        position p at p * cells + c. Returns the (queries, nodes * cells, 2) sums."""
+        if queries < 1:
+            raise InvalidParameterError(f"a {kind!r} round must release at least one query")
+        self.rounds.append(Round(kind, queries, nodes, cells))
+        return np.stack([self._release(cell, nodes * cells) for cell in cell_of])
 
     def histogram_round(
         self, nodes: Sequence[int], features: Sequence[int], cand_set: SplitCandidateSet, category: str
@@ -398,26 +396,27 @@ class FederatedAggregator:
 
         Every record must sit in one of ``nodes`` (a disjoint level of the
         tree), so each feature's histogram is one privacy query by parallel
-        composition; the round's client message carries 2 Q scalars per
-        feature. Binning is closed-right (see ``bin_index``).
+        composition: Q cells per node. Binning is closed-right (see
+        ``bin_index``). ``category`` is "c" (candidate refinement) or "s".
 
         Returns an (F, nodes, Q, 2) array: features in the order given, nodes
         in ascending order, the (G, H) sums of each bin.
         """
+        if category not in ("c", "s"):
+            raise InvalidParameterError(f"a histogram round is of kind c or s, not {category!r}")
         Q, F = cand_set.q, len(features)
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
         pos = self._positions(nodes) * Q
         bins = self._binned(cand_set)
-        cells = (pos + bins[j] for j in features)
-        sums = self._round(category, F, 2 * Q * F, cells, nodes.size * Q)
+        sums = self._round(category, F, nodes.size, Q, (pos + bins[j] for j in features))
         return sums.reshape(F, nodes.size, Q, 2)
 
     def split_pair_round(
         self, nodes: Sequence[int], proposals: Mapping[int, np.ndarray]
     ) -> np.ndarray:
         """One round of two-sided aggregates, one proposed threshold per node
-        per feature. One privacy query per feature; 4 scalars per feature in
-        the client message.
+        per feature. One privacy query per feature: 2 cells (left, right) per
+        node.
 
         Every record must sit in one of ``nodes``. ``proposals`` maps each
         feature to its thresholds, one per node in ascending node order.
@@ -433,16 +432,21 @@ class FederatedAggregator:
         pos = self._positions(nodes)
         left_cell = pos * 2
         features = self.pop.features
-        cells = (left_cell + (features[:, j] > thr[pos]) for j, thr in zip(proposals, thresholds))
-        return self._round("s", F, 4 * F, cells, nodes.size * 2).reshape(F, nodes.size, 4)
+        cell_of = (left_cell + (features[:, j] > thr[pos]) for j, thr in zip(proposals, thresholds))
+        return self._round("s", F, nodes.size, 2, cell_of).reshape(F, nodes.size, 4)
 
     def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> np.ndarray:
         """One round carrying the leaf vectors of a whole batch of trees.
 
-        Each tree's leaf partition is one privacy query; empty leaves release
-        pure noise, and the client message grows linearly with the batch.
+        Each tree's leaf partition is one privacy query, one node of
+        ``n_leaves`` cells; empty leaves release pure noise, and the client
+        message grows linearly with the batch. Each assignment gives every
+        record an integer leaf in [0, n_leaves).
         Returns a (trees, n_leaves, 2) array of leaf (G, H) sums.
         """
-        trees = len(assignments)
-        cells = (np.asarray(assign, dtype=np.int64) for assign in assignments)
-        return self._round("w", trees, trees * 2 * n_leaves, cells, n_leaves)
+        n, assignments = self.pop.n, [np.asarray(assign) for assign in assignments]
+        for a in assignments:
+            if a.shape != (n,) or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n_leaves:
+                raise InvalidParameterError(f"leaf assignments put {n} records in [0, {n_leaves})")
+        cell_of = (a.astype(np.int64, copy=False) for a in assignments)
+        return self._round("w", len(assignments), 1, n_leaves, cell_of)

@@ -34,6 +34,11 @@ def make_pop(n=32, m=2, seed=0, policy=ONE_RECORD_PER_CLIENT, n_clients=None):
     return partition(ds, n_clients, policy, seed=seed)
 
 
+def released(rounds):
+    """Coordinates the rounds released: a (G, H) pair per cell, node and query."""
+    return sum(2 * r.queries * r.nodes * r.cells for r in rounds)
+
+
 def aggregator(pop, g, h, codec=None, **kwargs):
     agg = FederatedAggregator(pop, codec=codec, **kwargs)
     agg.gh = np.stack([g, h])
@@ -339,10 +344,11 @@ class TestHistogramQuery:
             agg.histogram_round(nodes, [0], cs, "s")
         with pytest.raises(InvalidParameterError, match="cover"):
             agg.split_pair_round(nodes, {0: np.full(len(nodes), 0.5)})
-        assert agg.rounds == [] and agg.coords_released == 0
+        assert agg.rounds == [] and released(agg.rounds) == 0
         # the level's nodes, with or without an extra empty one, are released
         assert agg.histogram_round([1, 2], [0], cs, "s")[0, :, :, 1].sum() == 40 * 0.25
         assert agg.split_pair_round([1, 2, 3], {0: np.full(3, 0.5)}).shape == (1, 3, 4)
+        assert agg.rounds == [d.Round("s", 1, 2, 4), d.Round("s", 1, 3, 2)]
 
 
 class TestLeafQuery:
@@ -738,10 +744,10 @@ class TestAggregatorMeters:
         agg.recompute_gradients(d.UpdateMode.NEWTON)
         cs = d.uniform_candidates(pop.bounds, 4)
         agg.histogram_round([0], [0, 1], cs, "s")
-        assert agg.coords_released == 2 * 4 * 2
-        assert agg.noise_draws == agg.coords_released
+        assert released(agg.rounds) == 2 * 4 * 2
+        assert agg.noise_draws == released(agg.rounds)
         agg.leaf_round([np.zeros(40, dtype=np.int64)], 4)
-        assert agg.noise_draws == agg.coords_released == 16 + 8
+        assert agg.noise_draws == released(agg.rounds) == 16 + 8
 
     def test_ledger_categories(self):
         pop = make_pop(20, 2)
@@ -752,8 +758,53 @@ class TestAggregatorMeters:
         agg.histogram_round([0], [0], cs, "s")
         agg.leaf_round([np.zeros(20, dtype=np.int64)], 2)
         assert d.QueryCounter.from_rounds(agg.rounds).as_tuple() == (2, 1, 1)
-        # (kind, queries, uplink): Q = 4 bins of (g, h) per feature, 2 leaves
-        assert agg.rounds == [d.Round("c", 2, 2 * 2 * 4), d.Round("s", 1, 2 * 4), d.Round("w", 1, 2 * 2)]
+        # (kind, queries, nodes, cells): Q = 4 bins per root histogram, 2 leaves
+        assert agg.rounds == [d.Round("c", 2, 1, 4), d.Round("s", 1, 1, 4), d.Round("w", 1, 1, 2)]
+        assert [r.uplink for r in agg.rounds] == [2 * 2 * 4, 2 * 4, 2 * 2]
+
+    # unchecked, these raise numpy errors (most after metering) or release wrong cells
+    MALFORMED = {
+        "unknown category": lambda agg, cs: agg.histogram_round([0], [0], cs, "x"),
+        "no features": lambda agg, cs: agg.histogram_round([0], [], cs, "s"),
+        "no histogram nodes": lambda agg, cs: agg.histogram_round([], [0], cs, "s"),
+        "no proposals": lambda agg, cs: agg.split_pair_round([0], {}),
+        "no pair nodes": lambda agg, cs: agg.split_pair_round([], {0: []}),
+        "no trees": lambda agg, cs: agg.leaf_round([], 4),
+        "a record in leaf 5 of 4": lambda agg, cs: agg.leaf_round([np.r_[5, np.zeros(19, int)]], 4),
+        "negative leaf": lambda agg, cs: agg.leaf_round([np.full(20, -1)], 4),
+        "second tree out of range": lambda agg, cs: agg.leaf_round(
+            [np.zeros(20, dtype=np.int64), np.full(20, 4)], 4
+        ),
+        "length-1 assignment": lambda agg, cs: agg.leaf_round([np.array([2])], 4),
+        "float assignment": lambda agg, cs: agg.leaf_round([np.zeros(20)], 4),
+    }
+
+    @pytest.mark.parametrize("n_clients", [None, 4], ids=["one-record", "4-shards"])
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_round_is_refused_unmetered(self, n_clients, case):
+        policy = ONE_RECORD_PER_CLIENT if n_clients is None else EQUAL_SHARDS
+        pop = make_pop(20, 2, policy=policy, n_clients=n_clients)
+        agg = FederatedAggregator(pop, noise_std=1.0, noise_seed=3)
+        agg.recompute_gradients(d.UpdateMode.NEWTON)
+        with pytest.raises(InvalidParameterError):
+            self.MALFORMED[case](agg, d.uniform_candidates(pop.bounds, 4))
+        assert agg.rounds == [] and agg.noise_draws == 0
+
+    def test_central_noise_training_draws_one_gaussian_per_released_coordinate(self):
+        ds = d.synthesize(60, 5, 0.2, 0.5, seed=9)
+        pops = (partition(ds, None, ONE_RECORD_PER_CLIENT), partition(ds, 7, EQUAL_SHARDS, seed=1))
+        spy = mock.patch.object(
+            FederatedAggregator, "_noise", autospec=True, side_effect=FederatedAggregator._noise
+        )
+        for pop, name in itertools.product(pops, PRESET_NAMES):
+            cfg = baseline_preset(name, T=12, d=3, Q=8, ih_rounds=3, m=5, seed=1)
+            if cfg.noise_placement is d.NoisePlacement.LOCAL:
+                continue
+            cfg = cfg.replace(budget=d.PrivacyBudget(2.0, 1e-3))
+            with spy as noise:
+                res = train(cfg, pop)
+            drawn = sum(math.prod(call.args[1]) for call in noise.call_args_list)
+            assert drawn == released(res.rounds) > 0, (pop.n_clients, name)
 
     def test_sharded_population_matches_singleton_sums(self):
         ds = d.synthesize(60, 2, 0.0, 0.5, seed=8)
