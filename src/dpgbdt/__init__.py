@@ -15,7 +15,7 @@ from .accounting import (
     gdp_delta,
     plan,
 )
-from .boosting import Ensemble, TrainResult, predict, raw_scores, train
+from .boosting import Ensemble, TrainResult, predict, raw_scores, run_record, train
 from .candidates import (
     SplitCandidateSet,
     iterative_hessian_refine,
@@ -39,7 +39,6 @@ from .harness import (
     auc_roc,
     baseline_preset,
     budget_for,
-    list_presets,
     rank_table,
     run_grid,
     run_single,

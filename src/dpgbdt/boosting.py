@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .candidates import (
 )
 from .config import CandidateMethod, NoisePlacement, TrainConfig
 from .data import check_bounds, json_int, json_keys, json_number, philox
-from .federation import ClientPopulation, FederatedAggregator, FixedPointCodec
+from .federation import ClientPopulation, CommLedger, FederatedAggregator, FixedPointCodec
 from .gradients import (
     UpdateMode,
     batch_ranges,
@@ -57,7 +58,7 @@ from .trees import (
     select_features,
 )
 
-__all__ = ["Ensemble", "TrainResult", "train", "predict", "raw_scores"]
+__all__ = ["Ensemble", "TrainResult", "train", "run_record", "predict", "raw_scores"]
 
 # The keys of the model JSON, exactly those ``Ensemble.to_json_dict`` writes.
 _MODEL_KEYS = {"update_mode", "eta", "batch_size", "bounds", "trees"}
@@ -141,12 +142,6 @@ class TrainResult:
     config: TrainConfig
 
     @property
-    def nonprivate_candidates(self) -> bool:
-        """Whether the split candidates came from the pooled raw feature
-        values (quantile candidates), outside the privacy guarantee."""
-        return self.config.candidate_method is CandidateMethod.QUANTILE
-
-    @property
     def queries(self) -> QueryCounter:
         return QueryCounter.from_rounds(self.rounds)
 
@@ -182,6 +177,45 @@ def _assign_weights(tree: Tree, sums: np.ndarray, config: TrainConfig) -> None:
         tree.leaf_weights[:] = postprocess_weight(raw, config.eta, config.beta)
 
 
+def _noise(config: TrainConfig, queries: QueryCounter) -> tuple[float, float | None]:
+    """The noise multiplier sigma calibrated to ``config.budget`` over
+    ``queries``, and the std sigma * sensitivity of every Gaussian a release
+    adds; (0.0, None) without a budget."""
+    if config.budget is None:
+        return 0.0, None
+    sigma = calibrate_sigma(config.budget, queries)
+    return sigma, sigma * query_sensitivity(config.update_mode)
+
+
+def run_record(config: TrainConfig, rounds: Sequence[Round]) -> dict:
+    """Every claim of a run of ``config`` that executes ``rounds``, flat.
+
+    The config's flat fields with its ``epsilon`` and ``delta``; whether the
+    split candidates read pooled raw feature values (quantile candidates,
+    outside the guarantee); the queries of ``rounds`` by kind, the sigma
+    ``train`` calibrates for them and the noise std it adds (sigma 0.0 and
+    std None without a budget); and the round count, the largest per-round
+    payload and the uplink total (``CommLedger``). Keys shared with the
+    results CSV carry its column names. Given ``accounting.plan(config)`` it
+    is what a run will claim; given ``TrainResult.rounds``, what it did.
+    """
+    queries = QueryCounter.from_rounds(rounds)
+    sigma, noise_std = _noise(config, queries)
+    comm = CommLedger.from_rounds(rounds)
+    return {
+        **config.to_flat_dict(),
+        "nonprivate_candidates": config.candidate_method is CandidateMethod.QUANTILE,
+        "kappa_c": queries.kappa_c,
+        "kappa_s": queries.kappa_s,
+        "kappa_w": queries.kappa_w,
+        "sigma": sigma,
+        "noise_std": noise_std,
+        "comm_rounds": comm.rounds,
+        "per_round_payload": comm.per_round_payload,
+        "comm_uplink_values": comm.uplink_values,
+    }
+
+
 def train(
     config: TrainConfig,
     population: ClientPopulation,
@@ -201,17 +235,12 @@ def train(
             f"config declares m={config.m} but the population has m={population.m}"
         )
 
-    counter = count_queries(config)
-    sigma = 0.0
-    noise_std = None
-    if config.budget is not None:
-        if population.bounds_derived:
-            raise InvalidParameterError(
-                "private training requires declared public feature bounds; "
-                "these bounds were derived from the data"
-            )
-        sigma = calibrate_sigma(config.budget, counter)
-        noise_std = sigma * query_sensitivity(config.update_mode)
+    if config.budget is not None and population.bounds_derived:
+        raise InvalidParameterError(
+            "private training requires declared public feature bounds; "
+            "these bounds were derived from the data"
+        )
+    sigma, noise_std = _noise(config, count_queries(config))
 
     ss_structure, ss_noise = np.random.SeedSequence(config.seed).spawn(2)
     rng = philox(ss_structure)

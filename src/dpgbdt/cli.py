@@ -1,11 +1,15 @@
 """Command-line interface.
 
 Subcommands:
-  train    one configuration -> model JSON plus metrics on stdout
+  train    one configuration -> model JSON, and on stdout the run record
+           of the executed rounds plus the AUCs
   grid     grid spec file -> incremental results CSV (+ summary and sidecar),
            then the average rank of every preset per epsilon
-  presets  list the built-in baseline configurations
-  account  query ledger, calibrated sigma, and communication costs, no training
+  presets  the run record of every built-in baseline, one JSON line each
+  account  the run record of a configuration's plan, no training
+
+A run record (``boosting.run_record``) is the flat config with its budget,
+the query ledger, sigma, the noise std and the communication costs.
 
 Configuration files and grid specs are plain ``key = value`` lines (#
 comments allowed); every TrainConfig field can be set there or by a flag of
@@ -20,15 +24,14 @@ import json
 import math
 import sys
 
-from .accounting import InvalidParameterError, PrivacyBudget, calibrate_sigma, count_queries
+from .accounting import InvalidParameterError, PrivacyBudget, plan
+from .boosting import run_record
 from .config import FLAT_FIELDS, TrainConfig, parse_fields
 from .data import load_csv, train_test_split
-from .federation import SECURE_AGG_ROUND_FACTOR, comm_accounting
-from .gradients import query_sensitivity
 from .harness import (
+    PRESET_NAMES,
     MissingCellError,
     baseline_preset,
-    list_presets,
     parse_dataset,
     rank_table,
     read_results,
@@ -92,17 +95,11 @@ def _cmd_train(args) -> int:
     test_auc, train_auc, result = run_single(cfg, train_set, test_set, epsilon, delta)
     if args.out:
         result.ensemble.save(args.out)
-    metrics = {
-        "sigma": result.sigma,
-        "queries": result.queries.as_tuple(),
-        "comm_rounds": result.comm_rounds,
-        "comm_uplink_values": result.comm_uplink_values,
-        "nonprivate_candidates": result.nonprivate_candidates,
-        "train_auc": train_auc,
-    }
+    record = run_record(result.config, result.rounds)
+    record["train_auc"] = train_auc
     if test_auc is not None:
-        metrics["test_auc"] = test_auc
-    print(json.dumps(metrics, indent=2))
+        record["test_auc"] = test_auc
+    print(json.dumps(record, indent=2))
     return 0
 
 
@@ -139,14 +136,10 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_presets(_args) -> int:
-    for row in list_presets():
-        kappa = row["kappa"]
-        print(
-            f"{row['name']:<36} split={row['split_method']:<5} update={row['update_mode']:<9} "
-            f"candidates={row['candidate_method']:<8} features={row['feature_mode']:<8} "
-            f"k={row['k']:<3} noise={row['noise_placement']:<7} B={row['B']:<4} "
-            f"kappa=(c={kappa[0]}, s={kappa[1]}, w={kappa[2]})"
-        )
+    for name in PRESET_NAMES:
+        # default T and d, over m = 10 features
+        cfg = baseline_preset(name, m=10)
+        print(json.dumps(run_record(cfg, plan(cfg))))
     return 0
 
 
@@ -161,26 +154,7 @@ def _cmd_account(args) -> int:
         raise InvalidParameterError("delta given without epsilon")
     if cfg.m is None:
         raise ValueError("account needs --m (number of features)")
-    counter = count_queries(cfg)
-    out = {
-        "kappa_c": counter.kappa_c,
-        "kappa_s": counter.kappa_s,
-        "kappa_w": counter.kappa_w,
-        "total_queries": counter.total,
-    }
-    if cfg.budget is not None:
-        sigma = calibrate_sigma(cfg.budget, counter)
-        out["sigma"] = sigma
-        out["noise_std"] = sigma * query_sensitivity(cfg.update_mode)
-    ledger = comm_accounting(cfg)
-    out["comm"] = {
-        "rounds": ledger.rounds,
-        "per_round_payload": ledger.per_round_payload,
-        "uplink_values": ledger.uplink_values,
-        "uplink_bytes": ledger.uplink_bytes,
-        "secure_agg_round_factor": SECURE_AGG_ROUND_FACTOR,
-    }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(run_record(cfg, plan(cfg)), indent=2))
     return 0
 
 
@@ -203,11 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--out", required=True)
     p_grid.set_defaults(func=_cmd_grid)
 
-    p_presets = sub.add_parser("presets", help="list baseline presets")
+    p_presets = sub.add_parser("presets", help="the run record of every baseline preset")
     p_presets.set_defaults(func=_cmd_presets)
 
     p_account = sub.add_parser(
-        "account", help="query counts, calibrated sigma, and comm costs for a config"
+        "account", help="the run record of a config's plan: queries, sigma, comm costs"
     )
     _add_config_flags(p_account)
     p_account.set_defaults(func=_cmd_account)

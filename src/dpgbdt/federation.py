@@ -204,7 +204,7 @@ class CommLedger:
     aggregation round; ``uplink_values`` totals the whole run, and every
     scalar is one 8-byte word of the 2^64 ring (``uplink_bytes``). Secure
     aggregation itself multiplies network round trips by
-    ``SECURE_AGG_ROUND_FACTOR``; it is reported, not simulated.
+    ``SECURE_AGG_ROUND_FACTOR``, a stated constant, not simulated.
     """
 
     rounds: int
@@ -298,8 +298,8 @@ class FederatedAggregator:
 
     def nonprivate_feature_column(self, j: int) -> np.ndarray:
         """Pooled raw values of one feature, sorted. Explicitly NOT private:
-        quantile candidates read it, and ``TrainResult.nonprivate_candidates``
-        reports such runs as partially non-private."""
+        quantile candidates read it, and the run record
+        (``boosting.run_record``) reports such runs as partially non-private."""
         return np.sort(self.pop.features[:, j])
 
     def _binned(self, cand_set: SplitCandidateSet) -> np.ndarray:
@@ -315,13 +315,20 @@ class FederatedAggregator:
     def _positions(self, nodes: np.ndarray) -> np.ndarray:
         """Index of each record's node within the sorted ``nodes``.
 
-        Raises InvalidParameterError when some record sits in none of
-        ``nodes`` (records sit at the current level, below node 2^(level+1)
-        - 1): its (g, h) would land in no released cell.
+        Raises InvalidParameterError unless ``nodes`` are distinct nodes of
+        the current level, 2^level - 1 to 2^(level+1) - 2, where every
+        record sits: a repeated or foreign node would release an extra row.
+        It raises too when some record sits in none of ``nodes``: its (g, h)
+        would land in no released cell.
         """
         if not nodes.size:
             raise InvalidParameterError("a round must cover at least one node")
-        lookup = np.full(max(int(nodes[-1]), 2 ** (self.level + 1) - 2) + 1, -1, dtype=np.int64)
+        end = 2 ** (self.level + 1) - 1  # one past the level's last node
+        if nodes[0] < end // 2 or nodes[-1] >= end or (nodes[1:] == nodes[:-1]).any():
+            raise InvalidParameterError(
+                f"nodes {nodes.tolist()} are not distinct nodes of level {self.level}"
+            )
+        lookup = np.full(end, -1, dtype=np.int64)
         lookup[nodes] = np.arange(nodes.size)
         pos = lookup.take(self.node)
         if pos.min(initial=0) < 0:
@@ -378,6 +385,12 @@ class FederatedAggregator:
                 grid[hit] += self._noise((hit.size, 2))
             yield grid.reshape(end - first, n_cells, 2)
 
+    def _check_features(self, features: Iterable[int]) -> None:
+        """Raise InvalidParameterError unless every feature is in [0, m)."""
+        m = self.pop.m
+        if any(not 0 <= j < m for j in features):
+            raise InvalidParameterError(f"features {list(features)} are not all in [0, {m})")
+
     def _round(
         self, kind: str, queries: int, nodes: int, cells: int, cell_of: Iterable[np.ndarray]
     ) -> np.ndarray:
@@ -405,6 +418,7 @@ class FederatedAggregator:
         if category not in ("c", "s"):
             raise InvalidParameterError(f"a histogram round is of kind c or s, not {category!r}")
         Q, F = cand_set.q, len(features)
+        self._check_features(features)
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
         pos = self._positions(nodes) * Q
         bins = self._binned(cand_set)
@@ -429,6 +443,7 @@ class FederatedAggregator:
         if any(thr.shape != nodes.shape for thr in thresholds):
             raise InvalidParameterError("every feature must propose one threshold per node")
         F = len(proposals)
+        self._check_features(proposals)
         pos = self._positions(nodes)
         left_cell = pos * 2
         features = self.pop.features

@@ -22,8 +22,10 @@ equivalent to T_outer full feature cycles uses T = T_outer * m.
 ``run_single`` is the one train-and-evaluate step (budget, one record per
 client, train, AUCs); the CLI and the grid both call it. A grid cell's
 outcome is an ``ExperimentResult``, whose fields are the results-CSV columns
-in order; ``read_results`` is the one reader of that file, for resuming, the
-summary and the rank table alike.
+in order; its claim columns (epsilon, sigma, the ledger, the comm counters
+and ``nonprivate_candidates``) are copied from the run's
+``boosting.run_record``. ``read_results`` is the one reader of that file,
+for resuming, the summary and the rank table alike.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import InvalidParameterError, PrivacyBudget, count_queries
-from .boosting import TrainResult, predict, train
+from .accounting import InvalidParameterError, PrivacyBudget
+from .boosting import TrainResult, predict, run_record, train
 from .config import CandidateMethod, NoisePlacement, TrainConfig, field_types, parse_value
 from .data import Dataset, load_csv, synthesize, train_test_split
 from .federation import ONE_RECORD_PER_CLIENT, partition
@@ -55,7 +57,6 @@ __all__ = [
     "budget_for",
     "PRESET_NAMES",
     "baseline_preset",
-    "list_presets",
     "ExperimentResult",
     "read_results",
     "parse_dataset",
@@ -161,29 +162,6 @@ def baseline_preset(preset: str, /, **fields) -> TrainConfig:
     if fraction is not None and "B" not in fields:
         config = config.replace(B=max(1, min(config.T, round(fraction * config.T))))
     return config
-
-
-def list_presets(T: int = 100, m: int = 10, d: int = 4) -> list[dict]:
-    """Name, component summary, and query-count formula of every preset."""
-    rows = []
-    for name in PRESET_NAMES:
-        cfg = baseline_preset(name, T=T, d=d, m=m)
-        kappa = count_queries(cfg)
-        rows.append(
-            {
-                "name": name,
-                "split_method": cfg.split_method.value,
-                "update_mode": cfg.update_mode.value,
-                "candidate_method": cfg.candidate_method.value,
-                "feature_mode": cfg.feature_mode.value,
-                "k": cfg.resolved_k(),
-                "noise_placement": cfg.noise_placement.value,
-                "B": cfg.B,
-                "kappa": kappa.as_tuple(),
-                "total_queries": kappa.total,
-            }
-        )
-    return rows
 
 
 @dataclass
@@ -413,18 +391,12 @@ def _run_cell(cid, cfg, dataset_name, dataset, epsilon, split_seed, rep, test_fr
         pair = train_test_split(dataset, 1.0 - test_fraction, seed=split_seed)
         run_cfg = cfg.replace(seed=_derive_seed(split_seed, rep), budget=None)
         test_auc, train_auc, outcome = run_single(run_cfg, pair.train, pair.test, epsilon)
-        kappa_c, kappa_s, kappa_w = outcome.queries.as_tuple()
+        record = run_record(outcome.config, outcome.rounds)
+        claims = {name: record[name] for name in RESULT_COLUMNS if name in record}
         return ExperimentResult(
-            **cell,
+            **{**cell, **claims},
             test_auc=test_auc,
             train_auc=train_auc,
-            sigma=outcome.sigma,
-            kappa_c=kappa_c,
-            kappa_s=kappa_s,
-            kappa_w=kappa_w,
-            comm_rounds=outcome.comm_rounds,
-            comm_uplink_values=outcome.comm_uplink_values,
-            nonprivate_candidates=outcome.nonprivate_candidates,
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # isolate the cell; the grid continues

@@ -15,7 +15,7 @@ from dpgbdt.boosting import raw_scores
 from dpgbdt.data import philox
 from dpgbdt.federation import EQUAL_SHARDS, ONE_RECORD_PER_CLIENT, FederatedAggregator, partition
 from dpgbdt.gradients import update_scores
-from dpgbdt.harness import PRESET_NAMES, baseline_preset, list_presets
+from dpgbdt.harness import PRESET_NAMES, baseline_preset
 from dpgbdt.trees import grow_tree_totally_random
 
 from oracles import logistic, rf_average_prediction, stacked_average, stacked_update_scores
@@ -150,9 +150,9 @@ class TestTrain:
             T=2, d=1, Q=4, candidate_method=d.CandidateMethod.QUANTILE, seed=0
         )
         res = d.train(cfg, pop)
-        assert res.nonprivate_candidates
+        assert d.run_record(res.config, res.rounds)["nonprivate_candidates"] is True
         res2 = d.train(d.TrainConfig(T=2, d=1, Q=4, seed=0), pop)
-        assert not res2.nonprivate_candidates
+        assert d.run_record(res2.config, res2.rounds)["nonprivate_candidates"] is False
 
 
 class TestLedgerConservation:
@@ -581,7 +581,8 @@ class TestEnsembleSerialization:
         # an averaging config says B = T wherever it is read, whatever B it was given
         assert cfg.B == cfg.to_flat_dict()["B"] == 5
         assert cfg.replace(T=3).B == 3
-        assert {row["name"]: row["B"] for row in list_presets(T=5)}["DP-RF"] == 5
+        rf = baseline_preset("DP-RF", T=5, m=3)
+        assert d.run_record(rf, d.plan(rf))["B"] == 5
         ensemble = d.train(cfg, pop).ensemble
         payload = ensemble.to_json_dict()
         assert payload["batch_size"] == 5

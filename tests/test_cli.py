@@ -41,7 +41,7 @@ class TestTrainCommand:
         )
         assert code == 0
         metrics = json.loads(capsys.readouterr().out)
-        assert metrics["queries"] == [0, 0, 5]
+        assert (metrics["kappa_c"], metrics["kappa_s"], metrics["kappa_w"]) == (0, 0, 5)
         assert metrics["sigma"] > 0
         assert "test_auc" in metrics
         ens = d.Ensemble.load(model_path)
@@ -64,7 +64,8 @@ class TestTrainCommand:
         assert code == 0
         metrics = json.loads(capsys.readouterr().out)
         # hist from file, T overridden by the flag: kappa_s = T*m*d = 6*3*2
-        assert metrics["queries"] == [0, 36, 0]
+        assert (metrics["kappa_c"], metrics["kappa_s"], metrics["kappa_w"]) == (0, 36, 0)
+        assert (metrics["split_method"], metrics["T"]) == ("hist", 6)
 
     def test_unknown_config_key_fails_with_json_error(self, csv_dataset, tmp_path, capsys):
         path, bounds = csv_dataset
@@ -112,7 +113,7 @@ class TestAccountCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["kappa_c"], out["kappa_s"], out["kappa_w"]) == (50, 0, 100)
-        assert out["comm"]["rounds"] == 105
+        assert out["comm_rounds"] == 105
         assert out["sigma"] > 0
 
     def test_epsilon_needs_delta(self, capsys):
@@ -135,15 +136,45 @@ class TestAccountCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["kappa_w"] == 30
         # preset default is B = 1 (30 leaf rounds); the explicit flag wins
-        assert out["comm"]["rounds"] == 3
+        assert out["comm_rounds"] == 3 and out["B"] == 10
+
+
+    def test_quantile_candidates_are_flagged_nonprivate(self, capsys):
+        argv = ["account", "--m", "3", "--candidate_method", "quantile", "--epsilon", "1"]
+        assert main([*argv, "--delta", "1e-5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["nonprivate_candidates"] is True and out["sigma"] > 0
 
 
 class TestPresetsCommand:
-    def test_lists_all(self, capsys):
+    def test_prints_the_record_of_every_preset(self, capsys):
         assert main(["presets"]) == 0
-        out = capsys.readouterr().out
-        for name in ("DP-EBM", "FEVERLESS", "DP-RF", "LDP"):
-            assert name in out
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["name"] for r in records] == list(PRESET_NAMES)
+        for r in records:
+            cfg = d.baseline_preset(r["name"], m=10)
+            assert r == d.run_record(cfg, d.plan(cfg))
+            assert (r["T"], r["d"], r["m"], r["sigma"], r["noise_std"]) == (100, 4, 10, 0.0, None)
+
+
+def test_train_prints_the_record_account_derives(csv_dataset, capsys):
+    """``train`` and ``account`` print one record for one private config,
+    ``account`` given the m and delta = 1/n_train ``train`` reads off the data."""
+    path, bounds = csv_dataset
+    n_train = d.train_test_split(d.load_csv(path, "y"), 0.7, seed=0).train.n
+    config = ["--preset", "DP-TR-Batch-Newton-IH-EBM(p=0.25)", "--T", "8", "--d", "2", "--Q", "4"]
+    argv = ["train", "--data", str(path), "--label-column", "y", "--bounds", bounds]
+    assert main([*argv, *config, "--epsilon", "1"]) == 0
+    trained = json.loads(capsys.readouterr().out)
+    argv = ["account", *config, "--m", "3", "--epsilon", "1", "--delta", repr(1 / n_train)]
+    assert main(argv) == 0
+    accounted = json.loads(capsys.readouterr().out)
+    assert trained.pop("train_auc") > 0.5 and "test_auc" in trained
+    del trained["test_auc"]
+    assert trained == accounted
+    # 5 refinement rounds over all 3 features, then one leaf query per tree
+    assert (accounted["delta"], accounted["kappa_c"], accounted["kappa_w"]) == (1 / n_train, 15, 8)
 
 
 def printed_ranks(out: str) -> dict:
@@ -331,8 +362,8 @@ class TestGridCommand:
 
 
 # `dpgbdt account --preset <name> --m 10 --T 100 --epsilon 1 --delta 1e-5`:
-# (kappa_c, kappa_s, kappa_w), sigma, noise_std and (rounds,
-# per_round_payload, uplink_values) of the full JSON output.
+# (kappa_c, kappa_s, kappa_w), sigma, noise_std and (comm_rounds,
+# per_round_payload, comm_uplink_values) of the run record it prints.
 SIGMA_100, SIGMA_150, SIGMA_4000 = 37.30631634815949, 45.690719617920415, 235.9458615419175
 ACCOUNT_JSON = {
     "DP-EBM": ((0, 0, 100), SIGMA_100, 52.75909854174827, (100, 32, 3200)),
@@ -362,20 +393,18 @@ def test_account_json_pinned_for_every_preset(name, capsys):
     argv = ["account", "--preset", name, "--m", "10", "--T", "100", "--epsilon", "1", "--delta", "1e-5"]
     assert main(argv) == 0
     (c, s, w), sigma, noise_std, (rounds, payload, uplink) = ACCOUNT_JSON[name]
+    flat = d.baseline_preset(name, m=10, T=100, budget=d.PrivacyBudget(1.0, 1e-5)).to_flat_dict()
     assert json.loads(capsys.readouterr().out) == {
+        **json.loads(json.dumps(flat)),
+        "nonprivate_candidates": False,
         "kappa_c": c,
         "kappa_s": s,
         "kappa_w": w,
-        "total_queries": c + s + w,
         "sigma": sigma,
         "noise_std": noise_std,
-        "comm": {
-            "rounds": rounds,
-            "per_round_payload": payload,
-            "uplink_values": uplink,
-            "uplink_bytes": 8 * uplink,
-            "secure_agg_round_factor": 3,
-        },
+        "comm_rounds": rounds,
+        "per_round_payload": payload,
+        "comm_uplink_values": uplink,
     }
 
 

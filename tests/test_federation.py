@@ -340,15 +340,16 @@ class TestHistogramQuery:
         agg.apply_splits(np.array([0]), np.array([0.5]))
         assert set(agg.node.tolist()) == {1, 2}
         cs = d.uniform_candidates(pop.bounds, 4)
-        with pytest.raises(InvalidParameterError, match="cover"):
+        # "not distinct nodes of level 1" or "do not cover ... at level 1"
+        with pytest.raises(InvalidParameterError, match="level 1"):
             agg.histogram_round(nodes, [0], cs, "s")
-        with pytest.raises(InvalidParameterError, match="cover"):
+        with pytest.raises(InvalidParameterError, match="level 1"):
             agg.split_pair_round(nodes, {0: np.full(len(nodes), 0.5)})
         assert agg.rounds == [] and released(agg.rounds) == 0
-        # the level's nodes, with or without an extra empty one, are released
+        # the level's nodes are released
         assert agg.histogram_round([1, 2], [0], cs, "s")[0, :, :, 1].sum() == 40 * 0.25
-        assert agg.split_pair_round([1, 2, 3], {0: np.full(3, 0.5)}).shape == (1, 3, 4)
-        assert agg.rounds == [d.Round("s", 1, 2, 4), d.Round("s", 1, 3, 2)]
+        assert agg.split_pair_round([1, 2], {0: np.full(2, 0.5)}).shape == (1, 2, 4)
+        assert agg.rounds == [d.Round("s", 1, 2, 4), d.Round("s", 1, 2, 2)]
 
 
 class TestLeafQuery:
@@ -400,6 +401,13 @@ class TestLdp:
         assert np.allclose(a, b)
 
 
+def one_level(agg):
+    """``agg`` once its records have descended one level, to nodes 1 and 2."""
+    agg.begin_tree()
+    agg.apply_splits(np.array([0]), np.array([0.5]))
+    return agg
+
+
 def grid_population(sizes, m, rng):
     """Clients of the given shard sizes over features on a 1/20 grid, so
     that records land exactly on thresholds drawn from the same grid."""
@@ -424,7 +432,8 @@ class TestClientDataPlane:
         pop = grid_population(sizes, m, rng)
         codec = FixedPointCodec(precision_bits=precision)
         g, h = rng.normal(0, 1, pop.n), rng.random(pop.n)
-        nodes = sorted(int(v) for v in rng.choice(15, size=int(rng.integers(1, 5)), replace=False))
+        # some of the 8 nodes of level 3, heap ids 7 to 14
+        nodes = sorted(7 + int(v) for v in rng.choice(8, size=int(rng.integers(1, 5)), replace=False))
         node_of_record = rng.choice(nodes, size=pop.n)
         pos = [nodes.index(nid) for nid in node_of_record]
         grid = np.arange(1, 20) / 20
@@ -434,7 +443,7 @@ class TestClientDataPlane:
         proposals = {j: np.array([rng.choice(grid) for _ in nodes]) for j in range(m)}
 
         agg = aggregator(pop, g, h, codec)
-        agg.node = node_of_record
+        agg.node, agg.level = node_of_record, 3
         with mock.patch.object(federation, "GROUP_GRID_CELLS", grid_cap):
             hist = agg.histogram_round(nodes, range(m), cs, "s")
             pairs = agg.split_pair_round(nodes, proposals)
@@ -777,6 +786,16 @@ class TestAggregatorMeters:
         ),
         "length-1 assignment": lambda agg, cs: agg.leaf_round([np.array([2])], 4),
         "float assignment": lambda agg, cs: agg.leaf_round([np.zeros(20)], 4),
+        "feature 5 of 2": lambda agg, cs: one_level(agg).histogram_round([1, 2], [5], cs, "s"),
+        "feature -1": lambda agg, cs: one_level(agg).histogram_round([1, 2], [-1], cs, "s"),
+        "pair feature 7 of 2": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {7: [0.5, 0.5]}
+        ),
+        "duplicate node": lambda agg, cs: one_level(agg).histogram_round([1, 1, 2], [0], cs, "s"),
+        "negative node": lambda agg, cs: one_level(agg).histogram_round([-1, 1, 2], [0], cs, "s"),
+        "node of the next level": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2, 3], {0: [0.5, 0.5, 0.5]}
+        ),
     }
 
     @pytest.mark.parametrize("n_clients", [None, 4], ids=["one-record", "4-shards"])

@@ -7,7 +7,8 @@ unchanged behaviour must leave every digest here unchanged; a change that
 alters outputs on purpose updates the table and says so in the changelog.
 
 Regenerate the table with ``python tests/test_golden.py``; list, per row,
-the components that differ from the table with ``python tests/test_golden.py --diff``.
+the components that differ from the table with ``python tests/test_golden.py --diff``,
+which exits 1 when any row's component moved and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -139,13 +140,16 @@ def test_digest_unchanged(population, label):
 
 if __name__ == "__main__":
     diff = sys.argv[1:] == ["--diff"]
+    any_moved = False
     for population in POPULATIONS:
         for label, _, _ in VARIANTS:
             got = run_digests(population, label)
             if diff:
                 expected = dict(zip(COMPONENTS, GOLDEN[(population, label)]))
                 moved = [name for name in COMPONENTS if got[name] != expected[name]]
+                any_moved = any_moved or bool(moved)
                 print(f"{population} {label}: {' '.join(moved) or '-'}")
             else:
                 print(f'    ("{population}", "{label}"):')
                 print(f"        ({', '.join(json.dumps(got[name]) for name in COMPONENTS)}),")
+    sys.exit(1 if any_moved else 0)

@@ -191,9 +191,14 @@ class TestPresets:
                 else:
                     assert counter.as_tuple() == (0, 0, T), name
 
-    def test_list_presets_covers_all(self):
-        rows = d.list_presets()
-        assert {r["name"] for r in rows} == set(PRESET_NAMES)
+    @staticmethod
+    def records(**fields) -> dict[str, dict]:
+        """Preset name -> the run record of its plan."""
+        configs = {name: d.baseline_preset(name, **fields) for name in PRESET_NAMES}
+        return {name: d.run_record(cfg, d.plan(cfg)) for name, cfg in configs.items()}
+
+    def test_every_preset_has_a_record_under_its_name(self):
+        assert [r["name"] for r in self.records(m=10).values()] == list(PRESET_NAMES)
 
     # README's preset table: split, update, candidates, feature mode, k (m = 10),
     # noise placement and B at T = 40. Most presets take these from TrainConfig
@@ -212,11 +217,12 @@ class TestPresets:
     }
 
     def test_components_match_table(self):
-        keys = (
-            "split_method", "update_mode", "candidate_method", "feature_mode", "k",
-            "noise_placement", "B",
-        )
-        rows = {row["name"]: tuple(row[key] for key in keys) for row in d.list_presets(T=40)}
+        keys = ("split_method", "update_mode", "candidate_method", "feature_mode")
+        rows = {
+            name: (*(r[key] for key in keys), r["m"] if r["k"] is None else r["k"],
+                   r["noise_placement"], r["B"])
+            for name, r in self.records(T=40, m=10).items()
+        }
         assert rows == self.COMPONENTS
 
 
