@@ -64,17 +64,19 @@ def descend(
     its split picks.
 
     Node i sends a row to 2i + 1 when x[feature[i]] <= threshold[i], else to
-    2i + 2. Each of the level's 2^level nodes compares its feature column
-    once (contiguous when X is feature-major); every row then picks its
-    node's outcome with one flat gather. This is the only routing step:
-    ``Tree.route`` applies it d times, and clients apply it once per
-    announced level.
+    2i + 2 (so NaN goes right). Each of the level's 2^level nodes compares
+    its feature column once (contiguous when X is feature-major) and ORs the
+    outcome of its own rows into one left mask. Node ids come back in the
+    narrowest unsigned dtype that holds the deepest heap id 2^(d+1) - 2 (one
+    byte up to d = 7). This is the only routing step: ``Tree.route`` applies
+    it d times, and clients apply it once per announced level.
     """
-    first, n = 2**level - 1, X.shape[0]
-    left = np.empty((first + 1, n), dtype=bool)
-    for i in range(first + 1):
-        np.less_equal(X[:, feature[first + i]], threshold[first + i], out=left[i])
-    return 2 * node + 2 - left.ravel()[(node - first) * n + np.arange(n)]
+    first = 2**level - 1
+    node = node.astype(np.min_scalar_type(2 * feature.size), copy=False)
+    left = np.zeros(X.shape[0], dtype=bool)
+    for i in range(first, 2 * first + 1):
+        left |= (node == i) & (X[:, feature[i]] <= threshold[i])
+    return 2 * node + 2 - left
 
 
 @dataclass
@@ -112,7 +114,7 @@ class Tree:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("route expects an n x m matrix")
-        node = np.zeros(X.shape[0], dtype=np.int64)
+        node = np.zeros(X.shape[0], dtype=np.min_scalar_type(2 * self.feature.size))
         for level in range(self.max_depth):
             node = descend(X, node, level, self.feature, self.threshold)
         return node - self.feature.size
@@ -146,16 +148,16 @@ class Tree:
         return cls(feature, threshold, weights)
 
 
-def _preorder(depth: int):
+def _preorder(depth: int) -> np.ndarray:
     """Internal heap ids of a depth-``depth`` tree in pre-order (node, left
     subtree, right subtree): the order the random builders draw in."""
-    n_internal = 2 ** depth - 1
-    stack = [0]
+    n_internal, order, stack = 2 ** depth - 1, [], [0]
     while stack:
         heap = stack.pop()
         if heap < n_internal:
-            yield heap
+            order.append(heap)
             stack += [2 * heap + 2, 2 * heap + 1]
+    return np.array(order, dtype=np.int64)
 
 
 def split_score(GL, HL, GR, HR, lam: float, gamma: float):
@@ -173,10 +175,13 @@ def split_score(GL, HL, GR, HR, lam: float, gamma: float):
     hl = np.maximum(HL, 0.0)
     hr = np.maximum(HR, 0.0)
     with np.errstate(all="ignore"):
-        left = np.where(hl + lam > 0, GL * GL / (hl + lam), np.where(GL == 0, 0.0, np.inf))
-        right = np.where(hr + lam > 0, GR * GR / (hr + lam), np.where(GR == 0, 0.0, np.inf))
         denom = hl + hr + lam
-        parent = np.where(denom > 0, (GL + GR) ** 2 / denom, 0.0)
+        if lam > 0:  # every denominator is positive
+            left, right, parent = GL * GL / (hl + lam), GR * GR / (hr + lam), (GL + GR) ** 2 / denom
+        else:
+            left = np.where(hl + lam > 0, GL * GL / (hl + lam), np.where(GL == 0, 0.0, np.inf))
+            right = np.where(hr + lam > 0, GR * GR / (hr + lam), np.where(GR == 0, 0.0, np.inf))
+            parent = np.where(denom > 0, (GL + GR) ** 2 / denom, 0.0)
         # fmax(nan, -inf) is -inf and fmax(x, -inf) is x for every other x
         return np.fmax(0.5 * (left + right - parent) - gamma, -np.inf)
 
@@ -248,19 +253,20 @@ def grow_tree_totally_random(
 ) -> Tree:
     """Draw the whole structure from the RNG; no data access at all.
 
-    Each internal node draws its feature, then its candidate, in pre-order.
-    Leaf weights stay zero until the batch's leaf round. Given ``agg``, its
-    clients then descend the tree, leaving ``agg.node`` at the leaves.
+    Each internal node draws its feature, then its candidate, in pre-order;
+    one array draw yields the values, and leaves the stream in the state, of
+    those scalar draws. Leaf weights stay zero until the batch's leaf round.
+    Given ``agg``, its clients then descend the tree, leaving ``agg.node`` at
+    the leaves.
     """
-    feats = sorted(feature_subset)
-    if not feats:
+    feats = np.array(sorted(feature_subset), dtype=np.int64)
+    if not feats.size:
         raise InvalidParameterError("feature subset must be non-empty")
     tree = Tree.zeros(depth)
-    for heap in _preorder(depth):
-        j = feats[int(rng.integers(len(feats)))]
-        c = int(rng.integers(cand_set.q))
-        tree.feature[heap] = j
-        tree.threshold[heap] = cand_set.per_feature[j][c]
+    order = _preorder(depth)
+    f, c = rng.integers(np.tile([feats.size, cand_set.q], order.size)).reshape(-1, 2).T
+    tree.feature[order] = feats[f]
+    tree.threshold[order] = np.array(cand_set.per_feature)[feats[f], c]
     if agg is not None:
         agg.begin_tree()
         for _ in range(depth):
@@ -337,8 +343,7 @@ def grow_tree(
             offered = np.arange(Q)  # every candidate, at every node
         else:  # one candidate per node, drawn in pre-order
             offered = np.zeros((tree.feature.size, 1), dtype=np.int64)
-            for heap in _preorder(depth):
-                offered[heap] = rng.integers(Q)
+            offered[_preorder(depth), 0] = rng.integers(Q, size=tree.feature.size)
     for level in range(depth):
         nodes = np.arange(2**level - 1, 2 ** (level + 1) - 1)
         if single:
@@ -359,9 +364,8 @@ def grow_tree(
             sides = [side.reshape(nodes.size, -1) for side in sides]  # offer f * Q + c
             thr = routing
         else:
-            thr = np.array(
-                [[cand_set.per_feature[j][rng.integers(Q)] for _ in nodes] for j in feats]
-            )
+            drawn = rng.integers(Q, size=(len(feats), nodes.size))  # feature by feature
+            thr = np.take_along_axis(np.array([cand_set.per_feature[j] for j in feats]), drawn, 1)
             sides = agg.split_pair_round(nodes, dict(zip(feats, thr))).T  # (4, nodes, F)
             thr = thr.T
         best = split_score(*sides, lam, gamma).argmax(axis=1)

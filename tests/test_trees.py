@@ -241,6 +241,22 @@ class TestSelectFeatures:
             d.select_features("cyclical", 6, 0, 5, philox(0))
 
 
+@pytest.mark.parametrize("F, q", [(1, 32), (3, 1), (2, 2), (10, 32), (7, 1000)])
+def test_array_draws_equal_the_scalar_draw_sequence(F, q):
+    # the random builders draw a tree's structure in one call each; they rely
+    # on numpy's bounded integers giving the values, and leaving the stream
+    # in the state, of one scalar call per value (a range of 1 draws nothing)
+    n = 15
+    scalar, array = philox(11), philox(11)
+    want = [int(scalar.integers(high)) for _ in range(n) for high in (F, q)]
+    got = array.integers(np.tile([F, q], n)).tolist()
+    assert got == want, "numpy's integers(high array) no longer matches its scalar draws"
+    want = [[int(scalar.integers(q)) for _ in range(4)] for _ in range(F)]
+    got = array.integers(q, size=(F, 4)).tolist()
+    assert got == want, "numpy's integers(q, size) no longer matches its scalar draws"
+    assert array.integers(2**40) == scalar.integers(2**40), "the streams diverged"
+
+
 class TestTotallyRandom:
     def test_structure_is_data_independent(self):
         cs = d.uniform_candidates([(0.0, 1.0), (0.0, 1.0)], 8)
@@ -255,6 +271,16 @@ class TestTotallyRandom:
         assert len(payload["feature"]) == len(payload["threshold"]) == 1
         assert len(payload["leaf_weights"]) == 2
         assert tree.max_depth == 1 and tree.n_leaves == 2
+
+    @pytest.mark.parametrize("feats", [[3], [0, 4], [0, 1, 2, 3, 4]])
+    def test_structure_is_the_scalar_preorder_draws(self, feats):
+        cs = d.uniform_candidates([(0.0, 1.0)] * 5, 6)
+        tree = grow_tree_totally_random(philox(8), feats, cs, 4)
+        draws = philox(8)
+        for heap in preorder(4):
+            j = feats[int(draws.integers(len(feats)))]
+            assert tree.feature[heap] == j
+            assert tree.threshold[heap] == cs.per_feature[j][int(draws.integers(6))]
 
     def test_respects_feature_subset(self):
         cs = d.uniform_candidates([(0.0, 1.0)] * 5, 4)
@@ -544,8 +570,10 @@ class TestTreeSerialization:
     GRID = np.arange(11) / 10
 
     def random_tree_and_rows(self, depth, m, seed):
-        """A random complete tree and 40 rows as (C-ordered X, its feature-major
-        copy, column-sliced view of a wider matrix), all equal in value."""
+        """A random complete tree and 40 rows plus one row per internal node
+        that sits on its threshold in every feature, as (C-ordered X, its
+        feature-major copy, column-sliced view of a wider matrix), all equal
+        in value."""
         rng = philox(seed)
         n_internal = 2 ** depth - 1
         tree = d.Tree(
@@ -553,11 +581,13 @@ class TestTreeSerialization:
             rng.choice(self.GRID, n_internal),
             rng.normal(0, 1, n_internal + 1),
         )
-        wide = rng.choice(self.GRID, size=(40, 2 * m))
+        on_threshold = np.repeat(tree.threshold[:, None], 2 * m, axis=1)
+        wide = np.vstack([rng.choice(self.GRID, size=(40, 2 * m)), on_threshold])
         X = np.ascontiguousarray(wide[:, ::2])
         return tree, (X, np.asfortranarray(X), wide[:, ::2])
 
-    @given(depth=st.integers(0, 6), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    # node ids are one byte up to d = 7 and two at d = 8 and 9
+    @given(depth=st.integers(0, 9), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_complete_trees_round_trip_and_route_like_oracle(self, depth, m, seed):
         tree, layouts = self.random_tree_and_rows(depth, m, seed)
@@ -565,6 +595,7 @@ class TestTreeSerialization:
         back = d.Tree.from_dict(payload)
         assert back.to_dict() == payload and back.max_depth == depth
         oracle = [route_tree_dict(payload, x) for x in layouts[0]]
+        assert tree.route(layouts[0]).dtype == (np.uint8 if depth < 8 else np.uint16)
         for X in layouts:
             assert tree.leaf_weights[tree.route(X)].tolist() == oracle
             assert back.leaf_weights[back.route(X)].tolist() == oracle
@@ -612,5 +643,22 @@ class TestTreeSerialization:
 
     def test_routing_splits_on_threshold(self):
         tree = d.Tree(np.array([0]), np.array([0.5]), np.zeros(2))
-        out = tree.route(np.array([[0.5], [0.51]]))
-        assert list(out) == [0, 1]
+        out = tree.route(np.array([[0.5], [0.51], [np.nan]]))
+        assert list(out) == [0, 1, 1]
+
+    def test_depth_eight_client_descent_feeds_a_leaf_round(self):
+        # heap ids reach 510 at d = 8, past one byte
+        tree, (X, _, _) = self.random_tree_and_rows(8, 3, seed=8)
+        pop = ClientPopulation(
+            X, np.zeros(len(X)), ((0.0, 1.0),) * 3, client_sizes=np.ones(len(X), dtype=np.int64)
+        )
+        agg = FederatedAggregator(pop)
+        agg.recompute_gradients(d.UpdateMode.NEWTON)
+        agg.begin_tree()
+        for _ in range(8):
+            agg.apply_splits(tree.feature, tree.threshold)
+        assert agg.node.dtype == np.uint16 and agg.node.max() > 255
+        leaves = agg.node - tree.feature.size
+        assert np.array_equal(leaves, tree.route(X))
+        sums = agg.leaf_round([leaves], tree.n_leaves)
+        assert np.array_equal(sums[0, :, 1], 0.25 * np.bincount(leaves, minlength=256))
