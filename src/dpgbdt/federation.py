@@ -71,8 +71,8 @@ class FixedPointCodec:
         return 1 << self.precision_bits
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        fixed = np.rint(np.asarray(values, dtype=float) * self.scale).astype(np.int64)
-        return fixed.view(np.uint64)  # two's complement: the same bits as a cast
+        fixed = np.asarray(values, dtype=float) * self.scale  # rounded in place
+        return np.rint(fixed, out=fixed).astype(np.int64).view(np.uint64)  # two's complement
 
     def decode(self, ring_values: np.ndarray) -> np.ndarray:
         signed = np.asarray(ring_values, dtype=np.uint64).astype(np.int64)
@@ -262,7 +262,7 @@ class FederatedAggregator:
         self._rng = philox(noise_seed if noise_seed is not None else 0)
         n = population.n
         self.raw_scores = np.zeros(n)
-        self.gh = np.stack([np.zeros(n), np.ones(n)])
+        self.gh = np.stack([np.zeros(n), np.ones(n)], axis=1).T  # record-major, as mode_gradients
         self.node = np.zeros(n, dtype=np.int64)
         self.level = 0  # depth of every record's current node
         self._bins = None
@@ -367,19 +367,24 @@ class FederatedAggregator:
         return draws
 
     def _client_grids(self, cell: np.ndarray, n_cells: int):
-        """Per-client (g, h) sums of every cell, one client block at a time.
-
-        Yields (clients, n_cells, 2) grids whose blocks stay under
+        """Per-client (g, h) sums of every cell, one client block at a time:
+        one ``add.at`` of each record's (g, h), a complex view of ``gh``, in
+        record order. Yields (clients, n_cells, 2) grids whose blocks stay under
         ``GROUP_GRID_CELLS`` entries. Under local noise every populated
         (client, cell) pair is noised, in ascending client-then-cell order.
         """
-        pop, gh = self.pop, self.gh
+        pop = self.pop
+        pairs = np.ascontiguousarray(self.gh.T).view(np.complex128)[:, 0]
         for first, end in _client_blocks(pop, n_cells):
             lo, hi = pop.client_starts[first], pop.client_starts[end]
-            key = (pop.client_of_record[lo:hi] - first) * n_cells + cell[lo:hi]
+            key = pop.client_of_record[lo:hi] * n_cells
+            key += cell[lo:hi]
+            if first:
+                key -= first * n_cells
             size = (end - first) * n_cells
-            sums = [np.bincount(key, weights=w, minlength=size) for w in gh[:, lo:hi]]
-            grid = np.column_stack(sums)
+            acc = np.zeros(size, np.complex128)
+            np.add.at(acc, key, pairs[lo:hi])
+            grid = acc.view(float).reshape(size, 2)
             if self.local_noise:
                 hit = np.flatnonzero(np.bincount(key, minlength=size))
                 grid[hit] += self._noise((hit.size, 2))

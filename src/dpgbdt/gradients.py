@@ -67,19 +67,19 @@ def bce_gradients(label, raw_score) -> np.ndarray:
     """First and second derivatives of binary cross-entropy at aligned
     arrays of labels and raw scores.
 
-    With p = sigmoid(raw_score): g = p - label, h = p (1 - p). Returns the
-    (2, n) float array of rows g and h.
+    With p = sigmoid(raw_score): g = p - label, h = p (1 - p). Returns rows
+    g and h as a record-major (2, n) float array: ``.T`` is C-contiguous.
     """
     p = sigmoid(raw_score)
-    return np.stack([p - np.asarray(label, dtype=float), p * (1.0 - p)])
+    return np.stack([p - np.asarray(label, dtype=float), p * (1.0 - p)], axis=1).T
 
 
 def mode_gradients(label, raw_score, mode: UpdateMode) -> np.ndarray:
     """Per-record (g, h) released under the given update mode, as the (2, n)
-    float array of rows g and h."""
+    float array of rows g and h, held record-major (see ``bce_gradients``)."""
     if mode is UpdateMode.AVERAGING:
         g = (np.asarray(label, dtype=float) == 1.0).astype(float)
-        return np.stack([g, np.ones_like(g)])
+        return np.stack([g, np.ones_like(g)], axis=1).T
     if mode is UpdateMode.GRADIENT:
         gh = bce_gradients(label, raw_score)
         gh[1] = 1.0

@@ -458,6 +458,65 @@ class TestClientDataPlane:
             want = dense_secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * 2), codec)
             assert np.array_equal(pairs[j].reshape(-1, 2), want.reshape(-1, 2))
 
+    def test_client_sums_are_record_order_sums(self):
+        # client 0's three records share a cell in every round and hold
+        # (2^53, 1, -2^53): summed in record order they make 0, reversed 1
+        rng = philox(11)
+        sizes = [3, 2, 4]
+        X = rng.integers(0, 21, size=(9, 2)) / 20
+        X[:3] = 0.25
+        ds = d.Dataset(X, rng.integers(0, 2, 9), ((0.0, 1.0),) * 2)
+        pop = ClientPopulation(ds.features, ds.labels, ds.bounds, client_sizes=np.asarray(sizes))
+        big = 2.0**53
+        g = np.concatenate([[big, 1.0, -big], rng.normal(0, 1, 6)])
+        h = np.concatenate([[big, 1.0, -big], rng.random(6)])
+        reverse = np.r_[2, 1, 0, 3:9]
+        codec = FixedPointCodec(precision_bits=1)
+        agg = aggregator(pop, g, h, codec)
+        cs = d.uniform_candidates(pop.bounds, 4)
+        leaf = np.r_[1, 1, 1, rng.integers(0, 3, 6)]
+        rounds = {
+            "histogram": (
+                agg.histogram_round([0], [0], cs, "s")[0, 0],
+                [closed_right_bin(x, cs.per_feature[0]) for x in X[:, 0]],
+            ),
+            "pair": (agg.split_pair_round([0], {1: np.array([0.5])})[0, 0], (X[:, 1] > 0.5) * 1),
+            "leaf": (agg.leaf_round([leaf], 3)[0], leaf),
+        }
+        for kind, (out, cells) in rounds.items():
+            n_cells = out.size // 2
+            want = dense_secure_sum(client_cell_vectors(sizes, cells, g, h, n_cells), codec)
+            assert np.array_equal(out.ravel(), want), kind
+            rev = client_cell_vectors(sizes, cells, g[reverse], h[reverse], n_cells)
+            assert not np.array_equal(out.ravel(), dense_secure_sum(rev, codec)), kind
+
+    @pytest.mark.parametrize("mode", list(d.UpdateMode))
+    def test_release_scatters_a_view_of_the_gradients(self, mode):
+        scattered = []
+
+        class Numpy:
+            """numpy, but recording the operand of every ``add.at``."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            class add:
+                @staticmethod
+                def at(acc, key, values):
+                    scattered.append(values)
+                    np.add.at(acc, key, values)
+
+        pop = make_pop(60, 2, policy=EQUAL_SHARDS, n_clients=6)
+        agg = FederatedAggregator(pop)
+        for _ in range(2):  # the initial gradients, then the recomputed ones
+            assert agg.gh.shape == (2, pop.n) and agg.gh.T.flags.c_contiguous
+            with mock.patch.object(federation, "np", Numpy()):
+                agg.histogram_round([0], [0, 1], d.uniform_candidates(pop.bounds, 4), "s")
+            assert len(scattered) == 2
+            assert all(np.shares_memory(values, agg.gh) for values in scattered)
+            scattered.clear()
+            agg.recompute_gradients(mode)
+
     def test_local_noise_draws_once_per_populated_pair(self):
         rng = philox(4)
         pop = grid_population([5, 1, 3, 7, 2], 2, rng)
@@ -564,6 +623,24 @@ class TestClientDataPlane:
         train(baseline_preset("FEVERLESS", T=1, d=4, Q=32, m=3, seed=0), pop)
         assert max(full for full, _ in grids) > federation.GROUP_GRID_CELLS
         assert max(block for _, block in grids) <= federation.GROUP_GRID_CELLS
+
+
+def test_complex_add_at_equals_two_bincounts():
+    # the sharded release scatters each record's (g, h) as one complex128
+    # with np.add.at; it relies on numpy adding componentwise, in index order,
+    # bit for bit as a float bincount per component does
+    rng = philox(12)
+    key = rng.integers(0, 7, 500)
+    g, h = (rng.normal(0, 1, 500) * 10.0 ** rng.integers(-8, 17, 500) for _ in range(2))
+    g[:3] = h[:3] = 2.0**53, 1.0, -(2.0**53)
+    key[:3] = 0
+    acc = np.zeros(7, np.complex128)
+    np.add.at(acc, key, np.stack([g, h], axis=1).view(np.complex128)[:, 0])
+    want = np.stack([np.bincount(key, weights=w, minlength=7) for w in (g, h)], axis=1)
+    got = acc.view(float).reshape(7, 2)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (
+        "numpy's complex add.at no longer sums like two float bincounts"
+    )
 
 
 class TestCentralNoiseAudit:
