@@ -331,7 +331,7 @@ def raw_scores(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
     Xc = _checked_features(ensemble, X)
     raw = np.zeros(Xc.shape[0])
     for start, end in batch_ranges(len(ensemble.trees), ensemble.batch_size):
-        weights = (tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees[start:end])
+        weights = (tree.leaf_weights.take(tree.route(Xc)) for tree in ensemble.trees[start:end])
         raw = update_scores(raw, weights, ensemble.eta, plain=(ensemble.batch_size == 1))
     return raw
 
@@ -353,7 +353,7 @@ def predict(ensemble: Ensemble, x: np.ndarray) -> np.ndarray | float:
         if not ensemble.trees:
             raise InvalidParameterError("averaging ensemble has no trees to average")
         Xc = _checked_features(ensemble, X)
-        weights = (tree.leaf_weights[tree.route(Xc)] for tree in ensemble.trees)
+        weights = (tree.leaf_weights.take(tree.route(Xc)) for tree in ensemble.trees)
         total, count = sum_vectors(weights, (Xc.shape[0],))
         total /= count
         probs = np.clip(total, 0.0, 1.0, out=total)

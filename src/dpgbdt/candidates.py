@@ -38,7 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SplitCandidateSet:
-    """Strictly increasing threshold arrays, one per feature, all length Q."""
+    """Strictly increasing threshold arrays, one per feature, all length Q.
+
+    ``table`` holds them as one read-only (m, Q) array, built once per set;
+    ``per_feature`` are its rows.
+    """
 
     per_feature: tuple[np.ndarray, ...]
     bounds: tuple[tuple[float, float], ...]
@@ -54,12 +58,14 @@ class SplitCandidateSet:
                 raise ValueError(f"feature {j}: candidates must be strictly increasing")
             if arr[0] < a or arr[-1] > b:
                 raise ValueError(f"feature {j}: candidates outside bounds ({a}, {b})")
-            arr.setflags(write=False)
             arrays.append(arr)
         sizes = {arr.size for arr in arrays}
         if len(sizes) > 1:
             raise ValueError("all features must carry the same number of candidates")
-        object.__setattr__(self, "per_feature", tuple(arrays))
+        table = np.array(arrays)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "per_feature", tuple(table))
         object.__setattr__(self, "bounds", tuple((float(a), float(b)) for a, b in self.bounds))
 
     @property
@@ -73,9 +79,27 @@ class SplitCandidateSet:
 
 def bin_index(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """0-based bin of each value: bin q covers (s_q, s_{q+1}] with a closed
-    first bin; values above the last threshold land in the last bin."""
-    idx = np.searchsorted(thresholds, values, side="left")
-    return np.minimum(idx, len(thresholds) - 1)
+    first bin; values above the last threshold, and NaN, land in the last bin.
+
+    This is min(searchsorted(thresholds, v, "left"), Q - 1) for sorted
+    thresholds, found without branches: Q - 1 minus the number d of the first
+    Q - 1 thresholds t with v <= t (d is 0 for NaN). Those t are a suffix, so
+    d comes from a binary search over the reversed thresholds that every
+    value takes in the same ceil(log2(Q - 1)) + 1 steps, each a ``take`` and
+    a compare. Returns the narrowest unsigned dtype that holds Q - 1.
+    """
+    values, k = np.asarray(values), len(thresholds) - 1
+    dtype = np.min_scalar_type(k)
+    reversed_ = np.asarray(thresholds, dtype=float)[:k][::-1]
+    d = np.zeros(values.shape, dtype=dtype)
+    span = k  # d is final once the span of undecided thresholds is one
+    while span > 1:
+        half = span // 2
+        d += np.multiply(values <= reversed_[half - 1 :].take(d), half, dtype=dtype)
+        span -= half
+    if k:
+        d += values <= reversed_.take(d)
+    return np.subtract(k, d, dtype=dtype)
 
 
 def uniform_candidates(bounds, Q: int) -> SplitCandidateSet:

@@ -261,8 +261,11 @@ class FederatedAggregator:
         self.central_noise = noise_std is not None and not local_noise
         self._rng = philox(noise_seed if noise_seed is not None else 0)
         n = population.n
+        self.labels = population.labels.astype(float)  # cast once, not at every barrier
         self.raw_scores = np.zeros(n)
-        self.gh = np.stack([np.zeros(n), np.ones(n)], axis=1).T  # record-major, as mode_gradients
+        gh = np.zeros((n, 2))
+        gh[:, 1] = 1.0
+        self.gh = gh.T  # record-major, as mode_gradients
         self.node = np.zeros(n, dtype=np.int64)
         self.level = 0  # depth of every record's current node
         self._bins = None
@@ -276,7 +279,7 @@ class FederatedAggregator:
     def recompute_gradients(self, mode: UpdateMode) -> None:
         """Recompute every record's (g, h), stacked as ``gh`` (2, n) until the
         next gradient barrier."""
-        self.gh = mode_gradients(self.pop.labels, self.raw_scores, mode)
+        self.gh = mode_gradients(self.labels, self.raw_scores, mode)
 
     def begin_tree(self) -> None:
         self.node[:] = 0
@@ -292,8 +295,13 @@ class FederatedAggregator:
         self.level += 1
 
     def apply_score_update(self, batch, eta: float, plain: bool) -> None:
-        """Clients fold a finished batch of public trees into their raw scores."""
-        weights = (tree.leaf_weights[assign] for tree, assign in batch)
+        """Clients fold a finished batch of public trees into their raw scores.
+
+        Each assignment holds narrow (uint8 or uint16) leaf ids, so the leaf
+        weights are gathered with ``take``, which reads them as they are;
+        indexing would first cast every id to intp.
+        """
+        weights = (tree.leaf_weights.take(assign) for tree, assign in batch)
         self.raw_scores = update_scores(self.raw_scores, weights, eta, plain)
 
     def nonprivate_feature_column(self, j: int) -> np.ndarray:
@@ -303,12 +311,14 @@ class FederatedAggregator:
         return np.sort(self.pop.features[:, j])
 
     def _binned(self, cand_set: SplitCandidateSet) -> np.ndarray:
-        """(m, n) bin of every record under ``cand_set``, cached per set."""
+        """(m, n) bin of every record under ``cand_set``, cached per set. Each
+        column's bins, already in ``bin_index``'s narrow dtype, are written
+        straight into their row."""
         if cand_set is not self._bins_for:
             dtype = np.min_scalar_type(cand_set.q - 1)
-            self._bins = np.stack(
-                [bin_index(self.pop.features[:, j], thr) for j, thr in enumerate(cand_set.per_feature)]
-            ).astype(dtype)
+            self._bins = np.empty((cand_set.n_features, self.pop.n), dtype)
+            for j, thr in enumerate(cand_set.per_feature):
+                self._bins[j] = bin_index(self.pop.features[:, j], thr)
             self._bins_for = cand_set
         return self._bins
 
@@ -340,22 +350,23 @@ class FederatedAggregator:
     # ------------------------------------------------------------------
     # metered queries
 
-    def _release(self, cell: np.ndarray, n_cells: int) -> np.ndarray:
+    def _release(self, key: np.ndarray, n_cells: int) -> np.ndarray:
         """Securely aggregate the records' (g, h) into (n_cells, 2) noisy sums.
 
-        Central model: one N(0, ``noise_std``^2) draw per released coordinate
-        after decoding. Local model: one per client-contribution coordinate
-        before encoding. One-record clients send their record's (g, h) into its
-        cell, scattered by ``ring_sum``; sharded clients send their dense
-        per-cell sums, reduced by ``ring_reduce`` (see ``_client_grids``).
+        ``key`` is each record's slot plus its cell (see ``_round``). Central
+        model: one N(0, ``noise_std``^2) draw per released coordinate after
+        decoding. Local model: one per client-contribution coordinate before
+        encoding. One-record clients send their record's (g, h) into its cell,
+        scattered by ``ring_sum``; sharded clients send their dense per-cell
+        sums, reduced by ``ring_reduce`` (see ``_client_grids``).
         """
         if self.pop.all_singleton:
             contrib = self.gh.T
             if self.local_noise:
                 contrib = contrib + self._noise(contrib.shape)
-            out = self.codec.ring_sum(contrib, cell, n_cells, self.pop.n_clients)
+            out = self.codec.ring_sum(contrib, key, n_cells, self.pop.n_clients)
         else:
-            out = self.codec.ring_reduce(self._client_grids(cell, n_cells), self.pop.n_clients)
+            out = self.codec.ring_reduce(self._client_grids(key, n_cells), self.pop.n_clients)
         if self.central_noise:
             out = out + self._noise(out.shape)
         return out
@@ -366,10 +377,11 @@ class FederatedAggregator:
         self.noise_draws += draws.size
         return draws
 
-    def _client_grids(self, cell: np.ndarray, n_cells: int):
+    def _client_grids(self, key: np.ndarray, n_cells: int):
         """Per-client (g, h) sums of every cell, one client block at a time:
         one ``add.at`` of each record's (g, h), a complex view of ``gh``, in
-        record order. Yields (clients, n_cells, 2) grids whose blocks stay under
+        record order, at its ``key``, client * n_cells + cell. Yields
+        (clients, n_cells, 2) grids whose blocks stay under
         ``GROUP_GRID_CELLS`` entries. Under local noise every populated
         (client, cell) pair is noised, in ascending client-then-cell order.
         """
@@ -377,16 +389,13 @@ class FederatedAggregator:
         pairs = np.ascontiguousarray(self.gh.T).view(np.complex128)[:, 0]
         for first, end in _client_blocks(pop, n_cells):
             lo, hi = pop.client_starts[first], pop.client_starts[end]
-            key = pop.client_of_record[lo:hi] * n_cells
-            key += cell[lo:hi]
-            if first:
-                key -= first * n_cells
+            block = key[lo:hi] - first * n_cells if first else key[lo:hi]
             size = (end - first) * n_cells
             acc = np.zeros(size, np.complex128)
-            np.add.at(acc, key, pairs[lo:hi])
+            np.add.at(acc, block, pairs[lo:hi])
             grid = acc.view(float).reshape(size, 2)
             if self.local_noise:
-                hit = np.flatnonzero(np.bincount(key, minlength=size))
+                hit = np.flatnonzero(np.bincount(block, minlength=size))
                 grid[hit] += self._noise((hit.size, 2))
             yield grid.reshape(end - first, n_cells, 2)
 
@@ -397,15 +406,37 @@ class FederatedAggregator:
             raise InvalidParameterError(f"features {list(features)} are not all in [0, {m})")
 
     def _round(
-        self, kind: str, queries: int, nodes: int, cells: int, cell_of: Iterable[np.ndarray]
+        self,
+        kind: str,
+        queries: int,
+        nodes: int,
+        pos: np.ndarray | None,
+        cells: int,
+        parts: Iterable[np.ndarray],
     ) -> np.ndarray:
-        """Meter ``Round(kind, queries, nodes, cells)``, then release it:
-        ``cell_of`` yields each query's record-to-cell array, cell c of node
-        position p at p * cells + c. Returns the (queries, nodes * cells, 2) sums."""
+        """Meter ``Round(kind, queries, nodes, cells)``, then release it.
+
+        The round computes each record's slot once: position * cells, where
+        ``pos`` holds each record's node position among the round's nodes
+        (None: one node, position 0), plus client * nodes * cells for sharded
+        clients. ``parts`` yields each query's record-to-cell array within the
+        record's node (a bin, a pair side or a leaf), so a query adds only that
+        to the slot; where every slot is 0 (one node of one-record clients),
+        the part is the key. Returns the (queries, nodes * cells, 2) sums.
+        """
         if queries < 1:
             raise InvalidParameterError(f"a {kind!r} round must release at least one query")
         self.rounds.append(Round(kind, queries, nodes, cells))
-        return np.stack([self._release(cell, nodes * cells) for cell in cell_of])
+        n_cells = nodes * cells
+        slot = None if pos is None else pos * cells
+        if not self.pop.all_singleton:
+            by_client = self.pop.client_of_record * n_cells
+            slot = by_client if slot is None else slot + by_client
+        if slot is None:
+            keys = (part.astype(np.intp) for part in parts)
+        else:
+            keys = (slot + part for part in parts)
+        return np.stack([self._release(key, n_cells) for key in keys])
 
     def histogram_round(
         self, nodes: Sequence[int], features: Sequence[int], cand_set: SplitCandidateSet, category: str
@@ -425,9 +456,9 @@ class FederatedAggregator:
         Q, F = cand_set.q, len(features)
         self._check_features(features)
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
-        pos = self._positions(nodes) * Q
+        pos = self._positions(nodes)
         bins = self._binned(cand_set)
-        sums = self._round(category, F, nodes.size, Q, (pos + bins[j] for j in features))
+        sums = self._round(category, F, nodes.size, pos, Q, (bins[j] for j in features))
         return sums.reshape(F, nodes.size, Q, 2)
 
     def split_pair_round(
@@ -450,10 +481,9 @@ class FederatedAggregator:
         F = len(proposals)
         self._check_features(proposals)
         pos = self._positions(nodes)
-        left_cell = pos * 2
         features = self.pop.features
-        cell_of = (left_cell + (features[:, j] > thr[pos]) for j, thr in zip(proposals, thresholds))
-        return self._round("s", F, nodes.size, 2, cell_of).reshape(F, nodes.size, 4)
+        right = (features[:, j] > thr.take(pos) for j, thr in zip(proposals, thresholds))
+        return self._round("s", F, nodes.size, pos, 2, right).reshape(F, nodes.size, 4)
 
     def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> np.ndarray:
         """One round carrying the leaf vectors of a whole batch of trees.
@@ -468,5 +498,6 @@ class FederatedAggregator:
         for a in assignments:
             if a.shape != (n,) or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n_leaves:
                 raise InvalidParameterError(f"leaf assignments put {n} records in [0, {n_leaves})")
-        cell_of = (a.astype(np.int64, copy=False) for a in assignments)
-        return self._round("w", len(assignments), 1, n_leaves, cell_of)
+        # narrow ids add to a slot as they are; only uint64 would not fit intp
+        leaves = (a if np.can_cast(a.dtype, np.intp) else a.astype(np.intp) for a in assignments)
+        return self._round("w", len(assignments), 1, None, n_leaves, leaves)

@@ -55,38 +55,54 @@ SENSITIVITY_COUNTING = math.sqrt(2.0)
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 
-    With e = exp(-|x|), which never overflows: 1 / (1 + e) for x >= 0 and
-    e / (1 + e) below, selected elementwise without boolean masks.
+    With e = exp(-|x|), which never overflows, the numerator is
+    max(e, 1{x >= 0}): 1 for x >= 0 (where e <= 1) and e below (where
+    e >= 0), and NaN propagates. Dividing by 1 + e gives 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below, with no data-dependent select. Every step
+    after the first runs in place.
     """
     arr = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(arr))
-    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(arr, out=np.empty(arr.shape))
+    np.exp(np.negative(e, out=e), out=e)
+    p = np.maximum(e, arr >= 0)
+    e += 1.0
+    p /= e
+    return p
 
 
 def bce_gradients(label, raw_score) -> np.ndarray:
     """First and second derivatives of binary cross-entropy at aligned
     arrays of labels and raw scores.
 
-    With p = sigmoid(raw_score): g = p - label, h = p (1 - p). Returns rows
-    g and h as a record-major (2, n) float array: ``.T`` is C-contiguous.
+    With p = sigmoid(raw_score): g = p - label, h = p (1 - p). Both are
+    written into one record-major (n, 2) buffer, returned transposed as rows
+    g and h: the (2, n) result's ``.T`` is C-contiguous. Float labels save a
+    cast per call.
     """
     p = sigmoid(raw_score)
-    return np.stack([p - np.asarray(label, dtype=float), p * (1.0 - p)], axis=1).T
+    gh = np.empty(p.shape + (2,))
+    np.subtract(p, label, out=gh[..., 0])
+    np.subtract(1.0, p, out=gh[..., 1])
+    gh[..., 1] *= p
+    return gh.T
 
 
 def mode_gradients(label, raw_score, mode: UpdateMode) -> np.ndarray:
     """Per-record (g, h) released under the given update mode, as the (2, n)
     float array of rows g and h, held record-major (see ``bce_gradients``)."""
-    if mode is UpdateMode.AVERAGING:
-        g = (np.asarray(label, dtype=float) == 1.0).astype(float)
-        return np.stack([g, np.ones_like(g)], axis=1).T
-    if mode is UpdateMode.GRADIENT:
-        gh = bce_gradients(label, raw_score)
-        gh[1] = 1.0
-        return gh
     if mode is UpdateMode.NEWTON:
         return bce_gradients(label, raw_score)
-    raise ValueError(f"unknown update mode: {mode!r}")
+    if mode is UpdateMode.AVERAGING:
+        g = (np.asarray(label) == 1.0).astype(float)
+    elif mode is UpdateMode.GRADIENT:
+        g = sigmoid(raw_score)
+        g -= label
+    else:
+        raise ValueError(f"unknown update mode: {mode!r}")
+    gh = np.empty(g.shape + (2,))
+    gh[..., 0] = g
+    gh[..., 1] = 1.0
+    return gh.T
 
 
 def query_sensitivity(mode: UpdateMode) -> float:

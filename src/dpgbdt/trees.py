@@ -28,6 +28,7 @@ as a (2^d, 2) array of (G, H) rows, leaf k in row k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -148,16 +149,20 @@ class Tree:
         return cls(feature, threshold, weights)
 
 
+@functools.cache
 def _preorder(depth: int) -> np.ndarray:
     """Internal heap ids of a depth-``depth`` tree in pre-order (node, left
-    subtree, right subtree): the order the random builders draw in."""
+    subtree, right subtree): the order the random builders draw in. Built
+    once per depth and returned read-only."""
     n_internal, order, stack = 2 ** depth - 1, [], [0]
     while stack:
         heap = stack.pop()
         if heap < n_internal:
             order.append(heap)
             stack += [2 * heap + 2, 2 * heap + 1]
-    return np.array(order, dtype=np.int64)
+    order = np.array(order, dtype=np.int64)
+    order.setflags(write=False)
+    return order
 
 
 def split_score(GL, HL, GR, HR, lam: float, gamma: float):
@@ -266,7 +271,7 @@ def grow_tree_totally_random(
     order = _preorder(depth)
     f, c = rng.integers(np.tile([feats.size, cand_set.q], order.size)).reshape(-1, 2).T
     tree.feature[order] = feats[f]
-    tree.threshold[order] = np.array(cand_set.per_feature)[feats[f], c]
+    tree.threshold[order] = cand_set.table[feats[f], c]
     if agg is not None:
         agg.begin_tree()
         for _ in range(depth):
@@ -282,7 +287,7 @@ def _routing_thresholds(cand_set: SplitCandidateSet, feats) -> np.ndarray:
     so a split at the last candidate is the all-left split; it routes on the
     feature's upper bound rather than the candidate value.
     """
-    thresholds = np.array([cand_set.per_feature[j] for j in feats])
+    thresholds = cand_set.table[feats]
     thresholds[:, -1] = [cand_set.bounds[j][1] for j in feats]
     return thresholds.ravel()
 
@@ -365,7 +370,7 @@ def grow_tree(
             thr = routing
         else:
             drawn = rng.integers(Q, size=(len(feats), nodes.size))  # feature by feature
-            thr = np.take_along_axis(np.array([cand_set.per_feature[j] for j in feats]), drawn, 1)
+            thr = np.take_along_axis(cand_set.table[feats], drawn, 1)
             sides = agg.split_pair_round(nodes, dict(zip(feats, thr))).T  # (4, nodes, F)
             thr = thr.T
         best = split_score(*sides, lam, gamma).argmax(axis=1)

@@ -18,7 +18,13 @@ from dpgbdt.gradients import update_scores
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
 from dpgbdt.trees import grow_tree_totally_random
 
-from oracles import logistic, rf_average_prediction, stacked_average, stacked_update_scores
+from oracles import (
+    logistic,
+    masked_sigmoid,
+    rf_average_prediction,
+    stacked_average,
+    stacked_update_scores,
+)
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +418,45 @@ class TestPredict:
         ensemble = d.train(cfg.replace(budget=d.PrivacyBudget(1.0, 1e-3)), pop).ensemble
         rows = d.predict(ensemble, ds.features)
         assert [d.predict(ensemble, x) for x in ds.features] == rows.tolist()
+
+
+class TestNarrowIdGathers:
+    """Leaf weights gathered at narrow leaf ids equal int64 fancy indexing."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        ds = d.synthesize(3000, 3, 0.3, 0.5, seed=4)
+        cs = d.uniform_candidates(ds.bounds, 16)
+        trees = []
+        for seed in range(5):
+            tree = grow_tree_totally_random(philox(seed), range(3), cs, 9)
+            tree.leaf_weights = philox(10 + seed).normal(0.0, 1.0, tree.n_leaves)
+            trees.append(tree)
+        leaves = trees[0].route(ds.features)
+        assert leaves.dtype == np.uint16 and leaves.max() > 255
+        return ds, trees
+
+    @staticmethod
+    def wide_weights(trees, X):
+        return [t.leaf_weights[t.route(X).astype(np.int64)] for t in trees]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 5])
+    def test_depth_nine_scores_equal_the_stacked_formula(self, deep, batch_size):
+        ds, trees = deep
+        ensemble = d.Ensemble(trees, d.UpdateMode.NEWTON, 0.3, batch_size, ds.bounds)
+        want = np.zeros(ds.n)
+        for start in range(0, len(trees), batch_size):
+            W = np.stack(self.wide_weights(trees[start : start + batch_size], ds.features))
+            want = stacked_update_scores(want, W, 0.3, plain=(batch_size == 1))
+        assert np.array_equal(raw_scores(ensemble, ds.features), want)
+        assert np.array_equal(d.predict(ensemble, ds.features), masked_sigmoid(want))
+
+    def test_depth_nine_average_equals_the_stacked_mean(self, deep):
+        ds, trees = deep
+        trees = [dataclasses.replace(t, leaf_weights=np.abs(t.leaf_weights) / 4.0) for t in trees]
+        ensemble = d.Ensemble(trees, d.UpdateMode.AVERAGING, 0.3, len(trees), ds.bounds)
+        want = stacked_average(self.wide_weights(trees, ds.features))
+        assert np.array_equal(d.predict(ensemble, ds.features), want)
 
 
 class TestEnsembleSerialization:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dpgbdt as d
 from dpgbdt.candidates import _refine_feature, bin_index
@@ -91,6 +92,39 @@ class TestBinIndex:
         hist = np.bincount(ours, weights=np.ones_like(x), minlength=4)
         oracle = exact_hessian_histogram(x, np.ones_like(x), thr)
         assert np.allclose(hist, oracle)
+
+    @given(
+        thr=st.integers(1, 300).flatmap(
+            lambda q: hnp.arrays(
+                float, q, elements=st.floats(-1e300, 1e300, allow_subnormal=True), unique=True
+            )
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_clipped_searchsorted(self, thr, data):
+        thr = np.sort(thr)
+        q, lo, hi = thr.size, thr[0], thr[-1]
+        near = np.concatenate([thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf)])
+        # the thresholds and their neighbours, NaN, +-inf, the outermost thresholds
+        # as bounds and beyond, and free values, in a drawn order
+        edges = [*near.tolist(), np.nan, np.inf, -np.inf, lo, hi, -0.0, 0.0]
+        free = data.draw(st.lists(st.floats(), max_size=40))
+        x = np.array(data.draw(st.permutations(edges + free)))
+        got = bin_index(x, thr)
+        assert got.dtype == np.min_scalar_type(q - 1)
+        assert np.array_equal(got, np.minimum(np.searchsorted(thr, x, "left"), q - 1))
+
+    @pytest.mark.parametrize(
+        "q, dtype",
+        [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)],
+    )
+    def test_dtype_is_the_narrowest_that_holds_the_last_bin(self, q, dtype):
+        thr = np.arange(float(q))
+        x = np.array([-1.0, 0.5, q + 1.0, np.nan])
+        got = bin_index(x, thr)
+        assert got.dtype == dtype
+        assert got.tolist() == [0, min(1, q - 1), q - 1, q - 1]
 
 
 class TestIterativeHessianRefine:
@@ -200,6 +234,14 @@ class TestCandidateSetInvariants:
                 assert arr.size == Q
                 assert np.all(np.diff(arr) > 0)
                 assert arr[0] >= lo - 1e-12 and arr[-1] <= hi + 1e-12
+
+    def test_one_read_only_threshold_table(self):
+        cs = d.uniform_candidates([(0.0, 1.0), (-2.0, 5.0), (1.0, 3.0)], 6)
+        assert cs.table.shape == (3, 6) and not cs.table.flags.writeable
+        for j, row in enumerate(cs.per_feature):
+            assert np.shares_memory(row, cs.table) and np.array_equal(row, cs.table[j])
+        with pytest.raises(ValueError):
+            cs.per_feature[0][0] = 0.5
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,8 +26,15 @@ from dpgbdt.federation import (
     partition,
 )
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
+from dpgbdt.trees import grow_tree_totally_random
 
-from oracles import client_cell_vectors, closed_right_bin, dense_secure_sum, ring_cell_sums
+from oracles import (
+    client_cell_vectors,
+    closed_right_bin,
+    dense_secure_sum,
+    ring_cell_sums,
+    stacked_update_scores,
+)
 
 
 def make_pop(n=32, m=2, seed=0, policy=ONE_RECORD_PER_CLIENT, n_clients=None):
@@ -373,6 +381,18 @@ class TestLeafQuery:
         assert out[1, 0] != 0.0 and abs(out[1, 0]) < 10.0
 
 
+    @pytest.mark.parametrize("shards", [None, 5])
+    def test_every_integer_leaf_dtype_releases_the_same_sums(self, shards):
+        policy = ONE_RECORD_PER_CLIENT if shards is None else EQUAL_SHARDS
+        pop = make_pop(40, 1, seed=2, policy=policy, n_clients=shards)
+        rng = philox(3)
+        g, h, leaf = rng.normal(0, 1, pop.n), rng.random(pop.n), rng.integers(0, 8, pop.n)
+        agg = aggregator(pop, g, h)
+        want = agg.leaf_round([leaf], 8)
+        for dtype in (np.uint8, np.uint16, np.uint64, np.int32):
+            assert np.array_equal(agg.leaf_round([leaf.astype(dtype)], 8), want), dtype
+
+
 class TestLdp:
     def test_sqrt_n_noise_growth(self):
         n = 400
@@ -516,6 +536,56 @@ class TestClientDataPlane:
             assert all(np.shares_memory(values, agg.gh) for values in scattered)
             scattered.clear()
             agg.recompute_gradients(mode)
+
+    @pytest.mark.parametrize("depth", [4, 9])  # uint8 and uint16 leaf ids
+    @pytest.mark.parametrize("plain", [True, False])
+    def test_score_update_at_narrow_leaf_ids_equals_int64_indexing(self, depth, plain):
+        pop = make_pop(1500, 2, seed=3)
+        cs = d.uniform_candidates(pop.bounds, 16)
+        rng = philox(7)
+        trees = []
+        for seed in range(3):
+            tree = grow_tree_totally_random(philox(seed), [0, 1], cs, depth)
+            tree.leaf_weights = rng.normal(0.0, 1.0, tree.n_leaves)
+            trees.append(tree)
+        assigns = [tree.route(pop.features) for tree in trees]
+        assert all(a.dtype == np.min_scalar_type(2**depth - 1) for a in assigns)
+        raw = rng.normal(0.0, 1.0, pop.n)
+        agg = FederatedAggregator(pop)
+        agg.raw_scores = raw.copy()
+        agg.apply_score_update(list(zip(trees, assigns)), 0.3, plain)
+        W = [t.leaf_weights[a.astype(np.int64)] for t, a in zip(trees, assigns)]
+        assert np.array_equal(agg.raw_scores, stacked_update_scores(raw, W, 0.3, plain))
+
+    @pytest.mark.parametrize("Q, dtype", [(32, np.uint8), (300, np.uint16)])
+    def test_bin_matrix_is_written_narrow(self, Q, dtype):
+        pop = make_pop(4000, 10, seed=4)
+        cs = d.uniform_candidates(pop.bounds, Q)
+        agg = FederatedAggregator(pop)
+        tracemalloc.start()
+        try:
+            bins = agg._binned(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = [
+            np.minimum(np.searchsorted(thr, x, "left"), Q - 1)
+            for thr, x in zip(cs.table, pop.features.T)
+        ]
+        assert bins.dtype == dtype and np.array_equal(bins, want)
+        # the matrix plus one column's working set (about 20 bytes a record);
+        # stacking intp columns first would hold 16 m bytes a record
+        assert peak < bins.nbytes + 24 * pop.n
+
+    def test_gradient_barrier_reads_labels_cast_once(self):
+        pop = make_pop(50, 2, seed=5)
+        agg = FederatedAggregator(pop)
+        assert agg.labels.dtype == float and np.array_equal(agg.labels, pop.labels)
+        agg.raw_scores = philox(6).normal(0.0, 2.0, pop.n)
+        for mode in d.UpdateMode:
+            agg.recompute_gradients(mode)
+            assert np.array_equal(agg.gh, d.mode_gradients(pop.labels, agg.raw_scores, mode))
+            assert agg.gh.T.flags.c_contiguous
 
     def test_local_noise_draws_once_per_populated_pair(self):
         rng = philox(4)

@@ -114,6 +114,20 @@ class TestHelpers:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+    def test_sigmoid_of_non_finite_and_scalar_inputs(self):
+        got = sigmoid(np.array([np.nan, np.inf, -np.inf, -0.0]))
+        assert np.isnan(got[0]) and got[1:].tolist() == [1.0, 0.0, 0.5]
+        assert isinstance(sigmoid(-1.5), np.float64) and sigmoid(-1.5) == masked_sigmoid([-1.5])[0]
+
+    @pytest.mark.parametrize("mode", list(d.UpdateMode))
+    def test_float_labels_give_the_int_label_bits(self, mode):
+        rng = np.random.default_rng(3)
+        labels, raws = rng.integers(0, 2, 500), rng.normal(0.0, 4.0, 500)
+        got = d.mode_gradients(labels.astype(float), raws, mode)
+        assert got.shape == (2, 500) and got.T.flags.c_contiguous
+        assert _same_bits(got, d.mode_gradients(labels, raws, mode))
+
+
 def _same_bits(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 

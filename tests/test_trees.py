@@ -18,7 +18,7 @@ from dpgbdt.federation import (
     FixedPointCodec,
     partition,
 )
-from dpgbdt.trees import grow_tree, grow_tree_totally_random
+from dpgbdt.trees import _preorder, grow_tree, grow_tree_totally_random
 
 from oracles import (
     collect_structure,
@@ -281,6 +281,12 @@ class TestTotallyRandom:
             j = feats[int(draws.integers(len(feats)))]
             assert tree.feature[heap] == j
             assert tree.threshold[heap] == cs.per_feature[j][int(draws.integers(6))]
+
+    @pytest.mark.parametrize("depth", [1, 4, 9])
+    def test_preorder_is_built_once_per_depth_and_read_only(self, depth):
+        order = _preorder(depth)
+        assert order is _preorder(depth) and not order.flags.writeable
+        assert order.tolist() == preorder(depth)
 
     def test_respects_feature_subset(self):
         cs = d.uniform_candidates([(0.0, 1.0)] * 5, 4)
