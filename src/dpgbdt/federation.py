@@ -2,11 +2,13 @@
 
 Clients hold disjoint record shards: a ``ClientPopulation`` is a validated,
 feature-major ``data.Dataset`` grouped into clients. Every statistic that reaches the
-server-side trainer passes through one pipeline: per-client float sums are
-encoded to fixed point, summed in the 2^64 ring (the secure-aggregation
-abstraction), decoded, and noised with one Gaussian draw per released
-coordinate. Under local noising each client perturbs its own contribution
-before encoding instead, and no central noise is added.
+server-side trainer passes through one pipeline: every record's (g, h) is
+encoded to fixed point, the encodings are summed exactly per released cell
+(secure aggregation shows the server only that total, the same integer
+however the records are split into clients), decoded, and noised with one
+Gaussian draw per released coordinate. Under local noising each client
+perturbs its own contribution before encoding instead, and no central noise
+is added.
 
 The aggregator keeps the per-record client state (raw scores, gradient pairs,
 current tree node) and one running meter: the list of executed aggregation
@@ -45,26 +47,26 @@ __all__ = [
 ONE_RECORD_PER_CLIENT = "one-record-per-client"
 EQUAL_SHARDS = "equal-shards"
 
-# Regular secure-aggregation protocols cost ~3 network round trips per logical
-# aggregation round; reported as a multiplier, not simulated.
-SECURE_AGG_ROUND_FACTOR = 3
-
 
 class CodecOverflowError(ValueError):
-    """The fixed-point ring is too small for the requested summation."""
+    """A sum of encodings could leave the range where float64 holds integers exactly."""
 
 
 @dataclass(frozen=True)
 class FixedPointCodec:
-    """Fixed-point encoding with ``precision_bits`` fractional bits in the
-    2^64 ring: uint64 arithmetic, decoded as int64. Quantisation error is at
-    most 1/(2*scale) per client contribution."""
+    """Fixed-point encoding with ``precision_bits`` fractional bits.
+
+    An encoding is an integer held in a float64, so a sum of encodings is
+    exact, in any order, while every partial sum stays below 2^53 in
+    magnitude; the capacity check guarantees that before each sum.
+    Quantisation error is at most 1/(2*scale) per encoded contribution.
+    """
 
     precision_bits: int = 16
 
     def __post_init__(self):
-        if not (1 <= self.precision_bits < 64):
-            raise InvalidParameterError("need 1 <= precision_bits < 64")
+        if not (1 <= self.precision_bits < 53):
+            raise InvalidParameterError("need 1 <= precision_bits < 53")
 
     @property
     def scale(self) -> int:
@@ -72,59 +74,49 @@ class FixedPointCodec:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         fixed = np.asarray(values, dtype=float) * self.scale  # rounded in place
-        return np.rint(fixed, out=fixed).astype(np.int64).view(np.uint64)  # two's complement
+        return np.rint(fixed, out=fixed)
 
-    def decode(self, ring_values: np.ndarray) -> np.ndarray:
-        signed = np.asarray(ring_values, dtype=np.uint64).astype(np.int64)
-        return signed.astype(float) / self.scale
+    def decode(self, sums: np.ndarray) -> np.ndarray:
+        return np.asarray(sums, dtype=float) / self.scale
 
     def check_capacity(self, n_contributions: int, max_abs: float) -> None:
         if n_contributions == 0:
             return
         need = n_contributions * (int(math.ceil(max_abs * self.scale)) + 1)
-        if need >= 1 << 63:
+        if need >= 1 << 53:
             raise CodecOverflowError(
                 f"{n_contributions} contributions of magnitude up to {max_abs} "
-                f"risk wraparound in the 2^64 ring at {self.precision_bits} fractional bits"
+                f"leave the exact 2^53 range at {self.precision_bits} fractional bits"
             )
 
-    def ring_sum(
-        self, contrib: np.ndarray, cell: np.ndarray, n_cells: int, n_clients: int
-    ) -> np.ndarray:
-        """Decoded modular sum of the contribution rows that land in each cell.
+    def encode_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """Each row of an (n, 2) float array encoded as one complex128, after
+        checking that all n rows may be summed into one cell."""
+        if len(pairs):
+            self.check_capacity(len(pairs), float(np.abs(pairs).max()))
+        return np.ascontiguousarray(self.encode(pairs)).view(np.complex128)[:, 0]
 
-        Row r of ``contrib`` adds into cell ``cell[r]``; ``n_clients`` is the
-        most rows any one cell can receive, which the capacity check bounds.
-        Returns an (n_cells, *contrib.shape[1:]) float array.
-        """
-        if contrib.shape[0]:
-            self.check_capacity(n_clients, float(np.abs(contrib).max()))
-        # numpy's fast ``add.at`` path takes 1-D operands only, so each
-        # contribution column is scattered into its own 1-D accumulator.
-        cols = self.encode(contrib).reshape(contrib.shape[0], math.prod(contrib.shape[1:]))
-        acc = np.zeros((cols.shape[1], n_cells), dtype=np.uint64)
-        for k in range(cols.shape[1]):
-            np.add.at(acc[k], cell, cols[:, k])
-        return self.decode(acc.T.reshape((n_cells,) + contrib.shape[1:]))
+    def ring_sum(self, pairs: np.ndarray, cell: np.ndarray, n_cells: int) -> np.ndarray:
+        """Decoded (n_cells, 2) sums of the ``encode_pairs`` rows that land in
+        each cell: row r adds into cell ``cell[r]`` with one ``add.at``."""
+        acc = np.zeros(n_cells, np.complex128)
+        np.add.at(acc, cell, pairs)
+        return self.decode(acc.view(float).reshape(n_cells, 2))
 
     def ring_reduce(self, blocks: Iterable[np.ndarray], n_clients: int) -> np.ndarray:
-        """Decoded modular sum of dense per-client contribution blocks.
+        """Decoded sum of dense per-client contribution blocks.
 
-        Each block is a (clients, *shape) float array, one row per client, all
-        blocks of one shape; every row is encoded, the rows are summed in the
-        ring over the client axis and the block partials are added. An
-        encoded zero adds nothing, so a dense grid gives the same sums as
-        scattering its nonzero entries with ``ring_sum``. ``n_clients`` is the
-        most rows any one coordinate receives. The capacity check bounds it
-        against each block's largest magnitude before the block is encoded,
-        which fails exactly when a check on the largest magnitude of all
-        blocks would. Returns a ``shape`` float array.
+        Each block is a (clients, *shape) float array, one row per client;
+        every row is encoded, the rows are summed over the client axis and
+        the block partials are added. ``n_clients`` is the most rows any one
+        coordinate receives; each block is capacity-checked against its own
+        largest magnitude before it is encoded. Returns a ``shape`` array.
         """
-        acc = np.uint64(0)
+        acc = 0.0
         for block in blocks:
             max_abs = max(float(block.max(initial=0.0)), -float(block.min(initial=0.0)))
             self.check_capacity(n_clients, max_abs)
-            acc = acc + self.encode(block).sum(axis=0, dtype=np.uint64)
+            acc = acc + self.encode(block).sum(axis=0)
         return self.decode(acc)
 
 
@@ -185,8 +177,8 @@ def partition(dataset: Dataset, n_clients: int | None, policy: str, seed: int = 
     )
 
 
-# Upper bound on the dense (client, cell) grid a release of a sharded
-# population allocates at once; clients are reduced in blocks that fit under it.
+# Upper bound on the dense (client, cell) grid a locally noised release of a
+# sharded population allocates at once; clients are reduced in blocks under it.
 GROUP_GRID_CELLS = 1 << 20
 
 
@@ -202,9 +194,8 @@ class CommLedger:
 
     ``per_round_payload`` is the scalars one client sends in a regular
     aggregation round; ``uplink_values`` totals the whole run, and every
-    scalar is one 8-byte word of the 2^64 ring (``uplink_bytes``). Secure
-    aggregation itself multiplies network round trips by
-    ``SECURE_AGG_ROUND_FACTOR``, a stated constant, not simulated.
+    scalar is one 8-byte word (``uplink_bytes``). Secure aggregation itself
+    multiplies network round trips by about 3, a stated factor, not simulated.
     """
 
     rounds: int
@@ -266,6 +257,7 @@ class FederatedAggregator:
         gh = np.zeros((n, 2))
         gh[:, 1] = 1.0
         self.gh = gh.T  # record-major, as mode_gradients
+        self._pairs = self._pairs_for = None  # see _encoded
         self.node = np.zeros(n, dtype=np.int64)
         self.level = 0  # depth of every record's current node
         self._bins = None
@@ -350,23 +342,36 @@ class FederatedAggregator:
     # ------------------------------------------------------------------
     # metered queries
 
+    def _encoded(self) -> np.ndarray:
+        """Every record's encoded (g, h) as one complex128, cached per ``gh``:
+        encoded and capacity-checked once per gradient barrier, however many
+        queries the rounds until the next barrier make."""
+        if self.gh is not self._pairs_for:
+            self._pairs = self.codec.encode_pairs(self.gh.T)
+            self._pairs_for = self.gh
+        return self._pairs
+
     def _release(self, key: np.ndarray, n_cells: int) -> np.ndarray:
         """Securely aggregate the records' (g, h) into (n_cells, 2) noisy sums.
 
-        ``key`` is each record's slot plus its cell (see ``_round``). Central
-        model: one N(0, ``noise_std``^2) draw per released coordinate after
-        decoding. Local model: one per client-contribution coordinate before
-        encoding. One-record clients send their record's (g, h) into its cell,
-        scattered by ``ring_sum``; sharded clients send their dense per-cell
-        sums, reduced by ``ring_reduce`` (see ``_client_grids``).
+        ``key`` is each record's cell (see ``_round``). The server sees only
+        the total, which is the same integer however the records are split
+        into clients, so a release without local noise scatters the records'
+        encoded pairs (``_encoded``) at their cells and decodes, for
+        one-record and sharded clients alike; central noise then adds one
+        N(0, ``noise_std``^2) draw per released coordinate. Local noise is
+        drawn per client-contribution coordinate before encoding: a
+        one-record client noises its record's (g, h), scattered the same way;
+        sharded clients noise their dense per-cell sums, reduced by
+        ``ring_reduce`` (see ``_client_grids``).
         """
-        if self.pop.all_singleton:
-            contrib = self.gh.T
-            if self.local_noise:
-                contrib = contrib + self._noise(contrib.shape)
-            out = self.codec.ring_sum(contrib, key, n_cells, self.pop.n_clients)
+        if self.local_noise and not self.pop.all_singleton:
+            return self.codec.ring_reduce(self._client_grids(key, n_cells), self.pop.n_clients)
+        if self.local_noise:
+            pairs = self.codec.encode_pairs(self.gh.T + self._noise((self.pop.n, 2)))
         else:
-            out = self.codec.ring_reduce(self._client_grids(key, n_cells), self.pop.n_clients)
+            pairs = self._encoded()
+        out = self.codec.ring_sum(pairs, key, n_cells)
         if self.central_noise:
             out = out + self._noise(out.shape)
         return out
@@ -378,25 +383,25 @@ class FederatedAggregator:
         return draws
 
     def _client_grids(self, key: np.ndarray, n_cells: int):
-        """Per-client (g, h) sums of every cell, one client block at a time:
-        one ``add.at`` of each record's (g, h), a complex view of ``gh``, in
-        record order, at its ``key``, client * n_cells + cell. Yields
-        (clients, n_cells, 2) grids whose blocks stay under
-        ``GROUP_GRID_CELLS`` entries. Under local noise every populated
+        """Locally noised per-client (g, h) sums of every cell, the sharded
+        local release, one client block at a time: one ``add.at`` of each
+        record's (g, h), a complex view of ``gh``, in record order, at
+        client * n_cells + ``key`` within the block; then every populated
         (client, cell) pair is noised, in ascending client-then-cell order.
+        Yields (clients, n_cells, 2) grids whose blocks stay under
+        ``GROUP_GRID_CELLS`` entries.
         """
         pop = self.pop
         pairs = np.ascontiguousarray(self.gh.T).view(np.complex128)[:, 0]
         for first, end in _client_blocks(pop, n_cells):
             lo, hi = pop.client_starts[first], pop.client_starts[end]
-            block = key[lo:hi] - first * n_cells if first else key[lo:hi]
+            block = key[lo:hi] + (pop.client_of_record[lo:hi] - first) * n_cells
             size = (end - first) * n_cells
             acc = np.zeros(size, np.complex128)
             np.add.at(acc, block, pairs[lo:hi])
             grid = acc.view(float).reshape(size, 2)
-            if self.local_noise:
-                hit = np.flatnonzero(np.bincount(block, minlength=size))
-                grid[hit] += self._noise((hit.size, 2))
+            hit = np.flatnonzero(np.bincount(block, minlength=size))
+            grid[hit] += self._noise((hit.size, 2))
             yield grid.reshape(end - first, n_cells, 2)
 
     def _check_features(self, features: Iterable[int]) -> None:
@@ -417,26 +422,22 @@ class FederatedAggregator:
         """Meter ``Round(kind, queries, nodes, cells)``, then release it.
 
         The round computes each record's slot once: position * cells, where
-        ``pos`` holds each record's node position among the round's nodes
-        (None: one node, position 0), plus client * nodes * cells for sharded
-        clients. ``parts`` yields each query's record-to-cell array within the
-        record's node (a bin, a pair side or a leaf), so a query adds only that
-        to the slot; where every slot is 0 (one node of one-record clients),
-        the part is the key. Returns the (queries, nodes * cells, 2) sums.
+        ``pos`` holds each record's node position among the round's nodes.
+        ``parts`` yields each query's record-to-cell array within the
+        record's node (a bin, a pair side or a leaf), so a query adds only
+        that to the slot; with one node (``pos`` None) the part is the key.
+        Keys name cells, not clients: a release sums records (see
+        ``_release``). Returns the (queries, nodes * cells, 2) sums.
         """
         if queries < 1:
             raise InvalidParameterError(f"a {kind!r} round must release at least one query")
         self.rounds.append(Round(kind, queries, nodes, cells))
-        n_cells = nodes * cells
-        slot = None if pos is None else pos * cells
-        if not self.pop.all_singleton:
-            by_client = self.pop.client_of_record * n_cells
-            slot = by_client if slot is None else slot + by_client
-        if slot is None:
+        if pos is None:
             keys = (part.astype(np.intp) for part in parts)
         else:
+            slot = pos * cells
             keys = (slot + part for part in parts)
-        return np.stack([self._release(key, n_cells) for key in keys])
+        return np.stack([self._release(key, nodes * cells) for key in keys])
 
     def histogram_round(
         self, nodes: Sequence[int], features: Sequence[int], cand_set: SplitCandidateSet, category: str
@@ -498,6 +499,4 @@ class FederatedAggregator:
         for a in assignments:
             if a.shape != (n,) or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n_leaves:
                 raise InvalidParameterError(f"leaf assignments put {n} records in [0, {n_leaves})")
-        # narrow ids add to a slot as they are; only uint64 would not fit intp
-        leaves = (a if np.can_cast(a.dtype, np.intp) else a.astype(np.intp) for a in assignments)
-        return self._round("w", len(assignments), 1, None, n_leaves, leaves)
+        return self._round("w", len(assignments), 1, None, n_leaves, assignments)

@@ -78,27 +78,16 @@ def ring_cell_sums(rows, cells, n_cells: int, width: int, precision_bits: int) -
     """Per-cell sums of fixed-point encoded rows of ``width`` values, in
     Python integers.
 
-    Each value is encoded as round-half-even(value * 2^precision_bits) mod
-    2^64; cell sums are reduced mod 2^64, read as signed (upper half
-    negative) and scaled back. Returns n_cells lists of floats.
+    Each value is encoded as round-half-even(value * 2^precision_bits); the
+    encodings landing in a cell are summed exactly and the sum is scaled back
+    by true division. Returns n_cells lists of floats.
     """
-    ring, scale = 1 << 64, 1 << precision_bits
+    scale = 1 << precision_bits
     sums = [[0] * width for _ in range(n_cells)]
     for row, cell in zip(rows, cells):
         for k, value in enumerate(row):
-            sums[cell][k] = (sums[cell][k] + round(value * scale)) % ring
-    return [[(s - ring if s >= ring // 2 else s) / scale for s in cell] for cell in sums]
-
-
-def dense_secure_sum(client_vectors, codec) -> np.ndarray:
-    """Secure sum of dense per-client vectors, one row per client, in Python
-    integers: every value is encoded to fixed point, the encodings are summed
-    mod 2^64 and the sum is decoded (``ring_cell_sums`` with every row in
-    one cell)."""
-    rows = np.asarray(client_vectors, dtype=float).tolist()
-    width = len(rows[0]) if rows else 0
-    sums = ring_cell_sums(rows, [0] * len(rows), 1, width, codec.precision_bits)
-    return np.array(sums[0])
+            sums[cell][k] += round(value * scale)
+    return [[s / scale for s in cell] for cell in sums]
 
 
 def bce_loss(label: float, raw: float) -> float:
@@ -126,20 +115,6 @@ def closed_right_bin(x: float, thresholds) -> int:
     while b < len(thresholds) - 1 and x > thresholds[b]:
         b += 1
     return b
-
-
-def client_cell_vectors(client_sizes, cells, g, h, n_cells: int) -> np.ndarray:
-    """Dense per-client contributions, one row per client: the client's sum
-    of g and of h in every cell, laid out (g_0, h_0, g_1, h_1, ...), summed
-    record by record in record order. Records are client-contiguous."""
-    out = np.zeros((len(client_sizes), 2 * n_cells))
-    record = 0
-    for client, size in enumerate(client_sizes):
-        for _ in range(size):
-            out[client, 2 * cells[record]] += g[record]
-            out[client, 2 * cells[record] + 1] += h[record]
-            record += 1
-    return out
 
 
 def split_gain(gl, hl, gr, hr, lam, gamma):

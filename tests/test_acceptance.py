@@ -191,12 +191,14 @@ def test_criterion_6_secure_sum_fidelity():
             c = int(rng.integers(1, 60))
             dim = int(rng.integers(1, 6))
             contribs = rng.normal(0.0, 8.0, (c, dim))
-            want = contribs.sum(axis=0)
-            # one-record clients scatter into cells; shards reduce dense blocks
-            scattered = codec.ring_sum(contribs, np.zeros(c, dtype=np.int64), 1, c)[0]
+            pairs = rng.normal(0.0, 8.0, (c, 2))
+            # records scatter encoded (g, h) pairs into cells; locally noised
+            # shards reduce dense blocks
+            cell = np.zeros(c, dtype=np.int64)
+            scattered = codec.ring_sum(codec.encode_pairs(pairs), cell, 1)[0]
             reduced = codec.ring_reduce(np.array_split(contribs, 3), c)
-            assert np.abs(scattered - want).max() <= c / 2**17
-            assert np.abs(reduced - want).max() <= c / 2**17
+            assert np.abs(scattered - pairs.sum(axis=0)).max() <= c / 2**17
+            assert np.abs(reduced - contribs.sum(axis=0)).max() <= c / 2**17
 
         # a noisy leaf round over zero gradients releases 20 coordinates of pure noise
         std = 3.0

@@ -28,13 +28,7 @@ from dpgbdt.federation import (
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
 from dpgbdt.trees import grow_tree_totally_random
 
-from oracles import (
-    client_cell_vectors,
-    closed_right_bin,
-    dense_secure_sum,
-    ring_cell_sums,
-    stacked_update_scores,
-)
+from oracles import closed_right_bin, ring_cell_sums, stacked_update_scores
 
 
 def make_pop(n=32, m=2, seed=0, policy=ONE_RECORD_PER_CLIENT, n_clients=None):
@@ -74,56 +68,41 @@ class TestCodec:
         assert err.max() <= 1 / (2 * codec.scale) + 1e-15
 
     def test_small_ring(self):
-        # at 56 fractional bits the 2^64 ring holds magnitudes below 2^7 only
-        codec = FixedPointCodec(precision_bits=56)
+        # at 48 fractional bits the exact 2^53 range holds magnitudes below 2^5 only
+        codec = FixedPointCodec(precision_bits=48)
         vals = np.array([3.5, -7.25])
         assert np.allclose(codec.decode(codec.encode(vals)), vals)
         with pytest.raises(CodecOverflowError):
-            codec.ring_sum(np.array([[100.0], [100.0]]), np.zeros(2, dtype=np.int64), 1, 2)
+            codec.encode_pairs(np.array([[100.0, 0.0], [100.0, 0.0]]))
 
     def test_capacity_check(self):
-        codec = FixedPointCodec(precision_bits=56)
+        codec = FixedPointCodec(precision_bits=48)
         with pytest.raises(CodecOverflowError):
             codec.check_capacity(1000, 10.0)
-        # the signed half of the ring is 2^63 = 128 * 2^56
-        codec.check_capacity(1, 127.0)
+        # float64 holds every integer below 2^53 = 32 * 2^48 exactly
+        codec.check_capacity(1, 31.0)
         with pytest.raises(CodecOverflowError):
-            codec.check_capacity(1, 128.0)
+            codec.check_capacity(1, 32.0)
 
     @given(
         data=st.data(),
         precision=st.sampled_from([16, 40]),
-        tail=st.sampled_from([(), (1,), (2,), (3,)]),
         rows=st.integers(0, 40),
         n_cells=st.integers(1, 6),
     )
     @settings(max_examples=200, deadline=None)
-    def test_ring_sum_matches_integer_oracle(self, data, precision, tail, rows, n_cells):
-        # few cells for many rows: cells repeat, and some stay unused
-        bound = 1e6 if precision == 16 else 1e4
-        width = math.prod(tail)
+    def test_ring_sum_matches_integer_oracle(self, data, precision, rows, n_cells):
+        # few cells for many rows: cells repeat, and some stay unused; 40
+        # rows at the bound stay inside 2^53
+        bound = 1e6 if precision == 16 else 1e2
         cells = data.draw(st.lists(st.integers(0, n_cells - 1), min_size=rows, max_size=rows))
         value = st.floats(-bound, bound, allow_nan=False)
-        values = data.draw(st.lists(value, min_size=rows * width, max_size=rows * width))
-        contrib = np.array(values, dtype=float).reshape((rows,) + tail)
+        values = data.draw(st.lists(value, min_size=rows * 2, max_size=rows * 2))
+        pairs = np.array(values, dtype=float).reshape(rows, 2)
         codec = FixedPointCodec(precision_bits=precision)
-        out = codec.ring_sum(contrib, np.array(cells, dtype=np.int64), n_cells, max(rows, 1))
-        assert out.shape == (n_cells,) + tail
-        expected = ring_cell_sums(
-            contrib.reshape(rows, width).tolist(), cells, n_cells, width, precision
-        )
-        assert out.reshape(n_cells, width).tolist() == expected
-
-    @pytest.mark.parametrize("precision", [4, 16, 40])
-    def test_ring_sum_wraps_in_uint64(self, precision):
-        # each -1.0 encodes near the top of the ring, so the uint64
-        # accumulator passes 2^64 and wraps
-        codec = FixedPointCodec(precision_bits=precision)
-        contrib = np.array([[-1.0, 2.0], [-1.0, -3.0], [-1.0, 0.5], [0.25, -0.5]])
-        cells = np.array([0, 0, 0, 2])
-        out = codec.ring_sum(contrib, cells, 3, 4)
-        expected = ring_cell_sums(contrib.tolist(), cells.tolist(), 3, 2, precision)
-        assert out.tolist() == expected == [[-3.0, -0.5], [0.0, 0.0], [0.25, -0.5]]
+        out = codec.ring_sum(codec.encode_pairs(pairs), np.array(cells, dtype=np.int64), n_cells)
+        assert out.shape == (n_cells, 2)
+        assert out.tolist() == ring_cell_sums(pairs.tolist(), cells, n_cells, 2, precision)
 
     @given(
         data=st.data(),
@@ -133,7 +112,8 @@ class TestCodec:
     )
     @settings(max_examples=100, deadline=None)
     def test_ring_reduce_matches_integer_oracle(self, data, precision, block_rows, width):
-        bound = 1e6 if precision == 16 else 1e4
+        # 24 rows at the bound stay inside 2^53
+        bound = 1e6 if precision == 16 else 1e2
         value = st.floats(-bound, bound, allow_nan=False)
         blocks = [
             np.array(data.draw(st.lists(value, min_size=r * width, max_size=r * width)))
@@ -148,35 +128,34 @@ class TestCodec:
         assert out.tolist() == expected
 
     def test_ring_reduce_checks_capacity(self):
-        # the first block fits (200 * 2^48 < 2^63); the second does not
-        codec = FixedPointCodec(precision_bits=48)
+        # the first block fits (200 * (2^40 + 1) < 2^53); the second does not
+        codec = FixedPointCodec(precision_bits=40)
         blocks = [np.full((100, 3), 1.0), np.full((100, 3), -1000.0)]
         codec.ring_reduce(iter(blocks[:1]), 200)
         with pytest.raises(CodecOverflowError):
             codec.ring_reduce(iter(blocks), 200)
 
     def test_bad_params(self):
-        for precision in (0, 64, 70):
+        for precision in (0, 53, 64):
             with pytest.raises(ValueError):
                 FixedPointCodec(precision_bits=precision)
-        assert FixedPointCodec(precision_bits=63).scale == 2**63
+        assert FixedPointCodec(precision_bits=52).scale == 2**52
 
 
-def one_cell(codec, contribs):
-    """Ring sum of every row of ``contribs`` into a single cell."""
-    n = contribs.shape[0]
-    return codec.ring_sum(contribs, np.zeros(n, dtype=np.int64), 1, n)[0]
+def one_cell(codec, pairs):
+    """Sum of every encoded (g, h) row of ``pairs`` in a single cell."""
+    return codec.ring_sum(codec.encode_pairs(pairs), np.zeros(len(pairs), dtype=np.int64), 1)[0]
 
 
 class TestSecureSum:
-    """The two ring paths a release runs (``ring_sum`` for one-record
-    clients, ``ring_reduce`` for shards) and the noise of a release."""
+    """The two sums a release runs (``ring_sum`` of encoded records, and
+    ``ring_reduce`` of locally noised shards) and the noise of a release."""
 
     def test_plain_example(self):
         codec = FixedPointCodec()
-        contribs = np.array([[1.0], [2.0], [3.0]])
-        assert abs(one_cell(codec, contribs)[0] - 6.0) <= 3 / 2**17
-        assert abs(codec.ring_reduce([contribs], 3)[0] - 6.0) <= 3 / 2**17
+        pairs = np.array([[1.0, 0.5], [2.0, 0.5], [3.0, 0.5]])
+        assert np.abs(one_cell(codec, pairs) - [6.0, 1.5]).max() <= 3 / 2**17
+        assert abs(codec.ring_reduce([pairs[:, :1]], 3)[0] - 6.0) <= 3 / 2**17
 
     def test_exactness_bound_many_vectors(self):
         rng = philox(1)
@@ -185,8 +164,9 @@ class TestSecureSum:
             c = int(rng.integers(1, 50))
             dim = int(rng.integers(1, 8))
             contribs = rng.normal(0, 10, (c, dim))
+            pairs = rng.normal(0, 10, (c, 2))
             bound = c / (2 * codec.scale) + 1e-12
-            assert np.abs(one_cell(codec, contribs) - contribs.sum(axis=0)).max() <= bound
+            assert np.abs(one_cell(codec, pairs) - pairs.sum(axis=0)).max() <= bound
             reduced = codec.ring_reduce(np.array_split(contribs, 2), c)
             assert np.abs(reduced - contribs.sum(axis=0)).max() <= bound
 
@@ -196,8 +176,9 @@ class TestSecureSum:
         codec = FixedPointCodec(precision_bits=p)
         rng = philox(p)
         contribs = rng.normal(0, 3, (20, 5))
+        pairs = contribs[:, :2]
         bound = 20 / (2 * codec.scale) + 1e-12
-        assert np.abs(one_cell(codec, contribs) - contribs.sum(axis=0)).max() <= bound
+        assert np.abs(one_cell(codec, pairs) - pairs.sum(axis=0)).max() <= bound
         assert np.abs(codec.ring_reduce([contribs], 20) - contribs.sum(axis=0)).max() <= bound
 
     def test_noise_distribution(self):
@@ -213,7 +194,7 @@ class TestSecureSum:
 
     def test_empty_contributions(self):
         codec = FixedPointCodec()
-        empty = codec.ring_sum(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 4, 0)
+        empty = codec.ring_sum(codec.encode_pairs(np.zeros((0, 2))), np.zeros(0, dtype=np.int64), 4)
         assert np.array_equal(empty, np.zeros((4, 2)))
         # leaves 1..3 hold no record: exact zeros without noise, pure noise with it
         pop = make_pop(6, 1)
@@ -225,9 +206,10 @@ class TestSecureSum:
         assert np.all(noisy.leaf_round(leaves, 4)[0][1:] != 0.0)
 
     def test_wraparound_detected(self):
-        codec = FixedPointCodec(precision_bits=56)
+        # 200 * 100 * 2^48 passes 2^53, past which float64 drops integers
+        codec = FixedPointCodec(precision_bits=48)
         with pytest.raises(CodecOverflowError):
-            one_cell(codec, np.full((200, 1), 100.0))
+            one_cell(codec, np.full((200, 2), 100.0))
         with pytest.raises(CodecOverflowError):
             codec.ring_reduce([np.full((200, 1), 100.0)], 200)
 
@@ -437,104 +419,102 @@ def grid_population(sizes, m, rng):
     return ClientPopulation(ds.features, ds.labels, ds.bounds, client_sizes=np.asarray(sizes))
 
 
+@pytest.fixture(scope="module")
+def many_shards():
+    """4,999 shards of 5,000 records: a FEVERLESS level-3 round at Q = 32
+    releases 256 cells, so a dense (client, cell) grid would hold 1.3M."""
+    return partition(d.synthesize(5000, 3, 0.0, 0.5, seed=3), 4999, EQUAL_SHARDS, seed=0)
+
+
 class TestClientDataPlane:
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+        shards=st.integers(1, 12),
         Q=st.integers(2, 9),
         precision=st.sampled_from([8, 40]),
-        grid_cap=st.sampled_from([1, 7, federation.GROUP_GRID_CELLS]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_rounds_equal_dense_secure_sum(self, sizes, Q, precision, grid_cap, seed):
+    def test_release_is_the_same_for_every_partition(self, sizes, shards, Q, precision, seed):
+        # the same records under one-record clients, equal shards, random
+        # client sizes, and in another order under other sizes: noise-free
+        # releases are bit-identical, and equal the integer oracle's sums
         rng = philox(seed)
-        m = 2
-        pop = grid_population(sizes, m, rng)
-        codec = FixedPointCodec(precision_bits=precision)
-        g, h = rng.normal(0, 1, pop.n), rng.random(pop.n)
+        n, m = int(sum(sizes)), 2
+        X = rng.integers(0, 21, size=(n, m)) / 20
+        labels = rng.integers(0, 2, n)
+        g, h = rng.normal(0, 1, n), rng.random(n)
         # some of the 8 nodes of level 3, heap ids 7 to 14
         nodes = sorted(7 + int(v) for v in rng.choice(8, size=int(rng.integers(1, 5)), replace=False))
-        node_of_record = rng.choice(nodes, size=pop.n)
-        pos = [nodes.index(nid) for nid in node_of_record]
+        node_of_record = rng.choice(nodes, size=n)
         grid = np.arange(1, 20) / 20
         cs = d.SplitCandidateSet(
-            tuple(np.sort(rng.choice(grid, Q, replace=False)) for _ in range(m)), pop.bounds
+            tuple(np.sort(rng.choice(grid, Q, replace=False)) for _ in range(m)), ((0.0, 1.0),) * m
         )
         proposals = {j: np.array([rng.choice(grid) for _ in nodes]) for j in range(m)}
-
-        agg = aggregator(pop, g, h, codec)
-        agg.node, agg.level = node_of_record, 3
-        with mock.patch.object(federation, "GROUP_GRID_CELLS", grid_cap):
-            hist = agg.histogram_round(nodes, range(m), cs, "s")
-            pairs = agg.split_pair_round(nodes, proposals)
-
-        for j in range(m):
-            X = pop.features[:, j]
-            cells = [p * Q + closed_right_bin(x, cs.per_feature[j]) for p, x in zip(pos, X)]
-            want = dense_secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * Q), codec)
-            assert np.array_equal(hist[j].reshape(-1, 2), want.reshape(-1, 2))
-
-            cells = [2 * p + int(x > proposals[j][p]) for p, x in zip(pos, X)]
-            want = dense_secure_sum(client_cell_vectors(sizes, cells, g, h, len(nodes) * 2), codec)
-            assert np.array_equal(pairs[j].reshape(-1, 2), want.reshape(-1, 2))
-
-    def test_client_sums_are_record_order_sums(self):
-        # client 0's three records share a cell in every round and hold
-        # (2^53, 1, -2^53): summed in record order they make 0, reversed 1
-        rng = philox(11)
-        sizes = [3, 2, 4]
-        X = rng.integers(0, 21, size=(9, 2)) / 20
-        X[:3] = 0.25
-        ds = d.Dataset(X, rng.integers(0, 2, 9), ((0.0, 1.0),) * 2)
-        pop = ClientPopulation(ds.features, ds.labels, ds.bounds, client_sizes=np.asarray(sizes))
-        big = 2.0**53
-        g = np.concatenate([[big, 1.0, -big], rng.normal(0, 1, 6)])
-        h = np.concatenate([[big, 1.0, -big], rng.random(6)])
-        reverse = np.r_[2, 1, 0, 3:9]
-        codec = FixedPointCodec(precision_bits=1)
-        agg = aggregator(pop, g, h, codec)
-        cs = d.uniform_candidates(pop.bounds, 4)
-        leaf = np.r_[1, 1, 1, rng.integers(0, 3, 6)]
-        rounds = {
-            "histogram": (
-                agg.histogram_round([0], [0], cs, "s")[0, 0],
-                [closed_right_bin(x, cs.per_feature[0]) for x in X[:, 0]],
-            ),
-            "pair": (agg.split_pair_round([0], {1: np.array([0.5])})[0, 0], (X[:, 1] > 0.5) * 1),
-            "leaf": (agg.leaf_round([leaf], 3)[0], leaf),
+        leaf = rng.integers(0, 8, n)
+        same_order = np.arange(n)
+        equal = [part.size for part in np.array_split(same_order, min(shards, n))]
+        partitions = {
+            "one-record": (same_order, np.ones(n, dtype=np.int64)),
+            "equal shards": (same_order, equal),
+            "random sizes": (same_order, sizes),
+            "shuffled": (rng.permutation(n), sizes[::-1]),
         }
-        for kind, (out, cells) in rounds.items():
-            n_cells = out.size // 2
-            want = dense_secure_sum(client_cell_vectors(sizes, cells, g, h, n_cells), codec)
-            assert np.array_equal(out.ravel(), want), kind
-            rev = client_cell_vectors(sizes, cells, g[reverse], h[reverse], n_cells)
-            assert not np.array_equal(out.ravel(), dense_secure_sum(rev, codec)), kind
+        codec = FixedPointCodec(precision_bits=precision)
+        releases = {}
+        for name, (order, client_sizes) in partitions.items():
+            pop = ClientPopulation(
+                X[order], labels[order], ((0.0, 1.0),) * m, client_sizes=np.asarray(client_sizes)
+            )
+            agg = aggregator(pop, g[order], h[order], codec)
+            agg.node, agg.level = node_of_record[order], 3
+            releases[name] = [
+                agg.histogram_round(nodes, range(m), cs, "s"),
+                agg.split_pair_round(nodes, proposals),
+                agg.leaf_round([leaf[order]], 8),
+            ]
+        want = releases.pop("one-record")
+        for name, got in releases.items():
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), name
 
-    @pytest.mark.parametrize("mode", list(d.UpdateMode))
-    def test_release_scatters_a_view_of_the_gradients(self, mode):
-        scattered = []
+        rows = np.stack([g, h], axis=1).tolist()
+        pos = [nodes.index(nid) for nid in node_of_record]
+        hist, pairs, leaves = want
+        for j in range(m):
+            cells = [p * Q + closed_right_bin(x, cs.per_feature[j]) for p, x in zip(pos, X[:, j])]
+            assert hist[j].reshape(-1, 2).tolist() == ring_cell_sums(
+                rows, cells, len(nodes) * Q, 2, precision
+            )
+            cells = [2 * p + int(x > proposals[j][p]) for p, x in zip(pos, X[:, j])]
+            assert pairs[j].reshape(-1, 2).tolist() == ring_cell_sums(
+                rows, cells, len(nodes) * 2, 2, precision
+            )
+        assert leaves[0].tolist() == ring_cell_sums(rows, leaf.tolist(), 8, 2, precision)
 
-        class Numpy:
-            """numpy, but recording the operand of every ``add.at``."""
+    @pytest.mark.parametrize("n_clients", [None, 6], ids=["one-record", "6-shards"])
+    def test_encode_runs_once_per_gradient_barrier(self, n_clients, monkeypatch):
+        encoded = []
+        original = FixedPointCodec.encode
 
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def recording(codec, values):
+            encoded.append(values)
+            return original(codec, values)
 
-            class add:
-                @staticmethod
-                def at(acc, key, values):
-                    scattered.append(values)
-                    np.add.at(acc, key, values)
-
-        pop = make_pop(60, 2, policy=EQUAL_SHARDS, n_clients=6)
+        monkeypatch.setattr(FixedPointCodec, "encode", recording)
+        policy = ONE_RECORD_PER_CLIENT if n_clients is None else EQUAL_SHARDS
+        pop = make_pop(60, 2, policy=policy, n_clients=n_clients)
         agg = FederatedAggregator(pop)
-        for _ in range(2):  # the initial gradients, then the recomputed ones
-            assert agg.gh.shape == (2, pop.n) and agg.gh.T.flags.c_contiguous
-            with mock.patch.object(federation, "np", Numpy()):
-                agg.histogram_round([0], [0, 1], d.uniform_candidates(pop.bounds, 4), "s")
-            assert len(scattered) == 2
-            assert all(np.shares_memory(values, agg.gh) for values in scattered)
-            scattered.clear()
+        cs = d.uniform_candidates(pop.bounds, 4)
+        for mode in d.UpdateMode:  # the initial gradients, then each recomputed pair
+            fresh = FederatedAggregator(pop)
+            fresh.gh = agg.gh
+            want = fresh.histogram_round([0], [0, 1], cs, "s")
+            encoded.clear()
+            assert np.array_equal(agg.histogram_round([0], [0, 1], cs, "s"), want)
+            agg.split_pair_round([0], {0: [0.5], 1: [0.3]})
+            agg.leaf_round([np.zeros(pop.n, dtype=np.int64)] * 3, 2)
+            assert len(encoded) == 1 and np.shares_memory(encoded[0], agg.gh)
             agg.recompute_gradients(mode)
 
     @pytest.mark.parametrize("depth", [4, 9])  # uint8 and uint16 leaf ids
@@ -623,14 +603,13 @@ class TestClientDataPlane:
         ds = d.synthesize(400, 2, 0.0, 0.5, seed=3)
         pop = partition(ds, 10, EQUAL_SHARDS, seed=0)
         cs = d.uniform_candidates(pop.bounds, 2)
-        fine = FixedPointCodec(precision_bits=56)
-        # 10 clients of 40 records in 2 bins, g = 1: some per-client cell sum
-        # is at least 20, so 10 clients need 10 * (20 * 2^56 + 1) > 2^63, the
-        # signed half of the ring
+        fine = FixedPointCodec(precision_bits=48)
+        # every record is one encoded contribution: 400 records of g = 1 need
+        # 400 * (2^48 + 1) > 2^53, past which float64 drops integers
         agg = aggregator(pop, np.ones(pop.n), np.ones(pop.n), fine)
         with pytest.raises(CodecOverflowError):
             agg.histogram_round([0], [0, 1], cs, "s")
-        # at g = h = 0.01 every cell sum is at most 0.4, which fits
+        # at g = h = 0.01, 400 * (0.01 * 2^48 + 1) fits
         tiny = aggregator(pop, np.full(pop.n, 0.01), np.full(pop.n, 0.01), fine)
         assert tiny.histogram_round([0], [0, 1], cs, "s").shape == (2, 1, 2, 2)
 
@@ -676,10 +655,11 @@ class TestClientDataPlane:
         train(cfg.replace(candidate_method=d.CandidateMethod.ITERATIVE_HESSIAN), pop)
         assert len(calls) == 3 * (1 + 3)  # the initial set plus three refinements
 
-    def test_grouping_grid_stays_under_cap(self, monkeypatch):
-        n = 5000
-        ds = d.synthesize(n, 3, 0.0, 0.5, seed=3)
-        pop = partition(ds, n - 1, EQUAL_SHARDS, seed=0)
+    FEVERLESS = baseline_preset("FEVERLESS", T=1, d=4, Q=32, m=3, seed=0)
+
+    def test_grouping_grid_stays_under_cap(self, many_shards, monkeypatch):
+        # only the locally noised sharded release builds client grids
+        pop = many_shards
         grids = []
         original = federation._client_blocks
 
@@ -690,9 +670,21 @@ class TestClientDataPlane:
             return blocks
 
         monkeypatch.setattr(federation, "_client_blocks", recording)
-        train(baseline_preset("FEVERLESS", T=1, d=4, Q=32, m=3, seed=0), pop)
+        local = d.NoisePlacement.LOCAL
+        train(self.FEVERLESS.replace(budget=d.PrivacyBudget(1.0, 1e-3), noise_placement=local), pop)
         assert max(full for full, _ in grids) > federation.GROUP_GRID_CELLS
         assert max(block for _, block in grids) <= federation.GROUP_GRID_CELLS
+
+    @pytest.mark.parametrize("budget", [None, d.PrivacyBudget(1.0, 1e-3)], ids=["exact", "central"])
+    def test_central_release_builds_no_client_grid(self, budget, many_shards, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a release without local noise went through the client grid")
+
+        monkeypatch.setattr(federation, "_client_blocks", refuse)
+        monkeypatch.setattr(FederatedAggregator, "_client_grids", refuse)
+        monkeypatch.setattr(FixedPointCodec, "ring_reduce", refuse)
+        res = train(self.FEVERLESS.replace(budget=budget), many_shards)
+        assert res.rounds == d.plan(res.config)
 
 
 def test_complex_add_at_equals_two_bincounts():
@@ -759,6 +751,44 @@ class TestCentralNoiseAudit:
         assert np.all((lo < variance) & (variance < hi)), (variance, lo, hi)
         mean_bound = stats.norm.ppf(1 - tail) * std / math.sqrt(self.REPEATS)
         assert np.all(np.abs(samples.mean(axis=0)) < mean_bound)
+
+
+@pytest.mark.parametrize("n_clients", [None, 7], ids=["one-record", "7-shards"])
+def test_central_releases_replay_the_oracle_sums_and_the_noise_stream(n_clients):
+    # each query's release is its integer-oracle sum plus the next draws of
+    # philox(noise_seed), bit for bit, in round order
+    policy = ONE_RECORD_PER_CLIENT if n_clients is None else EQUAL_SHARDS
+    pop = make_pop(n=42, m=2, seed=6, policy=policy, n_clients=n_clients)
+    rng = philox(8)
+    g, h = rng.normal(0, 1, pop.n), rng.random(pop.n)
+    std, seed, Q = 0.7, 23, 4
+    agg = aggregator(pop, g, h, noise_std=std, noise_seed=seed)
+    X, cs = pop.features, d.uniform_candidates(pop.bounds, Q)
+    agg.apply_splits(np.array([0]), np.array([0.5]))
+    pos = (agg.node - 1).tolist()  # nodes 1 and 2
+    thresholds = {1: np.array([0.4, 0.6]), 0: np.array([0.3, 0.7])}
+    leaves = [rng.integers(0, 4, pop.n) for _ in range(3)]
+    released = [
+        *agg.histogram_round([1, 2], [0, 1], cs, "s").reshape(2, 2 * Q, 2),
+        *agg.split_pair_round([1, 2], thresholds).reshape(2, 4, 2),
+        *agg.leaf_round(leaves, 4),
+    ]
+    # each query's cell of every record, in round order
+    cells = [
+        [p * Q + closed_right_bin(x, cs.per_feature[j]) for p, x in zip(pos, X[:, j])]
+        for j in (0, 1)
+    ]
+    cells += [
+        [2 * p + int(x > thr[p]) for p, x in zip(pos, X[:, j])] for j, thr in thresholds.items()
+    ]
+    cells += [leaf.tolist() for leaf in leaves]
+    noise = philox(seed)
+    rows = np.stack([g, h], axis=1).tolist()
+    for got, query_cells in zip(released, cells, strict=True):
+        want = np.array(ring_cell_sums(rows, query_cells, len(got), 2, 16))
+        want = want + noise.normal(0.0, std, got.shape)
+        assert got.tobytes() == want.tobytes()
+    assert agg.noise_draws == 2 * (2 * 2 * Q + 2 * 4 + 3 * 4)
 
 
 class TestCanaryAudit:
@@ -983,7 +1013,7 @@ class TestAggregatorMeters:
             agg.recompute_gradients(d.UpdateMode.NEWTON)
             res = agg.histogram_round([0], [0], cs, "s")
             outs.append(np.concatenate(res[0, 0].T))
-        assert np.allclose(outs[0], outs[1], atol=1e-3)
+        assert outs[0].tobytes() == outs[1].tobytes()  # exact sums have no order
 
 
 class TestCommAccounting:
@@ -992,7 +1022,6 @@ class TestCommAccounting:
         ledger = comm_accounting(cfg)
         assert ledger.rounds == 1
         assert ledger.per_round_payload == 2 * 200 * 16
-        assert federation.SECURE_AGG_ROUND_FACTOR == 3
         assert "secure_agg_round_factor" not in {f.name for f in dataclasses.fields(ledger)}
 
     def test_hist_rounds(self):

@@ -74,33 +74,33 @@ GOLDEN = {
     ("one-record", "pr-k1"):
         ("10c0a9da0783133a", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-EBM"):
-        ("6c5fbf222a5387ee", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
+        ("6c265ab9d233e239", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-EBM-Newton"):
-        ("938e540340aeb1ad", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
+        ("6c18b91ebb44ed91", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-GBM"):
-        ("6a3792054c8affb3", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
+        ("b8edfc78617a51bb", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("7-shards", "DP-RF"):
         ("07bdb897b6b1e24e", "cbf73e1f7d25de22", "67890684d7242c10", "66b2d1fb1a5230f0"),
     ("7-shards", "FEVERLESS"):
-        ("9ff4768fbdf2001f", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
+        ("28defd317d360d5f", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("7-shards", "LDP"):
         ("b56c9e91c4103af5", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-TR-Newton"):
-        ("29dc6e67bc4003eb", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
+        ("eff13111bf313a40", "cbf73e1f7d25de22", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "DP-TR-Newton-IH"):
-        ("1d3a2c68e95d4c29", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
+        ("6f668b992a952c3e", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
     ("7-shards", "DP-TR-Newton-IH-EBM"):
-        ("e5e45363c2e8b344", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
+        ("a7a34e93aadf556d", "08f57baf33f75932", "f88b02f1a0fdd374", "93043210dba9eae7"),
     ("7-shards", "DP-TR-Batch-Newton-IH-EBM(p=0.25)"):
-        ("5913398856a25cd1", "08f57baf33f75932", "f88b02f1a0fdd374", "adc731cba167994b"),
+        ("c7d29497d6b40067", "08f57baf33f75932", "f88b02f1a0fdd374", "adc731cba167994b"),
     ("7-shards", "pr"):
-        ("cb34fcb84932bf89", "01409473f044f688", "0d1b4c40380546b5", "c7f60e2daa23b0b7"),
+        ("27b0cb4a0a7c850c", "01409473f044f688", "0d1b4c40380546b5", "c7f60e2daa23b0b7"),
     ("7-shards", "hist-k1"):
-        ("d438832bf5ea76a4", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
+        ("c1eb8fb1dc4a150f", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
     ("7-shards", "hist-IH"):
-        ("321219f06ddbf0b3", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
+        ("7b1f7ea38051867b", "01409473f044f688", "0d1b4c40380546b5", "dbb377dd35d3ce89"),
     ("7-shards", "pr-k1"):
-        ("f3d198f16e96991c", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
+        ("10c0a9da0783133a", "d2153fea7cfabfbb", "67890684d7242c10", "22a6c7dc0192265e"),
 }
 
 
