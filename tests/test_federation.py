@@ -104,6 +104,23 @@ class TestCodec:
         assert out.shape == (n_cells, 2)
         assert out.tolist() == ring_cell_sums(pairs.tolist(), cells, n_cells, 2, precision)
 
+    @pytest.mark.parametrize("precision", [4, 16, 40])
+    def test_ring_sum_is_exact_at_the_capacity_edge(self, precision):
+        # the largest magnitude the capacity check admits for 4 rows encodes
+        # to 2^51 - 2, so one cell sums to 2^53 - 9 in magnitude: float64
+        # still holds every integer there, and the odd lowest bit survives
+        codec = FixedPointCodec(precision_bits=precision)
+        unit = 1 / codec.scale
+        top = (2**51 - 2) * unit
+        pairs = np.array([[top, -top]] * 3 + [[top - unit, unit - top]])
+        out = codec.ring_sum(codec.encode_pairs(pairs), np.zeros(4, dtype=np.int64), 2)
+        edge = (2**53 - 9) * unit
+        assert out.tolist() == [[edge, -edge], [0.0, 0.0]]
+        assert out.tolist() == ring_cell_sums(pairs.tolist(), [0] * 4, 2, 2, precision)
+        # one unit more encodes to 2^51 - 1: four such rows need 2^53
+        with pytest.raises(CodecOverflowError):
+            codec.encode_pairs(np.full((4, 2), top + unit))
+
     @given(
         data=st.data(),
         precision=st.sampled_from([16, 40]),
