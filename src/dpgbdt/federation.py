@@ -10,6 +10,15 @@ Gaussian draw per released coordinate. Under local noising each client
 perturbs its own contribution before encoding instead, and no central noise
 is added.
 
+A hist or pr level round is post-processing of exact per-node histograms:
+a histogram release merges their last two bins, a pair release reads a
+prefix sum and its complement. Below the root, a round over a whole level
+scans only each sibling pair's smaller child and takes the larger as the
+parent minus the smaller (histogram subtraction). Every sum of encodings is
+an integer below 2^53, so the subtraction is exact and each release equals
+a direct scatter bit for bit. Locally noised level rounds still scatter once
+per query until the noise moves after the sum (ROADMAP item 1).
+
 The aggregator keeps the per-record client state (raw scores, gradient pairs,
 current tree node) and one running meter: the list of executed aggregation
 rounds (``accounting.Round``: the queries, nodes and cells each released).
@@ -232,7 +241,9 @@ class FederatedAggregator:
 
     Clients keep their records binned against the current candidate set: the
     bin matrix is rebuilt only when a query names a different
-    ``SplitCandidateSet`` object.
+    ``SplitCandidateSet`` object. A whole-level round keeps its exact node
+    histograms for the next level's round (``_node_sums``) until
+    ``begin_tree``.
     """
 
     def __init__(
@@ -262,6 +273,7 @@ class FederatedAggregator:
         self.level = 0  # depth of every record's current node
         self._bins = None
         self._bins_for: SplitCandidateSet | None = None
+        self._parent = None  # see _node_sums
         self.rounds: list[Round] = []
         self.noise_draws = 0
 
@@ -276,6 +288,7 @@ class FederatedAggregator:
     def begin_tree(self) -> None:
         self.node[:] = 0
         self.level = 0
+        self._parent = None
 
     def apply_splits(self, feature: np.ndarray, threshold: np.ndarray) -> None:
         """Clients route their records one level down the announced splits.
@@ -303,14 +316,17 @@ class FederatedAggregator:
         return np.sort(self.pop.features[:, j])
 
     def _binned(self, cand_set: SplitCandidateSet) -> np.ndarray:
-        """(m, n) bin of every record under ``cand_set``, cached per set. Each
-        column's bins, already in ``bin_index``'s narrow dtype, are written
-        straight into their row."""
+        """(m, n) bin of every record under ``cand_set``, cached per set: the
+        number of candidates below the value, one of Q + 1 bins, so that
+        x <= t_c exactly when bin <= c, for every candidate c. That is
+        ``bin_index`` against the candidates plus a +inf sentinel (features
+        are finite); each column's bins, already in its narrow dtype, are
+        written straight into their row."""
         if cand_set is not self._bins_for:
-            dtype = np.min_scalar_type(cand_set.q - 1)
+            dtype = np.min_scalar_type(cand_set.q)
             self._bins = np.empty((cand_set.n_features, self.pop.n), dtype)
             for j, thr in enumerate(cand_set.per_feature):
-                self._bins[j] = bin_index(self.pop.features[:, j], thr)
+                self._bins[j] = bin_index(self.pop.features[:, j], np.append(thr, np.inf))
             self._bins_for = cand_set
         return self._bins
 
@@ -354,7 +370,7 @@ class FederatedAggregator:
     def _release(self, key: np.ndarray, n_cells: int) -> np.ndarray:
         """Securely aggregate the records' (g, h) into (n_cells, 2) noisy sums.
 
-        ``key`` is each record's cell (see ``_round``). The server sees only
+        ``key`` is each record's cell (see ``_scatter``). The server sees only
         the total, which is the same integer however the records are split
         into clients, so a release without local noise scatters the records'
         encoded pairs (``_encoded``) at their cells and decodes, for
@@ -369,12 +385,13 @@ class FederatedAggregator:
             return self.codec.ring_reduce(self._client_grids(key, n_cells), self.pop.n_clients)
         if self.local_noise:
             pairs = self.codec.encode_pairs(self.gh.T + self._noise((self.pop.n, 2)))
-        else:
-            pairs = self._encoded()
-        out = self.codec.ring_sum(pairs, key, n_cells)
-        if self.central_noise:
-            out = out + self._noise(out.shape)
-        return out
+            return self.codec.ring_sum(pairs, key, n_cells)
+        return self._central(self.codec.ring_sum(self._encoded(), key, n_cells))
+
+    def _central(self, out: np.ndarray) -> np.ndarray:
+        """A decoded query release ``out`` plus, under central noise, one
+        N(0, ``noise_std``^2) draw per coordinate."""
+        return out + self._noise(out.shape) if self.central_noise else out
 
     def _noise(self, shape: tuple[int, ...]) -> np.ndarray:
         """Every Gaussian a release adds: ``shape`` draws at ``noise_std``, counted."""
@@ -410,16 +427,17 @@ class FederatedAggregator:
         if any(not 0 <= j < m for j in features):
             raise InvalidParameterError(f"features {list(features)} are not all in [0, {m})")
 
-    def _round(
-        self,
-        kind: str,
-        queries: int,
-        nodes: int,
-        pos: np.ndarray | None,
-        cells: int,
-        parts: Iterable[np.ndarray],
+    def _meter(self, kind: str, queries: int, nodes: int, cells: int) -> None:
+        """Record ``Round(kind, queries, nodes, cells)``; a round releases at
+        least one query."""
+        if queries < 1:
+            raise InvalidParameterError(f"a {kind!r} round must release at least one query")
+        self.rounds.append(Round(kind, queries, nodes, cells))
+
+    def _scatter(
+        self, nodes: int, pos: np.ndarray | None, cells: int, parts: Iterable[np.ndarray]
     ) -> np.ndarray:
-        """Meter ``Round(kind, queries, nodes, cells)``, then release it.
+        """Release each query by its own scatter (``_release``).
 
         The round computes each record's slot once: position * cells, where
         ``pos`` holds each record's node position among the round's nodes.
@@ -429,15 +447,72 @@ class FederatedAggregator:
         Keys name cells, not clients: a release sums records (see
         ``_release``). Returns the (queries, nodes * cells, 2) sums.
         """
-        if queries < 1:
-            raise InvalidParameterError(f"a {kind!r} round must release at least one query")
-        self.rounds.append(Round(kind, queries, nodes, cells))
         if pos is None:
             keys = (part.astype(np.intp) for part in parts)
         else:
             slot = pos * cells
             keys = (slot + part for part in parts)
         return np.stack([self._release(key, nodes * cells) for key in keys])
+
+    def _node_sums(
+        self,
+        nodes: np.ndarray,
+        pos: np.ndarray,
+        features: Sequence[int],
+        cand_set: SplitCandidateSet,
+    ) -> np.ndarray:
+        """Encoded (F, nodes, Q + 1) sums of the records' (g, h) in every bin
+        (``_binned``) of every node, one complex128 per cell.
+
+        A round over the whole level right below a whole-level round on the
+        same ``gh``, candidate set and features (LightGBM's histogram
+        subtraction; Ke et al., NeurIPS 2017) scatters only the records of
+        each sibling pair's smaller child, the left one on a tie, and sets
+        the larger child to the parent's sums minus the smaller's. Any other
+        round makes one ``add.at`` per feature over every record. Each sum is
+        an integer below 2^53 (``_encoded`` checks the capacity), so every
+        difference is exact and equals the direct scatter bit for bit. The
+        sums of a whole-level round are kept for the next level until
+        ``begin_tree``.
+        """
+        bins, pairs = self._binned(cand_set), self._encoded()
+        features, Q1, N = tuple(features), cand_set.q + 1, nodes.size
+        parent, full = self._parent, N == 2**self.level
+        if (
+            full
+            and parent is not None
+            and parent[0] == self.level - 1
+            and parent[1] is self.gh
+            and parent[2] is cand_set
+            and parent[3] == features
+        ):
+            parent_sums = parent[4]
+            count = np.bincount(pos, minlength=N)
+            right = count[1::2] < count[::2]  # the right child is the smaller: scan it
+            scanned = np.zeros(N, dtype=bool)
+            scanned[np.arange(0, N, 2) + right] = True
+            rec = np.flatnonzero(scanned.take(pos))
+            slot, pairs = (pos.take(rec) >> 1) * Q1, pairs.take(rec)
+            small = np.zeros((len(features), N // 2 * Q1), np.complex128)
+            for acc, j in zip(small, features):
+                np.add.at(acc, slot + bins[j].take(rec), pairs)
+            small = small.reshape(parent_sums.shape)
+            large, pick = parent_sums - small, right[:, None]
+            sums = np.stack([np.where(pick, large, small), np.where(pick, small, large)], axis=2)
+        else:
+            sums = np.zeros((len(features), N * Q1), np.complex128)
+            slot = pos * Q1
+            for acc, j in zip(sums, features):
+                np.add.at(acc, slot + bins[j], pairs)
+        sums = sums.reshape(len(features), N, Q1)
+        self._parent = (self.level, self.gh, cand_set, features, sums) if full else None
+        return sums
+
+    def _publish(self, sums: np.ndarray) -> np.ndarray:
+        """Decode each query's exact (nodes, cells) complex sums and noise it as
+        ``_release`` does; returns (queries, nodes * cells, 2)."""
+        decoded = self.codec.decode(sums.view(float)).reshape(len(sums), -1, 2)
+        return np.stack([self._central(query) for query in decoded])
 
     def histogram_round(
         self, nodes: Sequence[int], features: Sequence[int], cand_set: SplitCandidateSet, category: str
@@ -447,7 +522,8 @@ class FederatedAggregator:
         Every record must sit in one of ``nodes`` (a disjoint level of the
         tree), so each feature's histogram is one privacy query by parallel
         composition: Q cells per node. Binning is closed-right (see
-        ``bin_index``). ``category`` is "c" (candidate refinement) or "s".
+        ``bin_index``): bin Q - 1 also holds the values above the last
+        candidate. ``category`` is "c" (candidate refinement) or "s".
 
         Returns an (F, nodes, Q, 2) array: features in the order given, nodes
         in ascending order, the (G, H) sums of each bin.
@@ -458,33 +534,52 @@ class FederatedAggregator:
         self._check_features(features)
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
         pos = self._positions(nodes)
-        bins = self._binned(cand_set)
-        sums = self._round(category, F, nodes.size, pos, Q, (bins[j] for j in features))
-        return sums.reshape(F, nodes.size, Q, 2)
+        self._meter(category, F, nodes.size, Q)
+        if self.local_noise:
+            bins = self._binned(cand_set)
+            parts = (np.minimum(bins[j], Q - 1) for j in features)
+            return self._scatter(nodes.size, pos, Q, parts).reshape(F, nodes.size, Q, 2)
+        sums = self._node_sums(nodes, pos, features, cand_set)
+        hist = sums[..., :Q].copy()
+        hist[..., -1] += sums[..., Q]
+        return self._publish(hist).reshape(F, nodes.size, Q, 2)
 
     def split_pair_round(
-        self, nodes: Sequence[int], proposals: Mapping[int, np.ndarray]
+        self,
+        nodes: Sequence[int],
+        proposals: Mapping[int, np.ndarray],
+        cand_set: SplitCandidateSet,
     ) -> np.ndarray:
-        """One round of two-sided aggregates, one proposed threshold per node
+        """One round of two-sided aggregates, one proposed candidate per node
         per feature. One privacy query per feature: 2 cells (left, right) per
         node.
 
         Every record must sit in one of ``nodes``. ``proposals`` maps each
-        feature to its thresholds, one per node in ascending node order.
-        Returns an (F, nodes, 4) array: features in the order of
-        ``proposals``, nodes in ascending order, and (G_L, H_L, G_R, H_R) of
-        each split, left being x <= threshold.
+        feature to candidate indices in [0, Q) of ``cand_set``, one per node
+        in ascending node order. Returns an (F, nodes, 4) array: features in
+        the order of ``proposals``, nodes in ascending order, and
+        (G_L, H_L, G_R, H_R) of each split, left being x <= the candidate.
         """
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
-        thresholds = [np.asarray(thr, dtype=float) for thr in proposals.values()]
-        if any(thr.shape != nodes.shape for thr in thresholds):
-            raise InvalidParameterError("every feature must propose one threshold per node")
-        F = len(proposals)
+        Q, F = cand_set.q, len(proposals)
+        indices = [np.asarray(c) for c in proposals.values()]
+        valid = all(c.shape == nodes.shape and c.dtype.kind in "iu" for c in indices)
+        drawn = np.stack([c.astype(np.intp) for c in indices]) if valid and F else np.zeros(0)
+        if not valid or drawn.min(initial=0) < 0 or drawn.max(initial=0) >= Q:
+            raise InvalidParameterError(
+                f"every feature must propose one candidate index in [0, {Q}) per node"
+            )
         self._check_features(proposals)
         pos = self._positions(nodes)
-        features = self.pop.features
-        right = (features[:, j] > thr.take(pos) for j, thr in zip(proposals, thresholds))
-        return self._round("s", F, nodes.size, pos, 2, right).reshape(F, nodes.size, 4)
+        self._meter("s", F, nodes.size, 2)
+        if self.local_noise:
+            bins = self._binned(cand_set)
+            right = (bins[j] > c.take(pos) for j, c in zip(proposals, drawn))
+            return self._scatter(nodes.size, pos, 2, right).reshape(F, nodes.size, 4)
+        cum = self._node_sums(nodes, pos, list(proposals), cand_set).cumsum(axis=-1)
+        left = np.take_along_axis(cum, drawn[..., None], axis=-1)
+        sides = np.concatenate([left, cum[..., -1:] - left], axis=-1)
+        return self._publish(sides).reshape(F, nodes.size, 4)
 
     def leaf_round(self, assignments: Sequence[np.ndarray], n_leaves: int) -> np.ndarray:
         """One round carrying the leaf vectors of a whole batch of trees.
@@ -499,4 +594,5 @@ class FederatedAggregator:
         for a in assignments:
             if a.shape != (n,) or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n_leaves:
                 raise InvalidParameterError(f"leaf assignments put {n} records in [0, {n_leaves})")
-        return self._round("w", len(assignments), 1, None, n_leaves, assignments)
+        self._meter("w", len(assignments), 1, n_leaves)
+        return self._scatter(1, None, n_leaves, assignments)

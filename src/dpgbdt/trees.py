@@ -370,9 +370,9 @@ def grow_tree(
             thr = routing
         else:
             drawn = rng.integers(Q, size=(len(feats), nodes.size))  # feature by feature
-            thr = np.take_along_axis(cand_set.table[feats], drawn, 1)
-            sides = agg.split_pair_round(nodes, dict(zip(feats, thr))).T  # (4, nodes, F)
-            thr = thr.T
+            proposals = dict(zip(feats, drawn))  # candidate indices
+            sides = agg.split_pair_round(nodes, proposals, cand_set).T  # (4, nodes, F)
+            thr = np.take_along_axis(cand_set.table[feats], drawn, 1).T
         best = split_score(*sides, lam, gamma).argmax(axis=1)
         rows = nodes - nodes[0]
         tree.feature[nodes] = feature_of[best]

@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,7 +27,7 @@ from dpgbdt.federation import (
     partition,
 )
 from dpgbdt.harness import PRESET_NAMES, baseline_preset
-from dpgbdt.trees import grow_tree_totally_random
+from dpgbdt.trees import grow_tree, grow_tree_totally_random
 
 from oracles import closed_right_bin, ring_cell_sums, stacked_update_scores
 
@@ -351,12 +352,194 @@ class TestHistogramQuery:
         with pytest.raises(InvalidParameterError, match="level 1"):
             agg.histogram_round(nodes, [0], cs, "s")
         with pytest.raises(InvalidParameterError, match="level 1"):
-            agg.split_pair_round(nodes, {0: np.full(len(nodes), 0.5)})
+            agg.split_pair_round(nodes, {0: np.full(len(nodes), 1)}, cs)
         assert agg.rounds == [] and released(agg.rounds) == 0
         # the level's nodes are released
         assert agg.histogram_round([1, 2], [0], cs, "s")[0, :, :, 1].sum() == 40 * 0.25
-        assert agg.split_pair_round([1, 2], {0: np.full(2, 0.5)}).shape == (1, 2, 4)
+        assert agg.split_pair_round([1, 2], {0: np.full(2, 1)}, cs).shape == (1, 2, 4)
         assert agg.rounds == [d.Round("s", 1, 2, 4), d.Round("s", 1, 2, 2)]
+
+
+class TestLevelHistograms:
+    """hist and pr level rounds are post-processing of exact per-node
+    histograms; below the root a whole-level round scans only each sibling
+    pair's smaller child and subtracts it from the parent."""
+
+    @staticmethod
+    def recorded(agg):
+        """``agg`` with every hist and pr level release recorded as (kind,
+        each record's node, nodes, features, pair proposals, release)."""
+        agg.releases = []
+        histogram_round, split_pair_round = agg.histogram_round, agg.split_pair_round
+
+        def hist(nodes, features, cand_set, category):
+            out = histogram_round(nodes, features, cand_set, category)
+            agg.releases.append(
+                ("hist", agg.node.copy(), sorted(nodes), list(features), None, out)
+            )
+            return out
+
+        def pair(nodes, proposals, cand_set):
+            out = split_pair_round(nodes, proposals, cand_set)
+            agg.releases.append(
+                ("pair", agg.node.copy(), sorted(nodes), list(proposals), proposals, out)
+            )
+            return out
+
+        agg.histogram_round, agg.split_pair_round = hist, pair
+        return agg
+
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=10),
+        Q=st.integers(2, 5),
+        depth=st.integers(1, 4),
+        k=st.integers(1, 3),
+        last_below=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # always run: pr proposals at index Q - 1 = 1 with the last candidate below 1
+    @example(sizes=[2, 3, 1, 4, 2], Q=2, depth=3, k=2, last_below=True, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_every_level_release_equals_the_integer_oracle(
+        self, sizes, Q, depth, k, last_below, seed
+    ):
+        # few records on a 1/20 grid over deep trees: random client sizes,
+        # empty nodes and sibling count ties; with last_below the last
+        # candidate lies under the upper bound 1, so the records above it
+        # fill bin Q of the exact histogram and pr's index Q - 1 is a real split
+        rng = philox(seed)
+        m = 3
+        pop = grid_population(sizes, m, rng)
+        top = 14 if last_below else 19
+        cs = d.SplitCandidateSet(
+            tuple(
+                np.append(
+                    np.sort(rng.choice(np.arange(1, top + 1), Q - 1 + last_below, False)),
+                    [] if last_below else [20],
+                ) / 20
+                for _ in range(m)
+            ),
+            pop.bounds,
+        )
+        g, h = rng.normal(0, 1, pop.n), rng.random(pop.n)
+        features = sorted(int(j) for j in rng.choice(m, k, replace=False))
+        rows = np.stack([g, h], axis=1).tolist()
+        for method in (d.SplitMethod.HIST, d.SplitMethod.PARTIALLY_RANDOM):
+            agg = self.recorded(aggregator(pop, g, h))
+            for tree in range(2):  # the second tree starts from begin_tree
+                grow_tree(agg, philox(seed + tree), method, features, cs, depth, 1.0, 0.0)
+            assert len(agg.releases) == 2 * (1 if k == 1 else depth)
+            for kind, node, nodes, feats, proposals, out in agg.releases:
+                pos = [nodes.index(nid) for nid in node.tolist()]
+                for j, release in zip(feats, out):
+                    thr = cs.per_feature[j]
+                    X = pop.features[:, j]
+                    if kind == "hist":
+                        cells = [p * Q + closed_right_bin(x, thr) for p, x in zip(pos, X)]
+                    else:
+                        side = thr[np.asarray(proposals[j])]
+                        cells = [2 * p + int(x > side[p]) for p, x in zip(pos, X)]
+                    want = ring_cell_sums(rows, cells, release.size // 2, 2, 16)
+                    assert release.reshape(-1, 2).tolist() == want
+
+    class Numpy:
+        """numpy, but recording how many records each ``add.at`` scatters."""
+
+        def __init__(self, scattered):
+            self.add = types.SimpleNamespace(at=self.at)
+            self.scattered = scattered
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def at(self, acc, key, values):
+            self.scattered.append(len(values))
+            np.add.at(acc, key, values)
+
+    @staticmethod
+    def fresh(agg):
+        """An aggregator in ``agg``'s state, gradients and level but with no
+        kept parent sums."""
+        fresh = FederatedAggregator(agg.pop)
+        fresh.gh, fresh.node, fresh.level = agg.gh, agg.node.copy(), agg.level
+        return fresh
+
+    @staticmethod
+    def release(agg, kind, nodes, features, cs):
+        if kind == "hist":
+            return agg.histogram_round(nodes, features, cs, "s")
+        proposals = {j: np.arange(len(nodes)) % cs.q for j in features}
+        return agg.split_pair_round(nodes, proposals, cs)
+
+    @staticmethod
+    def split_every_node(agg, fractions):
+        """Send the first ``fractions[i]`` of node i's records (by feature 0)
+        left, for every node i of the level."""
+        first = 2**agg.level - 1
+        feature, threshold = np.zeros(2 * first + 1, dtype=np.int64), np.zeros(2 * first + 1)
+        for i, frac in zip(range(first, 2 * first + 1), fractions):
+            x = np.sort(agg.pop.features[agg.node == i, 0])
+            threshold[i] = x[int(frac * x.size) - 1] if int(frac * x.size) else -1.0
+        agg.apply_splits(feature, threshold)
+
+    @pytest.mark.parametrize("kind", ["hist", "pair"])
+    def test_below_the_root_only_smaller_siblings_are_scanned(self, kind):
+        pop = make_pop(400, 3, policy=EQUAL_SHARDS, n_clients=9)
+        agg = FederatedAggregator(pop)
+        agg.recompute_gradients(d.UpdateMode.NEWTON)
+        cs, features = d.uniform_candidates(pop.bounds, 6), [0, 2]
+        agg.begin_tree()
+        scattered, ties = [], 0
+        # level 1 splits 200 / 200 (a tie), level 2 splits 1/4 and 3/4 of
+        # each node left, and level 3 ties where a node's count is even
+        for level, fractions in enumerate([[0.5], [0.25, 0.75], [0.5] * 4, None]):
+            nodes = list(range(2**level - 1, 2 ** (level + 1) - 1))
+            count = np.bincount(agg.node - nodes[0], minlength=len(nodes))
+            with mock.patch.object(federation, "np", self.Numpy(scattered)):
+                got = self.release(agg, kind, nodes, features, cs)
+            scanned = pop.n if level == 0 else np.minimum(count[::2], count[1::2]).sum()
+            assert scattered == [scanned] * len(features), level
+            want = self.release(self.fresh(agg), kind, nodes, features, cs)
+            assert got.tobytes() == want.tobytes()
+            ties += int(np.sum(count[::2] == count[1::2])) if level else 0
+            scattered.clear()
+            if fractions is not None:
+                self.split_every_node(agg, fractions)
+        assert ties >= 2 and agg.level == 3
+
+    @pytest.mark.parametrize(
+        "change",
+        ["gradient barrier", "candidate set", "feature list", "partial level", "repeated level"],
+    )
+    @pytest.mark.parametrize("kind", ["hist", "pair"])
+    def test_parent_sums_are_not_reused_across(self, kind, change):
+        pop = make_pop(300, 3, policy=EQUAL_SHARDS, n_clients=7, seed=2)
+        agg = FederatedAggregator(pop)
+        agg.recompute_gradients(d.UpdateMode.NEWTON)
+        cs, features = d.uniform_candidates(pop.bounds, 5), [0, 1]
+        agg.begin_tree()
+        if change == "partial level":
+            # every record goes left: level 1's round over node 1 alone covers them
+            self.release(agg, kind, [0], features, cs)
+            self.split_every_node(agg, [1.0])
+            self.release(agg, kind, [1], features, cs)
+            self.split_every_node(agg, [0.5, 0.5])
+            nodes = [3, 4, 5, 6]
+        else:
+            self.release(agg, kind, [0], features, cs)
+            self.split_every_node(agg, [0.5])
+            nodes = [1, 2]
+        if change == "gradient barrier":
+            agg.raw_scores = philox(3).normal(0.0, 1.0, pop.n)
+            agg.recompute_gradients(d.UpdateMode.NEWTON)
+        elif change == "candidate set":
+            cs = d.SplitCandidateSet(tuple(thr ** 2 for thr in cs.table), cs.bounds)
+        elif change == "feature list":
+            features = [1, 0]
+        elif change == "repeated level":  # level 1's sums are not level 1's parent
+            self.release(agg, kind, nodes, features, cs)
+        got = self.release(agg, kind, nodes, features, cs)
+        assert got.tobytes() == self.release(self.fresh(agg), kind, nodes, features, cs).tobytes()
 
 
 class TestLeafQuery:
@@ -468,7 +651,7 @@ class TestClientDataPlane:
         cs = d.SplitCandidateSet(
             tuple(np.sort(rng.choice(grid, Q, replace=False)) for _ in range(m)), ((0.0, 1.0),) * m
         )
-        proposals = {j: np.array([rng.choice(grid) for _ in nodes]) for j in range(m)}
+        proposals = {j: rng.integers(0, Q, len(nodes)) for j in range(m)}
         leaf = rng.integers(0, 8, n)
         same_order = np.arange(n)
         equal = [part.size for part in np.array_split(same_order, min(shards, n))]
@@ -488,7 +671,7 @@ class TestClientDataPlane:
             agg.node, agg.level = node_of_record[order], 3
             releases[name] = [
                 agg.histogram_round(nodes, range(m), cs, "s"),
-                agg.split_pair_round(nodes, proposals),
+                agg.split_pair_round(nodes, proposals, cs),
                 agg.leaf_round([leaf[order]], 8),
             ]
         want = releases.pop("one-record")
@@ -503,7 +686,8 @@ class TestClientDataPlane:
             assert hist[j].reshape(-1, 2).tolist() == ring_cell_sums(
                 rows, cells, len(nodes) * Q, 2, precision
             )
-            cells = [2 * p + int(x > proposals[j][p]) for p, x in zip(pos, X[:, j])]
+            thr = cs.per_feature[j][proposals[j]]
+            cells = [2 * p + int(x > thr[p]) for p, x in zip(pos, X[:, j])]
             assert pairs[j].reshape(-1, 2).tolist() == ring_cell_sums(
                 rows, cells, len(nodes) * 2, 2, precision
             )
@@ -529,7 +713,7 @@ class TestClientDataPlane:
             want = fresh.histogram_round([0], [0, 1], cs, "s")
             encoded.clear()
             assert np.array_equal(agg.histogram_round([0], [0, 1], cs, "s"), want)
-            agg.split_pair_round([0], {0: [0.5], 1: [0.3]})
+            agg.split_pair_round([0], {0: [1], 1: [0]}, cs)
             agg.leaf_round([np.zeros(pop.n, dtype=np.int64)] * 3, 2)
             assert len(encoded) == 1 and np.shares_memory(encoded[0], agg.gh)
             agg.recompute_gradients(mode)
@@ -554,7 +738,9 @@ class TestClientDataPlane:
         W = [t.leaf_weights[a.astype(np.int64)] for t, a in zip(trees, assigns)]
         assert np.array_equal(agg.raw_scores, stacked_update_scores(raw, W, 0.3, plain))
 
-    @pytest.mark.parametrize("Q, dtype", [(32, np.uint8), (300, np.uint16)])
+    @pytest.mark.parametrize(
+        "Q, dtype", [(32, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)]
+    )
     def test_bin_matrix_is_written_narrow(self, Q, dtype):
         pop = make_pop(4000, 10, seed=4)
         cs = d.uniform_candidates(pop.bounds, Q)
@@ -565,10 +751,8 @@ class TestClientDataPlane:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        want = [
-            np.minimum(np.searchsorted(thr, x, "left"), Q - 1)
-            for thr, x in zip(cs.table, pop.features.T)
-        ]
+        # Q + 1 bins: the number of candidates below each value
+        want = [np.searchsorted(thr, x, "left") for thr, x in zip(cs.table, pop.features.T)]
         assert bins.dtype == dtype and np.array_equal(bins, want)
         # the matrix plus one column's working set (about 20 bytes a record);
         # stacking intp columns first would hold 16 m bytes a record
@@ -631,10 +815,11 @@ class TestClientDataPlane:
         assert tiny.histogram_round([0], [0, 1], cs, "s").shape == (2, 1, 2, 2)
 
     def test_pair_round_needs_one_threshold_per_node(self):
-        agg = FederatedAggregator(make_pop(20, 2))
-        for thresholds in ([0.5, 0.5, 0.5], [0.5], [[0.5, 0.5]], 0.5):
-            with pytest.raises(InvalidParameterError, match="one threshold per node"):
-                agg.split_pair_round([1, 2], {0: [0.5, 0.5], 1: thresholds})
+        pop = make_pop(20, 2)
+        agg, cs = FederatedAggregator(pop), d.uniform_candidates(pop.bounds, 4)
+        for indices in ([1, 1, 1], [1], [[1, 1]], 1):
+            with pytest.raises(InvalidParameterError, match="one candidate index .* per node"):
+                agg.split_pair_round([1, 2], {0: [1, 1], 1: indices}, cs)
         assert agg.rounds == []
 
     def test_refined_candidates_rebin(self):
@@ -745,7 +930,8 @@ class TestCentralNoiseAudit:
             cs = d.uniform_candidates(agg.pop.bounds, 4)
             return lambda: agg.histogram_round([1, 2], [0, 1], cs, "s")
         if kind == "split pair":
-            return lambda: agg.split_pair_round([0], {0: [0.5], 1: [0.3]})
+            cs = d.uniform_candidates(agg.pop.bounds, 4)
+            return lambda: agg.split_pair_round([0], {0: [1], 1: [0]}, cs)
         # every record in leaf 0, leaves 1-3 empty
         return lambda: agg.leaf_round([np.zeros(n, dtype=np.int64)], 4)
 
@@ -783,11 +969,11 @@ def test_central_releases_replay_the_oracle_sums_and_the_noise_stream(n_clients)
     X, cs = pop.features, d.uniform_candidates(pop.bounds, Q)
     agg.apply_splits(np.array([0]), np.array([0.5]))
     pos = (agg.node - 1).tolist()  # nodes 1 and 2
-    thresholds = {1: np.array([0.4, 0.6]), 0: np.array([0.3, 0.7])}
+    proposals = {1: np.array([1, 2]), 0: np.array([0, Q - 1])}  # candidate indices
     leaves = [rng.integers(0, 4, pop.n) for _ in range(3)]
     released = [
         *agg.histogram_round([1, 2], [0, 1], cs, "s").reshape(2, 2 * Q, 2),
-        *agg.split_pair_round([1, 2], thresholds).reshape(2, 4, 2),
+        *agg.split_pair_round([1, 2], proposals, cs).reshape(2, 4, 2),
         *agg.leaf_round(leaves, 4),
     ]
     # each query's cell of every record, in round order
@@ -796,7 +982,8 @@ def test_central_releases_replay_the_oracle_sums_and_the_noise_stream(n_clients)
         for j in (0, 1)
     ]
     cells += [
-        [2 * p + int(x > thr[p]) for p, x in zip(pos, X[:, j])] for j, thr in thresholds.items()
+        [2 * p + int(x > cs.per_feature[j][c[p]]) for p, x in zip(pos, X[:, j])]
+        for j, c in proposals.items()
     ]
     cells += [leaf.tolist() for leaf in leaves]
     noise = philox(seed)
@@ -838,7 +1025,7 @@ class TestCanaryAudit:
     # each per round, all on the root node
     FEATURES = 1000
     BINS = 4  # thresholds 0, 1/3, 2/3, 1
-    PAIR_THRESHOLD = 0.3
+    PAIR_CANDIDATE = 1  # threshold 1/3
     CANARY_X = 0.5  # bin 2 of the histogram, the right side of the pair
     CANARY_CELL = {"histogram": 2, "pair": 1}
 
@@ -858,12 +1045,12 @@ class TestCanaryAudit:
         pop = ClientPopulation(X, np.zeros(x.size), bounds, client_sizes=np.asarray(sizes))
         agg = aggregator(pop, *gh, noise_std=noise_std, noise_seed=seed)
         features = range(self.FEATURES)
+        cs = d.uniform_candidates(pop.bounds, self.BINS)
         if kind == "histogram":
-            cs = d.uniform_candidates(pop.bounds, self.BINS)
             release = lambda: agg.histogram_round([0], features, cs, "s")  # noqa: E731
         else:
-            proposals = {j: [self.PAIR_THRESHOLD] for j in features}
-            release = lambda: agg.split_pair_round([0], proposals)  # noqa: E731
+            proposals = {j: [self.PAIR_CANDIDATE] for j in features}
+            release = lambda: agg.split_pair_round([0], proposals, cs)  # noqa: E731
         return np.concatenate(
             [release().reshape(self.FEATURES, -1, 2) for _ in range(self.CALLS)]
         )
@@ -970,8 +1157,8 @@ class TestAggregatorMeters:
         "unknown category": lambda agg, cs: agg.histogram_round([0], [0], cs, "x"),
         "no features": lambda agg, cs: agg.histogram_round([0], [], cs, "s"),
         "no histogram nodes": lambda agg, cs: agg.histogram_round([], [0], cs, "s"),
-        "no proposals": lambda agg, cs: agg.split_pair_round([0], {}),
-        "no pair nodes": lambda agg, cs: agg.split_pair_round([], {0: []}),
+        "no proposals": lambda agg, cs: agg.split_pair_round([0], {}, cs),
+        "no pair nodes": lambda agg, cs: agg.split_pair_round([], {0: np.zeros(0, int)}, cs),
         "no trees": lambda agg, cs: agg.leaf_round([], 4),
         "a record in leaf 5 of 4": lambda agg, cs: agg.leaf_round([np.r_[5, np.zeros(19, int)]], 4),
         "negative leaf": lambda agg, cs: agg.leaf_round([np.full(20, -1)], 4),
@@ -983,12 +1170,37 @@ class TestAggregatorMeters:
         "feature 5 of 2": lambda agg, cs: one_level(agg).histogram_round([1, 2], [5], cs, "s"),
         "feature -1": lambda agg, cs: one_level(agg).histogram_round([1, 2], [-1], cs, "s"),
         "pair feature 7 of 2": lambda agg, cs: one_level(agg).split_pair_round(
-            [1, 2], {7: [0.5, 0.5]}
+            [1, 2], {7: [1, 1]}, cs
         ),
         "duplicate node": lambda agg, cs: one_level(agg).histogram_round([1, 1, 2], [0], cs, "s"),
         "negative node": lambda agg, cs: one_level(agg).histogram_round([-1, 1, 2], [0], cs, "s"),
         "node of the next level": lambda agg, cs: one_level(agg).split_pair_round(
-            [1, 2, 3], {0: [0.5, 0.5, 0.5]}
+            [1, 2, 3], {0: [1, 1, 1]}, cs
+        ),
+        # a pair proposal is one candidate index in [0, Q) per node, Q = 4 here
+        "fractional candidate index": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [0.5, 1]}, cs
+        ),
+        "float candidate index": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [1.0, 2.0]}, cs
+        ),
+        "boolean candidate index": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [True, False]}, cs
+        ),
+        "candidate index Q": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [1, 4]}, cs
+        ),
+        "negative candidate index": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [-1, 1]}, cs
+        ),
+        "one index for two nodes": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [1]}, cs
+        ),
+        "three indices for two nodes": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [1, 1, 1]}, cs
+        ),
+        "second feature's index out of range": lambda agg, cs: one_level(agg).split_pair_round(
+            [1, 2], {0: [1, 1], 1: [3, 7]}, cs
         ),
     }
 
